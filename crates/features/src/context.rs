@@ -6,7 +6,7 @@
 //! The same module also defines the *context dimensions* used to condition
 //! aggregation features ("accesses with the same active tab", etc.).
 
-use crate::encoding::{push_one_hot, unread_bucket, UNREAD_BUCKETS};
+use crate::encoding::{unread_bucket, UNREAD_BUCKETS};
 use pp_data::schema::{day_of_week, hour_of_day, Context, DatasetKind, ScreenState, Tab};
 use pp_data::synth::NUM_APPS;
 use serde::{Deserialize, Serialize};
@@ -66,38 +66,77 @@ impl ContextFeaturizer {
     ///
     /// Panics if the context kind does not match the featurizer's dataset.
     pub fn featurize_into(&self, timestamp: i64, context: &Context, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.dims(), 0.0);
+        self.featurize_nonzeros(timestamp, context, |index, value| out[index] = value);
+    }
+
+    /// Emits the entries of the feature vector that can be non-zero — one
+    /// per one-hot group plus the scalars — as `(index, value)` in ascending
+    /// index order, without materialising the zeros between them. This is
+    /// the layout's single definition; the dense forms are built from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context kind does not match the featurizer's dataset.
+    pub fn featurize_nonzeros(
+        &self,
+        timestamp: i64,
+        context: &Context,
+        emit: impl FnMut(usize, f32),
+    ) {
         assert_eq!(
             context.kind(),
             self.kind,
             "context kind does not match featurizer dataset"
         );
-        out.clear();
-        push_one_hot(out, hour_of_day(timestamp) as usize, HOURS);
-        push_one_hot(out, day_of_week(timestamp) as usize, DAYS);
+        let mut layout = Layout { at: 0, emit };
+        layout.one_hot(hour_of_day(timestamp) as usize, HOURS);
+        layout.one_hot(day_of_week(timestamp) as usize, DAYS);
         match *context {
             Context::MobileTab {
                 unread_count,
                 active_tab,
             } => {
-                push_one_hot(out, unread_bucket(unread_count), UNREAD_BUCKETS);
-                push_one_hot(out, active_tab.index(), Tab::ALL.len());
-                out.push(unread_count as f32 / 99.0);
+                layout.one_hot(unread_bucket(unread_count), UNREAD_BUCKETS);
+                layout.one_hot(active_tab.index(), Tab::ALL.len());
+                layout.scalar(unread_count as f32 / 99.0);
             }
             Context::Timeshift { is_peak } => {
-                out.push(if is_peak { 1.0 } else { 0.0 });
+                layout.scalar(if is_peak { 1.0 } else { 0.0 });
             }
             Context::Mpu {
                 screen,
                 app_id,
                 last_app_id,
             } => {
-                push_one_hot(out, screen.index(), ScreenState::ALL.len());
-                push_one_hot(out, app_id as usize, NUM_APPS as usize);
-                push_one_hot(out, last_app_id as usize, NUM_APPS as usize);
-                out.push(if app_id == last_app_id { 1.0 } else { 0.0 });
+                layout.one_hot(screen.index(), ScreenState::ALL.len());
+                layout.one_hot(app_id as usize, NUM_APPS as usize);
+                layout.one_hot(last_app_id as usize, NUM_APPS as usize);
+                layout.scalar(if app_id == last_app_id { 1.0 } else { 0.0 });
             }
         }
-        debug_assert_eq!(out.len(), self.dims());
+        debug_assert_eq!(layout.at, self.dims());
+    }
+}
+
+/// Walks a feature layout group by group, emitting each group's entry at
+/// the running offset.
+struct Layout<F> {
+    at: usize,
+    emit: F,
+}
+
+impl<F: FnMut(usize, f32)> Layout<F> {
+    fn one_hot(&mut self, index: usize, size: usize) {
+        assert!(index < size, "one-hot index {index} out of range {size}");
+        (self.emit)(self.at + index, 1.0);
+        self.at += size;
+    }
+
+    fn scalar(&mut self, value: f32) {
+        (self.emit)(self.at, value);
+        self.at += 1;
     }
 }
 

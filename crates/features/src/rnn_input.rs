@@ -58,10 +58,26 @@ impl RnnFeaturizer {
     /// when there is no previous event (the paper sets `Δt_1 = 0` and
     /// `t_i − t_k = 0` when `k = 0`).
     pub fn features(&self, timestamp: i64, context: &Context, elapsed_secs: i64) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.feature_dims());
-        self.context.featurize_into(timestamp, context, &mut out);
-        push_one_hot(&mut out, time_bucket(elapsed_secs), TIME_BUCKETS);
+        let mut out = vec![0.0; self.feature_dims()];
+        self.features_into(timestamp, context, elapsed_secs, |index, value| {
+            out[index] = value;
+        });
         out
+    }
+
+    /// [`RnnFeaturizer::features`] without the zeros: emits the entries
+    /// that can be non-zero as `(index, value)` in ascending index order,
+    /// so a batch assembler can write them straight into its input row.
+    pub fn features_into(
+        &self,
+        timestamp: i64,
+        context: &Context,
+        elapsed_secs: i64,
+        mut emit: impl FnMut(usize, f32),
+    ) {
+        self.context
+            .featurize_nonzeros(timestamp, context, &mut emit);
+        emit(self.context.dims() + time_bucket(elapsed_secs), 1.0);
     }
 
     /// Builds the full GRU update input `[f_i ; T(Δt_i) ; A_i]`.
@@ -72,9 +88,31 @@ impl RnnFeaturizer {
         delta_t_secs: i64,
         accessed: bool,
     ) -> Vec<f32> {
-        let mut v = self.features(timestamp, context, delta_t_secs);
-        v.push(if accessed { 1.0 } else { 0.0 });
-        v
+        let mut out = vec![0.0; self.update_input_dims()];
+        self.update_input_into(
+            timestamp,
+            context,
+            delta_t_secs,
+            accessed,
+            |index, value| {
+                out[index] = value;
+            },
+        );
+        out
+    }
+
+    /// [`RnnFeaturizer::update_input`] as `(index, value)` entries (see
+    /// [`RnnFeaturizer::features_into`]).
+    pub fn update_input_into(
+        &self,
+        timestamp: i64,
+        context: &Context,
+        delta_t_secs: i64,
+        accessed: bool,
+        mut emit: impl FnMut(usize, f32),
+    ) {
+        self.features_into(timestamp, context, delta_t_secs, &mut emit);
+        emit(self.feature_dims(), if accessed { 1.0 } else { 0.0 });
     }
 
     /// Builds the prediction input `[f_i ; T(t_i − t_k)]`.
@@ -85,6 +123,18 @@ impl RnnFeaturizer {
         secs_since_hidden: i64,
     ) -> Vec<f32> {
         self.features(timestamp, context, secs_since_hidden)
+    }
+
+    /// [`RnnFeaturizer::predict_input`] as `(index, value)` entries (see
+    /// [`RnnFeaturizer::features_into`]).
+    pub fn predict_input_into(
+        &self,
+        timestamp: i64,
+        context: &Context,
+        secs_since_hidden: i64,
+        emit: impl FnMut(usize, f32),
+    ) {
+        self.features_into(timestamp, context, secs_since_hidden, emit);
     }
 
     /// Builds the timeshifted prediction input `[T(start_d − t_k)]`.
@@ -125,6 +175,35 @@ mod tests {
             f.timeshift_predict_input(3_600).len(),
             f.timeshift_predict_dims()
         );
+    }
+
+    #[test]
+    fn entry_forms_rebuild_the_dense_forms_in_ascending_order() {
+        for (kind, context) in [
+            (DatasetKind::MobileTab, ctx()),
+            (DatasetKind::Timeshift, Context::Timeshift { is_peak: true }),
+            (
+                DatasetKind::Mpu,
+                Context::Mpu {
+                    screen: pp_data::schema::ScreenState::ALL[1],
+                    app_id: 3,
+                    last_app_id: 3,
+                },
+            ),
+        ] {
+            let f = RnnFeaturizer::new(kind);
+            let mut entries = Vec::new();
+            f.update_input_into(90_061, &context, 3_600, true, |i, v| entries.push((i, v)));
+            assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "{entries:?}");
+            let mut rebuilt = vec![0.0; f.update_input_dims()];
+            for &(i, v) in &entries {
+                rebuilt[i] = v;
+            }
+            assert_eq!(rebuilt, f.update_input(90_061, &context, 3_600, true));
+            let mut rebuilt = vec![0.0; f.predict_input_dims()];
+            f.predict_input_into(90_061, &context, 60, |i, v| rebuilt[i] = v);
+            assert_eq!(rebuilt, f.predict_input(90_061, &context, 60));
+        }
     }
 
     #[test]

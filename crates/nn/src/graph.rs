@@ -460,20 +460,46 @@ impl Graph {
     }
 }
 
-/// Numerically stable logistic sigmoid.
+/// Numerically stable logistic sigmoid: `1 / (1 + e^-x)` for `x ≥ 0`,
+/// `e^x / (1 + e^x)` otherwise, so the exponential never overflows. Written
+/// as two selects around one `exp` rather than two branches: pre-activation
+/// signs are a coin flip, and a mispredicted branch costs more than the
+/// `exp`. Every input gives the bits the branching form gives.
+#[inline]
 pub fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let non_negative = x >= 0.0;
+    let e = (if non_negative { -x } else { x }).exp();
+    (if non_negative { 1.0 } else { e }) / (1.0 + e)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::ParamStore;
+
+    #[test]
+    fn stable_sigmoid_matches_the_two_branch_form_bit_for_bit() {
+        let two_branch = |x: f32| {
+            if x >= 0.0 {
+                1.0 / (1.0 + (-x).exp())
+            } else {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+        };
+        // Every 4099th bit pattern (a prime stride covers all exponents and
+        // both signs), plus the edge cases.
+        let edges = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let strided = (0..=u32::MAX).step_by(4_099).map(f32::from_bits);
+        for x in strided.chain(edges) {
+            assert_eq!(
+                stable_sigmoid(x).to_bits(),
+                two_branch(x).to_bits(),
+                "x = {x:?} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
 
     /// Finite-difference gradient check helper: perturbs each element of the
     /// parameter tensor and compares the numerical gradient with the autodiff

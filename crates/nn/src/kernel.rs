@@ -1,0 +1,528 @@
+//! The workspace's one dense kernel, `out += a · w`, and its sparse-input
+//! companion.
+//!
+//! Every matrix product in the repository — [`Tensor::matmul`] (and with it
+//! the autograd graph, training and the single-request reference path) and
+//! the fused inference steps in [`crate::layers`] — goes through
+//! [`gemm_acc`]; inputs that are mostly zeros (one-hot features) go through
+//! [`gather_acc`] as `value × row` gathers instead.
+//!
+//! # The accumulation-order invariant
+//!
+//! For every output element `out[i][j]` both kernels perform exactly the
+//! additions `out[i][j] += a[i][k] * w[k][j]` for `k` ascending, skipping the
+//! `k` whose `a[i][k]` is zero, with one rounding per multiply and one per add
+//! (no fused multiply-add, no reassociation, no partial sums). Blocking only
+//! changes *which* elements are worked on together, never the sequence of
+//! operations applied to one element, so the result is bit-for-bit the same
+//! for every batch size, on every host, and in both instantiations below.
+//! That is what keeps batched ≡ single-request and fused ≡ graph exact.
+//!
+//! # Blocking and dispatch
+//!
+//! Dense rows are processed four at a time in register tiles of
+//! 4 × 16 outputs: a tile's sixteen accumulator lanes per row
+//! stay in registers for the whole `k` loop, so each `w` element is loaded
+//! once per four output rows and `out` is read and written once per call
+//! instead of once per `k`. Column tiles are the outer loop, so the `K × 16`
+//! panel of `w` a tile reads stays in L1 across all row blocks. Rows beyond
+//! a multiple of four, columns beyond a multiple of sixteen, and inputs that
+//! are mostly zeros take the row-at-a-time loop; `N = 1` (a dot product per
+//! row) runs four independent add chains.
+//!
+//! The body is plain safe Rust marked `#[inline(always)]` and instantiated
+//! twice: portably, and under `#[target_feature(enable = "avx2")]` so the
+//! compiler vectorises the same source eight lanes wide. [`gemm_acc`] picks
+//! once per call with `is_x86_feature_detected!`; that call is the only
+//! `unsafe` in the workspace.
+//!
+//! [`Tensor::matmul`]: crate::tensor::Tensor::matmul
+
+/// Output rows one register tile covers.
+const ROWS: usize = 4;
+/// Output columns one register tile covers (two 256-bit vectors of `f32`).
+const TILE: usize = 16;
+
+/// Accumulates `a · w` into `out`: `out` is `M × n`, `w` is `K × n`, `a` is
+/// `M × K`, all row-major. See the module docs for the order of operations.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not describe such shapes.
+pub fn gemm_acc(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+    check_shapes(out, a, w, n);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_avx2` requires only that the CPU supports AVX2,
+        // which the `is_x86_feature_detected!("avx2")` guard above has just
+        // established; its body is the same safe code as `gemm_body`.
+        #[allow(unsafe_code)]
+        unsafe {
+            gemm_avx2(out, a, w, n);
+        }
+        return;
+    }
+    gemm_body(out, a, w, n);
+}
+
+/// [`gemm_acc`] without the CPU dispatch: always the portable instantiation.
+/// Exists so tests and benches can exercise it on hosts where [`gemm_acc`]
+/// picks AVX2; results are bit-identical.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not describe `M × K · K × n` shapes.
+pub fn gemm_acc_portable(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+    check_shapes(out, a, w, n);
+    gemm_body(out, a, w, n);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+    gemm_body(out, a, w, n);
+}
+
+fn check_shapes(out: &[f32], a: &[f32], w: &[f32], n: usize) {
+    if n == 0 {
+        assert!(
+            out.is_empty() && w.is_empty(),
+            "gemm_acc: zero-width output with non-empty buffers"
+        );
+        return;
+    }
+    assert!(
+        out.len().is_multiple_of(n) && w.len().is_multiple_of(n),
+        "gemm_acc: out ({}) and w ({}) must be whole rows of width {n}",
+        out.len(),
+        w.len()
+    );
+    assert_eq!(
+        a.len(),
+        (out.len() / n) * (w.len() / n),
+        "gemm_acc: a must be {} x {}",
+        out.len() / n,
+        w.len() / n
+    );
+}
+
+#[inline(always)]
+fn gemm_body(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+    if out.is_empty() || w.is_empty() {
+        return;
+    }
+    let k = w.len() / n;
+    if n == 1 {
+        dot_rows(out, a, w);
+        return;
+    }
+    // Register tiles pay for every `k` whether `a[i][k]` is zero or not, the
+    // row loop only for the non-zeros: tile the whole row blocks when at
+    // least half of their `a` is non-zero.
+    let blocked = out.len() / n / ROWS * ROWS;
+    let dense = a[..blocked * k].iter().filter(|&&x| x != 0.0).count() * 2 >= blocked * k;
+    let (tiled_rows, tiled_cols) = if dense {
+        (blocked, n - n % TILE)
+    } else {
+        (0, 0)
+    };
+    let (out_tiled, out_rest) = out.split_at_mut(tiled_rows * n);
+    let (a_tiled, a_rest) = a.split_at(tiled_rows * k);
+    tiles(out_tiled, a_tiled, w, k, n, tiled_cols);
+    if tiled_cols < n {
+        rows(out_tiled, a_tiled, w, k, n, tiled_cols);
+    }
+    rows(out_rest, a_rest, w, k, n, 0);
+}
+
+/// `o += x * b`, the one inner loop of the row-at-a-time paths.
+#[inline(always)]
+fn axpy(o: &mut [f32], x: f32, b: &[f32]) {
+    for (o, &b) in o.iter_mut().zip(b) {
+        *o += x * b;
+    }
+}
+
+/// Row-at-a-time accumulation into columns `from_col..n` of every row.
+#[inline(always)]
+fn rows(out: &mut [f32], a: &[f32], w: &[f32], k: usize, n: usize, from_col: usize) {
+    for (o, a_row) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (&x, w_row) in a_row.iter().zip(w.chunks_exact(n)) {
+            if x != 0.0 {
+                axpy(&mut o[from_col..], x, &w_row[from_col..]);
+            }
+        }
+    }
+}
+
+/// Register-tiled accumulation into columns `0..cols` (a multiple of
+/// [`TILE`]) of `out`, whose row count is a multiple of [`ROWS`].
+#[inline(always)]
+fn tiles(out: &mut [f32], a: &[f32], w: &[f32], k: usize, n: usize, cols: usize) {
+    for j in (0..cols).step_by(TILE) {
+        for (o, a_block) in out.chunks_exact_mut(ROWS * n).zip(a.chunks_exact(ROWS * k)) {
+            let (a0, rest) = a_block.split_at(k);
+            let (a1, rest) = rest.split_at(k);
+            let (a2, a3) = rest.split_at(k);
+            let mut c0 = [0.0f32; TILE];
+            let mut c1 = [0.0f32; TILE];
+            let mut c2 = [0.0f32; TILE];
+            let mut c3 = [0.0f32; TILE];
+            c0.copy_from_slice(&o[j..j + TILE]);
+            c1.copy_from_slice(&o[n + j..n + j + TILE]);
+            c2.copy_from_slice(&o[2 * n + j..2 * n + j + TILE]);
+            c3.copy_from_slice(&o[3 * n + j..3 * n + j + TILE]);
+            let a_cols = a0.iter().zip(a1).zip(a2).zip(a3);
+            for (w_row, (((&x0, &x1), &x2), &x3)) in w.chunks_exact(n).zip(a_cols) {
+                let b: &[f32; TILE] = w_row[j..j + TILE]
+                    .try_into()
+                    .expect("slice is one tile wide");
+                if x0 != 0.0 && x1 != 0.0 && x2 != 0.0 && x3 != 0.0 {
+                    for t in 0..TILE {
+                        c0[t] += x0 * b[t];
+                        c1[t] += x1 * b[t];
+                        c2[t] += x2 * b[t];
+                        c3[t] += x3 * b[t];
+                    }
+                } else {
+                    if x0 != 0.0 {
+                        axpy(&mut c0, x0, b);
+                    }
+                    if x1 != 0.0 {
+                        axpy(&mut c1, x1, b);
+                    }
+                    if x2 != 0.0 {
+                        axpy(&mut c2, x2, b);
+                    }
+                    if x3 != 0.0 {
+                        axpy(&mut c3, x3, b);
+                    }
+                }
+            }
+            o[j..j + TILE].copy_from_slice(&c0);
+            o[n + j..n + j + TILE].copy_from_slice(&c1);
+            o[2 * n + j..2 * n + j + TILE].copy_from_slice(&c2);
+            o[3 * n + j..3 * n + j + TILE].copy_from_slice(&c3);
+        }
+    }
+}
+
+/// `n == 1`: one dot product per output row. Four rows advance together so
+/// four independent add chains hide the add latency a single ascending-`k`
+/// chain would serialise on.
+#[inline(always)]
+fn dot_rows(out: &mut [f32], a: &[f32], w: &[f32]) {
+    let k = w.len();
+    let dot = |acc: f32, a_row: &[f32]| {
+        a_row.iter().zip(w).fold(
+            acc,
+            |acc, (&x, &b)| if x != 0.0 { acc + x * b } else { acc },
+        )
+    };
+    let mut out_blocks = out.chunks_exact_mut(ROWS);
+    let mut a_blocks = a.chunks_exact(ROWS * k);
+    for (o, a_block) in (&mut out_blocks).zip(&mut a_blocks) {
+        let (a0, rest) = a_block.split_at(k);
+        let (a1, rest) = rest.split_at(k);
+        let (a2, a3) = rest.split_at(k);
+        let (mut s0, mut s1, mut s2, mut s3) = (o[0], o[1], o[2], o[3]);
+        for ((((&b, &x0), &x1), &x2), &x3) in w.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
+            if x0 != 0.0 {
+                s0 += x0 * b;
+            }
+            if x1 != 0.0 {
+                s1 += x1 * b;
+            }
+            if x2 != 0.0 {
+                s2 += x2 * b;
+            }
+            if x3 != 0.0 {
+                s3 += x3 * b;
+            }
+        }
+        o.copy_from_slice(&[s0, s1, s2, s3]);
+    }
+    let a_tail = a_blocks.remainder().chunks_exact(k);
+    for (o, a_row) in out_blocks.into_remainder().iter_mut().zip(a_tail) {
+        *o = dot(*o, a_row);
+    }
+}
+
+/// The non-zero entries of a batch of mostly-zero input rows (one-hot
+/// features plus the odd scalar): per row a list of `(column, value)` in
+/// ascending column order, zeros never stored.
+///
+/// # Examples
+///
+/// ```
+/// use pp_nn::kernel::SparseRows;
+///
+/// let mut x = SparseRows::new();
+/// x.clear(4);
+/// x.push(1, 1.0);
+/// x.push(3, 0.5);
+/// x.end_row();
+/// x.push_dense_row(&[0.0, 0.0, 2.0, 0.0]);
+/// assert_eq!(x.rows(), 2);
+/// assert_eq!(x.row(0).collect::<Vec<_>>(), vec![(1, 1.0), (3, 0.5)]);
+/// assert_eq!(x.row(1).collect::<Vec<_>>(), vec![(2, 2.0)]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SparseRows {
+    width: usize,
+    entries: Vec<(usize, f32)>,
+    /// `entries[row_ends[r - 1]..row_ends[r]]` is row `r`.
+    row_ends: Vec<usize>,
+}
+
+impl SparseRows {
+    /// An empty batch of width 0; call [`SparseRows::clear`] before use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drops every row and sets the row width, keeping the allocations.
+    pub fn clear(&mut self, width: usize) {
+        self.width = width;
+        self.entries.clear();
+        self.row_ends.clear();
+    }
+
+    /// Number of columns of every row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of finished rows.
+    pub fn rows(&self) -> usize {
+        self.row_ends.len()
+    }
+
+    /// Appends an entry to the row under construction; a zero `value` is
+    /// dropped (it would be skipped by the kernels anyway).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` is out of range or not beyond the row's previous
+    /// entry — ascending order is what makes [`gather_acc`] add in the same
+    /// order as the dense product.
+    pub fn push(&mut self, col: usize, value: f32) {
+        assert!(col < self.width, "column {col} out of range {}", self.width);
+        let row_start = self.row_ends.last().copied().unwrap_or(0);
+        if let Some(&(last, _)) = self.entries[row_start..].last() {
+            assert!(
+                col > last,
+                "columns must ascend within a row ({col} after {last})"
+            );
+        }
+        if value != 0.0 {
+            self.entries.push((col, value));
+        }
+    }
+
+    /// Finishes the row under construction (possibly empty).
+    pub fn end_row(&mut self) {
+        self.row_ends.push(self.entries.len());
+    }
+
+    /// Appends a whole row from its dense form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.width()` or a row is under construction.
+    pub fn push_dense_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.width, "dense row width mismatch");
+        assert_eq!(
+            self.entries.len(),
+            self.row_ends.last().copied().unwrap_or(0),
+            "a row is under construction"
+        );
+        let non_zeros = row.iter().copied().enumerate();
+        self.entries
+            .extend(non_zeros.filter(|&(_, value)| value != 0.0));
+        self.end_row();
+    }
+
+    /// The `(column, value)` entries of row `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.rows()`.
+    pub fn row(&self, row: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+        let start = if row == 0 { 0 } else { self.row_ends[row - 1] };
+        self.entries[start..self.row_ends[row]].iter().copied()
+    }
+}
+
+/// Accumulates `x · w` into `out` for sparse `x`: for every row, `value ×`
+/// row `column` of `w` for each entry in ascending column order — the same
+/// additions [`gemm_acc`] performs on the dense form of `x`. `out` is
+/// `x.rows() × n`, `w` is `x.width() × n`.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match those shapes.
+pub fn gather_acc(out: &mut [f32], x: &SparseRows, w: &[f32], n: usize) {
+    assert_eq!(out.len(), x.rows() * n, "gather_acc: out shape");
+    assert_eq!(w.len(), x.width() * n, "gather_acc: w shape");
+    if n == 0 {
+        return;
+    }
+    for (row, o) in out.chunks_exact_mut(n).enumerate() {
+        for (col, value) in x.row(row) {
+            axpy(o, value, &w[col * n..(col + 1) * n]);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Each output element on its own: ascending `k`, zero `a` skipped.
+    fn naive(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+        let k = w.len() / n;
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            for (j, o) in o_row.iter_mut().enumerate() {
+                for kk in 0..k {
+                    let x = a[i * k + kk];
+                    if x != 0.0 {
+                        *o += x * w[kk * n + j];
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    /// How the rows of a test `a` are filled.
+    #[derive(Debug, Clone, Copy)]
+    enum Fill {
+        Dense,
+        /// About half the entries zero (a ReLU output).
+        HalfZero,
+        /// A few ones per row.
+        OneHot,
+        /// Dense rows interleaved with all-zero rows (cold-start states).
+        ZeroRows,
+    }
+
+    fn fill_a(rng: &mut StdRng, m: usize, k: usize, fill: Fill) -> Vec<f32> {
+        let mut a = vec![0.0f32; m * k];
+        for (i, row) in a.chunks_exact_mut(k.max(1)).enumerate() {
+            match fill {
+                Fill::Dense => row.iter_mut().for_each(|x| *x = rng.gen_range(-1.0..1.0)),
+                Fill::HalfZero => row.iter_mut().for_each(|x| {
+                    *x = rng.gen_range(-1.0f32..1.0).max(0.0);
+                }),
+                Fill::OneHot => {
+                    for _ in 0..3 {
+                        row[rng.gen_range(0..k)] = 1.0;
+                    }
+                }
+                Fill::ZeroRows => {
+                    if i % 3 != 1 {
+                        row.iter_mut().for_each(|x| *x = rng.gen_range(-1.0..1.0));
+                    }
+                }
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn both_instantiations_match_the_naive_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for &m in &[1usize, 3, 4, 5, 63, 64] {
+            for &n in &[1usize, 7, 16, 128, 384] {
+                for &k in &[1usize, 5, 98, 128] {
+                    for fill in [Fill::Dense, Fill::HalfZero, Fill::OneHot, Fill::ZeroRows] {
+                        let a = fill_a(&mut rng, m, k, fill);
+                        let w: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                        // A non-zero starting `out`: the kernels accumulate.
+                        let start: Vec<f32> =
+                            (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                        let mut want = start.clone();
+                        naive(&mut want, &a, &w, n);
+                        let what = format!("{m}x{k}x{n} {fill:?}");
+                        let mut got = start.clone();
+                        gemm_acc_portable(&mut got, &a, &w, n);
+                        assert_bits_eq(&got, &want, &format!("portable {what}"));
+                        // On an AVX2 host this is the AVX2 instantiation.
+                        let mut got = start.clone();
+                        gemm_acc(&mut got, &a, &w, n);
+                        assert_bits_eq(&got, &want, &format!("dispatched {what}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_matches_the_dense_product_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for &(m, k, n) in &[
+            (1usize, 99usize, 128usize),
+            (8, 98, 128),
+            (64, 50, 7),
+            (5, 9, 1),
+        ] {
+            for fill in [Fill::OneHot, Fill::HalfZero] {
+                let a = fill_a(&mut rng, m, k, fill);
+                let w: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut x = SparseRows::new();
+                x.clear(k);
+                for row in a.chunks_exact(k) {
+                    x.push_dense_row(row);
+                }
+                let mut want = vec![0.0f32; m * n];
+                naive(&mut want, &a, &w, n);
+                let mut got = vec![0.0f32; m * n];
+                gather_acc(&mut got, &x, &w, n);
+                assert_bits_eq(&got, &want, &format!("gather {m}x{k}x{n} {fill:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_shapes_are_no_ops() {
+        let mut out = [1.0f32, 2.0];
+        gemm_acc(&mut out, &[], &[], 2); // K = 0
+        assert_eq!(out, [1.0, 2.0]);
+        gemm_acc(&mut [], &[], &[3.0, 4.0], 2); // M = 0
+        gemm_acc(&mut [], &[], &[], 0); // N = 0
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_acc: a must be")]
+    fn mismatched_shapes_panic() {
+        gemm_acc(&mut [0.0; 4], &[0.0; 3], &[0.0; 4], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "columns must ascend")]
+    fn sparse_rows_reject_descending_columns() {
+        let mut x = SparseRows::new();
+        x.clear(4);
+        x.push(2, 1.0);
+        x.push(1, 1.0);
+    }
+
+    /// Non-x86_64 targets compile the portable instantiation only; this
+    /// checks the dispatcher there still computes products.
+    #[cfg(not(target_arch = "x86_64"))]
+    #[test]
+    fn portable_only_targets_dispatch_to_the_portable_body() {
+        let mut out = [0.0f32; 2];
+        gemm_acc(&mut out, &[1.0, 2.0], &[3.0, 4.0, 5.0, 6.0], 2);
+        assert_eq!(out, [13.0, 16.0]);
+    }
+}

@@ -7,8 +7,9 @@
 //! [`Graph`], which makes them usable from multiple threads that each build
 //! their own graph over the same parameters.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{stable_sigmoid, Graph, NodeId};
 use crate::init::Init;
+use crate::kernel::{gather_acc, gemm_acc, SparseRows};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -77,16 +78,6 @@ impl Linear {
         graph.add_row_broadcast(xw, b)
     }
 
-    /// Inference-only forward pass `x · W + b`: no tape, no gradient
-    /// buffers, and — unlike [`Linear::forward`] — no copy of the weight
-    /// matrix into a graph node. This is the layer the batched serving path
-    /// runs on; it computes the same operations in the same order as the
-    /// graph version, so results are identical.
-    pub fn forward_infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        x.matmul(store.get(self.weight))
-            .add_row_broadcast(store.get(self.bias))
-    }
-
     /// Number of scalar parameters in the layer.
     pub fn num_params(&self) -> usize {
         self.in_dim * self.out_dim + self.out_dim
@@ -98,6 +89,87 @@ impl Linear {
         // multiply-add per weight + bias add
         (2 * self.in_dim * self.out_dim + self.out_dim) as u64
     }
+}
+
+/// Buffers the fused inference steps ([`GruCell::step_into`] and friends)
+/// reuse from call to call, so a steady-state step allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CellScratch {
+    /// Input-side pre-activations `x · W_i*`, gate-major `[gate][row][col]`.
+    inp: Vec<f32>,
+    /// Hidden-side pre-activations `h · W_h*`, same layout.
+    hid: Vec<f32>,
+    /// LSTM only: the hidden half of the `[h ; c]` rows, made contiguous
+    /// for the GEMM.
+    h: Vec<f32>,
+}
+
+impl CellScratch {
+    /// Copies the hidden half of `[h ; c]` state rows into a contiguous
+    /// `rows × hidden_dim` matrix (what the GEMM and an LSTM model's
+    /// prediction head read) and returns it.
+    pub fn hidden_half(&mut self, state: &[f32], hidden_dim: usize) -> &[f32] {
+        self.h.clear();
+        for row in state.chunks_exact((2 * hidden_dim).max(1)) {
+            self.h.extend_from_slice(&row[..hidden_dim]);
+        }
+        &self.h
+    }
+}
+
+/// Accumulates every gate's two pre-activation halves from zero — `x · W_i`
+/// as row gathers, `h · W_h` as one GEMM — into `inp` / `hid`. They stay
+/// separate because the cells add each half's bias (or sum the halves) in
+/// the graph's association order afterwards.
+fn pre_activations(
+    inp: &mut Vec<f32>,
+    hid: &mut Vec<f32>,
+    store: &ParamStore,
+    x: &SparseRows,
+    h: &[f32],
+    gates: &[(ParamId, ParamId)],
+    hidden_dim: usize,
+) {
+    let plane = x.rows() * hidden_dim;
+    for buf in [&mut *inp, &mut *hid] {
+        buf.clear();
+        buf.resize(gates.len() * plane, 0.0);
+    }
+    let planes = inp
+        .chunks_exact_mut(plane.max(1))
+        .zip(hid.chunks_exact_mut(plane.max(1)));
+    for (&(w_i, w_h), (inp, hid)) in gates.iter().zip(planes) {
+        gather_acc(inp, x, store.get(w_i).as_slice(), hidden_dim);
+        gemm_acc(hid, h, store.get(w_h).as_slice(), hidden_dim);
+    }
+}
+
+/// Checks the shapes shared by every cell's `step_into`.
+fn check_step_shapes(x: &SparseRows, input_dim: usize, state: &[f32], out: &[f32], width: usize) {
+    assert_eq!(x.width(), input_dim, "step input width mismatch");
+    assert_eq!(state.len(), x.rows() * width, "step state shape mismatch");
+    assert_eq!(out.len(), state.len(), "step output shape mismatch");
+}
+
+/// Shared body of the cells' tensor-in / tensor-out `forward_infer`.
+fn infer_via_step(
+    x: &Tensor,
+    state: &Tensor,
+    step: impl FnOnce(&SparseRows, &[f32], &mut CellScratch, &mut [f32]),
+) -> Tensor {
+    let mut sparse = SparseRows::new();
+    sparse.clear(x.cols());
+    for row in x.iter_rows() {
+        sparse.push_dense_row(row);
+    }
+    let mut out = Tensor::zeros(state.rows(), state.cols());
+    step(
+        &sparse,
+        state.as_slice(),
+        &mut CellScratch::default(),
+        out.as_mut_slice(),
+    );
+    out
 }
 
 /// The recurrent cell family evaluated in §6.2 of the paper.
@@ -247,29 +319,79 @@ impl GruCell {
         graph.add(a, b)
     }
 
-    /// Inference-only recurrent step: identical math to [`GruCell::forward`]
-    /// (same operations, same order) without building a tape or copying the
-    /// weight matrices. Batch rows are independent, so this serves `B` users
-    /// with one matmul per gate.
+    /// Inference-only recurrent step over `x.rows()` independent users:
+    /// identical math to [`GruCell::forward`] (same operations on every
+    /// element, in the same order, so bit-identical) without a tape. A thin
+    /// tensor-in / tensor-out wrapper over [`GruCell::step_into`].
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
-        let gate_pre = |wi: ParamId, bi: ParamId, wh: ParamId, bh: ParamId| -> Tensor {
-            let xi = x.matmul(store.get(wi)).add_row_broadcast(store.get(bi));
-            let hh = h.matmul(store.get(wh)).add_row_broadcast(store.get(bh));
-            xi.add(&hh)
-        };
-        let r =
-            gate_pre(self.w_ir, self.b_ir, self.w_hr, self.b_hr).map(crate::graph::stable_sigmoid);
-        let z =
-            gate_pre(self.w_iz, self.b_iz, self.w_hz, self.b_hz).map(crate::graph::stable_sigmoid);
-        let xn = x
-            .matmul(store.get(self.w_in))
-            .add_row_broadcast(store.get(self.b_in));
-        let hn = h
-            .matmul(store.get(self.w_hn))
-            .add_row_broadcast(store.get(self.b_hn));
-        let n = xn.add(&r.mul(&hn)).map(f32::tanh);
-        let one_minus_z = z.map(|v| 1.0 - v);
-        one_minus_z.mul(&n).add(&z.mul(h))
+        infer_via_step(x, h, |x, h, scratch, out| {
+            self.step_into(store, x, h, scratch, out);
+        })
+    }
+
+    /// The fused inference step: `h` and `out` are `x.rows() × hidden_dim`
+    /// row-major. Three gathers and three GEMMs fill the pre-activation
+    /// scratch; biases, gate combination and `r`/`z`/`n`/`h'` are then
+    /// element-wise over each row in place, keeping the graph's association
+    /// `(x·W_i + b_i) + (h·W_h + b_h)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the cell.
+    pub fn step_into(
+        &self,
+        store: &ParamStore,
+        x: &SparseRows,
+        h: &[f32],
+        scratch: &mut CellScratch,
+        out: &mut [f32],
+    ) {
+        let hd = self.hidden_dim;
+        check_step_shapes(x, self.input_dim, h, out, hd);
+        let gates = [
+            (self.w_ir, self.w_hr),
+            (self.w_iz, self.w_hz),
+            (self.w_in, self.w_hn),
+        ];
+        let CellScratch { inp, hid, .. } = scratch;
+        pre_activations(inp, hid, store, x, h, &gates, hd);
+        let plane = h.len();
+        let (xr, rest) = inp.split_at(plane);
+        let (xz, xn) = rest.split_at(plane);
+        let (hr, rest) = hid.split_at_mut(plane);
+        let (hz, hn) = rest.split_at_mut(plane);
+        let bias = |id: ParamId| store.get(id).as_slice();
+        let (b_ir, b_iz, b_in) = (bias(self.b_ir), bias(self.b_iz), bias(self.b_in));
+        let (b_hr, b_hz, b_hn) = (bias(self.b_hr), bias(self.b_hz), bias(self.b_hn));
+        // One row at a time, each gate as its own pass over the row (the
+        // gate values overwrite the hidden-side scratch): a loop that calls
+        // one libm function runs about twice as fast as one interleaving
+        // `exp`, `exp` and `tanh` per element, and the sums around them
+        // vectorise. Per element the operations and their order are the
+        // graph's.
+        for (row, out_row) in out.chunks_exact_mut(hd.max(1)).enumerate() {
+            let at = row * hd..(row + 1) * hd;
+            let (xr, xz, xn) = (&xr[at.clone()], &xz[at.clone()], &xn[at.clone()]);
+            let (r, z, n) = (
+                &mut hr[at.clone()],
+                &mut hz[at.clone()],
+                &mut hn[at.clone()],
+            );
+            let h = &h[at];
+            for c in 0..hd {
+                r[c] = (xr[c] + b_ir[c]) + (r[c] + b_hr[c]);
+                z[c] = (xz[c] + b_iz[c]) + (z[c] + b_hz[c]);
+            }
+            r.iter_mut().for_each(|v| *v = stable_sigmoid(*v));
+            z.iter_mut().for_each(|v| *v = stable_sigmoid(*v));
+            for c in 0..hd {
+                n[c] = (xn[c] + b_in[c]) + r[c] * (n[c] + b_hn[c]);
+            }
+            n.iter_mut().for_each(|v| *v = v.tanh());
+            for (c, o) in out_row.iter_mut().enumerate() {
+                *o = (1.0 - z[c]) * n[c] + z[c] * h[c];
+            }
+        }
     }
 
     /// Number of scalar parameters.
@@ -350,11 +472,36 @@ impl TanhCell {
 
     /// Inference-only recurrent step (see [`GruCell::forward_infer`]).
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
-        let xw = x.matmul(store.get(self.w_ih));
-        let hw = h.matmul(store.get(self.w_hh));
-        xw.add(&hw)
-            .add_row_broadcast(store.get(self.bias))
-            .map(f32::tanh)
+        infer_via_step(x, h, |x, h, scratch, out| {
+            self.step_into(store, x, h, scratch, out);
+        })
+    }
+
+    /// The fused inference step (see [`GruCell::step_into`]):
+    /// `h' = tanh((x·W_ih + h·W_hh) + b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the cell.
+    pub fn step_into(
+        &self,
+        store: &ParamStore,
+        x: &SparseRows,
+        h: &[f32],
+        scratch: &mut CellScratch,
+        out: &mut [f32],
+    ) {
+        let hd = self.hidden_dim;
+        check_step_shapes(x, self.input_dim, h, out, hd);
+        let CellScratch { inp, hid, .. } = scratch;
+        pre_activations(inp, hid, store, x, h, &[(self.w_ih, self.w_hh)], hd);
+        let bias = store.get(self.bias).as_slice();
+        let pre = inp.chunks_exact(hd.max(1)).zip(hid.chunks_exact(hd.max(1)));
+        for (out_row, (xw, hw)) in out.chunks_exact_mut(hd.max(1)).zip(pre) {
+            for (c, o) in out_row.iter_mut().enumerate() {
+                *o = ((xw[c] + hw[c]) + bias[c]).tanh();
+            }
+        }
     }
 
     /// Approximate FLOPs for one update.
@@ -496,26 +643,74 @@ impl LstmCell {
     /// Inference-only step (see [`GruCell::forward_infer`]); `state` is the
     /// same `[h ; c]` layout as [`LstmCell::forward`].
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor, state: &Tensor) -> Tensor {
-        let h = state.slice_cols(0, self.hidden_dim);
-        let c = state.slice_cols(self.hidden_dim, 2 * self.hidden_dim);
-        let gate = |wi: ParamId, wh: ParamId, b: ParamId, act_sigmoid: bool| -> Tensor {
-            let pre = x
-                .matmul(store.get(wi))
-                .add(&h.matmul(store.get(wh)))
-                .add_row_broadcast(store.get(b));
-            if act_sigmoid {
-                pre.map(crate::graph::stable_sigmoid)
-            } else {
-                pre.map(f32::tanh)
+        infer_via_step(x, state, |x, state, scratch, out| {
+            self.step_into(store, x, state, scratch, out);
+        })
+    }
+
+    /// The fused inference step (see [`GruCell::step_into`]); `state` and
+    /// `out` are `x.rows() × 2·hidden_dim` rows of `[h ; c]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the cell.
+    pub fn step_into(
+        &self,
+        store: &ParamStore,
+        x: &SparseRows,
+        state: &[f32],
+        scratch: &mut CellScratch,
+        out: &mut [f32],
+    ) {
+        let hd = self.hidden_dim;
+        check_step_shapes(x, self.input_dim, state, out, 2 * hd);
+        scratch.hidden_half(state, hd);
+        let gates = [
+            (self.w_ii, self.w_hi),
+            (self.w_if, self.w_hf),
+            (self.w_ig, self.w_hg),
+            (self.w_io, self.w_ho),
+        ];
+        let CellScratch { inp, hid, h } = scratch;
+        pre_activations(inp, hid, store, x, h, &gates, hd);
+        let plane = x.rows() * hd;
+        let biases = [self.b_i, self.b_f, self.b_g, self.b_o].map(|id| store.get(id).as_slice());
+        // Pre-activations `(x·W_i + h·W_h) + b` for all four gates, then each
+        // activation as its own pass (see `GruCell::step_into`); the gate
+        // values overwrite the hidden-side scratch.
+        for ((hid, inp), bias) in hid
+            .chunks_exact_mut(plane.max(1))
+            .zip(inp.chunks_exact(plane.max(1)))
+            .zip(biases)
+        {
+            for (hid, inp) in hid.chunks_exact_mut(hd).zip(inp.chunks_exact(hd)) {
+                for ((v, &xw), &b) in hid.iter_mut().zip(inp).zip(bias) {
+                    *v = (xw + *v) + b;
+                }
             }
-        };
-        let i = gate(self.w_ii, self.w_hi, self.b_i, true);
-        let f = gate(self.w_if, self.w_hf, self.b_f, true);
-        let g = gate(self.w_ig, self.w_hg, self.b_g, false);
-        let o = gate(self.w_io, self.w_ho, self.b_o, true);
-        let c_next = f.mul(&c).add(&i.mul(&g));
-        let h_next = o.mul(&c_next.map(f32::tanh));
-        h_next.concat_cols(&c_next)
+        }
+        let (i, rest) = hid.split_at_mut(plane);
+        let (f, rest) = rest.split_at_mut(plane);
+        let (g, o) = rest.split_at_mut(plane);
+        for gate in [&mut *i, &mut *f, &mut *o] {
+            gate.iter_mut().for_each(|v| *v = stable_sigmoid(*v));
+        }
+        g.iter_mut().for_each(|v| *v = v.tanh());
+        let rows = state
+            .chunks_exact((2 * hd).max(1))
+            .zip(out.chunks_exact_mut((2 * hd).max(1)));
+        for (row, (state_row, out_row)) in rows.enumerate() {
+            let at = row * hd..(row + 1) * hd;
+            let (i, f, g, o) = (&i[at.clone()], &f[at.clone()], &g[at.clone()], &o[at]);
+            let (h_next, c_next) = out_row.split_at_mut(hd);
+            let c_prev = &state_row[hd..];
+            for c in 0..hd {
+                c_next[c] = f[c] * c_prev[c] + i[c] * g[c];
+            }
+            for c in 0..hd {
+                h_next[c] = o[c] * c_next[c].tanh();
+            }
+        }
     }
 
     /// Approximate FLOPs for one update.
@@ -585,7 +780,7 @@ impl Dropout {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -711,6 +906,98 @@ mod tests {
         // Hidden part (first half) is o ⊙ tanh(c) and therefore bounded by 1.
         let hidden = g.value(next).slice_cols(0, 5);
         assert!(hidden.max_abs() <= 1.0);
+    }
+
+    /// One-hot-plus-scalar input rows like the featurizers produce, and
+    /// dense states with every third row all-zero (cold-start users).
+    fn serving_like_batch(rows: usize, input_dim: usize, width: usize) -> (Tensor, Tensor) {
+        let mut r = StdRng::seed_from_u64(rows as u64);
+        let mut x = Tensor::zeros(rows, input_dim);
+        let mut state = Tensor::zeros(rows, width);
+        for row in 0..rows {
+            for _ in 0..4 {
+                x.set(row, r.gen_range(0..input_dim - 1), 1.0);
+            }
+            x.set(row, input_dim - 1, r.gen_range(0.0..1.0));
+            if row % 3 != 2 {
+                for c in 0..width {
+                    state.set(row, c, r.gen_range(-1.0..1.0));
+                }
+            }
+        }
+        (x, state)
+    }
+
+    fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn fused_steps_match_the_graph_forward_bit_for_bit() {
+        let (input_dim, hidden) = (21, 32);
+        let mut store = ParamStore::new();
+        let mut r = rng();
+        let gru = GruCell::new("gru", input_dim, hidden, &mut store, &mut r);
+        let tanh = TanhCell::new("tanh", input_dim, hidden, &mut store, &mut r);
+        let lstm = LstmCell::new("lstm", input_dim, hidden, &mut store, &mut r);
+        // Non-zero biases, so the association order of the bias adds matters.
+        let ids: Vec<ParamId> = store.iter().map(|(id, _)| id).collect();
+        for id in ids {
+            let t = store.get_mut(id);
+            if t.rows() == 1 {
+                for b in t.as_mut_slice() {
+                    *b = r.gen_range(-0.5..0.5);
+                }
+            }
+        }
+        for rows in [1usize, 8, 64] {
+            let (x, h) = serving_like_batch(rows, input_dim, hidden);
+            let (_, hc) = serving_like_batch(rows, input_dim, 2 * hidden);
+            let mut g = Graph::new();
+            let (xn, hn, hcn) = (
+                g.constant(x.clone()),
+                g.constant(h.clone()),
+                g.constant(hc.clone()),
+            );
+            let want = gru.forward(&mut g, &store, xn, hn);
+            assert_bits_eq(
+                &gru.forward_infer(&store, &x, &h),
+                g.value(want),
+                &format!("gru B={rows}"),
+            );
+            let want = tanh.forward(&mut g, &store, xn, hn);
+            assert_bits_eq(
+                &tanh.forward_infer(&store, &x, &h),
+                g.value(want),
+                &format!("tanh B={rows}"),
+            );
+            let want = lstm.forward(&mut g, &store, xn, hcn);
+            assert_bits_eq(
+                &lstm.forward_infer(&store, &x, &hc),
+                g.value(want),
+                &format!("lstm B={rows}"),
+            );
+        }
+    }
+
+    #[test]
+    fn step_scratch_is_reusable_across_batch_sizes() {
+        let mut store = ParamStore::new();
+        let mut r = rng();
+        let gru = GruCell::new("gru", 9, 16, &mut store, &mut r);
+        let mut scratch = CellScratch::default();
+        for rows in [8usize, 3, 64, 1] {
+            let (x, h) = serving_like_batch(rows, 9, 16);
+            let mut sparse = SparseRows::new();
+            sparse.clear(9);
+            x.iter_rows().for_each(|row| sparse.push_dense_row(row));
+            let mut out = vec![f32::NAN; rows * 16];
+            gru.step_into(&store, &sparse, h.as_slice(), &mut scratch, &mut out);
+            assert_eq!(out, gru.forward_infer(&store, &x, &h).into_vec());
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!
 //! * a dense 2-D [`tensor::Tensor`],
 //! * a tape-based reverse-mode autodiff [`graph::Graph`],
+//! * [`kernel`]: the one GEMM every product goes through, and its
+//!   sparse-input companion,
 //! * [`layers`]: `Linear`, `GruCell`, `LstmCell`, `TanhCell`, `Dropout`,
 //! * [`optim`]: Adam and SGD,
 //! * [`params`]: shared named parameter storage designed for the paper's
@@ -53,13 +55,15 @@
 
 pub mod graph;
 pub mod init;
+pub mod kernel;
 pub mod layers;
 pub mod optim;
 pub mod params;
 pub mod tensor;
 
 pub use graph::{Graph, NodeId};
-pub use layers::{CellKind, Dropout, GruCell, Linear, LstmCell, TanhCell};
+pub use kernel::{gather_acc, gemm_acc, SparseRows};
+pub use layers::{CellKind, CellScratch, Dropout, GruCell, Linear, LstmCell, TanhCell};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd, SgdConfig};
 pub use params::{GradStore, ParamId, ParamStore};
 pub use tensor::Tensor;

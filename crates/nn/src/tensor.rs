@@ -227,7 +227,8 @@ impl Tensor {
         self.data.chunks(self.cols.max(1))
     }
 
-    /// Matrix multiplication `self · other`.
+    /// Matrix multiplication `self · other`, through the workspace's one
+    /// kernel ([`crate::kernel::gemm_acc`]).
     ///
     /// # Panics
     ///
@@ -239,20 +240,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        // Cache-friendly i-k-j loop order.
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        crate::kernel::gemm_acc(&mut out.data, &self.data, &other.data, other.cols);
         out
     }
 

@@ -52,7 +52,7 @@ pub mod model;
 pub mod sequence;
 pub mod trainer;
 
-pub use model::{RnnModel, RnnModelConfig, TaskKind};
+pub use model::{BatchScratch, RnnModel, RnnModelConfig, TaskKind};
 pub use sequence::{LagConfig, UserSequencePlan};
 pub use trainer::{
     scores_and_labels, LossTracePoint, RnnTrainer, ScoredPrediction, TrainerConfig, TrainingReport,

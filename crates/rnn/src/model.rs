@@ -12,7 +12,8 @@
 use pp_data::schema::DatasetKind;
 use pp_features::rnn_input::RnnFeaturizer;
 use pp_nn::graph::{stable_sigmoid, Graph, NodeId};
-use pp_nn::layers::{CellKind, Dropout, GruCell, Linear, LstmCell, TanhCell};
+use pp_nn::kernel::{gather_acc, gemm_acc, SparseRows};
+use pp_nn::layers::{CellKind, CellScratch, Dropout, GruCell, Linear, LstmCell, TanhCell};
 use pp_nn::params::ParamStore;
 use pp_nn::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -76,6 +77,111 @@ enum Cell {
     Tanh(TanhCell),
     Gru(GruCell),
     Lstm(LstmCell),
+}
+
+/// One batch's worth of inputs, intermediates and outputs for the batched
+/// inference entry points ([`RnnModel::predict_proba_batch_into`],
+/// [`RnnModel::advance_state_batch_into`]), reused from batch to batch so a
+/// steady-state forward pass allocates nothing. One per serving worker; it
+/// is never shared.
+///
+/// A batch is assembled row by row — [`BatchScratch::begin`], then per
+/// request [`BatchScratch::push_state_row`] and one finished row on
+/// [`BatchScratch::inputs_mut`] — run through one of the `*_into` entry
+/// points, and read back from [`BatchScratch::probabilities`] or
+/// [`BatchScratch::next_state`].
+#[derive(Debug, Clone, Default)]
+pub struct BatchScratch {
+    state_dim: usize,
+    /// `rows × state_dim` stored states, row-major.
+    states: Vec<f32>,
+    /// The batch's update or prediction inputs as non-zero lists.
+    inputs: SparseRows,
+    cell: CellScratch,
+    /// `h ⊙ (1 + L(f))`, `rows × hidden_dim`.
+    crossed: Vec<f32>,
+    /// The MLP's hidden activations, `rows × mlp_width`.
+    hidden: Vec<f32>,
+    logits: Vec<f32>,
+    next_states: Vec<f32>,
+    probabilities: Vec<f64>,
+}
+
+impl BatchScratch {
+    /// An empty scratch; buffers grow to the largest batch seen.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts assembling a new batch of states `state_dim` wide and inputs
+    /// `input_dims` wide, discarding the previous batch.
+    pub fn begin(&mut self, state_dim: usize, input_dims: usize) {
+        self.state_dim = state_dim;
+        self.states.clear();
+        self.inputs.clear(input_dims);
+    }
+
+    /// Number of state rows assembled so far.
+    pub fn rows(&self) -> usize {
+        self.states.len().checked_div(self.state_dim).unwrap_or(0)
+    }
+
+    /// Appends one state row and returns it for the caller to fill. It
+    /// starts zeroed, which is already the initial state `h_0`.
+    pub fn push_state_row(&mut self) -> &mut [f32] {
+        let start = self.states.len();
+        self.states.resize(start + self.state_dim, 0.0);
+        &mut self.states[start..]
+    }
+
+    /// The batch's input rows: push each request's entries, then
+    /// [`SparseRows::end_row`].
+    pub fn inputs_mut(&mut self) -> &mut SparseRows {
+        &mut self.inputs
+    }
+
+    /// Probabilities of the last [`RnnModel::predict_proba_batch_into`],
+    /// one per row.
+    pub fn probabilities(&self) -> &[f64] {
+        &self.probabilities
+    }
+
+    /// Row `row` of the last [`RnnModel::advance_state_batch_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a row of that batch.
+    pub fn next_state(&self, row: usize) -> &[f32] {
+        &self.next_states[row * self.state_dim..(row + 1) * self.state_dim]
+    }
+
+    /// The dense form of a batch of one's input row.
+    fn only_input_row(&self) -> Vec<f32> {
+        assert_eq!(self.inputs.rows(), 1, "not a batch of one");
+        let mut input = vec![0.0; self.inputs.width()];
+        for (col, value) in self.inputs.row(0) {
+            input[col] = value;
+        }
+        input
+    }
+
+    /// Copies dense rows in (the slice-based entry points' assembly).
+    fn fill<S: AsRef<[f32]>, X: AsRef<[f32]>>(
+        &mut self,
+        state_dim: usize,
+        input_dims: usize,
+        states: &[S],
+        inputs: &[X],
+    ) {
+        self.begin(state_dim, input_dims);
+        for (state, input) in states.iter().zip(inputs) {
+            let (state, input) = (state.as_ref(), input.as_ref());
+            assert_eq!(state.len(), state_dim, "state length mismatch");
+            assert_eq!(input.len(), input_dims, "input length mismatch");
+            self.push_state_row().copy_from_slice(state);
+            self.inputs.push_dense_row(input);
+        }
+    }
 }
 
 /// The recurrent predictive-precompute model.
@@ -314,45 +420,145 @@ impl RnnModel {
         stable_sigmoid(graph.value(logit).at(0, 0)) as f64
     }
 
-    /// Inference-only update step over a whole batch tensor (no autograd
-    /// tape, no weight copies).
-    fn update_infer(&self, state: &Tensor, update_input: &Tensor) -> Tensor {
+    /// Checks an assembled batch against the model's shapes.
+    fn check_batch(&self, scratch: &BatchScratch, input_dims: usize) {
+        assert_eq!(scratch.state_dim, self.state_dim(), "state length mismatch");
+        assert_eq!(scratch.inputs.width(), input_dims, "input length mismatch");
+        assert_eq!(
+            scratch.inputs.rows(),
+            scratch.rows(),
+            "batch has {} states but {} inputs",
+            scratch.rows(),
+            scratch.inputs.rows()
+        );
+    }
+
+    /// Batched `RNN_update` over the batch assembled in `scratch` (states +
+    /// update inputs): one fused, graph-free step — a GEMM per gate over all
+    /// rows, the one-hot inputs as row gathers, no temporaries. Row `i` of
+    /// the result ([`BatchScratch::next_state`]) is bit-identical to
+    /// `advance_state` of row `i`'s state and input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assembled rows do not match the model's dimensions.
+    pub fn advance_state_batch_into(&self, scratch: &mut BatchScratch) {
+        self.check_batch(scratch, self.update_input_dims());
+        let BatchScratch {
+            states,
+            inputs,
+            cell,
+            next_states,
+            ..
+        } = scratch;
+        next_states.clear();
+        next_states.resize(states.len(), 0.0);
         match &self.cell {
-            Cell::Tanh(c) => c.forward_infer(&self.params, update_input, state),
-            Cell::Gru(c) => c.forward_infer(&self.params, update_input, state),
-            Cell::Lstm(c) => c.forward_infer(&self.params, update_input, state),
+            Cell::Tanh(c) => c.step_into(&self.params, inputs, states, cell, next_states),
+            Cell::Gru(c) => c.step_into(&self.params, inputs, states, cell, next_states),
+            Cell::Lstm(c) => c.step_into(&self.params, inputs, states, cell, next_states),
         }
     }
 
-    /// Inference-only prediction head over a whole batch tensor, returning
-    /// per-row logits (dropout disabled).
-    fn predict_logit_infer(&self, state: &Tensor, predict_input: &Tensor) -> Tensor {
-        let h = match &self.cell {
-            Cell::Lstm(_) => state.slice_cols(0, self.config.hidden_dim),
-            _ => state.clone(),
+    /// Batched `RNN_predict` over the batch assembled in `scratch` (states +
+    /// prediction inputs), dropout disabled. Element `i` of the result
+    /// ([`BatchScratch::probabilities`]) is bit-identical to
+    /// `predict_proba` of row `i`'s state and input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assembled rows do not match the model's dimensions.
+    pub fn predict_proba_batch_into(&self, scratch: &mut BatchScratch) {
+        self.check_batch(scratch, self.predict_input_dims());
+        let BatchScratch {
+            states,
+            inputs: f,
+            cell,
+            crossed,
+            hidden,
+            logits,
+            probabilities,
+            ..
+        } = scratch;
+        let hd = self.config.hidden_dim;
+        let rows = f.rows();
+        let weights = |layer: &Linear| {
+            let (w, b) = layer.params();
+            (self.params.get(w).as_slice(), self.params.get(b).as_slice())
         };
-        let crossed = if let Some(latent) = &self.latent {
+        // For LSTM, only the hidden half of the state feeds the head.
+        let h: &[f32] = match &self.cell {
+            Cell::Lstm(_) => cell.hidden_half(states, hd),
+            _ => states,
+        };
+        let crossed: &[f32] = if let Some(latent) = &self.latent {
             // h' = h ⊙ (1 + L(f))
-            let one_plus = latent
-                .forward_infer(&self.params, predict_input)
-                .map(|v| v + 1.0);
-            h.mul(&one_plus)
+            let (w, b) = weights(latent);
+            crossed.clear();
+            crossed.resize(rows * hd, 0.0);
+            gather_acc(crossed, f, w, hd);
+            let h_rows = h.chunks_exact(hd.max(1));
+            for (l_row, h_row) in crossed.chunks_exact_mut(hd.max(1)).zip(h_rows) {
+                for ((l, &h), &b) in l_row.iter_mut().zip(h_row).zip(b) {
+                    *l = h * ((*l + b) + 1.0);
+                }
+            }
+            crossed
         } else {
             h
         };
-        let joined = crossed.concat_cols(predict_input);
-        let activated = self
-            .mlp_hidden
-            .forward_infer(&self.params, &joined)
-            .map(|v| v.max(0.0));
-        self.mlp_out.forward_infer(&self.params, &activated)
+        // [h' ; f] · W stays one ascending accumulation: the dense columns
+        // by GEMM, then the gathers over f, then the bias.
+        let (w, b) = weights(&self.mlp_hidden);
+        let width = self.config.mlp_width;
+        hidden.clear();
+        hidden.resize(rows * width, 0.0);
+        gemm_acc(hidden, crossed, &w[..hd * width], width);
+        gather_acc(hidden, f, &w[hd * width..], width);
+        for row in hidden.chunks_exact_mut(width.max(1)) {
+            for (v, &b) in row.iter_mut().zip(b) {
+                *v = (*v + b).max(0.0);
+            }
+        }
+        let (w, b) = weights(&self.mlp_out);
+        logits.clear();
+        logits.resize(rows, 0.0);
+        gemm_acc(logits, hidden, w, 1);
+        probabilities.clear();
+        probabilities.extend(logits.iter().map(|&l| stable_sigmoid(l + b[0]) as f64));
+    }
+
+    /// Serves an assembled batch of exactly one row through the autograd
+    /// graph ([`RnnModel::predict_proba`]) — the per-request reference path
+    /// the serving layer keeps for singleton batches. Same result as
+    /// [`RnnModel::predict_proba_batch_into`], at the single-request cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one matching row is assembled.
+    pub fn predict_proba_single_into(&self, scratch: &mut BatchScratch) {
+        let input = scratch.only_input_row();
+        scratch.probabilities.clear();
+        scratch
+            .probabilities
+            .push(self.predict_proba(&scratch.states, &input));
+    }
+
+    /// [`RnnModel::predict_proba_single_into`] for `RNN_update`, through
+    /// [`RnnModel::advance_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one matching row is assembled.
+    pub fn advance_state_single_into(&self, scratch: &mut BatchScratch) {
+        let input = scratch.only_input_row();
+        scratch.next_states = self.advance_state(&scratch.states, &input);
     }
 
     /// Batched inference: advances `states.len()` stored states in one
-    /// graph-free forward pass — one `B × d` matmul per gate instead of `B`
-    /// separate `1 × d` matmuls, with no autograd tape and no per-call
-    /// copies of the weight matrices. Row `i` of the result equals
-    /// `advance_state(&states[i], &update_inputs[i])`.
+    /// fused forward pass. Row `i` of the result equals
+    /// `advance_state(&states[i], &update_inputs[i])`. A slice-in /
+    /// vectors-out wrapper over [`RnnModel::advance_state_batch_into`].
     ///
     /// # Panics
     ///
@@ -370,35 +576,23 @@ impl RnnModel {
             states.len(),
             update_inputs.len()
         );
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let state_rows: Vec<&[f32]> = states.iter().map(std::convert::AsRef::as_ref).collect();
-        let input_rows: Vec<&[f32]> = update_inputs
-            .iter()
-            .map(std::convert::AsRef::as_ref)
-            .collect();
-        for row in &state_rows {
-            assert_eq!(row.len(), self.state_dim(), "state length mismatch");
-        }
-        for row in &input_rows {
-            assert_eq!(
-                row.len(),
-                self.update_input_dims(),
-                "update input length mismatch"
-            );
-        }
-        let s = Tensor::from_rows(&state_rows);
-        let x = Tensor::from_rows(&input_rows);
-        self.update_infer(&s, &x)
-            .iter_rows()
-            .map(<[f32]>::to_vec)
+        let mut scratch = BatchScratch::new();
+        scratch.fill(
+            self.state_dim(),
+            self.update_input_dims(),
+            states,
+            update_inputs,
+        );
+        self.advance_state_batch_into(&mut scratch);
+        (0..states.len())
+            .map(|row| scratch.next_state(row).to_vec())
             .collect()
     }
 
     /// Batched inference: serves `states.len()` predictions through one
-    /// graph-free forward pass (dropout disabled). Element `i` of the result
-    /// equals `predict_proba(&states[i], &predict_inputs[i])`.
+    /// fused forward pass (dropout disabled). Element `i` of the result
+    /// equals `predict_proba(&states[i], &predict_inputs[i])`. A slice-in /
+    /// vector-out wrapper over [`RnnModel::predict_proba_batch_into`].
     ///
     /// # Panics
     ///
@@ -416,30 +610,15 @@ impl RnnModel {
             states.len(),
             predict_inputs.len()
         );
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let state_rows: Vec<&[f32]> = states.iter().map(std::convert::AsRef::as_ref).collect();
-        let input_rows: Vec<&[f32]> = predict_inputs
-            .iter()
-            .map(std::convert::AsRef::as_ref)
-            .collect();
-        for row in &state_rows {
-            assert_eq!(row.len(), self.state_dim(), "state length mismatch");
-        }
-        for row in &input_rows {
-            assert_eq!(
-                row.len(),
-                self.predict_input_dims(),
-                "predict input length mismatch"
-            );
-        }
-        let s = Tensor::from_rows(&state_rows);
-        let x = Tensor::from_rows(&input_rows);
-        let out = self.predict_logit_infer(&s, &x);
-        (0..out.rows())
-            .map(|r| stable_sigmoid(out.at(r, 0)) as f64)
-            .collect()
+        let mut scratch = BatchScratch::new();
+        scratch.fill(
+            self.state_dim(),
+            self.predict_input_dims(),
+            states,
+            predict_inputs,
+        );
+        self.predict_proba_batch_into(&mut scratch);
+        std::mem::take(&mut scratch.probabilities)
     }
 
     /// Approximate FLOPs of one `RNN_update` call (one session), used by the
@@ -651,6 +830,84 @@ mod tests {
                 let single_h = m.advance_state(&states[i], &update_inputs[i]);
                 for (a, b) in batch_states[i].iter().zip(&single_h) {
                     assert!((a - b).abs() < 1e-6, "cell {cell}, row {i}: state drift");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_batch_paths_are_bit_identical_to_the_graph_path() {
+        for cell in [CellKind::Tanh, CellKind::Gru, CellKind::Lstm] {
+            for latent_cross in [true, false] {
+                let m = RnnModel::new(
+                    DatasetKind::MobileTab,
+                    TaskKind::PerSession,
+                    RnnModelConfig {
+                        cell,
+                        latent_cross,
+                        hidden_dim: 32,
+                        mlp_width: 24,
+                        ..RnnModelConfig::default()
+                    },
+                    5,
+                );
+                let f = m.featurizer();
+                let mut scratch = BatchScratch::new();
+                for rows in [1usize, 8, 64] {
+                    // Every third user is a cold start (all-zero state).
+                    let states: Vec<Vec<f32>> = (0..rows as i64)
+                        .map(|i| {
+                            let mut h = m.initial_state();
+                            for step in 0..i % 3 {
+                                let u = f.update_input(600 * step + i, &ctx(), 300, step == 0);
+                                h = m.advance_state(&h, &u);
+                            }
+                            h
+                        })
+                        .collect();
+                    scratch.begin(m.state_dim(), m.predict_input_dims());
+                    for (i, h) in states.iter().enumerate() {
+                        scratch.push_state_row().copy_from_slice(h);
+                        let inputs = scratch.inputs_mut();
+                        f.predict_input_into(9_000 + i as i64, &ctx(), 61 * i as i64, |c, v| {
+                            inputs.push(c, v);
+                        });
+                        inputs.end_row();
+                    }
+                    m.predict_proba_batch_into(&mut scratch);
+                    for (i, h) in states.iter().enumerate() {
+                        let single = m.predict_proba(
+                            h,
+                            &f.predict_input(9_000 + i as i64, &ctx(), 61 * i as i64),
+                        );
+                        assert_eq!(
+                            scratch.probabilities()[i].to_bits(),
+                            single.to_bits(),
+                            "{cell} latent={latent_cross} B={rows} row {i}"
+                        );
+                    }
+                    scratch.begin(m.state_dim(), m.update_input_dims());
+                    for (i, h) in states.iter().enumerate() {
+                        scratch.push_state_row().copy_from_slice(h);
+                        let inputs = scratch.inputs_mut();
+                        f.update_input_into(9_000 + i as i64, &ctx(), 61, i % 2 == 0, |c, v| {
+                            inputs.push(c, v);
+                        });
+                        inputs.end_row();
+                    }
+                    m.advance_state_batch_into(&mut scratch);
+                    for (i, h) in states.iter().enumerate() {
+                        let single = m.advance_state(
+                            h,
+                            &f.update_input(9_000 + i as i64, &ctx(), 61, i % 2 == 0),
+                        );
+                        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(scratch.next_state(i)),
+                            bits(&single),
+                            "{cell} latent={latent_cross} B={rows} row {i}"
+                        );
+                    }
                 }
             }
         }

@@ -5,9 +5,16 @@
 //! per-call overhead (graph nodes, allocations) dominates the actual
 //! arithmetic at the paper's model sizes. At production request rates many
 //! session starts are in flight at once, so the serving engine can instead
-//! drain the arrival queue into batches and run **one `B × d` matmul per
-//! layer instead of `B` separate `1 × d` matmuls**
-//! ([`RnnModel::predict_proba_batch`] / [`RnnModel::advance_state_batch`]).
+//! drain the arrival queue into batches and run **one `B × d` GEMM per
+//! layer instead of `B` separate `1 × d` products**
+//! ([`RnnModel::predict_proba_batch_into`] /
+//! [`RnnModel::advance_state_batch_into`]).
+//!
+//! The batch core — [`predict_chunk`], [`update_chunk`] — assembles a batch
+//! straight into a [`BatchScratch`] (stored states decoded in place,
+//! features written as input entries) and runs the fused forward pass over
+//! it, allocating nothing once the scratch has seen a full batch. Every
+//! worker owns one scratch; none is shared.
 //!
 //! Two layers are provided:
 //!
@@ -21,7 +28,7 @@
 use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Context, UserId};
 use pp_obs::sync::LockPolicy;
-use pp_rnn::RnnModel;
+use pp_rnn::{BatchScratch, RnnModel};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -103,6 +110,7 @@ pub struct BatchScheduler<'a> {
     /// flushes anyway (`None` = only flush when asked or full).
     max_wait_secs: Option<i64>,
     stats: SchedulerStats,
+    scratch: BatchScratch,
 }
 
 impl<'a> BatchScheduler<'a> {
@@ -120,6 +128,7 @@ impl<'a> BatchScheduler<'a> {
             queue: VecDeque::new(),
             max_wait_secs: None,
             stats: SchedulerStats::default(),
+            scratch: BatchScratch::new(),
         }
     }
 
@@ -213,7 +222,17 @@ impl<'a> BatchScheduler<'a> {
     fn serve_chunks(&mut self, requests: &[PredictRequest]) -> Vec<Prediction> {
         let mut out = Vec::with_capacity(requests.len());
         for chunk in requests.chunks(self.max_batch) {
-            out.extend(predict_chunk(self.model, self.store, chunk, None));
+            predict_chunk(self.model, self.store, chunk, &mut self.scratch, None);
+            let probabilities = self.scratch.probabilities().iter();
+            out.extend(
+                chunk
+                    .iter()
+                    .zip(probabilities)
+                    .map(|(r, &probability)| Prediction {
+                        user_id: r.user_id,
+                        probability,
+                    }),
+            );
             self.stats.predictions += chunk.len() as u64;
             self.stats.batches += 1;
             self.stats.largest_batch = self.stats.largest_batch.max(chunk.len());
@@ -262,33 +281,15 @@ impl<'a> BatchScheduler<'a> {
                 remaining.push_front(request);
             }
 
-            let states: Vec<Vec<f32>> = chunk
-                .iter()
-                .map(|r| {
-                    self.store
-                        .get_state(r.user_id)
-                        .unwrap_or_else(|| self.model.initial_state())
-                })
-                .collect();
-            let inputs: Vec<Vec<f32>> = chunk
-                .iter()
-                .map(|r| {
-                    self.model.featurizer().update_input(
-                        r.timestamp,
-                        &r.context,
-                        r.delta_t_secs,
-                        r.accessed,
-                    )
-                })
-                .collect();
-            let next_states = if chunk.len() == 1 {
-                vec![self.model.advance_state(&states[0], &inputs[0])]
-            } else {
-                self.model.advance_state_batch(&states, &inputs)
-            };
-            for (request, next) in chunk.iter().zip(&next_states) {
-                self.store.put_state(request.user_id, next);
-            }
+            let chunk = chunk.iter().copied();
+            update_chunk(
+                self.model,
+                self.store,
+                chunk.clone(),
+                &mut self.scratch,
+                None,
+            );
+            write_back_chunk(self.store, chunk.clone(), &self.scratch, None);
             self.stats.updates += chunk.len() as u64;
             self.stats.batches += 1;
             self.stats.largest_batch = self.stats.largest_batch.max(chunk.len());
@@ -298,10 +299,12 @@ impl<'a> BatchScheduler<'a> {
 
 /// Stage boundaries of one traced batch execution, on the wall clock the
 /// tracer translates to its own epoch. Initialized to the execution start
-/// and advanced by `predict_chunk` / `update_chunk` as stages complete, so
-/// untouched marks yield zero-length (never negative) stage spans.
+/// and advanced by [`predict_chunk`] / [`update_chunk`] /
+/// [`write_back_chunk`] as stages complete, so untouched marks yield
+/// zero-length (never negative) stage spans. Only the engine creates them;
+/// every other caller passes `None`.
 #[derive(Debug, Clone, Copy)]
-struct BatchMarks {
+pub struct BatchMarks {
     /// When the worker stopped gathering/coalescing and began executing.
     exec_start: std::time::Instant,
     /// State fetch + featurization done.
@@ -325,60 +328,55 @@ impl BatchMarks {
     }
 }
 
-/// Serves one chunk of predictions (shared by the scheduler and the
-/// threaded engine); callers account for batching statistics themselves.
-/// Singleton chunks take the plain single-request path so `max_batch = 1`
-/// reproduces the baseline exactly. `marks` (traced engine batches only)
-/// receives the stage boundaries for span emission.
-fn predict_chunk(
+/// Assembles one chunk of predictions into `scratch` — each stored state
+/// decoded straight into its batch row (a miss leaves the zeroed row, which
+/// is `h_0`), each request's features written as input entries — and runs
+/// the forward pass; the probabilities are left in
+/// [`BatchScratch::probabilities`], in chunk order. With a warmed-up
+/// `scratch` a chunk of two or more allocates nothing. Shared by the
+/// scheduler and the threaded engine; callers account for batching
+/// statistics themselves. Singleton chunks take the plain single-request
+/// path so `max_batch = 1` reproduces the baseline exactly. `marks` (traced
+/// engine batches only) receives the stage boundaries for span emission.
+pub fn predict_chunk<'a>(
     model: &RnnModel,
     store: &ShardedStateStore,
-    chunk: &[PredictRequest],
+    chunk: impl IntoIterator<Item = &'a PredictRequest, IntoIter: ExactSizeIterator>,
+    scratch: &mut BatchScratch,
     mut marks: Option<&mut BatchMarks>,
-) -> Vec<Prediction> {
+) {
+    let chunk = chunk.into_iter();
     let obs = crate::obs::ServingObs::global();
     obs.batch_size.record(chunk.len() as u64);
     let assembly = pp_obs::Stopwatch::start();
-    let states: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            store
-                .get_state(r.user_id)
-                .unwrap_or_else(|| model.initial_state())
-        })
-        .collect();
-    let inputs: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            model
-                .featurizer()
-                .predict_input(r.timestamp, &r.context, r.elapsed_secs)
-        })
-        .collect();
+    scratch.begin(model.state_dim(), model.predict_input_dims());
+    for r in chunk {
+        store.read_state_into(r.user_id, scratch.push_state_row());
+        let inputs = scratch.inputs_mut();
+        model.featurizer().predict_input_into(
+            r.timestamp,
+            &r.context,
+            r.elapsed_secs,
+            |col, value| inputs.push(col, value),
+        );
+        inputs.end_row();
+    }
     assembly.record(&obs.batch_assembly_ns);
     if let Some(marks) = marks.as_mut() {
         marks.assembly_done = std::time::Instant::now();
     }
     let forward = pp_obs::Stopwatch::start();
-    let probabilities = if chunk.len() == 1 {
-        vec![model.predict_proba(&states[0], &inputs[0])]
+    if scratch.rows() == 1 {
+        model.predict_proba_single_into(scratch);
     } else {
-        model.predict_proba_batch(&states, &inputs)
-    };
+        model.predict_proba_batch_into(scratch);
+    }
     forward.record(&obs.forward_pass_ns);
     if let Some(marks) = marks {
         let now = std::time::Instant::now();
         marks.forward_done = now;
         marks.writeback_done = now;
     }
-    chunk
-        .iter()
-        .zip(probabilities)
-        .map(|(request, probability)| Prediction {
-            user_id: request.user_id,
-            probability,
-        })
-        .collect()
 }
 
 /// One queued unit of work: serve a prediction or apply a state update.
@@ -672,6 +670,13 @@ impl BatchServingEngine {
         }
         let shared = &self.shared;
         let arrived = jobs.len();
+        // Count the jobs in BEFORE any becomes visible in a queue: an
+        // already-awake worker may drain them at once, and its `fetch_sub`
+        // must never see less than it takes.
+        let depth = shared.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
+        crate::obs::ServingObs::global()
+            .queue_depth
+            .set(depth as f64);
         let mut notify_workers = vec![false; shared.num_workers()];
         for job in jobs {
             let shard = shared.store.shard_index(job.kind.user_id());
@@ -696,10 +701,6 @@ impl BatchServingEngine {
                 }
             }
         }
-        let depth = shared.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
-        crate::obs::ServingObs::global()
-            .queue_depth
-            .set(depth as f64);
         shared.bump_work_gen();
         for (worker, notify) in notify_workers.into_iter().enumerate() {
             if notify {
@@ -843,50 +844,59 @@ impl Drop for BatchServingEngine {
     }
 }
 
-/// Advances and re-stores one chunk of session-close updates; callers
-/// guarantee the chunk holds each user at most once. `marks` (traced
-/// engine batches only) receives the stage boundaries for span emission.
-fn update_chunk(
+/// Assembles one chunk of session-close updates into `scratch` and advances
+/// the states (see [`predict_chunk`]); callers guarantee the chunk holds
+/// each user at most once. The next states are left in `scratch` for
+/// [`write_back_chunk`] to store.
+pub fn update_chunk<'a>(
     model: &RnnModel,
     store: &ShardedStateStore,
-    chunk: &[UpdateRequest],
+    chunk: impl IntoIterator<Item = &'a UpdateRequest, IntoIter: ExactSizeIterator>,
+    scratch: &mut BatchScratch,
     mut marks: Option<&mut BatchMarks>,
 ) {
+    let chunk = chunk.into_iter();
     let obs = crate::obs::ServingObs::global();
     obs.batch_size.record(chunk.len() as u64);
     let assembly = pp_obs::Stopwatch::start();
-    let states: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            store
-                .get_state(r.user_id)
-                .unwrap_or_else(|| model.initial_state())
-        })
-        .collect();
-    let inputs: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            model
-                .featurizer()
-                .update_input(r.timestamp, &r.context, r.delta_t_secs, r.accessed)
-        })
-        .collect();
+    scratch.begin(model.state_dim(), model.update_input_dims());
+    for r in chunk {
+        store.read_state_into(r.user_id, scratch.push_state_row());
+        let inputs = scratch.inputs_mut();
+        model.featurizer().update_input_into(
+            r.timestamp,
+            &r.context,
+            r.delta_t_secs,
+            r.accessed,
+            |col, value| inputs.push(col, value),
+        );
+        inputs.end_row();
+    }
     assembly.record(&obs.batch_assembly_ns);
     if let Some(marks) = marks.as_mut() {
         marks.assembly_done = std::time::Instant::now();
     }
     let forward = pp_obs::Stopwatch::start();
-    let next_states = if chunk.len() == 1 {
-        vec![model.advance_state(&states[0], &inputs[0])]
+    if scratch.rows() == 1 {
+        model.advance_state_single_into(scratch);
     } else {
-        model.advance_state_batch(&states, &inputs)
-    };
+        model.advance_state_batch_into(scratch);
+    }
     forward.record(&obs.forward_pass_ns);
-    if let Some(marks) = marks.as_mut() {
+    if let Some(marks) = marks {
         marks.forward_done = std::time::Instant::now();
     }
-    for (request, next) in chunk.iter().zip(&next_states) {
-        store.put_state(request.user_id, next);
+}
+
+/// Stores the states [`update_chunk`] advanced, in chunk order.
+pub fn write_back_chunk<'a>(
+    store: &ShardedStateStore,
+    chunk: impl IntoIterator<Item = &'a UpdateRequest>,
+    scratch: &BatchScratch,
+    marks: Option<&mut BatchMarks>,
+) {
+    for (row, request) in chunk.into_iter().enumerate() {
+        store.put_state(request.user_id, scratch.next_state(row));
     }
     if let Some(marks) = marks {
         marks.writeback_done = std::time::Instant::now();
@@ -989,6 +999,8 @@ fn gather(
 fn worker_loop(shared: &EngineShared, worker: usize) {
     let obs = crate::obs::ServingObs::global();
     let counters = &shared.worker_counters[worker];
+    // This worker's arena, reused by every batch it serves; never shared.
+    let mut scratch = BatchScratch::new();
     loop {
         // Snapshot the work generation BEFORE scanning: an enqueue racing
         // with the scan moves the generation, so the park below falls
@@ -1075,8 +1087,14 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             counters.steals.fetch_add(1, Ordering::Relaxed);
             obs.worker_steals.inc();
         }
-        let depth = shared.queued.fetch_sub(size, Ordering::Relaxed) - size;
-        obs.queue_depth.set(depth as f64);
+        // `enqueue` counts jobs in before it pushes them, so whatever this
+        // worker drained has already been added.
+        let queued_before = shared.queued.fetch_sub(size, Ordering::Relaxed);
+        debug_assert!(
+            queued_before >= size,
+            "queue depth underflow: {queued_before} queued, {size} taken"
+        );
+        obs.queue_depth.set((queued_before - size) as f64);
         // Traced batches (any sampled member) get stage marks; everyone
         // else skips every clock read below.
         let tracer = pp_obs::Tracer::global();
@@ -1086,46 +1104,45 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             None
         };
         let is_update = matches!(batch.jobs[0].kind, JobKind::Update { .. });
-        match batch.jobs[0].kind {
-            JobKind::Predict { .. } => {
-                let requests: Vec<PredictRequest> = batch
-                    .jobs
-                    .iter()
-                    .map(|j| match &j.kind {
-                        JobKind::Predict { request, .. } => *request,
-                        JobKind::Update { .. } => unreachable!("batches are kind-homogeneous"),
-                    })
-                    .collect();
-                let predictions =
-                    predict_chunk(&shared.model, &shared.store, &requests, marks.as_mut());
-                shared.predictions.fetch_add(size as u64, Ordering::Relaxed);
-                counters
-                    .predictions
-                    .fetch_add(size as u64, Ordering::Relaxed);
-                for (job, prediction) in batch.jobs.iter().zip(predictions) {
-                    if let JobKind::Predict { reply, .. } = &job.kind {
-                        // A dropped receiver (client gave up) is not an
-                        // engine error.
-                        let _ = reply.send(prediction);
-                    }
+        if is_update {
+            let requests = batch.jobs.iter().map(|j| match &j.kind {
+                JobKind::Update { request, .. } => request,
+                JobKind::Predict { .. } => unreachable!("batches are kind-homogeneous"),
+            });
+            let (model, store) = (&shared.model, &shared.store);
+            update_chunk(model, store, requests.clone(), &mut scratch, marks.as_mut());
+            write_back_chunk(store, requests, &scratch, marks.as_mut());
+            shared.updates.fetch_add(size as u64, Ordering::Relaxed);
+            counters.updates.fetch_add(size as u64, Ordering::Relaxed);
+            for job in &batch.jobs {
+                if let JobKind::Update { reply, .. } = &job.kind {
+                    let _ = reply.send(());
                 }
             }
-            JobKind::Update { .. } => {
-                let requests: Vec<UpdateRequest> = batch
-                    .jobs
-                    .iter()
-                    .map(|j| match &j.kind {
-                        JobKind::Update { request, .. } => *request,
-                        JobKind::Predict { .. } => unreachable!("batches are kind-homogeneous"),
-                    })
-                    .collect();
-                update_chunk(&shared.model, &shared.store, &requests, marks.as_mut());
-                shared.updates.fetch_add(size as u64, Ordering::Relaxed);
-                counters.updates.fetch_add(size as u64, Ordering::Relaxed);
-                for job in &batch.jobs {
-                    if let JobKind::Update { reply, .. } = &job.kind {
-                        let _ = reply.send(());
-                    }
+        } else {
+            let requests = batch.jobs.iter().map(|j| match &j.kind {
+                JobKind::Predict { request, .. } => request,
+                JobKind::Update { .. } => unreachable!("batches are kind-homogeneous"),
+            });
+            predict_chunk(
+                &shared.model,
+                &shared.store,
+                requests,
+                &mut scratch,
+                marks.as_mut(),
+            );
+            shared.predictions.fetch_add(size as u64, Ordering::Relaxed);
+            counters
+                .predictions
+                .fetch_add(size as u64, Ordering::Relaxed);
+            for (job, &probability) in batch.jobs.iter().zip(scratch.probabilities()) {
+                if let JobKind::Predict { request, reply } = &job.kind {
+                    // A dropped receiver (client gave up) is not an
+                    // engine error.
+                    let _ = reply.send(Prediction {
+                        user_id: request.user_id,
+                        probability,
+                    });
                 }
             }
         }
@@ -1639,27 +1656,28 @@ mod tests {
         let store = Arc::new(ShardedStateStore::new(4));
         let wait = std::time::Duration::from_secs(2);
         let engine = BatchServingEngine::start_with_coalesce(m, store.clone(), 2, 2, Some(wait));
-        // One user homed on worker 0, and two distinct users sharing a
-        // single worker-1 shard (same shard ⇒ whichever worker claims the
-        // shard sees both jobs, keeping the test deterministic under
-        // stealing).
-        let lone = (0..256)
+        // Some worker wins the race for the lone job, claims its shard and
+        // holds the partial batch open until t = 2s.
+        let lone = UserId(0);
+        let j1 = engine.submit(request(lone.0, 1));
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let lone_queue = &engine.shared.queues[store.shard_index(lone)];
+        assert!(lone_queue.claimed.load(Ordering::Acquire));
+        let holder = lone_queue.claimant.load(Ordering::Acquire);
+        // Two distinct users sharing a single shard homed on the *idle*
+        // peer. Homed on the holder, the first arrival would signal the
+        // holder, join its open batch (same kind) and leave the second
+        // alone in a fresh two-second window — which worker wins the race
+        // above used to decide whether this test passed.
+        let second = (1..256)
             .map(UserId)
-            .find(|&u| engine.home_worker(u) == 0)
-            .expect("a worker-0 user exists");
-        let second = (0..256)
-            .map(UserId)
-            .find(|&u| engine.home_worker(u) == 1)
-            .expect("a worker-1 user exists");
-        let third = (0..256)
+            .find(|&u| engine.home_worker(u) != holder)
+            .expect("a user homed on the idle peer exists");
+        let third = (1..256)
             .map(UserId)
             .find(|&u| u != second && store.shard_index(u) == store.shard_index(second))
             .expect("a second user in the same shard exists");
 
-        // Some worker claims the lone user's shard and holds its partial
-        // batch open until t = 2s.
-        let j1 = engine.submit(request(lone.0, 1));
-        std::thread::sleep(std::time::Duration::from_millis(100));
         // Two *separate* submits (two wakeup events — the pattern that
         // lost a wakeup in the old engine). They fill a max_batch = 2
         // batch and must be served immediately, long before any coalesce

@@ -284,10 +284,28 @@ pub fn decode_state_f32(bytes: &Bytes) -> Vec<f32> {
         bytes.len().is_multiple_of(4),
         "state byte length must be a multiple of 4"
     );
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+    let mut state = vec![0.0; bytes.len() / 4];
+    decode_state_f32_into(bytes, &mut state);
+    state
+}
+
+/// Decodes bytes produced by [`encode_state_f32`] straight into `out` (a
+/// batch's state row), allocating nothing.
+///
+/// # Panics
+///
+/// Panics if `bytes` does not hold exactly `out.len()` values.
+pub fn decode_state_f32_into(bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(
+        bytes.len(),
+        out.len() * 4,
+        "stored state holds {} bytes, expected {} values",
+        bytes.len(),
+        out.len()
+    );
+    for (value, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *value = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
 }
 
 /// A uniformly quantized hidden state: one byte per dimension plus a scale

@@ -12,8 +12,12 @@
 //! encoding as the single-store pipeline, so the per-shard traffic
 //! counters stay comparable with the §9 cost model.
 
-use crate::kv_store::{decode_state_f32, encode_state_f32, EvictionPolicy, KvStore, StoreStats};
+use crate::kv_store::{
+    decode_state_f32, decode_state_f32_into, encode_state_f32, EvictionPolicy, KvStore, StoreStats,
+};
+use bytes::Bytes;
 use pp_data::schema::UserId;
+use std::fmt::Write as _;
 
 /// A fixed-size array of independent [`KvStore`] shards keyed by user-id
 /// hash.
@@ -113,33 +117,50 @@ impl ShardedStateStore {
         &self.shards[index]
     }
 
-    fn key(user: UserId) -> String {
-        format!("hidden/{user}")
+    /// Counted read of a user's encoded state, the key built on the stack.
+    fn fetch(&self, user: UserId) -> Option<Bytes> {
+        let obs = crate::obs::ServingObs::global();
+        obs.store_reads.inc();
+        let bytes = self.shards[self.shard_index(user)].get(StateKey::new(user).as_str());
+        if bytes.is_some() {
+            obs.store_hits.inc();
+        }
+        bytes
     }
 
     /// Fetches a user's hidden state, if one is stored.
     pub fn get_state(&self, user: UserId) -> Option<Vec<f32>> {
-        let obs = crate::obs::ServingObs::global();
-        obs.store_reads.inc();
-        let state = self.shards[self.shard_index(user)]
-            .get(&Self::key(user))
-            .map(|bytes| decode_state_f32(&bytes));
-        if state.is_some() {
-            obs.store_hits.inc();
+        self.fetch(user).map(|bytes| decode_state_f32(&bytes))
+    }
+
+    /// Decodes a user's stored hidden state straight into `out` (a batch's
+    /// state row) without allocating; returns `false`, leaving `out`
+    /// untouched, when none is stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stored state is not `out.len()` values long.
+    pub fn read_state_into(&self, user: UserId, out: &mut [f32]) -> bool {
+        match self.fetch(user) {
+            Some(bytes) => {
+                decode_state_f32_into(&bytes, out);
+                true
+            }
+            None => false,
         }
-        state
     }
 
     /// Stores a user's hidden state, replacing any previous one.
     pub fn put_state(&self, user: UserId, state: &[f32]) {
         crate::obs::ServingObs::global().store_writes.inc();
-        self.shards[self.shard_index(user)].put(Self::key(user), encode_state_f32(state));
+        self.shards[self.shard_index(user)]
+            .put(StateKey::new(user).as_str(), encode_state_f32(state));
     }
 
     /// Removes a user's hidden state, returning it if present.
     pub fn remove_state(&self, user: UserId) -> Option<Vec<f32>> {
         self.shards[self.shard_index(user)]
-            .remove(&Self::key(user))
+            .remove(StateKey::new(user).as_str())
             .map(|bytes| decode_state_f32(&bytes))
     }
 
@@ -148,7 +169,7 @@ impl ShardedStateStore {
     /// measurement harnesses probing residency (e.g. the cold-start-regret
     /// eviction study) without perturbing it.
     pub fn contains_state(&self, user: UserId) -> bool {
-        self.shards[self.shard_index(user)].contains_key(&Self::key(user))
+        self.shards[self.shard_index(user)].contains_key(StateKey::new(user).as_str())
     }
 
     /// Total number of stored states across all shards.
@@ -194,10 +215,70 @@ impl ShardedStateStore {
     }
 }
 
+/// The `hidden/<user-id>` store key, formatted into a stack buffer: the
+/// read path builds one per request and must not allocate for it.
+struct StateKey {
+    /// `"hidden/user-"` plus at most 20 digits of a `u64`.
+    buf: [u8; 32],
+    len: usize,
+}
+
+impl StateKey {
+    fn new(user: UserId) -> Self {
+        let mut key = Self {
+            buf: [0; 32],
+            len: 0,
+        };
+        write!(key, "hidden/{user}").expect("a user id fits the key buffer");
+        key
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("keys are formatted text")
+    }
+}
+
+impl std::fmt::Write for StateKey {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.buf
+            .get_mut(self.len..end)
+            .ok_or(std::fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn stack_keys_match_the_formatted_key_for_every_id_width() {
+        for id in [0u64, 7, 12_345, u64::MAX] {
+            assert_eq!(
+                StateKey::new(UserId(id)).as_str(),
+                format!("hidden/{}", UserId(id))
+            );
+        }
+    }
+
+    #[test]
+    fn read_state_into_decodes_in_place_and_leaves_misses_untouched() {
+        let store = ShardedStateStore::new(4);
+        store.put_state(UserId(3), &[1.5, -2.0, 0.25]);
+        let mut row = [9.0f32; 3];
+        assert!(store.read_state_into(UserId(3), &mut row));
+        assert_eq!(row, [1.5, -2.0, 0.25]);
+        let mut row = [9.0f32; 3];
+        assert!(!store.read_state_into(UserId(4), &mut row));
+        assert_eq!(row, [9.0; 3]);
+        // Both reads are counted like `get_state` reads.
+        assert_eq!(store.stats().reads, 2);
+        assert_eq!(store.stats().hits, 1);
+    }
 
     #[test]
     fn get_after_put_roundtrips_across_shards() {
