@@ -147,8 +147,10 @@ impl Default for LintConfig {
             // The wakeup / claim / shutdown protocol atomics. `len` is the
             // shard queues' lock-free emptiness hint — its Release store /
             // Acquire load pairing is what lets gather() skip idle shards
-            // without locking, so Relaxed there is a real bug.
-            protocol_atomics: vec!["shutdown", "stop", "claimed", "claimant", "len"],
+            // without locking, so Relaxed there is a real bug. `alive` is
+            // the engine's count of running workers: the last one out and
+            // every enqueue decide on it whether a job can still be served.
+            protocol_atomics: vec!["shutdown", "stop", "claimed", "claimant", "len", "alive"],
             skip_paths: vec!["/target/", "shims/", "crates/analysis/tests/fixtures/"],
             obs_gating_exempt_paths: vec!["crates/obs/"],
         }

@@ -18,9 +18,10 @@
 //!
 //! Two layers are provided:
 //!
-//! * [`BatchScheduler`] — the synchronous core: a queue plus flush logic
-//!   against a [`ShardedStateStore`], deterministic and directly testable
-//!   for batched-vs-single equivalence;
+//! * [`BatchScheduler`] — the synchronous core: one wave of predictions or
+//!   updates served in batches against a [`ShardedStateStore`] on the
+//!   caller's thread, deterministic and directly testable for
+//!   batched-vs-single equivalence;
 //! * [`BatchServingEngine`] — worker threads around the same logic: clients
 //!   submit requests from any thread, workers drain the shared queue in
 //!   batches of up to `max_batch`, reply over per-request channels.
@@ -72,9 +73,9 @@ pub struct Prediction {
     pub probability: f64,
 }
 
-/// Counters describing scheduler behavior.
+/// Batching counters of a [`BatchScheduler`] or a [`BatchServingEngine`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedulerStats {
+pub struct EngineStats {
     /// Predictions served.
     pub predictions: u64,
     /// Hidden-state updates applied.
@@ -85,7 +86,7 @@ pub struct SchedulerStats {
     pub largest_batch: usize,
 }
 
-impl SchedulerStats {
+impl EngineStats {
     /// Mean requests per forward pass (1.0 when nothing ran).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
@@ -96,20 +97,15 @@ impl SchedulerStats {
     }
 }
 
-/// Synchronous batching core: queue session-start requests, then flush them
-/// through batched forward passes against a sharded state store.
+/// Synchronous batching core: serves a wave of session-start requests, or
+/// applies a wave of session-close updates, through batched forward passes
+/// against a sharded state store.
 #[derive(Debug)]
 pub struct BatchScheduler<'a> {
     model: &'a RnnModel,
     store: &'a ShardedStateStore,
     max_batch: usize,
-    /// Oldest-first queue of (submission time, request); requests submitted
-    /// without a timestamp carry `i64::MIN` and are always considered due.
-    queue: VecDeque<(i64, PredictRequest)>,
-    /// Maximum seconds a queued request may wait before a partial batch
-    /// flushes anyway (`None` = only flush when asked or full).
-    max_wait_secs: Option<i64>,
-    stats: SchedulerStats,
+    stats: EngineStats,
     scratch: BatchScratch,
 }
 
@@ -125,101 +121,20 @@ impl<'a> BatchScheduler<'a> {
             model,
             store,
             max_batch,
-            queue: VecDeque::new(),
-            max_wait_secs: None,
-            stats: SchedulerStats::default(),
+            stats: EngineStats::default(),
             scratch: BatchScratch::new(),
         }
     }
 
-    /// Creates a scheduler whose [`BatchScheduler::flush_due`] flushes a
-    /// partial batch once its oldest request has waited `max_wait_secs` —
-    /// under low traffic requests are served within the deadline instead of
-    /// waiting (potentially forever) for `max_batch` arrivals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero or `max_wait_secs` is negative.
-    pub fn with_max_wait(
-        model: &'a RnnModel,
-        store: &'a ShardedStateStore,
-        max_batch: usize,
-        max_wait_secs: i64,
-    ) -> Self {
-        assert!(max_wait_secs >= 0, "max_wait_secs must be non-negative");
-        let mut scheduler = Self::new(model, store, max_batch);
-        scheduler.max_wait_secs = Some(max_wait_secs);
-        scheduler
-    }
-
-    /// The configured maximum batch size.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The configured partial-batch flush deadline, if any.
-    pub fn max_wait_secs(&self) -> Option<i64> {
-        self.max_wait_secs
-    }
-
-    /// Number of queued, not-yet-flushed requests.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Counters accumulated so far.
-    pub fn stats(&self) -> SchedulerStats {
+    pub fn stats(&self) -> EngineStats {
         self.stats
     }
 
-    /// Queues one session-start request with unknown submission time: when
-    /// a `max_wait` deadline is configured, [`BatchScheduler::flush_due`]
-    /// treats it as having already waited past any deadline.
-    pub fn submit(&mut self, request: PredictRequest) {
-        self.queue.push_back((i64::MIN, request));
-    }
-
-    /// Queues one session-start request submitted at `now` (seconds on the
-    /// same clock later passed to [`BatchScheduler::flush_due`]).
-    pub fn submit_at(&mut self, request: PredictRequest, now: i64) {
-        self.queue.push_back((now, request));
-    }
-
-    /// Flushes the queue, serving every pending request in batches of up to
-    /// `max_batch`. Results are in submission order.
-    pub fn flush(&mut self) -> Vec<Prediction> {
-        let requests: Vec<PredictRequest> = self.queue.drain(..).map(|(_, r)| r).collect();
-        self.serve_chunks(&requests)
-    }
-
-    /// Flushes only what is *due* at `now`: every full batch, plus — when a
-    /// `max_wait` deadline is configured — a final partial batch whose
-    /// oldest request has already waited `max_wait_secs`. Without a deadline
-    /// this serves full batches only, leaving the remainder queued.
-    pub fn flush_due(&mut self, now: i64) -> Vec<Prediction> {
-        let mut due = self.queue.len() - self.queue.len() % self.max_batch;
-        if due < self.queue.len() {
-            if let Some(max_wait) = self.max_wait_secs {
-                // Submission times are caller-supplied and need not be
-                // monotone, so scan the leftovers for the earliest stamp
-                // (an untimed `submit` stamp of `i64::MIN` is always due).
-                let oldest = self
-                    .queue
-                    .iter()
-                    .skip(due)
-                    .map(|&(submitted, _)| submitted)
-                    .min()
-                    .expect("leftover entries exist");
-                if oldest == i64::MIN || now.saturating_sub(oldest) >= max_wait {
-                    due = self.queue.len();
-                }
-            }
-        }
-        let requests: Vec<PredictRequest> = self.queue.drain(..due).map(|(_, r)| r).collect();
-        self.serve_chunks(&requests)
-    }
-
-    fn serve_chunks(&mut self, requests: &[PredictRequest]) -> Vec<Prediction> {
+    /// Serves a whole wave of concurrent requests in batches of up to
+    /// `max_batch`. Results are in request order.
+    pub fn run(&mut self, requests: impl IntoIterator<Item = PredictRequest>) -> Vec<Prediction> {
+        let requests: Vec<PredictRequest> = requests.into_iter().collect();
         let mut out = Vec::with_capacity(requests.len());
         for chunk in requests.chunks(self.max_batch) {
             predict_chunk(self.model, self.store, chunk, &mut self.scratch, None);
@@ -238,14 +153,6 @@ impl<'a> BatchScheduler<'a> {
             self.stats.largest_batch = self.stats.largest_batch.max(chunk.len());
         }
         out
-    }
-
-    /// Convenience: submit a whole wave of concurrent requests and flush.
-    pub fn run(&mut self, requests: impl IntoIterator<Item = PredictRequest>) -> Vec<Prediction> {
-        for request in requests {
-            self.submit(request);
-        }
-        self.flush()
     }
 
     /// Applies session-close updates in batches of up to `max_batch`,
@@ -521,6 +428,9 @@ struct EngineShared {
     /// Jobs currently queued across all shards (for the queue-depth gauge).
     queued: AtomicUsize,
     shutdown: AtomicBool,
+    /// Worker threads still running. The one that takes it to zero closes
+    /// the engine (see [`WorkerExit`]).
+    alive: AtomicUsize,
     predictions: AtomicU64,
     updates: AtomicU64,
     batches: AtomicU64,
@@ -542,30 +452,6 @@ impl EngineShared {
         *gen += 1;
         drop(gen);
         self.idle.notify_all();
-    }
-}
-
-/// Aggregate counters of a [`BatchServingEngine`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Predictions served.
-    pub predictions: u64,
-    /// Hidden-state updates applied.
-    pub updates: u64,
-    /// Forward passes executed.
-    pub batches: u64,
-    /// Largest coalesced batch.
-    pub largest_batch: usize,
-}
-
-impl EngineStats {
-    /// Mean requests per forward pass (1.0 when nothing ran).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            1.0
-        } else {
-            (self.predictions + self.updates) as f64 / self.batches as f64
-        }
     }
 }
 
@@ -633,6 +519,7 @@ impl BatchServingEngine {
             idle: Condvar::new(),
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            alive: AtomicUsize::new(workers),
             predictions: AtomicU64::new(0),
             updates: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -683,6 +570,14 @@ impl BatchServingEngine {
             notify_workers[shared.owner(shard)] = true;
             let queue = &shared.queues[shard];
             let mut q = queue.jobs.lock_or_panic("shard queue");
+            // Read under the queue lock, which the last worker out takes
+            // after it zeroes the count: a job queued here is either seen
+            // by that worker's sweep or refused now.
+            if shared.alive.load(Ordering::SeqCst) == 0 {
+                drop(q);
+                shared.queued.fetch_sub(1, Ordering::Relaxed);
+                continue;
+            }
             q.push_back(job);
             queue.len.store(q.len(), Ordering::Release);
             drop(q);
@@ -709,15 +604,35 @@ impl BatchServingEngine {
         }
     }
 
+    /// One enqueue pass for a wave of requests of one kind, all stamped
+    /// with the same arrival time; `kind` wraps a request and its reply
+    /// sender into the job to queue.
+    fn submit_wave<R: Copy, T>(
+        &self,
+        requests: &[R],
+        kind: impl Fn(R, mpsc::Sender<T>) -> JobKind,
+    ) -> Vec<mpsc::Receiver<T>> {
+        let arrived = std::time::Instant::now();
+        let mut receivers = Vec::with_capacity(requests.len());
+        let jobs = requests
+            .iter()
+            .map(|&request| {
+                let (reply, receiver) = mpsc::channel();
+                receivers.push(receiver);
+                Job::new(kind(request, reply), arrived)
+            })
+            .collect();
+        self.enqueue(jobs);
+        receivers
+    }
+
     /// Submits a request; the returned receiver yields the prediction once a
-    /// worker has served its batch.
+    /// worker has served its batch, and disconnects if the worker serving
+    /// it died.
     pub fn submit(&self, request: PredictRequest) -> mpsc::Receiver<Prediction> {
-        let (reply, receiver) = mpsc::channel();
-        self.enqueue(vec![Job::new(
-            JobKind::Predict { request, reply },
-            std::time::Instant::now(),
-        )]);
-        receiver
+        self.submit_many(&[request])
+            .pop()
+            .expect("one receiver per request")
     }
 
     /// Submits a burst of requests in one enqueue pass — the natural entry
@@ -725,18 +640,10 @@ impl BatchServingEngine {
     /// starts, and what lets workers coalesce full batches instead of
     /// draining a trickle.
     pub fn submit_many(&self, requests: &[PredictRequest]) -> Vec<mpsc::Receiver<Prediction>> {
-        let arrived = std::time::Instant::now();
-        let mut receivers = Vec::with_capacity(requests.len());
-        let jobs = requests
-            .iter()
-            .map(|&request| {
-                let (reply, receiver) = mpsc::channel();
-                receivers.push(receiver);
-                Job::new(JobKind::Predict { request, reply }, arrived)
-            })
-            .collect();
-        self.enqueue(jobs);
-        receivers
+        self.submit_wave(requests, |request, reply| JobKind::Predict {
+            request,
+            reply,
+        })
     }
 
     /// Submits a session-close hidden-state update; the returned receiver
@@ -744,28 +651,17 @@ impl BatchServingEngine {
     /// and predictions for the same user are applied in submission order
     /// (they share the user's home-shard queue).
     pub fn submit_update(&self, request: UpdateRequest) -> mpsc::Receiver<()> {
-        let (reply, receiver) = mpsc::channel();
-        self.enqueue(vec![Job::new(
-            JobKind::Update { request, reply },
-            std::time::Instant::now(),
-        )]);
-        receiver
+        self.submit_updates(&[request])
+            .pop()
+            .expect("one receiver per request")
     }
 
     /// Submits a burst of updates in one enqueue pass.
     pub fn submit_updates(&self, requests: &[UpdateRequest]) -> Vec<mpsc::Receiver<()>> {
-        let arrived = std::time::Instant::now();
-        let mut receivers = Vec::with_capacity(requests.len());
-        let jobs = requests
-            .iter()
-            .map(|&request| {
-                let (reply, receiver) = mpsc::channel();
-                receivers.push(receiver);
-                Job::new(JobKind::Update { request, reply }, arrived)
-            })
-            .collect();
-        self.enqueue(jobs);
-        receivers
+        self.submit_wave(requests, |request, reply| JobKind::Update {
+            request,
+            reply,
+        })
     }
 
     /// Submits a burst of updates and blocks until every state has been
@@ -905,10 +801,63 @@ pub fn write_back_chunk<'a>(
 
 /// A batch under assembly: homogeneous-kind jobs plus the shard claims that
 /// stay held until the batch's state reads and write-backs complete.
-struct GatheredBatch {
+struct GatheredBatch<'a> {
+    /// Declared first so that it drops first: peers get the shards back
+    /// before this worker spends time dropping the jobs' reply senders.
+    claims: Claims<'a>,
     jobs: Vec<Job>,
-    claimed_shards: Vec<usize>,
     stole: bool,
+}
+
+/// The shard claims one batch holds, released when dropped: after the
+/// batch's write-backs — so no peer can reorder this batch's users — or by
+/// a panic unwinding out of the batch, so a worker that dies does not
+/// strand its shards. The dead worker's own batch is dropped with it, which
+/// disconnects those callers' reply channels; the surviving workers steal
+/// what is still queued.
+struct Claims<'a> {
+    shared: &'a EngineShared,
+    shards: Vec<usize>,
+}
+
+impl Drop for Claims<'_> {
+    fn drop(&mut self) {
+        if self.shards.is_empty() {
+            return; // nothing gathered: the worker is about to park
+        }
+        for &shard in &self.shards {
+            self.shared.queues[shard]
+                .claimed
+                .store(false, Ordering::Release);
+        }
+        // Lets idle workers pick up what remains queued. This may run while
+        // a panic unwinds, where a second panic would abort the process: a
+        // generation counter is valid whatever state a panic left it in,
+        // so recover a poisoned lock rather than escalate.
+        *self.shared.work_gen.lock_recover() += 1;
+        self.shared.idle.notify_all();
+    }
+}
+
+/// Dropped when a worker thread ends, by return or by a panic. The last
+/// worker out closes the engine: it drops whatever is still queued, and
+/// `enqueue` refuses what arrives later, so callers see a disconnected
+/// reply channel instead of waiting on an engine nobody serves.
+struct WorkerExit<'a>(&'a EngineShared);
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        let shared = self.0;
+        if shared.alive.fetch_sub(1, Ordering::SeqCst) > 1 {
+            return;
+        }
+        for queue in &shared.queues {
+            // Emptying is valid from any state and a drop must not panic.
+            let unserved = std::mem::take(&mut *queue.jobs.lock_recover());
+            queue.len.store(0, Ordering::Release);
+            shared.queued.fetch_sub(unserved.len(), Ordering::Relaxed);
+        }
+    }
 }
 
 /// Scans shard queues — the worker's own shards first, then everyone
@@ -919,7 +868,7 @@ struct GatheredBatch {
 fn gather(
     shared: &EngineShared,
     worker: usize,
-    batch: &mut GatheredBatch,
+    batch: &mut GatheredBatch<'_>,
     seen_users: &mut HashSet<UserId>,
 ) {
     let num_shards = shared.queues.len();
@@ -931,7 +880,7 @@ fn gather(
             break;
         }
         let queue = &shared.queues[shard];
-        let already_claimed = batch.claimed_shards.contains(&shard);
+        let already_claimed = batch.claims.shards.contains(&shard);
         if !already_claimed {
             if queue.len.load(Ordering::Acquire) == 0 {
                 continue;
@@ -988,7 +937,7 @@ fn gather(
         if drained == 0 {
             queue.claimed.store(false, Ordering::Release);
         } else {
-            batch.claimed_shards.push(shard);
+            batch.claims.shards.push(shard);
             if shard % workers != worker {
                 batch.stole = true;
             }
@@ -997,6 +946,7 @@ fn gather(
 }
 
 fn worker_loop(shared: &EngineShared, worker: usize) {
+    let _exit = WorkerExit(shared);
     let obs = crate::obs::ServingObs::global();
     let counters = &shared.worker_counters[worker];
     // This worker's arena, reused by every batch it serves; never shared.
@@ -1007,8 +957,11 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // through instead of sleeping on work it never saw.
         let gen_before = *shared.work_gen.lock_or_panic("work generation");
         let mut batch = GatheredBatch {
+            claims: Claims {
+                shared,
+                shards: Vec::new(),
+            },
             jobs: Vec::new(),
-            claimed_shards: Vec::new(),
             stole: false,
         };
         let mut seen_users = HashSet::new();
@@ -1150,13 +1103,8 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             emit_batch_spans(tracer, worker, &batch.jobs, &marks, is_update);
         }
 
-        // Claims release only now — after the batch's state reads and
-        // write-backs — so no peer can reorder this batch's users; the
-        // generation bump lets idle workers pick up what remains queued.
-        for &shard in &batch.claimed_shards {
-            shared.queues[shard].claimed.store(false, Ordering::Release);
-        }
-        shared.bump_work_gen();
+        // `batch.claims` drops here: the claims release only now, after the
+        // batch's state reads and write-backs.
     }
 }
 
@@ -1419,139 +1367,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_due_serves_full_batches_and_honors_deadline() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 4, 30);
-        assert_eq!(scheduler.max_wait_secs(), Some(30));
-
-        // 6 requests submitted at t=100: one full batch is due immediately,
-        // the partial remainder is not.
-        for i in 0..6 {
-            scheduler.submit_at(request(i as u64, i), 100);
-        }
-        let served = scheduler.flush_due(100);
-        assert_eq!(served.len(), 4);
-        assert_eq!(scheduler.pending(), 2);
-
-        // Before the deadline nothing more flushes…
-        assert!(scheduler.flush_due(129).is_empty());
-        assert_eq!(scheduler.pending(), 2);
-        // …at the deadline the partial batch goes out.
-        let late = scheduler.flush_due(130);
-        assert_eq!(late.len(), 2);
-        assert_eq!(scheduler.pending(), 0);
-        let stats = scheduler.stats();
-        assert_eq!(stats.predictions, 6);
-        assert_eq!(stats.batches, 2);
-    }
-
-    #[test]
-    fn flush_due_without_deadline_keeps_partial_batches_queued() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::new(&m, &store, 4);
-        for i in 0..3 {
-            scheduler.submit_at(request(i as u64, i), 0);
-        }
-        assert!(scheduler.flush_due(i64::MAX).is_empty());
-        assert_eq!(scheduler.pending(), 3);
-        // An untimed submit is always due once a deadline exists.
-        let mut timed = BatchScheduler::with_max_wait(&m, &store, 4, 1_000);
-        timed.submit(request(9, 9));
-        assert_eq!(timed.flush_due(0).len(), 1);
-        // …even when queued behind a fresher timed request.
-        timed.submit_at(request(1, 1), 100);
-        timed.submit(request(2, 2));
-        assert_eq!(timed.flush_due(150).len(), 2);
-        assert_eq!(timed.pending(), 0);
-    }
-
-    #[test]
-    fn flush_due_flushes_exactly_at_the_deadline_tick() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        // A request submitted at t with max_wait w has deadline t + w and
-        // must flush when now == t + w — not one tick later.
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 8, 25);
-        scheduler.submit_at(request(1, 1), 1_000);
-        assert!(scheduler.flush_due(1_024).is_empty());
-        assert_eq!(
-            scheduler.flush_due(1_025).len(),
-            1,
-            "now == deadline must flush"
-        );
-        assert_eq!(scheduler.pending(), 0);
-        // max_wait = 0: due on the very tick it was submitted.
-        let mut immediate = BatchScheduler::with_max_wait(&m, &store, 8, 0);
-        immediate.submit_at(request(2, 2), 500);
-        assert_eq!(immediate.flush_due(500).len(), 1);
-    }
-
-    #[test]
-    fn flushed_partial_batches_preserve_submission_order() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 4, 10);
-        // Six requests with deliberately non-monotone submission stamps:
-        // one full batch plus a deadline-triggered partial remainder.
-        let ids = [30u64, 10, 20, 5, 40, 15];
-        let stamps = [300i64, 100, 200, 50, 400, 150];
-        for (&id, &stamp) in ids.iter().zip(&stamps) {
-            scheduler.submit_at(request(id, id as i64), stamp);
-        }
-        // The partial remainder (stamps 400, 150) has oldest stamp 150,
-        // so its deadline 160 has passed at now = 170 and everything is
-        // due. Results must come back in *submission* order, not stamp
-        // order.
-        let served = scheduler.flush_due(170);
-        assert_eq!(served.len(), 6);
-        let served_ids: Vec<u64> = served.iter().map(|p| p.user_id.0).collect();
-        assert_eq!(served_ids, ids.to_vec());
-        // Same property when only the full batch is due: the first four in
-        // submission order go out, the rest stay queued in order.
-        let mut partial = BatchScheduler::with_max_wait(&m, &store, 4, 1_000);
-        for (&id, &stamp) in ids.iter().zip(&stamps) {
-            partial.submit_at(request(id, id as i64), stamp);
-        }
-        let first = partial.flush_due(500);
-        assert_eq!(
-            first.iter().map(|p| p.user_id.0).collect::<Vec<_>>(),
-            ids[..4].to_vec()
-        );
-        assert_eq!(partial.pending(), 2);
-        let rest = partial.flush_due(2_000);
-        assert_eq!(
-            rest.iter().map(|p| p.user_id.0).collect::<Vec<_>>(),
-            ids[4..].to_vec()
-        );
-    }
-
-    #[test]
-    fn deadline_flush_matches_single_request_path() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 8, 10);
-        let requests: Vec<PredictRequest> = (0..3).map(|i| request(i as u64, i)).collect();
-        for r in &requests {
-            scheduler.submit_at(*r, 50);
-        }
-        let served = scheduler.flush_due(60);
-        assert_eq!(served.len(), 3);
-        for (request, prediction) in requests.iter().zip(&served) {
-            let state = store
-                .get_state(request.user_id)
-                .unwrap_or_else(|| m.initial_state());
-            let input = m.featurizer().predict_input(
-                request.timestamp,
-                &request.context,
-                request.elapsed_secs,
-            );
-            assert!((prediction.probability - m.predict_proba(&state, &input)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn coalescing_engine_serves_low_traffic_within_deadline() {
         let m = Arc::new(model());
         let store = Arc::new(ShardedStateStore::new(4));
@@ -1694,6 +1509,63 @@ mod tests {
         // anchored) deadline.
         j1.recv_timeout(std::time::Duration::from_secs(4))
             .expect("lone job must flush at its coalesce deadline");
+    }
+
+    /// Stores a state of the wrong length for `user`: `read_state_into`
+    /// panics on it by contract, which kills the worker that serves `user`.
+    fn poison(store: &ShardedStateStore, user: UserId) {
+        store.put_state(user, &[0.0; 3]);
+    }
+
+    /// `recv_timeout` only so that a hang fails the test instead of blocking
+    /// it; a disconnect returns at once.
+    const HANG: std::time::Duration = std::time::Duration::from_secs(10);
+
+    #[test]
+    fn a_dead_worker_fails_its_batch_and_releases_its_shards() {
+        let m = Arc::new(model());
+        let store = Arc::new(ShardedStateStore::new(4));
+        let engine = BatchServingEngine::start(m, store.clone(), 2, 8);
+        let poisoned = UserId(0);
+        poison(&store, poisoned);
+        // Same shard as the poisoned user: behind the dead worker's claim.
+        let follower = (1..256)
+            .map(UserId)
+            .find(|&u| store.shard_index(u) == store.shard_index(poisoned))
+            .expect("a second user in the poisoned shard exists");
+
+        let first = engine.submit(request(poisoned.0, 1));
+        assert_eq!(
+            first.recv_timeout(HANG),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "the batch that killed its worker must fail, not hang"
+        );
+        let second = engine.submit(request(follower.0, 2));
+        let served = second
+            .recv_timeout(HANG)
+            .expect("the surviving worker must take over the dead worker's shard");
+        assert_eq!(served.user_id, follower);
+        drop(engine); // joins the survivor and the dead worker alike
+    }
+
+    #[test]
+    fn an_engine_with_no_worker_left_refuses_jobs_instead_of_hanging_them() {
+        let m = Arc::new(model());
+        let store = Arc::new(ShardedStateStore::new(4));
+        let engine = BatchServingEngine::start(m, store.clone(), 1, 8);
+        poison(&store, UserId(0));
+        let disconnected = Err(mpsc::RecvTimeoutError::Disconnected);
+        let first = engine.submit(request(0, 1));
+        assert_eq!(first.recv_timeout(HANG), disconnected);
+        // The only worker is dead or unwinding: a later job is either
+        // dropped by its last sweep or refused on arrival.
+        let second = engine.submit(request(1, 2));
+        assert_eq!(second.recv_timeout(HANG), disconnected);
+        assert_eq!(
+            engine.submit_update(update(2, 3)).recv_timeout(HANG),
+            Err(mpsc::RecvTimeoutError::Disconnected)
+        );
+        drop(engine);
     }
 
     #[test]

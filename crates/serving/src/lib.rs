@@ -39,8 +39,8 @@ pub mod pipeline;
 pub mod sharded;
 
 pub use batch::{
-    BatchScheduler, BatchServingEngine, EngineStats, PredictRequest, Prediction, SchedulerStats,
-    UpdateRequest, WorkerStats,
+    BatchScheduler, BatchServingEngine, EngineStats, PredictRequest, Prediction, UpdateRequest,
+    WorkerStats,
 };
 pub use cost::{
     baseline_profile, compare, rnn_profile, CostComparison, CostWeights, ServingProfile,

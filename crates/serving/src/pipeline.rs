@@ -13,7 +13,7 @@
 //! (successful/wasted prefetches) and systems counters (store traffic,
 //! FLOPs).
 
-use crate::kv_store::{decode_state_f32, encode_state_f32, KvStore};
+use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Dataset, UserId};
 use pp_rnn::sequence::LagConfig;
 use pp_rnn::RnnModel;
@@ -79,7 +79,9 @@ struct BufferedSession {
 #[derive(Debug)]
 pub struct ServingPipeline<'a> {
     model: &'a RnnModel,
-    store: KvStore,
+    /// One shard: the §9 pipeline has a single store, and its traffic
+    /// counters stay those of one `KvStore`.
+    store: ShardedStateStore,
     lag: LagConfig,
     threshold: f64,
     /// Stream-join buffer: timer fire time → sessions whose window closes
@@ -101,7 +103,7 @@ impl<'a> ServingPipeline<'a> {
         let lag = LagConfig::for_kind(model.kind());
         Self {
             model,
-            store: KvStore::new(),
+            store: ShardedStateStore::new(1),
             lag,
             threshold,
             timers: BTreeMap::new(),
@@ -117,7 +119,7 @@ impl<'a> ServingPipeline<'a> {
     }
 
     /// The hidden-state store (for inspecting traffic counters).
-    pub fn store(&self) -> &KvStore {
+    pub fn store(&self) -> &ShardedStateStore {
         &self.store
     }
 
@@ -144,11 +146,10 @@ impl<'a> ServingPipeline<'a> {
     }
 
     fn apply_update(&mut self, buffered: &BufferedSession) {
-        let key = format!("hidden/{}", buffered.user_id);
         let prev_state = self
             .store
-            .get(&key)
-            .map_or_else(|| self.model.initial_state(), |b| decode_state_f32(&b));
+            .get_state(buffered.user_id)
+            .unwrap_or_else(|| self.model.initial_state());
         let prev_ts = self.last_update_ts.get(&buffered.user_id).copied();
         let delta_t = prev_ts.map_or(0, |t| (buffered.start_ts - t).max(0));
         // The update input needs the original context; we fetch it lazily via
@@ -161,7 +162,7 @@ impl<'a> ServingPipeline<'a> {
             buffered.accessed,
         );
         let next = self.model.advance_state(&prev_state, &update_input);
-        self.store.put(key, encode_state_f32(&next));
+        self.store.put_state(buffered.user_id, &next);
         self.last_update_ts
             .insert(buffered.user_id, buffered.start_ts);
         self.outcome.hidden_updates += 1;
@@ -195,11 +196,10 @@ impl<'a> ServingPipeline<'a> {
             let user_id = dataset.users[ui].user_id;
 
             // 2. Serve the prediction from the stored hidden state.
-            let key = format!("hidden/{user_id}");
             let state = self
                 .store
-                .get(&key)
-                .map_or_else(|| self.model.initial_state(), |b| decode_state_f32(&b));
+                .get_state(user_id)
+                .unwrap_or_else(|| self.model.initial_state());
             let last_ts = self.last_update_ts.get(&user_id).copied();
             let elapsed = last_ts.map_or(0, |t| (ts - t).max(0));
             let predict_input =
