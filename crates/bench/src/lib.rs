@@ -18,12 +18,20 @@ use pp_core::experiments::OfflineExperimentConfig;
 use pp_data::synth::{MobileTabConfig, MpuConfig, TimeshiftConfig};
 use pp_rnn::{RnnModelConfig, TrainerConfig};
 
-/// Reads a numeric environment variable with a default.
+/// Reads a numeric environment variable: the default when it is unset.
+///
+/// # Panics
+///
+/// Panics when the variable is set to something that does not parse — a
+/// typo (`PP_USERS=4oo`) must not silently run the small configuration
+/// while the operator believes it was the paper-scale one.
 pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(name) {
+        Ok(raw) => raw
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={raw:?} is not a valid value")),
+        Err(_) => default,
+    }
 }
 
 /// Benchmark-scale knobs resolved from the environment.
@@ -118,143 +126,6 @@ pub fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Prints a [`pp_obs::TailReport`] — the sampled-trace tail-latency
-/// attribution both benchmark binaries embed as their `trace` block.
-pub fn print_tail_report(report: &pp_obs::TailReport) {
-    if !report.enabled || report.sample_every == 0 {
-        return;
-    }
-    section("trace (sampled request lifecycle)");
-    if report.sampled_requests == 0 && report.spans == 0 {
-        println!(
-            "  no sampled spans (1/{} sampling; set PP_TRACE_SAMPLE=1 to trace every user)",
-            report.sample_every
-        );
-        return;
-    }
-    println!(
-        "  {} sampled requests (1/{} users), {} spans, {} dropped",
-        report.sampled_requests, report.sample_every, report.spans, report.spans_dropped
-    );
-    if report.sampled_requests > 0 {
-        println!(
-            "  end-to-end: p50 {:>9.1} µs   p90 {:>9.1} µs   p99 {:>9.1} µs   max {:>9.1} µs",
-            report.e2e_p50_us, report.e2e_p90_us, report.e2e_p99_us, report.e2e_max_us
-        );
-    }
-    for stage in &report.stages {
-        println!(
-            "  {:<16} p50 {:>9.1} µs   p99 {:>9.1} µs   (n={:<6} {:>5.1}% of request time)",
-            stage.stage,
-            stage.p50_us,
-            stage.p99_us,
-            stage.count,
-            stage.share_of_request_time * 100.0
-        );
-    }
-    if report.tail_requests > 0 {
-        println!(
-            "  slowest {} request(s) (>= p99 {:.1} µs): {:.1}% queued, {:.1}% in service",
-            report.tail_requests,
-            report.tail_threshold_us,
-            report.tail_queue_share * 100.0,
-            report.tail_service_share * 100.0
-        );
-    }
-}
-
-/// A periodic metrics time-series sink: when `PP_OBS_REPORT=path` is set,
-/// drives a [`pp_obs::Reporter`] off the caller's clock and appends one
-/// JSON line per fired tick — `{"at":…,"label":…,"snapshot":{…}}` — so a
-/// run yields a queue-depth/throughput/bucket timeline instead of only the
-/// final snapshot.
-#[derive(Debug)]
-pub struct ReportSink {
-    inner: Option<SinkInner>,
-}
-
-#[derive(Debug)]
-struct SinkInner {
-    reporter: pp_obs::Reporter,
-    file: std::fs::File,
-    path: String,
-    label: String,
-    lines: u64,
-}
-
-impl ReportSink {
-    /// Creates the sink from `PP_OBS_REPORT` (inert when unset or when
-    /// instrumentation is compiled out), ticking every `period` units of
-    /// the clock later passed to [`ReportSink::tick`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `PP_OBS_REPORT` is set but the file cannot be created —
-    /// a requested time-series must not be silently skipped.
-    #[must_use]
-    pub fn from_env(period: i64) -> Self {
-        let inner = std::env::var("PP_OBS_REPORT")
-            .ok()
-            .filter(|_| pp_obs::is_enabled())
-            .map(|path| SinkInner {
-                reporter: pp_obs::Reporter::new(period),
-                file: std::fs::File::create(&path)
-                    .unwrap_or_else(|e| panic!("PP_OBS_REPORT={path}: {e}")),
-                path,
-                label: String::new(),
-                lines: 0,
-            });
-        Self { inner }
-    }
-
-    /// Whether a report file is being written.
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Starts a new labelled segment (a benchmark mode or simulator
-    /// scenario) and resets the reporter — segment clocks restart at zero,
-    /// and without the reset a backwards clock jump would silence the
-    /// reporter forever.
-    pub fn begin(&mut self, label: &str) {
-        if let Some(inner) = &mut self.inner {
-            inner.label = label.to_string();
-            inner.reporter.reset();
-        }
-    }
-
-    /// Feeds the caller's clock; appends a snapshot line when a reporting
-    /// period has elapsed since the last one.
-    pub fn tick(&mut self, now: i64) {
-        let Some(inner) = &mut self.inner else { return };
-        if let Some(snapshot) = inner.reporter.tick(pp_obs::MetricsRegistry::global(), now) {
-            use std::io::Write;
-            let line = format!(
-                "{{\"at\":{},\"label\":{},\"snapshot\":{}}}\n",
-                now,
-                serde_json::to_string(&inner.label).expect("label serializes"),
-                serde_json::to_string(&snapshot).expect("snapshot serializes"),
-            );
-            inner
-                .file
-                .write_all(line.as_bytes())
-                .unwrap_or_else(|e| panic!("PP_OBS_REPORT write: {e}"));
-            inner.lines += 1;
-        }
-    }
-
-    /// Prints where the time-series went (call once, at the end of a run).
-    pub fn summarize(&self) {
-        if let Some(inner) = &self.inner {
-            println!(
-                "metrics time-series: {} lines -> {}",
-                inner.lines, inner.path
-            );
-        }
-    }
-}
-
 /// Formats a simple ASCII series (x, y) for terminal inspection of figures.
 pub fn print_series(name: &str, xs: &[f64], ys: &[f64]) {
     println!("{name}:");
@@ -266,6 +137,13 @@ pub fn print_series(name: &str, xs: &[f64], ys: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "PP_ENV_OR_TYPO=\"4oo\"")]
+    fn env_or_rejects_a_set_but_unparsable_value() {
+        std::env::set_var("PP_ENV_OR_TYPO", "4oo");
+        let _: usize = env_or("PP_ENV_OR_TYPO", 400);
+    }
 
     #[test]
     fn env_defaults_apply() {

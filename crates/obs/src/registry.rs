@@ -187,7 +187,7 @@ pub struct HistogramSnapshot {
 }
 
 /// A point-in-time view of a whole registry, serializable via the serde
-/// shim (this is the `metrics.snapshot` object in the BENCH reports).
+/// shim.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Snapshot {
     /// Whether instrumentation was compiled in when this was taken.

@@ -16,11 +16,11 @@
 //! Exports:
 //!
 //! * [`chrome_trace_json`] — the Chrome trace-event format (open in
-//!   Perfetto or `chrome://tracing`); the bench bins write it when
-//!   `PP_OBS_TRACE=path` is set;
-//! * [`tail_report`] — the [`TailReport`] `trace` block embedded in the
-//!   BENCH reports: end-to-end p50/p90/p99 decomposed by stage, plus
-//!   queue-time vs service-time share for the slowest percentile.
+//!   Perfetto or `chrome://tracing`); a caller drains the tracer and
+//!   writes the string wherever it wants the file;
+//! * [`tail_report`] — the [`TailReport`]: end-to-end p50/p90/p99
+//!   decomposed by stage, plus queue-time vs service-time share for the
+//!   slowest percentile.
 //!
 //! Everything honors the crate's compile-time `enabled` feature: with it
 //! off, [`Tracer::enabled`] is `false`, recording folds away, and the
@@ -477,8 +477,7 @@ pub struct StageTail {
     pub share_of_tail_time: f64,
 }
 
-/// The sampled-trace latency attribution embedded as the `trace` block in
-/// `BENCH_serving.json` / `BENCH_precompute.json`: end-to-end percentiles
+/// The sampled-trace latency attribution: end-to-end percentiles
 /// decomposed by stage, and queue-vs-service share for the slowest
 /// percentile.
 #[derive(Debug, Clone, PartialEq, Serialize)]

@@ -286,8 +286,8 @@ impl PrecomputeSystem {
     /// that user's outstanding session even when the two are on *different*
     /// activities. A deployment where one user can be concurrently live on
     /// several activities must represent each (user, activity) pair as a
-    /// distinct `UserId` (namespace the ids, as `precompute_sim`'s
-    /// mixed-traffic scenario does); otherwise a Timeshift session start
+    /// distinct `UserId` (namespace the ids, as `mixed_events` in
+    /// `tests/traffic_scenarios.rs` does); otherwise a Timeshift session start
     /// would force-resolve the same user's still-live MobileTab prefetch as
     /// "ended without access".
     pub fn handle_wave(

@@ -465,8 +465,8 @@ impl EngineShared {
 /// without a global lock; idle workers **steal** whole shard queues from
 /// busy peers, so skewed traffic still saturates every core.
 ///
-/// With `max_batch = 1` every request takes the single-request path, which
-/// is exactly the baseline the `load_gen` benchmark compares against.
+/// With `max_batch = 1` every request takes the single-request path: the
+/// unbatched baseline.
 #[derive(Debug)]
 pub struct BatchServingEngine {
     shared: Arc<EngineShared>,
@@ -1475,9 +1475,12 @@ mod tests {
         // holds the partial batch open until t = 2s.
         let lone = UserId(0);
         let j1 = engine.submit(request(lone.0, 1));
-        std::thread::sleep(std::time::Duration::from_millis(100));
         let lone_queue = &engine.shared.queues[store.shard_index(lone)];
-        assert!(lone_queue.claimed.load(Ordering::Acquire));
+        let submitted = std::time::Instant::now();
+        while !lone_queue.claimed.load(Ordering::Acquire) {
+            assert!(submitted.elapsed() < HANG, "no worker claimed the lone job");
+            std::thread::yield_now();
+        }
         let holder = lone_queue.claimant.load(Ordering::Acquire);
         // Two distinct users sharing a single shard homed on the *idle*
         // peer. Homed on the holder, the first arrival would signal the
@@ -1517,7 +1520,7 @@ mod tests {
         store.put_state(user, &[0.0; 3]);
     }
 
-    /// `recv_timeout` only so that a hang fails the test instead of blocking
+    /// Bounds a wait only so that a hang fails the test instead of blocking
     /// it; a disconnect returns at once.
     const HANG: std::time::Duration = std::time::Duration::from_secs(10);
 
