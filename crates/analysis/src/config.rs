@@ -46,8 +46,10 @@ impl Default for LintConfig {
     fn default() -> Self {
         Self {
             // The workspace lock hierarchy, outermost first:
-            //   shard job queue (10) → store shard (20) → store stats (25)
-            //     → obs lanes/rings (30) → wakeup mutexes (40).
+            //   shard job queue (10) → store shard (20) → store stats (25,
+            //     the prefetch cache's; a state shard keeps its counters
+            //     under its own lock) → obs lanes/rings (30) → wakeup
+            //     mutexes (40).
             // The wakeup mutexes (work generation, per-worker signal) are
             // innermost: nothing may be acquired while holding them, which
             // is exactly the discipline the two-channel wakeup protocol in
@@ -63,7 +65,7 @@ impl Default for LintConfig {
                     class: "store-shard",
                     rank: 20,
                     ident: "inner",
-                    path_contains: Some("crates/serving/src/kv_store.rs"),
+                    path_contains: Some("crates/serving/src/sharded.rs"),
                 },
                 LockClassEntry {
                     class: "store-shard",
@@ -76,12 +78,6 @@ impl Default for LintConfig {
                     rank: 20,
                     ident: "shards",
                     path_contains: Some("crates/precompute/src/cache.rs"),
-                },
-                LockClassEntry {
-                    class: "store-stats",
-                    rank: 25,
-                    ident: "stats",
-                    path_contains: Some("crates/serving/src/kv_store.rs"),
                 },
                 LockClassEntry {
                     class: "store-stats",

@@ -4,13 +4,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pp_baselines::{Gbdt, GbdtConfig, LogRegConfig, LogisticRegression, PercentageModel};
-use pp_data::schema::DatasetKind;
+use pp_data::schema::{DatasetKind, UserId};
 use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
 use pp_features::baseline::{
     build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
 };
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
-use pp_serving::{decode_state_f32, encode_state_f32, KvStore};
+use pp_serving::{decode_state_f32, encode_state_f32, ShardedStateStore};
+use std::collections::HashMap;
 use std::hint::black_box;
 
 fn bench_prediction_latency(c: &mut Criterion) {
@@ -79,30 +80,29 @@ fn bench_prediction_latency(c: &mut Criterion) {
 
 fn bench_feature_assembly_vs_hidden_lookup(c: &mut Criterion) {
     // The paper's point: assembling ~20 aggregation lookups dwarfs the single
-    // hidden-state fetch. Simulate both against the in-memory store.
-    let store = KvStore::new();
-    let hidden: Vec<f32> = vec![0.5; 128];
-    store.put("hidden/user-1", encode_state_f32(&hidden));
-    for i in 0..20 {
-        store.put(
-            format!("agg/user-1/{i}"),
-            encode_state_f32(&[1.0, 2.0, 3.0, 4.0]),
-        );
-    }
+    // hidden-state fetch. The hidden state comes from the serving store; the
+    // aggregation table is a string-keyed map of encoded cells standing in
+    // for the Redis-like store the GBDT path would query.
+    let store = ShardedStateStore::new(1);
+    let user = UserId(1);
+    store.put_state(user, &[0.5; 128]);
+    let aggregates: HashMap<String, _> = (0..20)
+        .map(|i| {
+            let cell = encode_state_f32(&[1.0, 2.0, 3.0, 4.0]);
+            (format!("agg/user-1/{i}"), cell)
+        })
+        .collect();
 
     let mut group = c.benchmark_group("store_roundtrips");
     group.bench_function("rnn_single_hidden_lookup", |b| {
-        b.iter(|| {
-            let bytes = store.get("hidden/user-1").unwrap();
-            black_box(decode_state_f32(&bytes))
-        });
+        b.iter(|| black_box(store.get_state(black_box(user))));
     });
     group.bench_function("baseline_20_aggregation_lookups", |b| {
         b.iter(|| {
             let mut total = 0.0f32;
             for i in 0..20 {
-                let bytes = store.get(&format!("agg/user-1/{i}")).unwrap();
-                total += decode_state_f32(&bytes)[0];
+                let bytes = aggregates.get(&format!("agg/user-1/{i}")).unwrap();
+                total += decode_state_f32(bytes)[0];
             }
             black_box(total)
         });

@@ -155,16 +155,6 @@ impl BatchScratch {
         &self.next_states[row * self.state_dim..(row + 1) * self.state_dim]
     }
 
-    /// The dense form of a batch of one's input row.
-    fn only_input_row(&self) -> Vec<f32> {
-        assert_eq!(self.inputs.rows(), 1, "not a batch of one");
-        let mut input = vec![0.0; self.inputs.width()];
-        for (col, value) in self.inputs.row(0) {
-            input[col] = value;
-        }
-        input
-    }
-
     /// Copies dense rows in (the slice-based entry points' assembly).
     fn fill<S: AsRef<[f32]>, X: AsRef<[f32]>>(
         &mut self,
@@ -526,33 +516,6 @@ impl RnnModel {
         gemm_acc(logits, hidden, w, 1);
         probabilities.clear();
         probabilities.extend(logits.iter().map(|&l| stable_sigmoid(l + b[0]) as f64));
-    }
-
-    /// Serves an assembled batch of exactly one row through the autograd
-    /// graph ([`RnnModel::predict_proba`]) — the per-request reference path
-    /// the serving layer keeps for singleton batches. Same result as
-    /// [`RnnModel::predict_proba_batch_into`], at the single-request cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one matching row is assembled.
-    pub fn predict_proba_single_into(&self, scratch: &mut BatchScratch) {
-        let input = scratch.only_input_row();
-        scratch.probabilities.clear();
-        scratch
-            .probabilities
-            .push(self.predict_proba(&scratch.states, &input));
-    }
-
-    /// [`RnnModel::predict_proba_single_into`] for `RNN_update`, through
-    /// [`RnnModel::advance_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one matching row is assembled.
-    pub fn advance_state_single_into(&self, scratch: &mut BatchScratch) {
-        let input = scratch.only_input_row();
-        scratch.next_states = self.advance_state(&scratch.states, &input);
     }
 
     /// Batched inference: advances `states.len()` stored states in one

@@ -1,17 +1,17 @@
 //! Batched request scheduling: coalesce concurrent session-start requests
 //! into one GRU/MLP forward pass per batch.
 //!
-//! The single-request path builds one autograd graph per prediction —
-//! per-call overhead (graph nodes, allocations) dominates the actual
-//! arithmetic at the paper's model sizes. At production request rates many
-//! session starts are in flight at once, so the serving engine can instead
-//! drain the arrival queue into batches and run **one `B × d` GEMM per
-//! layer instead of `B` separate `1 × d` products**
+//! Serving a request alone ([`RnnModel::predict_proba`]) builds one autograd
+//! graph per prediction — per-call overhead (graph nodes, allocations)
+//! dominates the actual arithmetic at the paper's model sizes. At production
+//! request rates many session starts are in flight at once, so the serving
+//! engine can instead drain the arrival queue into batches and run **one
+//! `B × d` GEMM per layer instead of `B` separate `1 × d` products**
 //! ([`RnnModel::predict_proba_batch_into`] /
 //! [`RnnModel::advance_state_batch_into`]).
 //!
 //! The batch core — [`predict_chunk`], [`update_chunk`] — assembles a batch
-//! straight into a [`BatchScratch`] (stored states decoded in place,
+//! straight into a [`BatchScratch`] (stored states copied into their rows,
 //! features written as input entries) and runs the fused forward pass over
 //! it, allocating nothing once the scratch has seen a full batch. Every
 //! worker owns one scratch; none is shared.
@@ -236,15 +236,15 @@ impl BatchMarks {
 }
 
 /// Assembles one chunk of predictions into `scratch` — each stored state
-/// decoded straight into its batch row (a miss leaves the zeroed row, which
+/// copied straight into its batch row (a miss leaves the zeroed row, which
 /// is `h_0`), each request's features written as input entries — and runs
 /// the forward pass; the probabilities are left in
 /// [`BatchScratch::probabilities`], in chunk order. With a warmed-up
-/// `scratch` a chunk of two or more allocates nothing. Shared by the
-/// scheduler and the threaded engine; callers account for batching
-/// statistics themselves. Singleton chunks take the plain single-request
-/// path so `max_batch = 1` reproduces the baseline exactly. `marks` (traced
-/// engine batches only) receives the stage boundaries for span emission.
+/// `scratch` a chunk of any size, one row included, takes the same fused
+/// pass and allocates nothing. Shared by the scheduler and the threaded
+/// engine; callers account for batching statistics themselves. `marks`
+/// (traced engine batches only) receives the stage boundaries for span
+/// emission.
 pub fn predict_chunk<'a>(
     model: &RnnModel,
     store: &ShardedStateStore,
@@ -273,11 +273,7 @@ pub fn predict_chunk<'a>(
         marks.assembly_done = std::time::Instant::now();
     }
     let forward = pp_obs::Stopwatch::start();
-    if scratch.rows() == 1 {
-        model.predict_proba_single_into(scratch);
-    } else {
-        model.predict_proba_batch_into(scratch);
-    }
+    model.predict_proba_batch_into(scratch);
     forward.record(&obs.forward_pass_ns);
     if let Some(marks) = marks {
         let now = std::time::Instant::now();
@@ -465,8 +461,8 @@ impl EngineShared {
 /// without a global lock; idle workers **steal** whole shard queues from
 /// busy peers, so skewed traffic still saturates every core.
 ///
-/// With `max_batch = 1` every request takes the single-request path: the
-/// unbatched baseline.
+/// With `max_batch = 1` every request is a batch of one through the same
+/// fused pass: the unbatched baseline.
 #[derive(Debug)]
 pub struct BatchServingEngine {
     shared: Arc<EngineShared>,
@@ -773,11 +769,7 @@ pub fn update_chunk<'a>(
         marks.assembly_done = std::time::Instant::now();
     }
     let forward = pp_obs::Stopwatch::start();
-    if scratch.rows() == 1 {
-        model.advance_state_single_into(scratch);
-    } else {
-        model.advance_state_batch_into(scratch);
-    }
+    model.advance_state_batch_into(scratch);
     forward.record(&obs.forward_pass_ns);
     if let Some(marks) = marks {
         marks.forward_done = std::time::Instant::now();

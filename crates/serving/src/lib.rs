@@ -3,9 +3,9 @@
 //! Serving-layer simulation for predictive precompute, reproducing the
 //! production architecture and measurements of §9 of the paper:
 //!
-//! * [`kv_store`] — an instrumented in-memory key-value store (the paper's
-//!   Redis-like hidden-state store), f32 state encoding, and 8-bit
-//!   quantization;
+//! * [`kv_store`] — what a hidden-state store is measured and configured
+//!   by ([`StoreStats`], [`EvictionPolicy`]), the f32 wire encoding of a
+//!   state, and 8-bit quantization;
 //! * [`pipeline`] — a discrete-event replay of the serving flow: predict at
 //!   session start from the stored hidden state, stream-join context and
 //!   access flag when the session window closes, then advance and re-store
@@ -17,9 +17,10 @@
 //! * [`online`] — the day-by-day online comparison of RNN vs GBDT on
 //!   cold-start users (Figure 7) and the successful-prefetch lift at a
 //!   target precision;
-//! * [`sharded`] — the throughput-oriented [`ShardedStateStore`]: N
-//!   independent hidden-state shards keyed by user-id hash, serving
-//!   concurrently;
+//! * [`sharded`] — the hidden-state store (the paper's Redis-like store,
+//!   in process): a [`ShardedStateStore`] of N independent typed
+//!   [`StateShard`]s keyed by user-id hash, `f32` states read by copy and
+//!   overwritten in place;
 //! * [`batch`] — the [`BatchScheduler`] and multi-threaded
 //!   [`BatchServingEngine`] coalescing concurrent session starts into
 //!   batched forward passes (one matmul per batch instead of per user);
@@ -46,9 +47,9 @@ pub use cost::{
     baseline_profile, compare, rnn_profile, CostComparison, CostWeights, ServingProfile,
 };
 pub use kv_store::{
-    decode_state_f32, encode_state_f32, EvictionPolicy, KvStore, QuantizedState, StoreStats,
+    decode_state_f32, encode_state_f32, EvictionPolicy, QuantizedState, StoreStats,
 };
 pub use obs::ServingObs;
 pub use online::{daily_metrics, run_online_comparison, DailyMetric, OnlineComparison};
 pub use pipeline::{ServingOutcome, ServingPipeline};
-pub use sharded::ShardedStateStore;
+pub use sharded::{ShardedStateStore, StateShard};

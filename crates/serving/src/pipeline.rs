@@ -79,8 +79,7 @@ struct BufferedSession {
 #[derive(Debug)]
 pub struct ServingPipeline<'a> {
     model: &'a RnnModel,
-    /// One shard: the §9 pipeline has a single store, and its traffic
-    /// counters stay those of one `KvStore`.
+    /// One shard: the §9 pipeline has a single store.
     store: ShardedStateStore,
     lag: LagConfig,
     threshold: f64,

@@ -1,29 +1,327 @@
-//! A sharded hidden-state store for throughput-oriented serving.
+//! The sharded hidden-state store: the paper's "one 512-byte lookup per
+//! prediction" (§9), typed and in place.
 //!
-//! The single [`KvStore`] of §9 serializes every
-//! access through one `RwLock`'d map; at production concurrency ("heavy
-//! traffic from millions of users") that lock becomes the bottleneck. The
-//! [`ShardedStateStore`] splits the key space into `N` independent shards
-//! keyed by a hash of the user id, each shard its own instrumented
-//! `KvStore` with interior mutability — so requests for different users
-//! proceed concurrently and only same-shard writers contend.
-//!
-//! The store keeps the same `hidden/<user-id>` key format and f32
-//! encoding as the single-store pipeline, so the per-shard traffic
-//! counters stay comparable with the §9 cost model.
+//! A [`ShardedStateStore`] splits the user population over `N` independent
+//! [`StateShard`]s by a hash of the user id, so requests for different
+//! users proceed concurrently and only same-shard accesses contend. A shard
+//! is one mutex around a `u64 → slot` map, a slab of slots that each own
+//! their `f32` state buffer, the eviction order and the shard's traffic
+//! counters. A state read is one lock, one hash probe and one copy into the
+//! caller's row; a write-back is one lock and one overwrite of the buffer
+//! already there. Neither builds a key, encodes a value or, once the
+//! resident set is warm, allocates — an evicting `put` moves the newcomer
+//! into its victim's buffer.
 
-use crate::kv_store::{
-    decode_state_f32, decode_state_f32_into, encode_state_f32, EvictionPolicy, KvStore, StoreStats,
-};
-use bytes::Bytes;
+use crate::kv_store::{EvictionPolicy, StoreStats};
+use parking_lot::Mutex;
 use pp_data::schema::UserId;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// A fixed-size array of independent [`KvStore`] shards keyed by user-id
+/// "No slot": the end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// Hash of a user id inside its shard: Murmur3's 64-bit finalizer.
+/// Deliberately not [`ShardedStateStore::shard_index`]'s mixer — every key
+/// of a shard shares that hash modulo the shard count, so reusing it (or
+/// the raw id) would pile the shard's keys onto a fraction of the map's
+/// buckets. Fixed rather than randomly keyed: user ids are assigned by the
+/// system, not chosen by its clients.
+fn in_shard_hash(user: u64) -> u64 {
+    let mut z = user;
+    z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    z ^ (z >> 33)
+}
+
+/// [`in_shard_hash`] as the slot map's hasher.
+#[derive(Debug, Default)]
+struct UserHasher(u64);
+
+impl Hasher for UserHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("slot maps are keyed by u64 user ids");
+    }
+
+    fn write_u64(&mut self, user: u64) {
+        self.0 = in_shard_hash(user);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One resident (or freed) state with its recency and frequency stamps.
+#[derive(Debug)]
+struct Slot {
+    user: u64,
+    /// Overwritten in place by `put`; a freed slot keeps the allocation for
+    /// the next newcomer.
+    state: Vec<f32>,
+    /// Monotone tick of the last touch.
+    tick: u64,
+    /// Lifetime touches (puts + bounded read hits) of this user's state.
+    freq: u64,
+    /// Neighbours in the LRU list (towards the head / towards the tail).
+    prev: u32,
+    next: u32,
+}
+
+/// Everything a shard mutates, behind one lock so the map, the eviction
+/// order and the counters can never disagree.
+#[derive(Debug)]
+struct ShardInner {
+    slot_of: HashMap<u64, u32, BuildHasherDefault<UserHasher>>,
+    slots: Vec<Slot>,
+    /// Indices of `slots` not in `slot_of`, reused before the slab grows.
+    free: Vec<u32>,
+    /// Most recently touched slot; [`EvictionPolicy::Lru`] shards only.
+    lru_head: u32,
+    /// Least recently touched slot — the LRU victim.
+    lru_tail: u32,
+    /// `(freq, tick) → slot`, victim first;
+    /// [`EvictionPolicy::FrequencyWeighted`] shards only.
+    by_rank: BTreeMap<(u64, u64), u32>,
+    next_tick: u64,
+    stats: StoreStats,
+}
+
+impl ShardInner {
+    /// Takes `at` out of the eviction order `order` keeps (`None`: an
+    /// unbounded shard keeps none).
+    fn unrank(&mut self, at: u32, order: Option<EvictionPolicy>) {
+        match order {
+            None => {}
+            Some(EvictionPolicy::Lru) => {
+                let Slot { prev, next, .. } = self.slots[at as usize];
+                match prev {
+                    NIL => self.lru_head = next,
+                    p => self.slots[p as usize].next = next,
+                }
+                match next {
+                    NIL => self.lru_tail = prev,
+                    n => self.slots[n as usize].prev = prev,
+                }
+            }
+            Some(EvictionPolicy::FrequencyWeighted) => {
+                let slot = &self.slots[at as usize];
+                self.by_rank.remove(&(slot.freq, slot.tick));
+            }
+        }
+    }
+
+    /// Stamps `at` with the next tick and files it as the most recent touch.
+    fn rank(&mut self, at: u32, order: Option<EvictionPolicy>) {
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        self.slots[at as usize].tick = tick;
+        match order {
+            None => {}
+            Some(EvictionPolicy::Lru) => {
+                let head = std::mem::replace(&mut self.lru_head, at);
+                let slot = &mut self.slots[at as usize];
+                (slot.prev, slot.next) = (NIL, head);
+                match head {
+                    NIL => self.lru_tail = at,
+                    h => self.slots[h as usize].prev = at,
+                }
+            }
+            Some(EvictionPolicy::FrequencyWeighted) => {
+                let freq = self.slots[at as usize].freq;
+                self.by_rank.insert((freq, tick), at);
+            }
+        }
+    }
+
+    /// The slot `min (rank, tick)` names: rank 0 under LRU, `freq` under
+    /// frequency weighting.
+    fn victim(&self, policy: EvictionPolicy) -> u32 {
+        match policy {
+            EvictionPolicy::Lru => self.lru_tail,
+            EvictionPolicy::FrequencyWeighted => {
+                *self.by_rank.first_key_value().expect("a full shard").1
+            }
+        }
+    }
+
+    /// Drops `at`'s user from the shard; the slot and its buffer go to the
+    /// free list.
+    fn release(&mut self, at: u32, order: Option<EvictionPolicy>) {
+        self.unrank(at, order);
+        self.slot_of.remove(&self.slots[at as usize].user);
+        self.free.push(at);
+    }
+}
+
+/// One shard of a [`ShardedStateStore`]: the states of the users that hash
+/// to it, optionally bounded to a number of states under an
+/// [`EvictionPolicy`].
+///
+/// Recency and frequency are kept per state: every `put` and, on a bounded
+/// shard, every read hit stamps the state with a fresh tick and counts one
+/// more touch. After a new user's state is inserted a bounded shard evicts
+/// the minimum `(rank, tick)` — rank 0 under [`EvictionPolicy::Lru`], the
+/// touch count under [`EvictionPolicy::FrequencyWeighted`], so a newcomer
+/// can be its own victim there — until it is back within its bound.
+#[derive(Debug)]
+pub struct StateShard {
+    inner: Mutex<ShardInner>,
+    capacity: Option<usize>,
+    policy: EvictionPolicy,
+}
+
+impl StateShard {
+    pub(crate) fn new(capacity: Option<usize>, policy: EvictionPolicy) -> Self {
+        assert!(capacity != Some(0), "capacity must be positive");
+        Self {
+            inner: Mutex::new(ShardInner {
+                slot_of: HashMap::default(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                lru_head: NIL,
+                lru_tail: NIL,
+                by_rank: BTreeMap::new(),
+                next_tick: 0,
+                stats: StoreStats::default(),
+            }),
+            capacity,
+            policy,
+        }
+    }
+
+    /// The eviction order this shard maintains: none when unbounded.
+    fn order(&self) -> Option<EvictionPolicy> {
+        self.capacity.map(|_| self.policy)
+    }
+
+    /// The capacity bound, if any.
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
+    /// The eviction policy a bounded shard applies (unbounded shards never
+    /// evict, so the policy is irrelevant there).
+    pub fn eviction_policy(&self) -> EvictionPolicy {
+        self.policy
+    }
+
+    /// Number of states currently stored.
+    pub fn len(&self) -> usize {
+        self.inner.lock().slot_of.len()
+    }
+
+    /// Returns `true` when the shard holds no state.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Snapshot of the running counters.
+    pub fn stats(&self) -> StoreStats {
+        self.inner.lock().stats
+    }
+
+    pub(crate) fn reset_stats(&self) {
+        self.inner.lock().stats = StoreStats::default();
+    }
+
+    /// Total bytes of the states currently stored.
+    pub(crate) fn stored_bytes(&self) -> u64 {
+        let inner = self.inner.lock();
+        let widths = inner
+            .slot_of
+            .values()
+            .map(|&at| inner.slots[at as usize].state.len());
+        4 * widths.sum::<usize>() as u64
+    }
+
+    /// Counted read: hands `user`'s stored state to `copy_out` under the
+    /// shard lock. On a bounded shard a hit is also a touch.
+    pub(crate) fn read<R>(&self, user: UserId, copy_out: impl FnOnce(&[f32]) -> R) -> Option<R> {
+        let order = self.order();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        inner.stats.reads += 1;
+        let at = *inner.slot_of.get(&user.0)?;
+        if order.is_some() {
+            inner.unrank(at, order);
+            inner.slots[at as usize].freq += 1;
+            inner.rank(at, order);
+        }
+        inner.stats.hits += 1;
+        inner.stats.bytes_read += 4 * inner.slots[at as usize].state.len() as u64;
+        Some(copy_out(&inner.slots[at as usize].state))
+    }
+
+    /// Stores `state` for `user`, overwriting the previous one in place;
+    /// returns how many states a new user's arrival evicted.
+    pub(crate) fn put(&self, user: UserId, state: &[f32]) -> u64 {
+        let order = self.order();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        inner.stats.writes += 1;
+        inner.stats.bytes_written += 4 * state.len() as u64;
+        let at = match inner.slot_of.get(&user.0) {
+            Some(&at) => {
+                inner.unrank(at, order);
+                inner.slots[at as usize].freq += 1;
+                at
+            }
+            None => {
+                let at = inner.free.pop().unwrap_or_else(|| {
+                    let at = u32::try_from(inner.slots.len()).expect("a shard holds < 2^32 states");
+                    inner.slots.push(Slot {
+                        user: 0,
+                        state: Vec::new(),
+                        tick: 0,
+                        freq: 0,
+                        prev: NIL,
+                        next: NIL,
+                    });
+                    at
+                });
+                let slot = &mut inner.slots[at as usize];
+                (slot.user, slot.freq) = (user.0, 1);
+                inner.slot_of.insert(user.0, at);
+                at
+            }
+        };
+        let buffer = &mut inner.slots[at as usize].state;
+        buffer.clear();
+        buffer.extend_from_slice(state);
+        inner.rank(at, order);
+        let mut evicted = 0;
+        if let Some(capacity) = self.capacity {
+            while inner.slot_of.len() > capacity {
+                let victim = inner.victim(self.policy);
+                inner.release(victim, order);
+                evicted += 1;
+            }
+            inner.stats.evictions += evicted;
+        }
+        evicted
+    }
+
+    /// Removes `user`'s state, returning it if present.
+    pub(crate) fn remove(&self, user: UserId) -> Option<Vec<f32>> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let at = *inner.slot_of.get(&user.0)?;
+        inner.release(at, self.order());
+        Some(inner.slots[at as usize].state.clone())
+    }
+
+    /// Whether `user`'s state is stored; neither counted nor a touch.
+    pub(crate) fn contains(&self, user: UserId) -> bool {
+        self.inner.lock().slot_of.contains_key(&user.0)
+    }
+}
+
+/// A fixed-size array of independent [`StateShard`]s keyed by user-id
 /// hash.
 #[derive(Debug)]
 pub struct ShardedStateStore {
-    shards: Vec<KvStore>,
+    shards: Vec<StateShard>,
 }
 
 impl ShardedStateStore {
@@ -35,7 +333,9 @@ impl ShardedStateStore {
     pub fn new(num_shards: usize) -> Self {
         assert!(num_shards > 0, "ShardedStateStore needs at least one shard");
         Self {
-            shards: (0..num_shards).map(|_| KvStore::new()).collect(),
+            shards: (0..num_shards)
+                .map(|_| StateShard::new(None, EvictionPolicy::default()))
+                .collect(),
         }
     }
 
@@ -78,7 +378,7 @@ impl ShardedStateStore {
             shards: (0..num_shards)
                 .map(|shard| {
                     let capacity = base + usize::from(shard < remainder);
-                    KvStore::with_capacity_and_policy(capacity, policy)
+                    StateShard::new(Some(capacity), policy)
                 })
                 .collect(),
         }
@@ -88,7 +388,7 @@ impl ShardedStateStore {
     pub fn capacity(&self) -> Option<usize> {
         self.shards
             .iter()
-            .map(KvStore::capacity)
+            .map(StateShard::capacity)
             .try_fold(0usize, |acc, c| c.map(|c| acc + c))
     }
 
@@ -113,27 +413,31 @@ impl ShardedStateStore {
     /// # Panics
     ///
     /// Panics if `index >= num_shards()`.
-    pub fn shard(&self, index: usize) -> &KvStore {
+    pub fn shard(&self, index: usize) -> &StateShard {
         &self.shards[index]
     }
 
-    /// Counted read of a user's encoded state, the key built on the stack.
-    fn fetch(&self, user: UserId) -> Option<Bytes> {
+    fn shard_of(&self, user: UserId) -> &StateShard {
+        &self.shards[self.shard_index(user)]
+    }
+
+    /// Counted read of a user's state through `copy_out`.
+    fn read<R>(&self, user: UserId, copy_out: impl FnOnce(&[f32]) -> R) -> Option<R> {
         let obs = crate::obs::ServingObs::global();
         obs.store_reads.inc();
-        let bytes = self.shards[self.shard_index(user)].get(StateKey::new(user).as_str());
-        if bytes.is_some() {
+        let found = self.shard_of(user).read(user, copy_out);
+        if found.is_some() {
             obs.store_hits.inc();
         }
-        bytes
+        found
     }
 
     /// Fetches a user's hidden state, if one is stored.
     pub fn get_state(&self, user: UserId) -> Option<Vec<f32>> {
-        self.fetch(user).map(|bytes| decode_state_f32(&bytes))
+        self.read(user, <[f32]>::to_vec)
     }
 
-    /// Decodes a user's stored hidden state straight into `out` (a batch's
+    /// Copies a user's stored hidden state straight into `out` (a batch's
     /// state row) without allocating; returns `false`, leaving `out`
     /// untouched, when none is stored.
     ///
@@ -141,27 +445,32 @@ impl ShardedStateStore {
     ///
     /// Panics if the stored state is not `out.len()` values long.
     pub fn read_state_into(&self, user: UserId, out: &mut [f32]) -> bool {
-        match self.fetch(user) {
-            Some(bytes) => {
-                decode_state_f32_into(&bytes, out);
-                true
-            }
-            None => false,
-        }
+        let copy_out = |state: &[f32]| {
+            assert_eq!(
+                state.len(),
+                out.len(),
+                "stored state holds {} values, expected {}",
+                state.len(),
+                out.len()
+            );
+            out.copy_from_slice(state);
+        };
+        self.read(user, copy_out).is_some()
     }
 
     /// Stores a user's hidden state, replacing any previous one.
     pub fn put_state(&self, user: UserId, state: &[f32]) {
-        crate::obs::ServingObs::global().store_writes.inc();
-        self.shards[self.shard_index(user)]
-            .put(StateKey::new(user).as_str(), encode_state_f32(state));
+        let obs = crate::obs::ServingObs::global();
+        obs.store_writes.inc();
+        let evicted = self.shard_of(user).put(user, state);
+        if evicted > 0 {
+            obs.store_evictions.add(evicted);
+        }
     }
 
     /// Removes a user's hidden state, returning it if present.
     pub fn remove_state(&self, user: UserId) -> Option<Vec<f32>> {
-        self.shards[self.shard_index(user)]
-            .remove(StateKey::new(user).as_str())
-            .map(|bytes| decode_state_f32(&bytes))
+        self.shard_of(user).remove(user)
     }
 
     /// Whether a state is currently stored for `user`, without counting as
@@ -169,22 +478,22 @@ impl ShardedStateStore {
     /// measurement harnesses probing residency (e.g. the cold-start-regret
     /// eviction study) without perturbing it.
     pub fn contains_state(&self, user: UserId) -> bool {
-        self.shards[self.shard_index(user)].contains_key(StateKey::new(user).as_str())
+        self.shard_of(user).contains(user)
     }
 
     /// Total number of stored states across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(KvStore::len).sum()
+        self.shards.iter().map(StateShard::len).sum()
     }
 
     /// Returns `true` when no shard holds any state.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(KvStore::is_empty)
+        self.shards.iter().all(StateShard::is_empty)
     }
 
     /// Total bytes stored across all shards.
     pub fn stored_bytes(&self) -> u64 {
-        self.shards.iter().map(KvStore::stored_bytes).sum()
+        self.shards.iter().map(StateShard::stored_bytes).sum()
     }
 
     /// Aggregated traffic counters across all shards.
@@ -204,7 +513,7 @@ impl ShardedStateStore {
 
     /// Per-shard traffic counters (index = shard index).
     pub fn shard_stats(&self) -> Vec<StoreStats> {
-        self.shards.iter().map(KvStore::stats).collect()
+        self.shards.iter().map(StateShard::stats).collect()
     }
 
     /// Resets the traffic counters of every shard (stored data is kept).
@@ -215,54 +524,56 @@ impl ShardedStateStore {
     }
 }
 
-/// The `hidden/<user-id>` store key, formatted into a stack buffer: the
-/// read path builds one per request and must not allocate for it.
-struct StateKey {
-    /// `"hidden/user-"` plus at most 20 digits of a `u64`.
-    buf: [u8; 32],
-    len: usize,
-}
-
-impl StateKey {
-    fn new(user: UserId) -> Self {
-        let mut key = Self {
-            buf: [0; 32],
-            len: 0,
-        };
-        write!(key, "hidden/{user}").expect("a user id fits the key buffer");
-        key
-    }
-
-    fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.buf[..self.len]).expect("keys are formatted text")
-    }
-}
-
-impl std::fmt::Write for StateKey {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        let end = self.len + s.len();
-        self.buf
-            .get_mut(self.len..end)
-            .ok_or(std::fmt::Error)?
-            .copy_from_slice(s.as_bytes());
-        self.len = end;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
     #[test]
-    fn stack_keys_match_the_formatted_key_for_every_id_width() {
-        for id in [0u64, 7, 12_345, u64::MAX] {
-            assert_eq!(
-                StateKey::new(UserId(id)).as_str(),
-                format!("hidden/{}", UserId(id))
+    fn in_shard_hash_spreads_the_keys_a_shard_actually_holds() {
+        // A shard's keys all share `shard_index`; the slot map's hash must
+        // not. The map indexes buckets by the hash's low bits.
+        let store = ShardedStateStore::new(16);
+        let mut buckets = vec![[0usize; 64]; 16];
+        let mut held = [0usize; 16];
+        for id in 0..100_000u64 {
+            let shard = store.shard_index(UserId(id));
+            buckets[shard][(in_shard_hash(id) & 63) as usize] += 1;
+            held[shard] += 1;
+        }
+        for (shard, counts) in buckets.iter().enumerate() {
+            let uniform = held[shard] as f64 / 64.0;
+            let fullest = *counts.iter().max().unwrap();
+            assert!(
+                fullest as f64 <= 1.5 * uniform,
+                "shard {shard}: fullest bucket {fullest} vs uniform {uniform:.0}"
             );
         }
+    }
+
+    #[test]
+    fn states_of_different_widths_share_a_store() {
+        let store = ShardedStateStore::with_capacity(2, 8);
+        let wide: Vec<f32> = (0..128).map(|d| d as f32 * 0.5).collect();
+        store.put_state(UserId(1), &[1.0, 2.0, 3.0]);
+        store.put_state(UserId(2), &wide);
+        assert_eq!(store.get_state(UserId(1)).unwrap(), [1.0, 2.0, 3.0]);
+        assert_eq!(store.get_state(UserId(2)).unwrap(), wide);
+        // A slot takes whatever width is put next.
+        store.put_state(UserId(1), &wide);
+        store.put_state(UserId(2), &[4.0; 3]);
+        let mut row = [0.0f32; 128];
+        assert!(store.read_state_into(UserId(1), &mut row));
+        assert_eq!(row[..], wide[..]);
+        assert_eq!(store.stored_bytes(), 4 * (128 + 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "stored state holds 3 values, expected 128")]
+    fn read_state_into_a_row_of_another_width_panics_with_both_lengths() {
+        let store = ShardedStateStore::new(4);
+        store.put_state(UserId(9), &[0.0; 3]);
+        store.read_state_into(UserId(9), &mut [0.0; 128]);
     }
 
     #[test]

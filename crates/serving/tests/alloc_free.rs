@@ -1,14 +1,16 @@
-//! The batch core allocates nothing in steady state: with a warmed-up
-//! [`BatchScratch`], assembling a 64-request batch (state reads decoded in
-//! place, features written as input entries) and running its forward pass
-//! makes zero heap allocations, for predictions and for updates.
+//! The batch core and the state store allocate nothing in steady state:
+//! with a warmed-up [`BatchScratch`], assembling a 64-request batch (state
+//! reads copied into their rows, features written as input entries),
+//! running its forward pass and writing the advanced states back makes zero
+//! heap allocations — a write-back overwrites the stored state in place,
+//! and on a full bounded store a new user's state moves into the evicted
+//! one's buffer.
 //!
-//! Outside the bracket, and listed here because they do allocate:
+//! Outside the brackets, and listed here because they do allocate:
 //! * turning [`BatchScratch::probabilities`] into `Prediction`s for callers
 //!   that want a `Vec` (`BatchScheduler::run`, the reply channel sends);
-//! * [`write_back_chunk`] — the store's own `put` builds the owned key
-//!   `String` and the encoded `Bytes` per state (the string-keyed `KvStore`
-//!   is Open item 3's tail, not this test's);
+//! * the first state a store slot ever holds, and the slot map growing
+//!   towards the resident set;
 //! * the engine's per-request `mpsc` channel and per-batch job vectors.
 //!
 //! Alone in its file: the counting allocator is process-wide, so no other
@@ -69,9 +71,11 @@ fn predict_and_update_chunks_allocate_nothing_with_a_warm_scratch() {
 
     let mut scratch = BatchScratch::new();
     // Warm-up: one batch of each kind sizes every buffer in the scratch
-    // (and resolves the lazily registered metric handles).
+    // (and resolves the lazily registered metric handles); one write-back
+    // gives the cold-start users their slots.
     predict_chunk(&model, &store, &predicts, &mut scratch, None);
     update_chunk(&model, &store, &updates, &mut scratch, None);
+    write_back_chunk(&store, &updates, &scratch, None);
 
     let region = Region::new(GLOBAL);
     predict_chunk(&model, &store, &predicts, &mut scratch, None);
@@ -92,12 +96,36 @@ fn predict_and_update_chunks_allocate_nothing_with_a_warm_scratch() {
         "update_chunk allocated: {update:?}"
     );
 
-    // Outside the bracket: the write-back does allocate, in the store.
     let region = Region::new(GLOBAL);
     write_back_chunk(&store, &updates, &scratch, None);
-    assert!(region.change().allocations >= BATCH);
+    let write_back = region.change();
+    assert_eq!(
+        (write_back.allocations, write_back.reallocations),
+        (0, 0),
+        "write_back_chunk allocated: {write_back:?}"
+    );
     assert_eq!(
         store.get_state(UserId(0)).as_deref(),
         Some(scratch.next_state(0))
     );
+
+    // A full bounded store: every put of a new user evicts, and the
+    // newcomer's state lands in the victim's buffer.
+    let full = ShardedStateStore::with_capacity(16, 256);
+    let state = scratch.next_state(0);
+    for id in 0..1_024 {
+        full.put_state(UserId(id), state);
+    }
+    let evictions_before = full.stats().evictions;
+    let region = Region::new(GLOBAL);
+    for id in 0..BATCH as u64 {
+        full.put_state(UserId(1_024 + id), state);
+    }
+    let evicting = region.change();
+    assert_eq!(
+        (evicting.allocations, evicting.reallocations),
+        (0, 0),
+        "evicting puts allocated: {evicting:?}"
+    );
+    assert_eq!(full.stats().evictions - evictions_before, BATCH as u64);
 }

@@ -11,7 +11,9 @@
 //! three seeds at this file's 20k / 2k / 20k (ratio 0.72–0.74). The replay
 //! here is driven by the synchronous [`BatchScheduler`] instead: with worker
 //! threads the eviction order depends on how batches interleave and the
-//! counts wobble from run to run.
+//! counts wobble from run to run. Synchronous and seeded, it is exact — the
+//! test pins 1,309 / 973, so a store that evicts in any other order fails
+//! here even when the ratio still holds.
 
 use pp_data::schema::{Context, DatasetKind, Tab, UserId};
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
@@ -109,6 +111,7 @@ fn frequency_weighted_eviction_cuts_cold_restarts_under_driveby_pollution() {
     );
     let lru = cold_restarts(&model, EvictionPolicy::Lru);
     let frequency = cold_restarts(&model, EvictionPolicy::FrequencyWeighted);
+    assert_eq!((lru, frequency), (1_309, 973));
     assert!(
         frequency as f64 <= 0.9 * lru as f64,
         "frequency-weighted {frequency} cold restarts vs LRU {lru}: expected at most 0.9x"

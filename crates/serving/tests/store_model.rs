@@ -1,0 +1,173 @@
+//! The sharded state store against a model of itself: random operation
+//! sequences drive a [`ShardedStateStore`] and a linear-scan reference that
+//! states the contract in its plainest form — per shard a list of
+//! `(user, state, tick, freq)`, a tick per `put` and per bounded read hit,
+//! victim = minimum `(rank, tick)` — and the two must agree after every
+//! operation on what was found, what is resident and what was counted.
+
+use pp_data::schema::UserId;
+use pp_serving::{EvictionPolicy, ShardedStateStore, StoreStats};
+use proptest::prelude::*;
+
+const USERS: u64 = 32;
+const WIDTH: usize = 4;
+
+/// One shard of the reference.
+struct Reference {
+    capacity: Option<usize>,
+    policy: EvictionPolicy,
+    /// `(user, state, tick, freq)`.
+    entries: Vec<(u64, Vec<f32>, u64, u64)>,
+    next_tick: u64,
+    stats: StoreStats,
+}
+
+impl Reference {
+    fn position(&self, user: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.0 == user)
+    }
+
+    fn get(&mut self, user: u64) -> Option<Vec<f32>> {
+        self.stats.reads += 1;
+        let at = self.position(user)?;
+        if self.capacity.is_some() {
+            (self.entries[at].2, self.entries[at].3) = (self.next_tick, self.entries[at].3 + 1);
+            self.next_tick += 1;
+        }
+        self.stats.hits += 1;
+        self.stats.bytes_read += 4 * self.entries[at].1.len() as u64;
+        Some(self.entries[at].1.clone())
+    }
+
+    fn put(&mut self, user: u64, state: &[f32]) {
+        self.stats.writes += 1;
+        self.stats.bytes_written += 4 * state.len() as u64;
+        match self.position(user) {
+            Some(at) => {
+                let freq = self.entries[at].3 + 1;
+                self.entries[at] = (user, state.to_vec(), self.next_tick, freq);
+            }
+            None => self.entries.push((user, state.to_vec(), self.next_tick, 1)),
+        }
+        self.next_tick += 1;
+        while self
+            .capacity
+            .is_some_and(|bound| self.entries.len() > bound)
+        {
+            let rank = |freq| match self.policy {
+                EvictionPolicy::Lru => 0,
+                EvictionPolicy::FrequencyWeighted => freq,
+            };
+            let victim = (0..self.entries.len())
+                .min_by_key(|&i| (rank(self.entries[i].3), self.entries[i].2))
+                .unwrap();
+            self.entries.swap_remove(victim);
+            self.stats.evictions += 1;
+        }
+    }
+
+    fn remove(&mut self, user: u64) -> Option<Vec<f32>> {
+        self.position(user).map(|at| self.entries.swap_remove(at).1)
+    }
+}
+
+fn bits(state: &[f32]) -> Vec<u32> {
+    state.iter().map(|v| v.to_bits()).collect()
+}
+
+fn total(shards: &[Reference]) -> StoreStats {
+    let mut sum = StoreStats::default();
+    for s in shards.iter().map(|shard| shard.stats) {
+        sum.reads += s.reads;
+        sum.writes += s.writes;
+        sum.hits += s.hits;
+        sum.bytes_read += s.bytes_read;
+        sum.bytes_written += s.bytes_written;
+        sum.evictions += s.evictions;
+    }
+    sum
+}
+
+/// Runs `ops` — `(kind, user, value)` — through `store` and a reference of
+/// the same shape, comparing after every step.
+fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[(u8, u64, i32)]) {
+    let mut reference: Vec<Reference> = (0..store.num_shards())
+        .map(|shard| Reference {
+            capacity: store.shard(shard).capacity(),
+            policy,
+            entries: Vec::new(),
+            next_tick: 0,
+            stats: StoreStats::default(),
+        })
+        .collect();
+    for (step, &(kind, user, value)) in ops.iter().enumerate() {
+        let id = UserId(user);
+        let shard = &mut reference[store.shard_index(id)];
+        match kind {
+            0..=3 => {
+                let state: Vec<f32> = (0..WIDTH).map(|d| value as f32 / 7.0 + d as f32).collect();
+                store.put_state(id, &state);
+                shard.put(user, &state);
+            }
+            4 => {
+                let (found, expected) = (store.get_state(id), shard.get(user));
+                assert_eq!(found.as_deref().map(bits), expected.as_deref().map(bits));
+            }
+            5 => {
+                let mut row = [f32::NAN; WIDTH];
+                let expected = shard.get(user);
+                assert_eq!(store.read_state_into(id, &mut row), expected.is_some());
+                let untouched = vec![f32::NAN; WIDTH];
+                assert_eq!(bits(&row), bits(&expected.unwrap_or(untouched)));
+            }
+            6 => {
+                let (found, expected) = (store.remove_state(id), shard.remove(user));
+                assert_eq!(found.as_deref().map(bits), expected.as_deref().map(bits));
+            }
+            _ => assert_eq!(store.contains_state(id), shard.position(user).is_some()),
+        }
+        for probe in 0..USERS {
+            let resident = reference[store.shard_index(UserId(probe))].position(probe);
+            assert_eq!(
+                store.contains_state(UserId(probe)),
+                resident.is_some(),
+                "step {step}: residency of user {probe}"
+            );
+        }
+        let stats = store.stats();
+        assert_eq!(stats, total(&reference), "step {step}");
+        assert!(stats.hits <= stats.reads);
+        for (index, shard) in reference.iter().enumerate() {
+            let len = store.shard(index).len();
+            assert_eq!(len, shard.entries.len(), "step {step}: shard {index}");
+            assert!(shard.capacity.is_none_or(|bound| len <= bound));
+        }
+    }
+    // What is left holds the same bits.
+    for user in 0..USERS {
+        let expected = reference[store.shard_index(UserId(user))].remove(user);
+        let found = store.remove_state(UserId(user));
+        assert_eq!(found.as_deref().map(bits), expected.as_deref().map(bits));
+    }
+    assert!(store.is_empty());
+}
+
+proptest! {
+    #[test]
+    fn store_agrees_with_a_linear_scan_reference(
+        ops in prop::collection::vec((0u8..8, 0..USERS, -50i32..50), 1..240),
+        per_shard in 1usize..8,
+        spare in 0usize..4,
+    ) {
+        for shards in [1, 4] {
+            agree(&ShardedStateStore::new(shards), EvictionPolicy::Lru, &ops);
+            for policy in [EvictionPolicy::Lru, EvictionPolicy::FrequencyWeighted] {
+                // Shard bounds of 1–8 states, not all equal when `spare` is
+                // not a multiple of the shard count.
+                let capacity = shards * per_shard + spare % shards;
+                let store = ShardedStateStore::with_capacity_and_policy(shards, capacity, policy);
+                agree(&store, policy, &ops);
+            }
+        }
+    }
+}
