@@ -50,10 +50,10 @@ impl Default for LintConfig {
             //     the prefetch cache's; a state shard keeps its counters
             //     under its own lock) → obs lanes/rings (30) → wakeup
             //     mutexes (40).
-            // The wakeup mutexes (work generation, per-worker signal) are
-            // innermost: nothing may be acquired while holding them, which
-            // is exactly the discipline the two-channel wakeup protocol in
-            // pp-serving::batch relies on to stay deadlock-free.
+            // The wakeup mutexes (work generation, per-worker hold signal)
+            // are innermost: nothing may be acquired while holding them,
+            // which is exactly the discipline the two-channel wakeup
+            // protocol in pp-serving::batch relies on to stay deadlock-free.
             lock_classes: vec![
                 LockClassEntry {
                     class: "queue",
@@ -136,7 +136,7 @@ impl Default for LintConfig {
                 LockClassEntry {
                     class: "wakeup",
                     rank: 40,
-                    ident: "seq",
+                    ident: "hold",
                     path_contains: Some("crates/serving/"),
                 },
             ],
@@ -146,7 +146,7 @@ impl Default for LintConfig {
             // without locking, so Relaxed there is a real bug. `alive` is
             // the engine's count of running workers: the last one out and
             // every enqueue decide on it whether a job can still be served.
-            protocol_atomics: vec!["shutdown", "stop", "claimed", "claimant", "len", "alive"],
+            protocol_atomics: vec!["shutdown", "stop", "claimed", "len", "alive"],
             skip_paths: vec!["/target/", "shims/", "crates/analysis/tests/fixtures/"],
             obs_gating_exempt_paths: vec!["crates/obs/"],
         }

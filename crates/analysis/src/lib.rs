@@ -22,8 +22,8 @@
 //! Suppress a finding with a justification comment:
 //!
 //! ```text
-//! // Stale hints only cost a spurious wakeup. pp-lint: allow(atomic-ordering)
-//! let claimant = queue.claimant.load(Ordering::Relaxed);
+//! // A stale emptiness hint only costs a skipped scan. pp-lint: allow(atomic-ordering)
+//! let hint = queue.len.load(Ordering::Relaxed);
 //! ```
 //!
 //! Unused suppressions are themselves violations (`unused-suppression`),

@@ -2,7 +2,7 @@
 //! *protocol* atomics.
 //!
 //! The serving engine's wakeup protocol hinges on a handful of atomics
-//! (`shutdown`, the shard-queue `claimed` flag and `claimant` hint, the
+//! (`shutdown`, the shard-queue `claimed` flag, the
 //! lock-free `len` emptiness hint, bench `stop` flags): their stores
 //! publish state a *different* thread's load must observe before acting,
 //! so they need at least Release/Acquire pairing. Plain stat counters

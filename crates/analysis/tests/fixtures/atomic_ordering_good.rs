@@ -11,14 +11,13 @@ fn stat_counters(shared: &Shared) {
 
 fn protocol_strong(shared: &Shared, queue: &ShardQueue) {
     shared.shutdown.store(true, Ordering::SeqCst);
-    let _ = queue.claimant.load(Ordering::Acquire);
-    queue.claimant.store(1, Ordering::Release);
+    let _ = queue.len.load(Ordering::Acquire);
     queue.len.store(0, Ordering::Release);
 }
 
 fn deliberate_relaxed(queue: &ShardQueue) {
-    // A stale hint only costs a spurious wakeup. pp-lint: allow(atomic-ordering)
-    let hint = queue.claimant.load(Ordering::Relaxed);
+    // A stale emptiness hint only costs a skipped scan. pp-lint: allow(atomic-ordering)
+    let hint = queue.len.load(Ordering::Relaxed);
     let _ = hint;
 }
 

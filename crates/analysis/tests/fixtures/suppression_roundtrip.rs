@@ -8,8 +8,8 @@ fn trailing_allow(state: &State) {
 }
 
 fn own_line_allow(queue: &ShardQueue) {
-    // A stale hint only costs one spurious wakeup. pp-lint: allow(atomic-ordering)
-    let hint = queue.claimant.load(Ordering::Relaxed);
+    // A stale emptiness hint only costs one skipped scan. pp-lint: allow(atomic-ordering)
+    let hint = queue.len.load(Ordering::Relaxed);
     let _ = hint;
 }
 

@@ -23,8 +23,11 @@
 //!   caller's thread, deterministic and directly testable for
 //!   batched-vs-single equivalence;
 //! * [`BatchServingEngine`] — worker threads around the same logic: clients
-//!   submit requests from any thread, workers drain the shared queue in
-//!   batches of up to `max_batch`, reply over per-request channels.
+//!   submit requests from any thread, workers drain the per-shard queues in
+//!   batches of up to `max_batch`, reply over per-request channels. A
+//!   submission wakes a worker only if that worker can do something with
+//!   it: a worker holding a partial batch open is woken when the batch can
+//!   fill, the idle workers when no open batch has room for the jobs.
 
 use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Context, UserId};
@@ -348,28 +351,52 @@ struct ShardQueue {
     len: AtomicUsize,
     /// Exclusively held by one worker from drain to state write-back.
     claimed: AtomicBool,
-    /// Last worker to claim this queue — a best-effort hint so an enqueue
-    /// can also wake a coalescing *thief* currently holding the claim
-    /// (whose private signal the home-worker bump would miss). Stale
-    /// values only cost a spurious wakeup.
-    claimant: AtomicUsize,
 }
 
-/// A worker's private wakeup channel: submissions for shards the worker
-/// owns bump `seq` and notify `cv`, so a worker holding a partial batch
-/// open is woken by exactly the arrivals that could join its batch — it can
-/// never consume a wakeup another (idle) worker needed.
+/// What a [`WorkerSignal`] guards.
+#[derive(Debug, Default)]
+struct Hold {
+    /// Enqueue passes so far. A worker reads it before it scans and again
+    /// before it parks: a pass in between may have queued jobs the scan
+    /// missed, so the worker scans again instead of parking.
+    seq: u64,
+    /// Rows the worker's open batch can still take, less the jobs enqueued
+    /// since it parked. Non-zero only while the worker is inside its hold's
+    /// timed wait — it is set under the guard that wait takes and zeroed
+    /// under the guard it returns — so a worker that is executing, idle or
+    /// dead never looks as if it were absorbing arrivals.
+    room: usize,
+}
+
+/// A worker's private wake-up channel, used only while it holds a partial
+/// batch open (idle workers park on [`EngineShared::idle`]). The worker
+/// sleeps to its batch's deadline, where it scans every shard anyway; an
+/// enqueue pass wakes it earlier only when the jobs enqueued since it
+/// parked could fill the batch.
 #[derive(Debug, Default)]
 struct WorkerSignal {
-    seq: Mutex<u64>,
+    hold: Mutex<Hold>,
     cv: Condvar,
 }
 
 impl WorkerSignal {
-    fn bump(&self) {
-        let mut seq = self.seq.lock_or_panic("worker signal");
-        *seq += 1;
-        self.cv.notify_all();
+    /// Counts one enqueue pass of `arrived` jobs against the worker's
+    /// published room and wakes the worker if that uses the room up.
+    /// Returns whether the worker is holding a batch with room for all of
+    /// them: they can join that batch, at its deadline at the latest.
+    fn arrive(&self, arrived: usize) -> bool {
+        let mut hold = self.hold.lock_or_panic("worker signal");
+        hold.seq += 1;
+        if hold.room == 0 {
+            return false;
+        }
+        let absorbs = hold.room >= arrived;
+        hold.room = hold.room.saturating_sub(arrived);
+        if hold.room == 0 {
+            // One waiter at most: the worker itself.
+            self.cv.notify_one();
+        }
+        absorbs
     }
 }
 
@@ -380,6 +407,12 @@ struct WorkerCounters {
     updates: AtomicU64,
     steals: AtomicU64,
     idle_ns: AtomicU64,
+    /// While the worker is inside `idle.wait`: the generation it waits to
+    /// see move, plus one (0 = not parked). Written under `work_gen`, so a
+    /// test holding that lock can tell a peer parked on the current
+    /// generation from one that is about to scan again.
+    #[cfg(test)]
+    parked_on: AtomicU64,
 }
 
 /// Per-worker counters of a [`BatchServingEngine`]
@@ -415,10 +448,11 @@ struct EngineShared {
     /// One private wakeup channel per worker.
     signals: Vec<WorkerSignal>,
     worker_counters: Vec<WorkerCounters>,
-    /// Generation counter for idle workers: bumped (under its mutex, with
-    /// `idle.notify_all`) whenever work appears or a claimed shard is
-    /// released. Idle workers re-scan whenever the generation moves, so no
-    /// submission can be lost between a scan and a park.
+    /// Generation counter for idle workers: moved under its mutex whenever
+    /// work appears or a claimed shard is released. Idle workers re-scan
+    /// whenever the generation moves, so no submission can be lost between
+    /// a scan and a park; `idle.notify_all` wakes the parked ones, and is
+    /// skipped only for arrivals a holding worker absorbs (see `enqueue`).
     work_gen: Mutex<u64>,
     idle: Condvar,
     /// Jobs currently queued across all shards (for the queue-depth gauge).
@@ -442,12 +476,15 @@ impl EngineShared {
         shard % self.num_workers()
     }
 
-    /// Announce new or newly-claimable work to idle workers.
-    fn bump_work_gen(&self) {
+    /// Moves the work generation, so that a worker between its scan and its
+    /// park scans again, and wakes the parked idle workers if `wake_idle`.
+    fn bump_work_gen(&self, wake_idle: bool) {
         let mut gen = self.work_gen.lock_or_panic("work generation");
         *gen += 1;
         drop(gen);
-        self.idle.notify_all();
+        if wake_idle {
+            self.idle.notify_all();
+        }
     }
 }
 
@@ -460,6 +497,13 @@ impl EngineShared {
 /// have a home worker and per-user predict/update ordering is preserved
 /// without a global lock; idle workers **steal** whole shard queues from
 /// busy peers, so skewed traffic still saturates every core.
+///
+/// Who is woken by a submission: a worker holding a partial batch open
+/// ([`start_with_coalesce`](Self::start_with_coalesce)) only once the jobs
+/// submitted since it parked could fill that batch — until then it sleeps
+/// to the batch's deadline and collects them there; the idle workers only
+/// when no holding worker has room for the submission. Without a coalesce
+/// wait nobody holds, and every submission wakes the idle workers.
 ///
 /// With `max_batch = 1` every request is a batch of one through the same
 /// fused pass: the unbatched baseline.
@@ -542,11 +586,16 @@ impl BatchServingEngine {
         self.shared.owner(self.shared.store.shard_index(user))
     }
 
-    /// Routes jobs to their home-shard queues and wakes workers: every home
-    /// worker gets a targeted signal (so a worker coalescing a partial
-    /// batch learns about joinable arrivals), and the idle generation is
-    /// bumped with `notify_all` (so no idle worker can miss work because a
-    /// busy peer consumed the only wakeup).
+    /// Routes jobs to their home-shard queues, then wakes only the workers
+    /// the jobs need. Every worker's signal counts the pass: a worker
+    /// holding a partial batch open is woken once the jobs enqueued since it
+    /// parked could fill the batch, and otherwise sleeps on to its deadline.
+    /// The work generation always moves, but the parked idle workers are
+    /// woken (`notify_all`, so a busy peer cannot consume the only wake-up)
+    /// only when no holder has room for the whole pass: jobs a holder can
+    /// absorb join its batch at its *earlier* deadline instead of opening a
+    /// second hold with a later one. An engine started without a coalesce
+    /// wait never has a holder, so every pass wakes its idle workers.
     fn enqueue(&self, jobs: Vec<Job>) {
         if jobs.is_empty() {
             return;
@@ -560,11 +609,8 @@ impl BatchServingEngine {
         crate::obs::ServingObs::global()
             .queue_depth
             .set(depth as f64);
-        let mut notify_workers = vec![false; shared.num_workers()];
         for job in jobs {
-            let shard = shared.store.shard_index(job.kind.user_id());
-            notify_workers[shared.owner(shard)] = true;
-            let queue = &shared.queues[shard];
+            let queue = &shared.queues[shared.store.shard_index(job.kind.user_id())];
             let mut q = queue.jobs.lock_or_panic("shard queue");
             // Read under the queue lock, which the last worker out takes
             // after it zeroes the count: a job queued here is either seen
@@ -576,28 +622,19 @@ impl BatchServingEngine {
             }
             q.push_back(job);
             queue.len.store(q.len(), Ordering::Release);
-            drop(q);
-            // If a (possibly stealing) worker holds this shard's claim
-            // mid-coalesce, wake it too — the home worker can't drain a
-            // claimed queue on its behalf.
-            if queue.claimed.load(Ordering::Acquire) {
-                // Acquire pairs with the claimant Release store in gather:
-                // Relaxed here could read a stale claimant and wake the
-                // wrong worker, leaving the real claimant parked until its
-                // coalescing-window timeout (a tail-latency spike, not a
-                // hang — but the window is the latency budget).
-                let claimant = queue.claimant.load(Ordering::Acquire);
-                if claimant < notify_workers.len() {
-                    notify_workers[claimant] = true;
-                }
-            }
         }
-        shared.bump_work_gen();
-        for (worker, notify) in notify_workers.into_iter().enumerate() {
-            if notify {
-                shared.signals[worker].bump();
-            }
+        // Every job is queued before any signal is read: a holder whose room
+        // counts them either is still parked — its deadline's scan comes
+        // later — or zeroed its room before this pass read it, and the pass
+        // then wakes the idle workers as if nobody were holding. What a
+        // holder absorbs but cannot take (another kind, a user already in
+        // its update batch, a shard a peer has claimed) is announced when
+        // its batch's claims drop, no later than the holder's deadline.
+        let mut absorbed = false;
+        for signal in &shared.signals {
+            absorbed |= signal.arrive(arrived);
         }
+        shared.bump_work_gen(!absorbed);
     }
 
     /// One enqueue pass for a wave of requests of one kind, all stamped
@@ -724,9 +761,10 @@ impl BatchServingEngine {
 impl Drop for BatchServingEngine {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.bump_work_gen();
+        self.shared.bump_work_gen(true);
         for signal in &self.shared.signals {
-            signal.bump();
+            // More than any room: ends a hold whatever it has room for.
+            signal.arrive(usize::MAX);
         }
         // Workers drain every queued job before exiting, so in-flight
         // receivers still get their replies.
@@ -878,9 +916,9 @@ fn gather(
                 continue;
             }
             // Acquire on failure too: the loser reads the queue state the
-            // winner's claim protects (len, claimant) right after this —
-            // a Relaxed failure load would let those reads be satisfied
-            // from before the winner's Release.
+            // winner's claim protects (len) right after this — a Relaxed
+            // failure load would let those reads be satisfied from before
+            // the winner's Release.
             if queue
                 .claimed
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
@@ -888,11 +926,6 @@ fn gather(
             {
                 continue;
             }
-            // Release pairs with the Acquire claimant load in enqueue: a
-            // Relaxed store could be observed after `claimed` itself, so
-            // the enqueuer would target whichever worker claimed this
-            // shard *last* cycle and skip waking the current claimant.
-            queue.claimant.store(worker, Ordering::Release);
         }
         let mut drained = 0usize;
         {
@@ -965,9 +998,13 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             }
             let parked = std::time::Instant::now();
             let mut gen = shared.work_gen.lock_or_panic("work generation");
+            #[cfg(test)]
+            counters.parked_on.store(gen_before + 1, Ordering::SeqCst);
             while *gen == gen_before && !shared.shutdown.load(Ordering::SeqCst) {
                 gen = shared.idle.wait(gen).expect("idle wait");
             }
+            #[cfg(test)]
+            counters.parked_on.store(0, Ordering::SeqCst);
             drop(gen);
             let idle_ns = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
             counters.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
@@ -999,21 +1036,34 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                     if remaining.is_zero() {
                         break;
                     }
-                    // Read the private signal sequence before re-gathering:
-                    // an arrival after the read bumps the sequence and skips
-                    // the wait; an arrival before it is picked up by the
-                    // gather. Either way nothing is lost.
-                    let seq_before = *signal.seq.lock_or_panic("worker signal");
+                    // Read the pass count before re-gathering: a pass after
+                    // the read moves it and skips the wait; the jobs of a
+                    // pass before it are all queued, and the gather sees
+                    // them. So the room published below counts every job
+                    // that could still join: nothing that could fill the
+                    // batch is slept on.
+                    let seq_before = signal.hold.lock_or_panic("worker signal").seq;
                     gather(shared, worker, &mut batch, &mut seen_users);
                     if batch.jobs.len() >= shared.max_batch {
                         break;
                     }
-                    let seq = signal.seq.lock_or_panic("worker signal");
-                    if *seq == seq_before {
-                        let _ = signal
+                    let mut hold = signal.hold.lock_or_panic("worker signal");
+                    if hold.seq == seq_before {
+                        hold.room = shared.max_batch - batch.jobs.len();
+                        // Sleeps through the passes the room absorbs; woken
+                        // when one uses it up, at shutdown, or by the
+                        // deadline. `shutdown` is re-read under the guard
+                        // because it may have been set, and the signal
+                        // already bumped, since the loop last looked.
+                        let (mut hold, _) = signal
                             .cv
-                            .wait_timeout(seq, remaining)
+                            .wait_timeout_while(hold, remaining, |hold| {
+                                hold.room > 0 && !shared.shutdown.load(Ordering::SeqCst)
+                            })
                             .expect("coalesce wait");
+                        hold.room = 0;
+                        drop(hold);
+                        obs.worker_hold_wakes.inc();
                     }
                 }
                 gather(shared, worker, &mut batch, &mut seen_users);
@@ -1449,61 +1499,284 @@ mod tests {
         predict.recv().unwrap();
     }
 
+    /// Bounds a wait only so that a hang fails the test instead of blocking
+    /// it; a disconnect returns at once.
+    const HANG: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// Spins until `ready` yields a value; `what` names what never came.
+    fn wait_for<T>(what: &str, mut ready: impl FnMut() -> Option<T>) -> T {
+        let started = std::time::Instant::now();
+        loop {
+            if let Some(value) = ready() {
+                return value;
+            }
+            assert!(started.elapsed() < HANG, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// The worker inside its hold's timed wait and the room it publishes.
+    fn parked_holder(engine: &BatchServingEngine) -> Option<(usize, usize)> {
+        let signals = engine.shared.signals.iter().enumerate();
+        signals
+            .map(|(worker, signal)| (worker, signal.hold.lock().unwrap().room))
+            .find(|&(_, room)| room > 0)
+    }
+
+    /// `n` distinct users (never user 0) whose home worker is `worker`.
+    fn users_homed_on(engine: &BatchServingEngine, worker: usize, n: usize) -> Vec<UserId> {
+        let users = (1..256).map(UserId);
+        let homed: Vec<UserId> = users
+            .filter(|&u| engine.home_worker(u) == worker)
+            .take(n)
+            .collect();
+        assert_eq!(homed.len(), n, "not enough users homed on worker {worker}");
+        homed
+    }
+
+    /// The state every wake-up rule starts from: a two-worker coalescing
+    /// engine with one worker parked in its hold over a lone predict for
+    /// user 0 and its peer parked idle.
+    struct Held {
+        model: Arc<RnnModel>,
+        store: Arc<ShardedStateStore>,
+        engine: BatchServingEngine,
+        /// Taken before the lone job was submitted: its deadline is no
+        /// earlier than `submitted + wait`.
+        submitted: std::time::Instant,
+        first: mpsc::Receiver<Prediction>,
+        holder: usize,
+        peer: usize,
+    }
+
+    fn hold_one(max_batch: usize, wait: std::time::Duration) -> Held {
+        let model = Arc::new(model());
+        let store = Arc::new(ShardedStateStore::new(4));
+        let engine = BatchServingEngine::start_with_coalesce(
+            model.clone(),
+            store.clone(),
+            2,
+            max_batch,
+            Some(wait),
+        );
+        let submitted = std::time::Instant::now();
+        let first = engine.submit(request(0, 1));
+        let (holder, room) = wait_for("no worker parked over the lone job", || {
+            parked_holder(&engine)
+        });
+        assert_eq!(room, max_batch - 1);
+        let peer = 1 - holder;
+        // Parked on the *current* generation, read under its lock: a peer
+        // that an earlier pass woke and that has not run since, or one
+        // between its scan and its park, would scan again on the next pass
+        // and take jobs the test expects the holder to absorb.
+        wait_for("the peer never parked", || {
+            let gen = engine.shared.work_gen.lock().unwrap();
+            let parked_on = engine.shared.worker_counters[peer]
+                .parked_on
+                .load(Ordering::SeqCst);
+            (parked_on == *gen + 1).then_some(())
+        });
+        Held {
+            model,
+            store,
+            engine,
+            submitted,
+            first,
+            holder,
+            peer,
+        }
+    }
+
+    /// Three single submits — three enqueue passes — for users homed on the
+    /// parked peer.
+    fn three_more_homed_on_the_peer(held: &Held) -> Vec<mpsc::Receiver<Prediction>> {
+        let users = users_homed_on(&held.engine, held.peer, 3);
+        let submits = users.iter().zip(2..);
+        submits
+            .map(|(user, i)| held.engine.submit(request(user.0, i)))
+            .collect()
+    }
+
     #[test]
     fn separate_submits_are_not_stranded_by_a_peer_coalescing_a_partial_batch() {
         // Regression: the old single-queue engine woke workers with
         // `notify_one`, so a submission's wakeup could be consumed by a
         // worker parked mid-coalesce over a partial batch while an idle
         // peer — which could have served the job immediately — kept
-        // sleeping, stranding the job for the full coalesce window. Jobs
-        // now land in per-shard queues, idle workers park on a generation
-        // counter bumped with `notify_all`, and coalescing workers listen
-        // on private signals.
-        let m = Arc::new(model());
-        let store = Arc::new(ShardedStateStore::new(4));
+        // sleeping, stranding the job for the full coalesce window. Now
+        // every pass is counted against the holder's room and wakes it when
+        // its batch can fill, and wakes the idle workers (`notify_all`)
+        // whenever no holder has room for it.
         let wait = std::time::Duration::from_secs(2);
-        let engine = BatchServingEngine::start_with_coalesce(m, store.clone(), 2, 2, Some(wait));
-        // Some worker wins the race for the lone job, claims its shard and
-        // holds the partial batch open until t = 2s.
-        let lone = UserId(0);
-        let j1 = engine.submit(request(lone.0, 1));
-        let lone_queue = &engine.shared.queues[store.shard_index(lone)];
-        let submitted = std::time::Instant::now();
-        while !lone_queue.claimed.load(Ordering::Acquire) {
-            assert!(submitted.elapsed() < HANG, "no worker claimed the lone job");
-            std::thread::yield_now();
-        }
-        let holder = lone_queue.claimant.load(Ordering::Acquire);
-        // Two distinct users sharing a single shard homed on the *idle*
-        // peer. Homed on the holder, the first arrival would signal the
-        // holder, join its open batch (same kind) and leave the second
-        // alone in a fresh two-second window — which worker wins the race
-        // above used to decide whether this test passed.
-        let second = (1..256)
-            .map(UserId)
-            .find(|&u| engine.home_worker(u) != holder)
-            .expect("a user homed on the idle peer exists");
+        let Held {
+            store,
+            engine,
+            first,
+            peer,
+            ..
+        } = hold_one(2, wait);
+        // Two distinct users sharing a single shard homed on the idle peer:
+        // the pattern that lost a wakeup in the old engine.
+        let second = users_homed_on(&engine, peer, 1)[0];
         let third = (1..256)
             .map(UserId)
             .find(|&u| u != second && store.shard_index(u) == store.shard_index(second))
             .expect("a second user in the same shard exists");
 
-        // Two *separate* submits (two wakeup events — the pattern that
-        // lost a wakeup in the old engine). They fill a max_batch = 2
-        // batch and must be served immediately, long before any coalesce
-        // window expires.
+        // Two more *separate* submits (two wakeup events). With
+        // `max_batch = 2`, two of the three jobs fill a batch and must be
+        // served at once, long before any coalesce window expires —
+        // whichever worker ends up with which job.
         let started = std::time::Instant::now();
-        let j2 = engine.submit(request(second.0, 2));
-        let j3 = engine.submit(request(third.0, 3));
-        j2.recv_timeout(std::time::Duration::from_millis(900))
-            .expect("second job stranded behind a peer's coalesce window");
-        j3.recv_timeout(std::time::Duration::from_millis(900))
-            .expect("third job stranded behind a peer's coalesce window");
-        assert!(started.elapsed() < std::time::Duration::from_millis(1000));
-        // The lone partial batch still flushes at its own (arrival-
-        // anchored) deadline.
-        j1.recv_timeout(std::time::Duration::from_secs(4))
-            .expect("lone job must flush at its coalesce deadline");
+        let mut pending = vec![
+            first,
+            engine.submit(request(second.0, 2)),
+            engine.submit(request(third.0, 3)),
+        ];
+        while pending.len() > 1 {
+            assert!(
+                started.elapsed() < std::time::Duration::from_millis(900),
+                "a batch that could fill waited on a coalesce window"
+            );
+            pending.retain(|receiver| receiver.try_recv().is_err());
+            std::thread::yield_now();
+        }
+        // The odd job out still flushes at its own (arrival-anchored)
+        // deadline.
+        pending[0]
+            .recv_timeout(std::time::Duration::from_secs(4))
+            .expect("the odd job must flush at its coalesce deadline");
+        assert_eq!(engine.stats().batches, 2);
+    }
+
+    #[test]
+    fn arrivals_a_holder_can_absorb_join_its_batch_and_wake_nobody() {
+        // Fails on the parent (2 batches): there the first of the three
+        // submits wakes the idle peer, which claims it and opens a second
+        // hold with a later deadline.
+        let wait = std::time::Duration::from_secs(2);
+        let held = hold_one(8, wait);
+        for reply in three_more_homed_on_the_peer(&held) {
+            reply
+                .recv_timeout(HANG)
+                .expect("absorbed by the holder, served at its deadline");
+        }
+        held.first.recv_timeout(HANG).expect("the lone job");
+        // All four at the first job's deadline, in the one batch.
+        assert!(held.submitted.elapsed() >= wait);
+        let stats = held.engine.stats();
+        assert_eq!((stats.batches, stats.largest_batch), (1, 4));
+        assert_eq!(held.engine.worker_stats()[held.peer].batches, 0);
+    }
+
+    #[test]
+    fn a_held_batch_is_served_as_soon_as_single_submits_fill_it() {
+        // Fails on the parent by time-out: the peer takes the submits homed
+        // on it into a second hold and neither batch ever fills.
+        let held = hold_one(4, std::time::Duration::from_secs(10));
+        let mut replies = three_more_homed_on_the_peer(&held);
+        replies.push(held.first);
+        for reply in replies {
+            reply
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("the fourth submit fills the batch: no window is waited out");
+        }
+        let stats = held.engine.stats();
+        assert_eq!((stats.batches, stats.largest_batch), (1, 4));
+    }
+
+    #[test]
+    fn a_job_the_holder_absorbs_but_cannot_take_is_served_within_its_own_window() {
+        // Passes on the parent too, where the update's arrival wakes the
+        // idle peer at once. Here nobody is woken: the holder has room, but
+        // its batch is predicts. The update must still be picked up when
+        // that batch's claims drop, and wait no longer than its own window
+        // (a second window on top would read ~4 s) plus that one batch.
+        let wait = std::time::Duration::from_secs(2);
+        let held = hold_one(8, wait);
+        let m = &held.model;
+        let update_submitted = std::time::Instant::now();
+        let close = update(0, 2);
+        let applied = held.engine.submit_update(close);
+
+        // Per-user order: the predict was submitted first and scores the
+        // state from before the update.
+        let open = request(0, 1);
+        let cold = m.predict_proba(
+            &m.initial_state(),
+            &m.featurizer()
+                .predict_input(open.timestamp, &open.context, open.elapsed_secs),
+        );
+        let served = held.first.recv_timeout(HANG).expect("the held predict");
+        assert!((served.probability - cold).abs() < 1e-6);
+
+        applied.recv_timeout(HANG).expect("the absorbed update");
+        let waited = update_submitted.elapsed();
+        assert!(waited < wait * 3 / 2, "update waited {waited:?}");
+        let next = m.advance_state(
+            &m.initial_state(),
+            &m.featurizer().update_input(
+                close.timestamp,
+                &close.context,
+                close.delta_t_secs,
+                close.accessed,
+            ),
+        );
+        let stored = held.store.get_state(UserId(0)).unwrap();
+        for (a, b) in stored.iter().zip(&next) {
+            assert!((a - b).abs() < 1e-6);
+        }
+        assert_eq!(held.engine.stats().batches, 2);
+    }
+
+    #[test]
+    fn a_dead_holder_leaves_no_room_behind() {
+        // New state, so nothing to compare on the parent. A worker that
+        // held a batch open and then died serving it must not look as if it
+        // were still absorbing: later submits would move the generation,
+        // wake nobody and wait for ever.
+        let wait = std::time::Duration::from_secs(1);
+        let held = hold_one(8, wait);
+        poison(&held.store, UserId(0));
+        assert_eq!(
+            held.first.recv_timeout(HANG),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "the held batch dies with its worker at the deadline"
+        );
+        let shared = &held.engine.shared;
+        wait_for("the dead worker never counted itself out", || {
+            (shared.alive.load(Ordering::SeqCst) == 1).then_some(())
+        });
+        assert_eq!(shared.signals[held.holder].hold.lock().unwrap().room, 0);
+        // Homed on the dead worker: only the survivor's steal serves them,
+        // at their own deadline.
+        let submitted = std::time::Instant::now();
+        let replies: Vec<_> = users_homed_on(&held.engine, held.holder, 2)
+            .iter()
+            .map(|user| held.engine.submit(request(user.0, 2)))
+            .collect();
+        for reply in replies {
+            reply
+                .recv_timeout(HANG)
+                .expect("stranded behind a dead holder");
+        }
+        assert!(submitted.elapsed() >= wait);
+        assert_eq!(held.engine.worker_stats()[held.peer].predictions, 2);
+    }
+
+    #[test]
+    fn shutdown_during_a_hold_flushes_the_partial_batch() {
+        // Passes on the parent; pins the shutdown wake-up, which now has to
+        // get past a holder that sleeps through ordinary arrivals. A missed
+        // one shows as a thirty-second drop.
+        let held = hold_one(8, std::time::Duration::from_secs(30));
+        let started = std::time::Instant::now();
+        drop(held.engine);
+        assert!(started.elapsed() < HANG, "drop waited out the hold");
+        held.first
+            .try_recv()
+            .expect("workers serve what they hold before they exit");
     }
 
     /// Stores a state of the wrong length for `user`: `read_state_into`
@@ -1511,10 +1784,6 @@ mod tests {
     fn poison(store: &ShardedStateStore, user: UserId) {
         store.put_state(user, &[0.0; 3]);
     }
-
-    /// Bounds a wait only so that a hang fails the test instead of blocking
-    /// it; a disconnect returns at once.
-    const HANG: std::time::Duration = std::time::Duration::from_secs(10);
 
     #[test]
     fn a_dead_worker_fails_its_batch_and_releases_its_shards() {

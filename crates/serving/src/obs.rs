@@ -35,6 +35,10 @@ pub struct ServingObs {
     /// `serving.worker.steals` — batches that drained at least one job from
     /// a shard the serving worker does not own (work stealing).
     pub worker_steals: Arc<Counter>,
+    /// `serving.worker.hold_wakes` — returns from a coalesce hold's timed
+    /// wait: a batch that could fill, a shutdown or the deadline. Divided by
+    /// `serving.worker.batches` it is the wake-ups one batch costs.
+    pub worker_hold_wakes: Arc<Counter>,
     /// `serving.worker.idle_ns` — total nanoseconds workers spent parked
     /// waiting for work (sums across workers; divide by worker count and
     /// wall time for mean idle fraction).
@@ -57,6 +61,7 @@ impl ServingObs {
             store_evictions: registry.counter("serving.store.evictions"),
             worker_batches: registry.counter("serving.worker.batches"),
             worker_steals: registry.counter("serving.worker.steals"),
+            worker_hold_wakes: registry.counter("serving.worker.hold_wakes"),
             worker_idle_ns: registry.counter("serving.worker.idle_ns"),
         }
     }
