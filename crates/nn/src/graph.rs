@@ -10,6 +10,7 @@
 //! builds one graph per user sequence per thread (mirroring the paper's
 //! per-user parallelism) and merges the resulting gradient stores.
 
+use crate::activation;
 use crate::params::{GradStore, ParamId};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
@@ -199,15 +200,17 @@ impl Graph {
         self.push(value, Op::SliceCols(a, start, end), None)
     }
 
-    /// Element-wise logistic sigmoid.
+    /// Element-wise logistic sigmoid ([`activation::sigmoid`]).
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let value = self.nodes[a.0].value.map(stable_sigmoid);
+        let mut value = self.nodes[a.0].value.clone();
+        activation::sigmoid_in_place(value.as_mut_slice());
         self.push(value, Op::Sigmoid(a), None)
     }
 
-    /// Element-wise hyperbolic tangent.
+    /// Element-wise hyperbolic tangent ([`activation::tanh`]).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let value = self.nodes[a.0].value.map(f32::tanh);
+        let mut value = self.nodes[a.0].value.clone();
+        activation::tanh_in_place(value.as_mut_slice());
         self.push(value, Op::Tanh(a), None)
     }
 
@@ -436,7 +439,7 @@ impl Graph {
                         let zi = z.as_slice()[idx];
                         let yi = targets.as_slice()[idx];
                         let wi = weights.as_ref().map_or(1.0, |w| w.as_slice()[idx]);
-                        let p = stable_sigmoid(zi);
+                        let p = activation::sigmoid(zi);
                         grad.as_mut_slice()[idx] = seed * wi * (p - yi) / denom;
                     }
                     self.nodes[logits.0].grad.add_scaled_inplace(&grad, 1.0);
@@ -460,46 +463,10 @@ impl Graph {
     }
 }
 
-/// Numerically stable logistic sigmoid: `1 / (1 + e^-x)` for `x ≥ 0`,
-/// `e^x / (1 + e^x)` otherwise, so the exponential never overflows. Written
-/// as two selects around one `exp` rather than two branches: pre-activation
-/// signs are a coin flip, and a mispredicted branch costs more than the
-/// `exp`. Every input gives the bits the branching form gives.
-#[inline]
-pub fn stable_sigmoid(x: f32) -> f32 {
-    let non_negative = x >= 0.0;
-    let e = (if non_negative { -x } else { x }).exp();
-    (if non_negative { 1.0 } else { e }) / (1.0 + e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::ParamStore;
-
-    #[test]
-    fn stable_sigmoid_matches_the_two_branch_form_bit_for_bit() {
-        let two_branch = |x: f32| {
-            if x >= 0.0 {
-                1.0 / (1.0 + (-x).exp())
-            } else {
-                let e = x.exp();
-                e / (1.0 + e)
-            }
-        };
-        // Every 4099th bit pattern (a prime stride covers all exponents and
-        // both signs), plus the edge cases.
-        let edges = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
-        let strided = (0..=u32::MAX).step_by(4_099).map(f32::from_bits);
-        for x in strided.chain(edges) {
-            assert_eq!(
-                stable_sigmoid(x).to_bits(),
-                two_branch(x).to_bits(),
-                "x = {x:?} ({:#x})",
-                x.to_bits()
-            );
-        }
-    }
 
     /// Finite-difference gradient check helper: perturbs each element of the
     /// parameter tensor and compares the numerical gradient with the autodiff
@@ -712,10 +679,14 @@ mod tests {
 
     #[test]
     fn stable_sigmoid_extremes() {
-        assert!(stable_sigmoid(100.0) > 0.999_999);
-        assert!(stable_sigmoid(-100.0) < 1e-6);
-        assert!((stable_sigmoid(0.0) - 0.5).abs() < 1e-7);
-        assert!(stable_sigmoid(-1000.0).is_finite());
-        assert!(stable_sigmoid(1000.0).is_finite());
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::from_row(&[100.0, -100.0, 0.0, -1000.0, 1000.0]));
+        let s = g.sigmoid(x);
+        let s = g.value(s).as_slice();
+        assert!(s[0] > 0.999_999);
+        assert!(s[1] < 1e-6);
+        assert!((s[2] - 0.5).abs() < 1e-7);
+        assert!(s[3].is_finite());
+        assert!(s[4].is_finite());
     }
 }

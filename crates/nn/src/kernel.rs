@@ -33,8 +33,9 @@
 //! The body is plain safe Rust marked `#[inline(always)]` and instantiated
 //! twice: portably, and under `#[target_feature(enable = "avx2")]` so the
 //! compiler vectorises the same source eight lanes wide. [`gemm_acc`] picks
-//! once per call with `is_x86_feature_detected!`; that call is the only
-//! `unsafe` in the workspace.
+//! once per call with `is_x86_feature_detected!` through a private
+//! `dispatch`, which the slice forms of [`crate::activation`] share; its
+//! call into the AVX2 instantiation is the only `unsafe` in the workspace.
 //!
 //! [`Tensor::matmul`]: crate::tensor::Tensor::matmul
 
@@ -51,18 +52,33 @@ const TILE: usize = 16;
 /// Panics if the slice lengths do not describe such shapes.
 pub fn gemm_acc(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
     check_shapes(out, a, w, n);
+    dispatch(
+        #[inline(always)]
+        || gemm_body(out, a, w, n),
+    );
+}
+
+/// Runs `body` in its AVX2 instantiation when the CPU has AVX2, portably
+/// otherwise; without FMA the two give the same bits. Shared by
+/// [`gemm_acc`] and the slice forms in [`crate::activation`].
+///
+/// `body` must be an `#[inline(always)]` closure over `#[inline(always)]`
+/// callees: only code inlined into `with_avx2` is compiled for AVX2, and a
+/// large closure left out of line silently runs portably.
+#[inline(always)]
+pub(crate) fn dispatch(body: impl FnOnce()) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `gemm_avx2` requires only that the CPU supports AVX2,
+        // SAFETY: `with_avx2` requires only that the CPU supports AVX2,
         // which the `is_x86_feature_detected!("avx2")` guard above has just
-        // established; its body is the same safe code as `gemm_body`.
+        // established; what it runs is the safe `body`.
         #[allow(unsafe_code)]
         unsafe {
-            gemm_avx2(out, a, w, n);
+            with_avx2(body);
         }
         return;
     }
-    gemm_body(out, a, w, n);
+    body();
 }
 
 /// [`gemm_acc`] without the CPU dispatch: always the portable instantiation.
@@ -79,8 +95,8 @@ pub fn gemm_acc_portable(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_avx2(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
-    gemm_body(out, a, w, n);
+fn with_avx2(body: impl FnOnce()) {
+    body();
 }
 
 fn check_shapes(out: &[f32], a: &[f32], w: &[f32], n: usize) {

@@ -7,7 +7,8 @@
 //! [`Graph`], which makes them usable from multiple threads that each build
 //! their own graph over the same parameters.
 
-use crate::graph::{stable_sigmoid, Graph, NodeId};
+use crate::activation::{sigmoid_in_place, tanh_in_place};
+use crate::graph::{Graph, NodeId};
 use crate::init::Init;
 use crate::kernel::{gather_acc, gemm_acc, SparseRows};
 use crate::params::{ParamId, ParamStore};
@@ -364,11 +365,11 @@ impl GruCell {
         let (b_ir, b_iz, b_in) = (bias(self.b_ir), bias(self.b_iz), bias(self.b_in));
         let (b_hr, b_hz, b_hn) = (bias(self.b_hr), bias(self.b_hz), bias(self.b_hn));
         // One row at a time, each gate as its own pass over the row (the
-        // gate values overwrite the hidden-side scratch): a loop that calls
-        // one libm function runs about twice as fast as one interleaving
-        // `exp`, `exp` and `tanh` per element, and the sums around them
+        // gate values overwrite the hidden-side scratch), so every
+        // activation is one dispatched slice call and the sums around them
         // vectorise. Per element the operations and their order are the
-        // graph's.
+        // graph's: the same sums, then the same `crate::activation`
+        // functions the graph's nodes call.
         for (row, out_row) in out.chunks_exact_mut(hd.max(1)).enumerate() {
             let at = row * hd..(row + 1) * hd;
             let (xr, xz, xn) = (&xr[at.clone()], &xz[at.clone()], &xn[at.clone()]);
@@ -382,12 +383,12 @@ impl GruCell {
                 r[c] = (xr[c] + b_ir[c]) + (r[c] + b_hr[c]);
                 z[c] = (xz[c] + b_iz[c]) + (z[c] + b_hz[c]);
             }
-            r.iter_mut().for_each(|v| *v = stable_sigmoid(*v));
-            z.iter_mut().for_each(|v| *v = stable_sigmoid(*v));
+            sigmoid_in_place(r);
+            sigmoid_in_place(z);
             for c in 0..hd {
                 n[c] = (xn[c] + b_in[c]) + r[c] * (n[c] + b_hn[c]);
             }
-            n.iter_mut().for_each(|v| *v = v.tanh());
+            tanh_in_place(n);
             for (c, o) in out_row.iter_mut().enumerate() {
                 *o = (1.0 - z[c]) * n[c] + z[c] * h[c];
             }
@@ -499,9 +500,10 @@ impl TanhCell {
         let pre = inp.chunks_exact(hd.max(1)).zip(hid.chunks_exact(hd.max(1)));
         for (out_row, (xw, hw)) in out.chunks_exact_mut(hd.max(1)).zip(pre) {
             for (c, o) in out_row.iter_mut().enumerate() {
-                *o = ((xw[c] + hw[c]) + bias[c]).tanh();
+                *o = (xw[c] + hw[c]) + bias[c];
             }
         }
+        tanh_in_place(out);
     }
 
     /// Approximate FLOPs for one update.
@@ -693,9 +695,9 @@ impl LstmCell {
         let (f, rest) = rest.split_at_mut(plane);
         let (g, o) = rest.split_at_mut(plane);
         for gate in [&mut *i, &mut *f, &mut *o] {
-            gate.iter_mut().for_each(|v| *v = stable_sigmoid(*v));
+            sigmoid_in_place(gate);
         }
-        g.iter_mut().for_each(|v| *v = v.tanh());
+        tanh_in_place(g);
         let rows = state
             .chunks_exact((2 * hd).max(1))
             .zip(out.chunks_exact_mut((2 * hd).max(1)));
@@ -707,8 +709,10 @@ impl LstmCell {
             for c in 0..hd {
                 c_next[c] = f[c] * c_prev[c] + i[c] * g[c];
             }
-            for c in 0..hd {
-                h_next[c] = o[c] * c_next[c].tanh();
+            h_next.copy_from_slice(c_next);
+            tanh_in_place(h_next);
+            for (h, &o) in h_next.iter_mut().zip(o) {
+                *h *= o;
             }
         }
     }

@@ -8,6 +8,8 @@
 //! * a tape-based reverse-mode autodiff [`graph::Graph`],
 //! * [`kernel`]: the one GEMM every product goes through, and its
 //!   sparse-input companion,
+//! * [`activation`]: the one `exp` / `sigmoid` / `tanh` every forward
+//!   pass evaluates, with stated error bounds,
 //! * [`layers`]: `Linear`, `GruCell`, `LstmCell`, `TanhCell`, `Dropout`,
 //! * [`optim`]: Adam and SGD,
 //! * [`params`]: shared named parameter storage designed for the paper's
@@ -53,6 +55,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod activation;
 pub mod graph;
 pub mod init;
 pub mod kernel;

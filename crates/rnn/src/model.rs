@@ -11,7 +11,8 @@
 
 use pp_data::schema::DatasetKind;
 use pp_features::rnn_input::RnnFeaturizer;
-use pp_nn::graph::{stable_sigmoid, Graph, NodeId};
+use pp_nn::activation::{sigmoid, sigmoid_in_place};
+use pp_nn::graph::{Graph, NodeId};
 use pp_nn::kernel::{gather_acc, gemm_acc, SparseRows};
 use pp_nn::layers::{CellKind, CellScratch, Dropout, GruCell, Linear, LstmCell, TanhCell};
 use pp_nn::params::ParamStore;
@@ -407,7 +408,7 @@ impl RnnModel {
         // Dropout disabled ⇒ the RNG is never used.
         let mut rng = StdRng::seed_from_u64(0);
         let logit = self.predict_logit_node(&mut graph, s, x, false, &mut rng);
-        stable_sigmoid(graph.value(logit).at(0, 0)) as f64
+        sigmoid(graph.value(logit).at(0, 0)) as f64
     }
 
     /// Checks an assembled batch against the model's shapes.
@@ -514,8 +515,10 @@ impl RnnModel {
         logits.clear();
         logits.resize(rows, 0.0);
         gemm_acc(logits, hidden, w, 1);
+        logits.iter_mut().for_each(|l| *l += b[0]);
+        sigmoid_in_place(logits);
         probabilities.clear();
-        probabilities.extend(logits.iter().map(|&l| stable_sigmoid(l + b[0]) as f64));
+        probabilities.extend(logits.iter().map(|&p| p as f64));
     }
 
     /// Batched inference: advances `states.len()` stored states in one

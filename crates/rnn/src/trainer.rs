@@ -16,7 +16,8 @@ use crate::model::{RnnModel, TaskKind};
 use crate::sequence::{plan_per_session, plan_timeshift, LagConfig, UserSequencePlan};
 use pp_data::schema::{Dataset, UserHistory};
 use pp_data::synth::build_peak_window_examples;
-use pp_nn::graph::{stable_sigmoid, Graph, NodeId};
+use pp_nn::activation::sigmoid;
+use pp_nn::graph::{Graph, NodeId};
 use pp_nn::optim::{Adam, AdamConfig, Optimizer};
 use pp_nn::params::GradStore;
 use pp_nn::tensor::Tensor;
@@ -451,7 +452,7 @@ pub fn scores_and_labels(predictions: &[ScoredPrediction]) -> (Vec<f64>, Vec<boo
 
 /// Convenience for tests and docs: `sigmoid` of a logit.
 pub fn logit_to_probability(logit: f32) -> f64 {
-    stable_sigmoid(logit) as f64
+    sigmoid(logit) as f64
 }
 
 #[cfg(test)]
