@@ -94,9 +94,6 @@ fn bench_fused_steps(c: &mut Criterion) {
             };
             scratch.begin(model.state_dim(), dims);
             for i in 0..b {
-                for (col, v) in scratch.push_state_row().iter_mut().enumerate() {
-                    *v = state_value(i, col);
-                }
                 let inputs = scratch.inputs_mut();
                 let (at, elapsed) = (86_400 + 3_700 * i as i64, 600 * i as i64);
                 if update {
@@ -109,6 +106,12 @@ fn bench_fused_steps(c: &mut Criterion) {
                     });
                 }
                 inputs.end_row();
+            }
+            let rows = scratch.zeroed_states().chunks_exact_mut(model.state_dim());
+            for (i, row) in rows.enumerate() {
+                for (col, v) in row.iter_mut().enumerate() {
+                    *v = state_value(i, col);
+                }
             }
         };
         assemble(&mut scratch, true);

@@ -86,11 +86,11 @@ enum Cell {
 /// steady-state forward pass allocates nothing. One per serving worker; it
 /// is never shared.
 ///
-/// A batch is assembled row by row — [`BatchScratch::begin`], then per
-/// request [`BatchScratch::push_state_row`] and one finished row on
-/// [`BatchScratch::inputs_mut`] — run through one of the `*_into` entry
-/// points, and read back from [`BatchScratch::probabilities`] or
-/// [`BatchScratch::next_state`].
+/// A batch is assembled inputs first — [`BatchScratch::begin`], one
+/// finished row per request on [`BatchScratch::inputs_mut`], then the
+/// states of all those rows at once into [`BatchScratch::zeroed_states`] —
+/// run through one of the `*_into` entry points, and read back from
+/// [`BatchScratch::probabilities`] or [`BatchScratch::next_state`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     state_dim: usize,
@@ -127,12 +127,13 @@ impl BatchScratch {
         self.states.len().checked_div(self.state_dim).unwrap_or(0)
     }
 
-    /// Appends one state row and returns it for the caller to fill. It
-    /// starts zeroed, which is already the initial state `h_0`.
-    pub fn push_state_row(&mut self) -> &mut [f32] {
-        let start = self.states.len();
-        self.states.resize(start + self.state_dim, 0.0);
-        &mut self.states[start..]
+    /// One zeroed state row per input row assembled so far — zero is
+    /// already the initial state `h_0` — returned row-major, `state_dim`
+    /// values a row, for the caller to fill in place.
+    pub fn zeroed_states(&mut self) -> &mut [f32] {
+        self.states.clear();
+        self.states.resize(self.inputs.rows() * self.state_dim, 0.0);
+        &mut self.states
     }
 
     /// The batch's input rows: push each request's entries, then
@@ -156,6 +157,12 @@ impl BatchScratch {
         &self.next_states[row * self.state_dim..(row + 1) * self.state_dim]
     }
 
+    /// Every row of the last [`RnnModel::advance_state_batch_into`],
+    /// row-major.
+    pub fn next_states(&self) -> &[f32] {
+        &self.next_states
+    }
+
     /// Copies dense rows in (the slice-based entry points' assembly).
     fn fill<S: AsRef<[f32]>, X: AsRef<[f32]>>(
         &mut self,
@@ -165,12 +172,16 @@ impl BatchScratch {
         inputs: &[X],
     ) {
         self.begin(state_dim, input_dims);
-        for (state, input) in states.iter().zip(inputs) {
-            let (state, input) = (state.as_ref(), input.as_ref());
-            assert_eq!(state.len(), state_dim, "state length mismatch");
+        for input in inputs {
+            let input = input.as_ref();
             assert_eq!(input.len(), input_dims, "input length mismatch");
-            self.push_state_row().copy_from_slice(state);
             self.inputs.push_dense_row(input);
+        }
+        let rows = self.zeroed_states();
+        for (row, state) in states.iter().enumerate() {
+            let state = state.as_ref();
+            assert_eq!(state.len(), state_dim, "state length mismatch");
+            rows[row * state_dim..][..state_dim].copy_from_slice(state);
         }
     }
 }
@@ -831,15 +842,21 @@ mod tests {
                             h
                         })
                         .collect();
+                    let fill_states = |scratch: &mut BatchScratch| {
+                        let out = scratch.zeroed_states().chunks_exact_mut(m.state_dim());
+                        for (row, h) in out.zip(&states) {
+                            row.copy_from_slice(h);
+                        }
+                    };
                     scratch.begin(m.state_dim(), m.predict_input_dims());
-                    for (i, h) in states.iter().enumerate() {
-                        scratch.push_state_row().copy_from_slice(h);
+                    for i in 0..rows {
                         let inputs = scratch.inputs_mut();
                         f.predict_input_into(9_000 + i as i64, &ctx(), 61 * i as i64, |c, v| {
                             inputs.push(c, v);
                         });
                         inputs.end_row();
                     }
+                    fill_states(&mut scratch);
                     m.predict_proba_batch_into(&mut scratch);
                     for (i, h) in states.iter().enumerate() {
                         let single = m.predict_proba(
@@ -853,14 +870,14 @@ mod tests {
                         );
                     }
                     scratch.begin(m.state_dim(), m.update_input_dims());
-                    for (i, h) in states.iter().enumerate() {
-                        scratch.push_state_row().copy_from_slice(h);
+                    for i in 0..rows {
                         let inputs = scratch.inputs_mut();
                         f.update_input_into(9_000 + i as i64, &ctx(), 61, i % 2 == 0, |c, v| {
                             inputs.push(c, v);
                         });
                         inputs.end_row();
                     }
+                    fill_states(&mut scratch);
                     m.advance_state_batch_into(&mut scratch);
                     for (i, h) in states.iter().enumerate() {
                         let single = m.advance_state(

@@ -11,10 +11,11 @@
 //! [`RnnModel::advance_state_batch_into`]).
 //!
 //! The batch core — [`predict_chunk`], [`update_chunk`] — assembles a batch
-//! straight into a [`BatchScratch`] (stored states copied into their rows,
-//! features written as input entries) and runs the fused forward pass over
-//! it, allocating nothing once the scratch has seen a full batch. Every
-//! worker owns one scratch; none is shared.
+//! straight into a [`BatchScratch`] (features written as input entries,
+//! then every stored state copied into its row by one store call, one shard
+//! lock per same-shard run) and runs the fused forward pass over it,
+//! allocating nothing once the scratch has seen a full batch. Every worker
+//! owns one scratch; none is shared.
 //!
 //! Two layers are provided:
 //!
@@ -238,20 +239,20 @@ impl BatchMarks {
     }
 }
 
-/// Assembles one chunk of predictions into `scratch` — each stored state
-/// copied straight into its batch row (a miss leaves the zeroed row, which
-/// is `h_0`), each request's features written as input entries — and runs
-/// the forward pass; the probabilities are left in
-/// [`BatchScratch::probabilities`], in chunk order. With a warmed-up
-/// `scratch` a chunk of any size, one row included, takes the same fused
-/// pass and allocates nothing. Shared by the scheduler and the threaded
-/// engine; callers account for batching statistics themselves. `marks`
-/// (traced engine batches only) receives the stage boundaries for span
-/// emission.
+/// Assembles one chunk of predictions into `scratch` — each request's
+/// features written as input entries, then every stored state copied
+/// straight into its batch row by one store call (a miss leaves the zeroed
+/// row, which is `h_0`) — and runs the forward pass; the probabilities are
+/// left in [`BatchScratch::probabilities`], in chunk order. With a
+/// warmed-up `scratch` a chunk of any size, one row included, takes the
+/// same fused pass and allocates nothing. Shared by the scheduler and the
+/// threaded engine; callers account for batching statistics themselves.
+/// `marks` (traced engine batches only) receives the stage boundaries for
+/// span emission.
 pub fn predict_chunk<'a>(
     model: &RnnModel,
     store: &ShardedStateStore,
-    chunk: impl IntoIterator<Item = &'a PredictRequest, IntoIter: ExactSizeIterator>,
+    chunk: impl IntoIterator<Item = &'a PredictRequest, IntoIter: ExactSizeIterator + Clone>,
     scratch: &mut BatchScratch,
     mut marks: Option<&mut BatchMarks>,
 ) {
@@ -260,9 +261,8 @@ pub fn predict_chunk<'a>(
     obs.batch_size.record(chunk.len() as u64);
     let assembly = pp_obs::Stopwatch::start();
     scratch.begin(model.state_dim(), model.predict_input_dims());
-    for r in chunk {
-        store.read_state_into(r.user_id, scratch.push_state_row());
-        let inputs = scratch.inputs_mut();
+    let inputs = scratch.inputs_mut();
+    for r in chunk.clone() {
         model.featurizer().predict_input_into(
             r.timestamp,
             &r.context,
@@ -271,6 +271,8 @@ pub fn predict_chunk<'a>(
         );
         inputs.end_row();
     }
+    let users = chunk.map(|r| r.user_id);
+    store.read_states_into(users, scratch.zeroed_states(), model.state_dim());
     assembly.record(&obs.batch_assembly_ns);
     if let Some(marks) = marks.as_mut() {
         marks.assembly_done = std::time::Instant::now();
@@ -781,7 +783,7 @@ impl Drop for BatchServingEngine {
 pub fn update_chunk<'a>(
     model: &RnnModel,
     store: &ShardedStateStore,
-    chunk: impl IntoIterator<Item = &'a UpdateRequest, IntoIter: ExactSizeIterator>,
+    chunk: impl IntoIterator<Item = &'a UpdateRequest, IntoIter: ExactSizeIterator + Clone>,
     scratch: &mut BatchScratch,
     mut marks: Option<&mut BatchMarks>,
 ) {
@@ -790,9 +792,8 @@ pub fn update_chunk<'a>(
     obs.batch_size.record(chunk.len() as u64);
     let assembly = pp_obs::Stopwatch::start();
     scratch.begin(model.state_dim(), model.update_input_dims());
-    for r in chunk {
-        store.read_state_into(r.user_id, scratch.push_state_row());
-        let inputs = scratch.inputs_mut();
+    let inputs = scratch.inputs_mut();
+    for r in chunk.clone() {
         model.featurizer().update_input_into(
             r.timestamp,
             &r.context,
@@ -802,6 +803,8 @@ pub fn update_chunk<'a>(
         );
         inputs.end_row();
     }
+    let users = chunk.map(|r| r.user_id);
+    store.read_states_into(users, scratch.zeroed_states(), model.state_dim());
     assembly.record(&obs.batch_assembly_ns);
     if let Some(marks) = marks.as_mut() {
         marks.assembly_done = std::time::Instant::now();
@@ -814,16 +817,16 @@ pub fn update_chunk<'a>(
     }
 }
 
-/// Stores the states [`update_chunk`] advanced, in chunk order.
+/// Stores the states [`update_chunk`] advanced, in chunk order, with one
+/// store call.
 pub fn write_back_chunk<'a>(
     store: &ShardedStateStore,
-    chunk: impl IntoIterator<Item = &'a UpdateRequest>,
+    chunk: impl IntoIterator<Item = &'a UpdateRequest, IntoIter: ExactSizeIterator>,
     scratch: &BatchScratch,
     marks: Option<&mut BatchMarks>,
 ) {
-    for (row, request) in chunk.into_iter().enumerate() {
-        store.put_state(request.user_id, scratch.next_state(row));
-    }
+    let users = chunk.into_iter().map(|r| r.user_id);
+    store.put_states(users, scratch.next_states());
     if let Some(marks) = marks {
         marks.writeback_done = std::time::Instant::now();
     }
@@ -1478,20 +1481,24 @@ mod tests {
         let wait = std::time::Duration::from_millis(500);
         let engine = BatchServingEngine::start_with_coalesce(m, store, 1, 8, Some(wait));
         // Occupy the lone worker with a partial *predict* batch whose
-        // coalesce window runs until t = 500ms.
+        // coalesce window runs until t = 500ms (t = 0: the predict's
+        // arrival).
         let predict = engine.submit(request(1, 1));
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        // t = 100ms: an *update* arrives. Batches are kind-homogeneous, so
-        // it cannot join the held predict batch; the worker only picks it
-        // up when that batch flushes at t = 500ms — after 400ms of queue
-        // residence that must count against the update's own deadline.
+        wait_for("the lone worker never entered its hold", || {
+            parked_holder(&engine)
+        });
+        // A few ms in, the worker inside its hold: an *update* arrives.
+        // Batches are kind-homogeneous, so it cannot join the held predict
+        // batch; the worker only picks it up when that batch flushes at
+        // t = 500ms — after nearly 500ms of queue residence that must
+        // count against the update's own deadline.
         let submitted = std::time::Instant::now();
         let receiver = engine.submit_update(update(2, 2));
         receiver.recv().unwrap();
         let waited = submitted.elapsed();
         // Arrival-anchored: served ~500ms after arrival. The old
         // observation-anchored deadline re-armed the full window at
-        // t = 500ms and served at ~1s (a ~900ms wait).
+        // t = 500ms and served at t ≈ 1s (a ~1s wait).
         assert!(
             waited < std::time::Duration::from_millis(750),
             "update waited {waited:?}; coalesce deadline must anchor at arrival, not observation"
@@ -1779,7 +1786,7 @@ mod tests {
             .expect("workers serve what they hold before they exit");
     }
 
-    /// Stores a state of the wrong length for `user`: `read_state_into`
+    /// Stores a state of the wrong length for `user`: `read_states_into`
     /// panics on it by contract, which kills the worker that serves `user`.
     fn poison(store: &ShardedStateStore, user: UserId) {
         store.put_state(user, &[0.0; 3]);

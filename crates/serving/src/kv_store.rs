@@ -176,14 +176,20 @@ mod tests {
     }
 
     fn get(shard: &StateShard, user: UserId) -> Option<Vec<f32>> {
-        shard.read(user, <[f32]>::to_vec)
+        let mut found = None;
+        shard.read_run(&[user.0], |_, state| found = Some(state.to_vec()));
+        found
+    }
+
+    fn put(shard: &StateShard, user: UserId, state: &[f32]) -> u64 {
+        shard.put_run(&[user.0], state, state.len())
     }
 
     #[test]
     fn put_get_roundtrip_and_stats() {
         let store = StateShard::new(None, EvictionPolicy::Lru);
         assert!(store.is_empty());
-        store.put(A, &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        put(&store, A, &[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(store.len(), 1);
         assert_eq!(get(&store, A).unwrap(), [1.0, 2.0, 3.0, 4.0, 5.0]);
         assert!(get(&store, B).is_none());
@@ -246,12 +252,12 @@ mod tests {
     fn bounded_store_evicts_least_recently_used() {
         let store = lru(3);
         assert_eq!(store.capacity(), Some(3));
-        store.put(A, &[1.0]);
-        store.put(B, &[2.0]);
-        store.put(C, &[3.0]);
+        put(&store, A, &[1.0]);
+        put(&store, B, &[2.0]);
+        put(&store, C, &[3.0]);
         // Touch A so B becomes the least recently used.
         assert!(get(&store, A).is_some());
-        assert_eq!(store.put(D, &[4.0]), 1);
+        assert_eq!(put(&store, D, &[4.0]), 1);
         assert_eq!(store.len(), 3);
         assert!(get(&store, B).is_none(), "LRU state should be evicted");
         assert!(get(&store, A).is_some());
@@ -263,10 +269,10 @@ mod tests {
     #[test]
     fn bounded_store_replacement_does_not_evict() {
         let store = lru(2);
-        store.put(A, &[1.0]);
-        store.put(B, &[2.0]);
+        put(&store, A, &[1.0]);
+        put(&store, B, &[2.0]);
         // Overwriting a resident state keeps the store at capacity.
-        store.put(A, &[1.0, 1.0]);
+        put(&store, A, &[1.0, 1.0]);
         assert_eq!(store.len(), 2);
         assert_eq!(store.stats().evictions, 0);
         assert_eq!(get(&store, A).unwrap(), [1.0, 1.0]);
@@ -276,7 +282,7 @@ mod tests {
     fn bounded_store_never_exceeds_capacity() {
         let store = lru(8);
         for i in 0..100 {
-            store.put(UserId(i), &[0.0]);
+            put(&store, UserId(i), &[0.0]);
             assert!(store.len() <= 8, "len {} exceeds capacity", store.len());
         }
         assert_eq!(store.len(), 8);
@@ -297,14 +303,14 @@ mod tests {
     fn frequency_weighted_store_keeps_hot_keys_under_scan_pressure() {
         let store = StateShard::new(Some(4), EvictionPolicy::FrequencyWeighted);
         assert_eq!(store.eviction_policy(), EvictionPolicy::FrequencyWeighted);
-        store.put(HOT, &[0.5]);
+        put(&store, HOT, &[0.5]);
         for _ in 0..10 {
             assert!(get(&store, HOT).is_some());
         }
         // A scan of one-shot users floods the store; each newcomer has
         // frequency 1, so they evict each other while the hot one survives.
         for i in 0..50 {
-            store.put(UserId(100 + i), &[1.0]);
+            put(&store, UserId(100 + i), &[1.0]);
         }
         assert_eq!(store.len(), 4);
         assert!(
@@ -313,12 +319,12 @@ mod tests {
         );
         // The same scan against an LRU store washes the hot state out.
         let lru = lru(4);
-        lru.put(HOT, &[0.5]);
+        put(&lru, HOT, &[0.5]);
         for _ in 0..10 {
             assert!(get(&lru, HOT).is_some());
         }
         for i in 0..50 {
-            lru.put(UserId(100 + i), &[1.0]);
+            put(&lru, UserId(100 + i), &[1.0]);
         }
         assert!(
             get(&lru, HOT).is_none(),
@@ -329,15 +335,15 @@ mod tests {
     #[test]
     fn frequency_ties_break_by_recency_and_puts_count_as_touches() {
         let store = StateShard::new(Some(2), EvictionPolicy::FrequencyWeighted);
-        store.put(A, &[1.0]); // freq 1, older
-        store.put(B, &[2.0]); // freq 1, newer
-        store.put(C, &[3.0]); // evicts A (tie → oldest)
+        put(&store, A, &[1.0]); // freq 1, older
+        put(&store, B, &[2.0]); // freq 1, newer
+        put(&store, C, &[3.0]); // evicts A (tie → oldest)
         assert!(get(&store, A).is_none());
         assert!(get(&store, B).is_some()); // freq 2
                                            // Re-putting C bumps its frequency to 2; inserting D (freq 1) cannot
                                            // displace either freq-2 state, so D is itself the victim.
-        store.put(C, &[3.0]);
-        store.put(D, &[4.0]);
+        put(&store, C, &[3.0]);
+        put(&store, D, &[4.0]);
         assert_eq!(store.len(), 2);
         assert!(get(&store, D).is_none());
         assert!(get(&store, B).is_some());
@@ -347,15 +353,15 @@ mod tests {
     #[test]
     fn contains_key_does_not_count_as_traffic_or_refresh_recency() {
         let store = lru(2);
-        store.put(A, &[1.0]);
-        store.put(B, &[2.0]);
+        put(&store, A, &[1.0]);
+        put(&store, B, &[2.0]);
         let reads_before = store.stats().reads;
         assert!(store.contains(A));
         assert!(!store.contains(UserId(999)));
         assert_eq!(store.stats().reads, reads_before);
         // `contains` must not have refreshed A: it is still the LRU victim
         // when C arrives.
-        store.put(C, &[3.0]);
+        put(&store, C, &[3.0]);
         assert!(!store.contains(A));
         assert!(store.contains(B));
     }
@@ -369,7 +375,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..100 {
                         let user = UserId(t * 100 + i);
-                        store.put(user, &[0.0; 2]);
+                        put(store, user, &[0.0; 2]);
                         let _ = get(store, user);
                     }
                 });

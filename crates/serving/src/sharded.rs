@@ -6,11 +6,19 @@
 //! users proceed concurrently and only same-shard accesses contend. A shard
 //! is one mutex around a `u64 → slot` map, a slab of slots that each own
 //! their `f32` state buffer, the eviction order and the shard's traffic
-//! counters. A state read is one lock, one hash probe and one copy into the
-//! caller's row; a write-back is one lock and one overwrite of the buffer
-//! already there. Neither builds a key, encodes a value or, once the
-//! resident set is warm, allocates — an evicting `put` moves the newcomer
-//! into its victim's buffer.
+//! counters.
+//!
+//! The unit of work is a batch of users, not one user. The store walks the
+//! batch in order, cuts it into runs of consecutive same-shard users (at
+//! most 64 long), and takes each run's shard lock once, never two at a
+//! time. A read run probes every key first, so the runs' hash-probe misses
+//! overlap, then touches each hit and copies it into the caller's row in
+//! row order. A write run overwrites the buffer already there, one user
+//! after another. The process-wide `serving.store.*` counters move once
+//! per call. A single user is a run of one through the same locked read or
+//! write. Neither path builds a key, encodes a value or, once the resident
+//! set is warm, allocates: an evicting put moves the newcomer into its
+//! victim's buffer.
 
 use crate::kv_store::{EvictionPolicy, StoreStats};
 use parking_lot::Mutex;
@@ -18,8 +26,13 @@ use pp_data::schema::UserId;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// "No slot": the end of the recency list.
+/// "No slot": the end of the recency list, and a probe that missed.
 const NIL: u32 = u32::MAX;
+
+/// Most users one shard lock is taken for: a run's ids and probed slots
+/// live in stack buffers of this many entries, so a 64-row batch drained
+/// from one shard's queue takes that shard's lock once.
+const RUN: usize = 64;
 
 /// Hash of a user id inside its shard: Murmur3's 64-bit finalizer.
 /// Deliberately not [`ShardedStateStore::shard_index`]'s mixer — every key
@@ -152,6 +165,73 @@ impl ShardInner {
         self.slot_of.remove(&self.slots[at as usize].user);
         self.free.push(at);
     }
+
+    /// Counted read of the state in slot `at`; on a bounded shard a hit is
+    /// also a touch.
+    fn touch(&mut self, at: u32, order: Option<EvictionPolicy>) -> &[f32] {
+        if order.is_some() {
+            self.unrank(at, order);
+            self.slots[at as usize].freq += 1;
+            self.rank(at, order);
+        }
+        self.stats.hits += 1;
+        let state = &self.slots[at as usize].state;
+        self.stats.bytes_read += 4 * state.len() as u64;
+        state
+    }
+
+    /// Stores `state` for `user`, overwriting the previous one in place;
+    /// returns how many states a new user's arrival evicted.
+    fn put(
+        &mut self,
+        user: u64,
+        state: &[f32],
+        capacity: Option<usize>,
+        policy: EvictionPolicy,
+    ) -> u64 {
+        let order = capacity.map(|_| policy);
+        self.stats.writes += 1;
+        self.stats.bytes_written += 4 * state.len() as u64;
+        let at = match self.slot_of.get(&user) {
+            Some(&at) => {
+                self.unrank(at, order);
+                self.slots[at as usize].freq += 1;
+                at
+            }
+            None => {
+                let at = self.free.pop().unwrap_or_else(|| {
+                    let at = u32::try_from(self.slots.len()).expect("a shard holds < 2^32 states");
+                    self.slots.push(Slot {
+                        user: 0,
+                        state: Vec::new(),
+                        tick: 0,
+                        freq: 0,
+                        prev: NIL,
+                        next: NIL,
+                    });
+                    at
+                });
+                let slot = &mut self.slots[at as usize];
+                (slot.user, slot.freq) = (user, 1);
+                self.slot_of.insert(user, at);
+                at
+            }
+        };
+        let buffer = &mut self.slots[at as usize].state;
+        buffer.clear();
+        buffer.extend_from_slice(state);
+        self.rank(at, order);
+        let mut evicted = 0;
+        if let Some(capacity) = capacity {
+            while self.slot_of.len() > capacity {
+                let victim = self.victim(policy);
+                self.release(victim, order);
+                evicted += 1;
+            }
+            self.stats.evictions += evicted;
+        }
+        evicted
+    }
 }
 
 /// One shard of a [`ShardedStateStore`]: the states of the users that hash
@@ -235,69 +315,47 @@ impl StateShard {
         4 * widths.sum::<usize>() as u64
     }
 
-    /// Counted read: hands `user`'s stored state to `copy_out` under the
-    /// shard lock. On a bounded shard a hit is also a touch.
-    pub(crate) fn read<R>(&self, user: UserId, copy_out: impl FnOnce(&[f32]) -> R) -> Option<R> {
+    /// Counted reads of a run of this shard's users under one lock. Every
+    /// key is probed before any state is touched, so the probes' cache
+    /// misses overlap instead of queueing behind one another; a read moves
+    /// no slot, so the probes stay valid. Then, in run order, each hit is
+    /// touched (on a bounded shard) and handed to `copy_out` with its index
+    /// in the run — the ticks, frequencies and stats that reading the users
+    /// one at a time leaves. Returns the hits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is longer than `RUN`.
+    pub(crate) fn read_run(&self, users: &[u64], mut copy_out: impl FnMut(usize, &[f32])) -> u64 {
         let order = self.order();
+        let mut probes = [NIL; RUN];
+        let probes = &mut probes[..users.len()];
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        inner.stats.reads += 1;
-        let at = *inner.slot_of.get(&user.0)?;
-        if order.is_some() {
-            inner.unrank(at, order);
-            inner.slots[at as usize].freq += 1;
-            inner.rank(at, order);
+        for (at, user) in probes.iter_mut().zip(users) {
+            *at = inner.slot_of.get(user).copied().unwrap_or(NIL);
         }
-        inner.stats.hits += 1;
-        inner.stats.bytes_read += 4 * inner.slots[at as usize].state.len() as u64;
-        Some(copy_out(&inner.slots[at as usize].state))
+        inner.stats.reads += users.len() as u64;
+        let mut hits = 0;
+        for (row, &at) in probes.iter().enumerate() {
+            if at != NIL {
+                copy_out(row, inner.touch(at, order));
+                hits += 1;
+            }
+        }
+        hits
     }
 
-    /// Stores `state` for `user`, overwriting the previous one in place;
-    /// returns how many states a new user's arrival evicted.
-    pub(crate) fn put(&self, user: UserId, state: &[f32]) -> u64 {
-        let order = self.order();
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        inner.stats.writes += 1;
-        inner.stats.bytes_written += 4 * state.len() as u64;
-        let at = match inner.slot_of.get(&user.0) {
-            Some(&at) => {
-                inner.unrank(at, order);
-                inner.slots[at as usize].freq += 1;
-                at
-            }
-            None => {
-                let at = inner.free.pop().unwrap_or_else(|| {
-                    let at = u32::try_from(inner.slots.len()).expect("a shard holds < 2^32 states");
-                    inner.slots.push(Slot {
-                        user: 0,
-                        state: Vec::new(),
-                        tick: 0,
-                        freq: 0,
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    at
-                });
-                let slot = &mut inner.slots[at as usize];
-                (slot.user, slot.freq) = (user.0, 1);
-                inner.slot_of.insert(user.0, at);
-                at
-            }
-        };
-        let buffer = &mut inner.slots[at as usize].state;
-        buffer.clear();
-        buffer.extend_from_slice(state);
-        inner.rank(at, order);
+    /// Stores row `i` of `rows` (`width` values each) for `users[i]` under
+    /// one lock, one user after another. A put can evict a later user of the
+    /// same run, so nothing is probed ahead. Returns how many states the
+    /// run's new users evicted.
+    pub(crate) fn put_run(&self, users: &[u64], rows: &[f32], width: usize) -> u64 {
+        let mut inner = self.inner.lock();
         let mut evicted = 0;
-        if let Some(capacity) = self.capacity {
-            while inner.slot_of.len() > capacity {
-                let victim = inner.victim(self.policy);
-                inner.release(victim, order);
-                evicted += 1;
-            }
-            inner.stats.evictions += evicted;
+        for (row, &user) in users.iter().enumerate() {
+            let state = &rows[row * width..][..width];
+            evicted += inner.put(user, state, self.capacity, self.policy);
         }
         evicted
     }
@@ -314,6 +372,43 @@ impl StateShard {
     /// Whether `user`'s state is stored; neither counted nor a touch.
     pub(crate) fn contains(&self, user: UserId) -> bool {
         self.inner.lock().slot_of.contains_key(&user.0)
+    }
+}
+
+/// Copies a stored state into the caller's row.
+///
+/// # Panics
+///
+/// Panics if the two differ in length.
+fn copy_row(out: &mut [f32], state: &[f32]) {
+    assert_eq!(
+        state.len(),
+        out.len(),
+        "stored state holds {} values, expected {}",
+        state.len(),
+        out.len()
+    );
+    out.copy_from_slice(state);
+}
+
+/// Moves the process-wide read counters once for a call that read `reads`
+/// users and found `hits` of them. Each is a locked add on a line both
+/// workers write, so a zero is not added.
+fn count_reads(reads: usize, hits: u64) {
+    let obs = crate::obs::ServingObs::global();
+    obs.store_reads.add(reads as u64);
+    if hits > 0 {
+        obs.store_hits.add(hits);
+    }
+}
+
+/// Moves the process-wide write counters once for a call that stored
+/// `writes` states and evicted `evicted`.
+fn count_writes(writes: usize, evicted: u64) {
+    let obs = crate::obs::ServingObs::global();
+    obs.store_writes.add(writes as u64);
+    if evicted > 0 {
+        obs.store_evictions.add(evicted);
     }
 }
 
@@ -421,51 +516,138 @@ impl ShardedStateStore {
         &self.shards[self.shard_index(user)]
     }
 
-    /// Counted read of a user's state through `copy_out`.
-    fn read<R>(&self, user: UserId, copy_out: impl FnOnce(&[f32]) -> R) -> Option<R> {
-        let obs = crate::obs::ServingObs::global();
-        obs.store_reads.inc();
-        let found = self.shard_of(user).read(user, copy_out);
-        if found.is_some() {
-            obs.store_hits.inc();
+    /// Walks `users` in order as runs of consecutive same-shard users, each
+    /// at most `RUN` long, handing `run` the shard, the run's first position
+    /// in `users` and its ids. Runs are visited one after another, so a
+    /// caller that locks the shard inside `run` never holds two shard locks.
+    /// Returns the number of users.
+    fn for_each_run(
+        &self,
+        users: impl IntoIterator<Item = UserId>,
+        mut run: impl FnMut(&StateShard, usize, &[u64]),
+    ) -> usize {
+        let mut users = users
+            .into_iter()
+            .map(|user| (user.0, self.shard_index(user)))
+            .peekable();
+        let mut ids = [0u64; RUN];
+        let mut first = 0;
+        while let Some((user, shard)) = users.next() {
+            ids[0] = user;
+            let mut len = 1;
+            while len < RUN {
+                let Some((user, _)) = users.next_if(|&(_, next)| next == shard) else {
+                    break;
+                };
+                ids[len] = user;
+                len += 1;
+            }
+            run(&self.shards[shard], first, &ids[..len]);
+            first += len;
         }
+        first
+    }
+
+    /// Copies the stored hidden states of `users` into `rows` — row `i`,
+    /// `width` values long, for `users[i]` — without allocating; a user with
+    /// no stored state leaves its row untouched. Consecutive users of one
+    /// shard share one lock, so a batch ordered by [`Self::shard_index`]
+    /// (as the engine drains it) takes one lock per shard. Stats, recency
+    /// and frequency come out exactly as if each user were read alone, in
+    /// order. Returns how many users had a state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not `users.len() × width` values long, or if a
+    /// stored state is not `width` values long.
+    pub fn read_states_into(
+        &self,
+        users: impl IntoIterator<Item = UserId, IntoIter: ExactSizeIterator>,
+        rows: &mut [f32],
+        width: usize,
+    ) -> usize {
+        let users = users.into_iter();
+        assert_eq!(
+            rows.len(),
+            users.len() * width,
+            "{} users of width {width} need {} values, got {}",
+            users.len(),
+            users.len() * width,
+            rows.len()
+        );
+        let mut hits = 0;
+        let reads = self.for_each_run(users, |shard, first, run| {
+            hits += shard.read_run(run, |row, state| {
+                copy_row(&mut rows[(first + row) * width..][..width], state);
+            });
+        });
+        count_reads(reads, hits);
+        hits as usize
+    }
+
+    /// Fetches a user's hidden state, if one is stored: a run of one
+    /// through the same locked read as [`Self::read_states_into`].
+    pub fn get_state(&self, user: UserId) -> Option<Vec<f32>> {
+        let mut found = None;
+        let hits = self
+            .shard_of(user)
+            .read_run(&[user.0], |_, state| found = Some(state.to_vec()));
+        count_reads(1, hits);
         found
     }
 
-    /// Fetches a user's hidden state, if one is stored.
-    pub fn get_state(&self, user: UserId) -> Option<Vec<f32>> {
-        self.read(user, <[f32]>::to_vec)
-    }
-
-    /// Copies a user's stored hidden state straight into `out` (a batch's
-    /// state row) without allocating; returns `false`, leaving `out`
-    /// untouched, when none is stored.
+    /// Copies a user's stored hidden state straight into `out`: the
+    /// one-user case of [`Self::read_states_into`], a run of one through the
+    /// same locked read. Returns `false`, leaving `out` untouched, when none
+    /// is stored.
     ///
     /// # Panics
     ///
     /// Panics if the stored state is not `out.len()` values long.
     pub fn read_state_into(&self, user: UserId, out: &mut [f32]) -> bool {
-        let copy_out = |state: &[f32]| {
-            assert_eq!(
-                state.len(),
-                out.len(),
-                "stored state holds {} values, expected {}",
-                state.len(),
-                out.len()
-            );
-            out.copy_from_slice(state);
-        };
-        self.read(user, copy_out).is_some()
+        let hits = self
+            .shard_of(user)
+            .read_run(&[user.0], |_, state| copy_row(out, state));
+        count_reads(1, hits);
+        hits == 1
     }
 
-    /// Stores a user's hidden state, replacing any previous one.
+    /// Stores row `i` of `rows` for `users[i]`, replacing any previous
+    /// state; `rows` splits into `users.len()` states of equal width. The
+    /// users are stored in order, consecutive users of one shard under one
+    /// lock, so evictions, stats and recency come out exactly as if each
+    /// were stored alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not split into `users.len()` equal rows.
+    pub fn put_states(
+        &self,
+        users: impl IntoIterator<Item = UserId, IntoIter: ExactSizeIterator>,
+        rows: &[f32],
+    ) {
+        let users = users.into_iter();
+        let count = users.len();
+        let width = rows.len().checked_div(count).unwrap_or(0);
+        assert_eq!(
+            width * count,
+            rows.len(),
+            "{} values do not split into {count} equal states",
+            rows.len()
+        );
+        let mut evicted = 0;
+        let writes = self.for_each_run(users, |shard, first, run| {
+            evicted += shard.put_run(run, &rows[first * width..], width);
+        });
+        count_writes(writes, evicted);
+    }
+
+    /// Stores a user's hidden state, replacing any previous one: the
+    /// one-user case of [`Self::put_states`], a run of one through the same
+    /// locked write.
     pub fn put_state(&self, user: UserId, state: &[f32]) {
-        let obs = crate::obs::ServingObs::global();
-        obs.store_writes.inc();
-        let evicted = self.shard_of(user).put(user, state);
-        if evicted > 0 {
-            obs.store_evictions.add(evicted);
-        }
+        let evicted = self.shard_of(user).put_run(&[user.0], state, state.len());
+        count_writes(1, evicted);
     }
 
     /// Removes a user's hidden state, returning it if present.

@@ -1,17 +1,20 @@
 //! The batch core and the state store allocate nothing in steady state:
-//! with a warmed-up [`BatchScratch`], assembling a 64-request batch (state
-//! reads copied into their rows, features written as input entries),
-//! running its forward pass and writing the advanced states back makes zero
-//! heap allocations — a write-back overwrites the stored state in place,
-//! and on a full bounded store a new user's state moves into the evicted
-//! one's buffer.
+//! with a warmed-up [`BatchScratch`], assembling a 64-request batch
+//! (features written as input entries, then the stored states copied into
+//! their rows by one store call), running its forward pass and writing the
+//! advanced states back makes zero heap allocations — a write-back
+//! overwrites the stored state in place, and on a full bounded store a new
+//! user's state moves into the evicted one's buffer. The batch's users are
+//! ordered by shard, as the engine's `gather` drains them, so the store
+//! works through multi-user runs under one lock each, not only runs of one.
 //!
 //! Outside the brackets, and listed here because they do allocate:
 //! * turning [`BatchScratch::probabilities`] into `Prediction`s for callers
 //!   that want a `Vec` (`BatchScheduler::run`, the reply channel sends);
 //! * the first state a store slot ever holds, and the slot map growing
 //!   towards the resident set;
-//! * the engine's per-request `mpsc` channel and per-batch job vectors.
+//! * the engine's per-request `mpsc` channel, per-batch job vectors and
+//!   per-batch set of update users.
 //!
 //! Alone in its file: the counting allocator is process-wide, so no other
 //! test may run beside this one.
@@ -51,17 +54,24 @@ fn predict_and_update_chunks_allocate_nothing_with_a_warm_scratch() {
             .collect();
         store.put_state(UserId(id), &state);
     }
-    let predicts: Vec<PredictRequest> = (0..BATCH)
-        .map(|i| PredictRequest {
-            user_id: UserId(i as u64),
+    // Users 0..64 in shard order: 16 shards, so runs of about four.
+    let mut users: Vec<UserId> = (0..BATCH as u64).map(UserId).collect();
+    users.sort_by_key(|&user| store.shard_index(user));
+    let predicts: Vec<PredictRequest> = users
+        .iter()
+        .enumerate()
+        .map(|(i, &user_id)| PredictRequest {
+            user_id,
             timestamp: 50_000 + 613 * i as i64,
             context: context(i),
             elapsed_secs: 30 * i as i64,
         })
         .collect();
-    let updates: Vec<UpdateRequest> = (0..BATCH)
-        .map(|i| UpdateRequest {
-            user_id: UserId(i as u64),
+    let updates: Vec<UpdateRequest> = users
+        .iter()
+        .enumerate()
+        .map(|(i, &user_id)| UpdateRequest {
+            user_id,
             timestamp: 60_000 + 613 * i as i64,
             context: context(i + 1),
             delta_t_secs: 45 * i as i64,
@@ -105,22 +115,24 @@ fn predict_and_update_chunks_allocate_nothing_with_a_warm_scratch() {
         "write_back_chunk allocated: {write_back:?}"
     );
     assert_eq!(
-        store.get_state(UserId(0)).as_deref(),
+        store.get_state(users[0]).as_deref(),
         Some(scratch.next_state(0))
     );
 
     // A full bounded store: every put of a new user evicts, and the
-    // newcomer's state lands in the victim's buffer.
+    // newcomer's state lands in the victim's buffer — one batch of
+    // newcomers in shard order, as a write-back stores them.
     let full = ShardedStateStore::with_capacity(16, 256);
     let state = scratch.next_state(0);
     for id in 0..1_024 {
         full.put_state(UserId(id), state);
     }
+    let mut newcomers: Vec<UserId> = (1_024..1_024 + BATCH as u64).map(UserId).collect();
+    newcomers.sort_by_key(|&user| full.shard_index(user));
+    let rows = state.repeat(BATCH);
     let evictions_before = full.stats().evictions;
     let region = Region::new(GLOBAL);
-    for id in 0..BATCH as u64 {
-        full.put_state(UserId(1_024 + id), state);
-    }
+    full.put_states(newcomers.iter().copied(), &rows);
     let evicting = region.change();
     assert_eq!(
         (evicting.allocations, evicting.reallocations),

@@ -4,6 +4,8 @@
 //! `(user, state, tick, freq)`, a tick per `put` and per bounded read hit,
 //! victim = minimum `(rank, tick)` — and the two must agree after every
 //! operation on what was found, what is resident and what was counted.
+//! Batch reads and puts are checked against the reference applied one user
+//! at a time, in order: a batch must be indistinguishable from its rows.
 
 use pp_data::schema::UserId;
 use pp_serving::{EvictionPolicy, ShardedStateStore, StoreStats};
@@ -88,9 +90,27 @@ fn total(shards: &[Reference]) -> StoreStats {
     sum
 }
 
-/// Runs `ops` — `(kind, user, value)` — through `store` and a reference of
-/// the same shape, comparing after every step.
-fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[(u8, u64, i32)]) {
+fn state(value: i32) -> Vec<f32> {
+    (0..WIDTH).map(|d| value as f32 / 7.0 + d as f32).collect()
+}
+
+/// A batch's users as drawn — repeats and users with no state included —
+/// and, for an even `value`, stably ordered by shard as the engine drains
+/// them, so consecutive users of one shard form runs.
+fn batch(store: &ShardedStateStore, drawn: &[u64], value: i32) -> Vec<UserId> {
+    let mut users: Vec<UserId> = drawn.iter().copied().map(UserId).collect();
+    if value % 2 == 0 {
+        users.sort_by_key(|&user| store.shard_index(user));
+    }
+    users
+}
+
+/// One step: `(kind, user, value, batch of 1–8 users)`.
+type Op = (u8, u64, i32, Vec<u64>);
+
+/// Runs `ops` through `store` and a reference of the same shape, comparing
+/// after every step.
+fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[Op]) {
     let mut reference: Vec<Reference> = (0..store.num_shards())
         .map(|shard| Reference {
             capacity: store.shard(shard).capacity(),
@@ -100,31 +120,58 @@ fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[(u8, u64, i32
             stats: StoreStats::default(),
         })
         .collect();
-    for (step, &(kind, user, value)) in ops.iter().enumerate() {
-        let id = UserId(user);
-        let shard = &mut reference[store.shard_index(id)];
+    let home = |user: u64| store.shard_index(UserId(user));
+    for (step, (kind, user, value, drawn)) in ops.iter().enumerate() {
+        let (user, value, id) = (*user, *value, UserId(*user));
         match kind {
             0..=3 => {
-                let state: Vec<f32> = (0..WIDTH).map(|d| value as f32 / 7.0 + d as f32).collect();
+                let state = state(value);
                 store.put_state(id, &state);
-                shard.put(user, &state);
+                reference[home(user)].put(user, &state);
             }
             4 => {
-                let (found, expected) = (store.get_state(id), shard.get(user));
+                let (found, expected) = (store.get_state(id), reference[home(user)].get(user));
                 assert_eq!(found.as_deref().map(bits), expected.as_deref().map(bits));
             }
             5 => {
                 let mut row = [f32::NAN; WIDTH];
-                let expected = shard.get(user);
+                let expected = reference[home(user)].get(user);
                 assert_eq!(store.read_state_into(id, &mut row), expected.is_some());
                 let untouched = vec![f32::NAN; WIDTH];
                 assert_eq!(bits(&row), bits(&expected.unwrap_or(untouched)));
             }
             6 => {
-                let (found, expected) = (store.remove_state(id), shard.remove(user));
+                let (found, expected) =
+                    (store.remove_state(id), reference[home(user)].remove(user));
                 assert_eq!(found.as_deref().map(bits), expected.as_deref().map(bits));
             }
-            _ => assert_eq!(store.contains_state(id), shard.position(user).is_some()),
+            7 => assert_eq!(
+                store.contains_state(id),
+                reference[home(user)].position(user).is_some()
+            ),
+            8 => {
+                let users = batch(store, drawn, value);
+                let mut rows = vec![f32::NAN; users.len() * WIDTH];
+                let hits = store.read_states_into(users.iter().copied(), &mut rows, WIDTH);
+                let mut expected_hits = 0;
+                for (row, user) in rows.chunks(WIDTH).zip(&users) {
+                    let expected = reference[home(user.0)].get(user.0);
+                    expected_hits += usize::from(expected.is_some());
+                    let expected = expected.unwrap_or_else(|| vec![f32::NAN; WIDTH]);
+                    assert_eq!(bits(row), bits(&expected), "step {step}: row of {user:?}");
+                }
+                assert_eq!(hits, expected_hits, "step {step}");
+            }
+            _ => {
+                let users = batch(store, drawn, value);
+                let rows: Vec<f32> = (0..users.len() as i32)
+                    .flat_map(|row| state(value + row))
+                    .collect();
+                store.put_states(users.iter().copied(), &rows);
+                for (row, user) in rows.chunks(WIDTH).zip(&users) {
+                    reference[home(user.0)].put(user.0, row);
+                }
+            }
         }
         for probe in 0..USERS {
             let resident = reference[store.shard_index(UserId(probe))].position(probe);
@@ -140,6 +187,7 @@ fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[(u8, u64, i32
         for (index, shard) in reference.iter().enumerate() {
             let len = store.shard(index).len();
             assert_eq!(len, shard.entries.len(), "step {step}: shard {index}");
+            assert_eq!(store.shard(index).stats(), shard.stats, "step {step}");
             assert!(shard.capacity.is_none_or(|bound| len <= bound));
         }
     }
@@ -155,7 +203,10 @@ fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[(u8, u64, i32
 proptest! {
     #[test]
     fn store_agrees_with_a_linear_scan_reference(
-        ops in prop::collection::vec((0u8..8, 0..USERS, -50i32..50), 1..240),
+        ops in prop::collection::vec(
+            (0u8..10, 0..USERS, -50i32..50, prop::collection::vec(0..USERS, 1..9)),
+            1..240,
+        ),
         per_shard in 1usize..8,
         spare in 0usize..4,
     ) {
