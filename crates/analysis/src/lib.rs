@@ -3,7 +3,8 @@
 //! Workspace-native static analysis for the predictive-precompute repo:
 //! the concurrency and instrumentation invariants PRs 7–8 introduced
 //! (lock hierarchy, wakeup-protocol atomic orderings, poison policy,
-//! obs gating, unit naming, thread-spawn discipline) as machine-checked
+//! obs gating, unit naming, thread-spawn discipline) and the `unsafe`
+//! audit (`// SAFETY:` on every block) as machine-checked
 //! rules instead of review-lore.
 //!
 //! Std-only by design: a hand-rolled token scanner ([`lexer`]) rather
@@ -12,7 +13,7 @@
 //!
 //! * [`lexer`] / [`source`] — token scanner and per-file source model
 //!   (suppressions, test regions, function extents);
-//! * [`rules`] — the six shipped rules, each a pure function per file;
+//! * [`rules`] — the seven shipped rules, each a pure function per file;
 //! * [`config`] — the workspace-specific tables (lock hierarchy, protocol
 //!   atomics);
 //! * [`engine`] — workspace walk, suppression accounting,

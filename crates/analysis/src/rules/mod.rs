@@ -12,6 +12,7 @@ mod no_bare_thread_spawn;
 mod no_lock_unwrap;
 mod obs_gating;
 mod unit_suffix;
+mod unsafe_needs_safety;
 
 pub use atomic_ordering::AtomicOrdering;
 pub use lock_order::LockOrder;
@@ -19,6 +20,7 @@ pub use no_bare_thread_spawn::NoBareThreadSpawn;
 pub use no_lock_unwrap::NoLockUnwrap;
 pub use obs_gating::ObsGating;
 pub use unit_suffix::UnitSuffix;
+pub use unsafe_needs_safety::UnsafeNeedsSafety;
 
 /// A single lint rule.
 pub trait Rule {
@@ -39,6 +41,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(ObsGating),
         Box::new(UnitSuffix),
         Box::new(NoBareThreadSpawn),
+        Box::new(UnsafeNeedsSafety),
     ]
 }
 

@@ -175,6 +175,22 @@ fn no_bare_thread_spawn_good_fixture_passes() {
 }
 
 #[test]
+fn unsafe_needs_safety_bad_fixture_fails() {
+    let src = include_str!("fixtures/unsafe_needs_safety_bad.rs");
+    assert!(!expected_lines(src, "unsafe-needs-safety").is_empty());
+    check(src, SERVING_PATH, "unsafe-needs-safety");
+}
+
+#[test]
+fn unsafe_needs_safety_good_fixture_passes() {
+    check(
+        include_str!("fixtures/unsafe_needs_safety_good.rs"),
+        SERVING_PATH,
+        "unsafe-needs-safety",
+    );
+}
+
+#[test]
 fn suppressions_round_trip() {
     // Two live allows (trailing and own-line) suppress their diagnostics;
     // the stale allow surfaces as unused-suppression — and nothing else.
@@ -207,6 +223,7 @@ fn every_shipped_rule_has_fixture_coverage() {
         "obs-gating",
         "unit-suffix",
         "no-bare-thread-spawn",
+        "unsafe-needs-safety",
     ];
     let shipped: Vec<&str> = pp_lint::rules::all_rules().iter().map(|r| r.id()).collect();
     for rule in &shipped {

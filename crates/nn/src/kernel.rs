@@ -35,7 +35,8 @@
 //! compiler vectorises the same source eight lanes wide. [`gemm_acc`] picks
 //! once per call with `is_x86_feature_detected!` through a private
 //! `dispatch`, which the slice forms of [`crate::activation`] share; its
-//! call into the AVX2 instantiation is the only `unsafe` in the workspace.
+//! call into the AVX2 instantiation is one of the workspace's two audited
+//! `unsafe` blocks (the other is `pp_obs::sync`'s timer-slack `prctl`).
 //!
 //! [`Tensor::matmul`]: crate::tensor::Tensor::matmul
 

@@ -18,7 +18,9 @@
 //!   [`Reporter`];
 //! * [`sync`] — the [`LockPolicy`] extension trait naming the workspace's
 //!   mutex poison policies (`lock_or_panic` for engine-critical state,
-//!   `lock_recover` for observability state); **not** feature-gated;
+//!   `lock_recover` for observability state), and
+//!   [`sync::spawn_worker`], which names a worker thread and gives it exact
+//!   timers; **not** feature-gated;
 //! * [`trace`] — the sampled per-request [`Tracer`] (deterministic
 //!   seeded-hash sampling, bounded per-worker [`Span`] buffers), the
 //!   Chrome trace-event exporter [`chrome_trace_json`], and the

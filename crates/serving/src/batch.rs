@@ -536,6 +536,11 @@ impl BatchServingEngine {
     /// trickle the partial batch still flushes within the deadline instead
     /// of serving everything as singletons.
     ///
+    /// No job is held more than `coalesce_wait` past its arrival plus the
+    /// worker's wake latency: workers are spawned through
+    /// [`pp_obs::sync::spawn_worker`] (named `pp-worker-{i}`), which takes
+    /// the OS's timer slack off their timed waits.
+    ///
     /// # Panics
     ///
     /// Panics if `workers` or `max_batch` is zero.
@@ -570,7 +575,9 @@ impl BatchServingEngine {
         let workers = (0..workers)
             .map(|worker| {
                 let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(&shared, worker))
+                pp_obs::sync::spawn_worker(format!("pp-worker-{worker}"), move || {
+                    worker_loop(&shared, worker);
+                })
             })
             .collect();
         Self { shared, workers }
@@ -1017,8 +1024,9 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
 
         // Coalesce: hold a non-full batch open for stragglers, with the
         // flush deadline anchored at the *oldest job's arrival* — queue
-        // residence while workers were busy counts against the budget, so
-        // no job waits more than `coalesce_wait` past its arrival here.
+        // residence while workers were busy counts against the budget. The
+        // timed wait below ends at that deadline plus wake latency only,
+        // because `spawn_worker` took the OS's timer slack off this thread.
         if let Some(wait) = shared.coalesce_wait {
             if batch.jobs.len() < shared.max_batch && !shared.shutdown.load(Ordering::SeqCst) {
                 let held = pp_obs::Stopwatch::start();

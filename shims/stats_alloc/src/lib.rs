@@ -15,8 +15,8 @@
 //! drop(v);
 //! ```
 //!
-//! This is the workspace's only `unsafe` outside the kernel dispatch: the
-//! `GlobalAlloc` trait cannot be implemented without it. Every method
+//! This is the workspace's only `unsafe` outside its two audited blocks
+//! (the kernel dispatch and the timer-slack `prctl`): the `GlobalAlloc` trait cannot be implemented without it. Every method
 //! forwards its arguments unchanged to the wrapped allocator.
 
 #![warn(missing_docs)]
