@@ -40,6 +40,11 @@ pub struct LintConfig {
     /// Path substrings where the obs-gating rule does not apply (the
     /// observability crate itself is the implementation, not a consumer).
     pub obs_gating_exempt_paths: Vec<&'static str>,
+    /// The kernel dispatch functions whose closure arguments must be
+    /// `#[inline(always)]` (the `dispatch-inline` rule).
+    pub dispatch_fns: Vec<&'static str>,
+    /// Path substrings where those names mean the kernel dispatch.
+    pub dispatch_paths: Vec<&'static str>,
 }
 
 impl Default for LintConfig {
@@ -149,6 +154,10 @@ impl Default for LintConfig {
             protocol_atomics: vec!["shutdown", "stop", "claimed", "len", "alive"],
             skip_paths: vec!["/target/", "shims/", "crates/analysis/tests/fixtures/"],
             obs_gating_exempt_paths: vec!["crates/obs/"],
+            // `pp_nn::kernel`'s private dispatch, shared by the GEMM, the
+            // gathers and the activations' slice forms.
+            dispatch_fns: vec!["dispatch", "dispatch_to"],
+            dispatch_paths: vec!["crates/nn/src/"],
         }
     }
 }

@@ -7,6 +7,7 @@ use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 
 mod atomic_ordering;
+mod dispatch_inline;
 mod lock_order;
 mod no_bare_thread_spawn;
 mod no_lock_unwrap;
@@ -15,6 +16,7 @@ mod unit_suffix;
 mod unsafe_needs_safety;
 
 pub use atomic_ordering::AtomicOrdering;
+pub use dispatch_inline::DispatchInline;
 pub use lock_order::LockOrder;
 pub use no_bare_thread_spawn::NoBareThreadSpawn;
 pub use no_lock_unwrap::NoLockUnwrap;
@@ -42,6 +44,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(UnitSuffix),
         Box::new(NoBareThreadSpawn),
         Box::new(UnsafeNeedsSafety),
+        Box::new(DispatchInline),
     ]
 }
 

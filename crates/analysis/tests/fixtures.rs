@@ -12,6 +12,10 @@ use pp_lint::{lint_source, LintConfig};
 /// hierarchy's `jobs`/`work_gen` classes and the obs-gating rule apply.
 const SERVING_PATH: &str = "crates/serving/src/fixture.rs";
 
+/// Synthetic path placing a fixture inside pp-nn, where the kernel dispatch
+/// lives.
+const NN_PATH: &str = "crates/nn/src/fixture.rs";
+
 /// 1-based lines of `src` marked `EXPECT: <rule>`.
 fn expected_lines(src: &str, rule: &str) -> Vec<u32> {
     let marker = format!("EXPECT: {rule}");
@@ -191,6 +195,33 @@ fn unsafe_needs_safety_good_fixture_passes() {
 }
 
 #[test]
+fn dispatch_inline_bad_fixture_fails() {
+    let src = include_str!("fixtures/dispatch_inline_bad.rs");
+    assert!(!expected_lines(src, "dispatch-inline").is_empty());
+    check(src, NN_PATH, "dispatch-inline");
+}
+
+#[test]
+fn dispatch_inline_good_fixture_passes() {
+    check(
+        include_str!("fixtures/dispatch_inline_good.rs"),
+        NN_PATH,
+        "dispatch-inline",
+    );
+}
+
+#[test]
+fn dispatch_inline_applies_only_where_the_kernel_dispatch_lives() {
+    // Outside pp-nn a `dispatch` is some other function.
+    let src = include_str!("fixtures/dispatch_inline_bad.rs");
+    let diags = lint_source(SERVING_PATH, src, false, &LintConfig::default());
+    assert!(
+        diags.iter().all(|d| d.rule != "dispatch-inline"),
+        "only crates/nn/src is checked: {diags:?}"
+    );
+}
+
+#[test]
 fn suppressions_round_trip() {
     // Two live allows (trailing and own-line) suppress their diagnostics;
     // the stale allow surfaces as unused-suppression — and nothing else.
@@ -224,6 +255,7 @@ fn every_shipped_rule_has_fixture_coverage() {
         "unit-suffix",
         "no-bare-thread-spawn",
         "unsafe-needs-safety",
+        "dispatch-inline",
     ];
     let shipped: Vec<&str> = pp_lint::rules::all_rules().iter().map(|r| r.id()).collect();
     for rule in &shipped {

@@ -1,13 +1,14 @@
 //! Criterion microbenchmarks of the compute half of the request path at
-//! serving shapes (B ∈ {1, 8, 64}, H = 128): the one GEMM dense, the
-//! one-hot inputs as row gathers, the fused GRU step and the fused
-//! prediction head, each over a warm scratch. The in-repo line a kernel
-//! change has to move; end-to-end claims still go through `ppbench`
-//! (`benchmark/README.md`).
+//! serving shapes (B ∈ {1, 8, 64}, H = 128): the one GEMM dense and on the
+//! one-hot inputs' dense form in every instantiation the host runs
+//! (`dense/<isa>`, `onehot/<isa>`), the one-hot inputs as row gathers, the
+//! fused GRU step and the fused prediction head, each over a warm scratch.
+//! The in-repo line a kernel change has to move; end-to-end claims still go
+//! through `ppbench` (`benchmark/README.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pp_data::schema::{Context, DatasetKind, Tab};
-use pp_nn::kernel::{gather_acc, gemm_acc, gemm_acc_portable, SparseRows};
+use pp_nn::kernel::{gather_acc, gemm_acc_on, Isa, SparseRows};
 use pp_rnn::{BatchScratch, RnnModel, RnnModelConfig, TaskKind};
 use std::hint::black_box;
 
@@ -41,29 +42,45 @@ fn bench_gemm(c: &mut Criterion) {
             .map(|i| state_value(i / HIDDEN, i % HIDDEN))
             .collect();
         let mut out = vec![0.0f32; b * HIDDEN];
-        group.bench_with_input(BenchmarkId::new("dense", b), &b, |bench, _| {
-            bench.iter(|| {
-                out.fill(0.0);
-                gemm_acc(&mut out, black_box(&a), &w, HIDDEN);
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("dense_portable", b), &b, |bench, _| {
-            bench.iter(|| {
-                out.fill(0.0);
-                gemm_acc_portable(&mut out, black_box(&a), &w, HIDDEN);
-            });
-        });
         let mut x = SparseRows::new();
         x.clear(dims);
-        for i in 0..b {
+        let mut onehot = vec![0.0f32; b * dims];
+        for (i, row) in onehot.chunks_exact_mut(dims).enumerate() {
             featurizer.update_input_into(
                 86_400 + 3_700 * i as i64,
                 &context(i),
                 600 * i as i64,
                 i % 2 == 0,
-                |col, value| x.push(col, value),
+                |col, value| {
+                    x.push(col, value);
+                    row[col] = value;
+                },
             );
             x.end_row();
+        }
+        for isa in Isa::available() {
+            group.bench_with_input(
+                BenchmarkId::new(format!("dense/{isa:?}"), b),
+                &b,
+                |bench, _| {
+                    bench.iter(|| {
+                        out.fill(0.0);
+                        gemm_acc_on(isa, &mut out, black_box(&a), &w, HIDDEN);
+                    });
+                },
+            );
+            // Mostly zeros, so the GEMM takes its row loop: the gather's
+            // `value × row` additions, plus a scan past the zeros.
+            group.bench_with_input(
+                BenchmarkId::new(format!("onehot/{isa:?}"), b),
+                &b,
+                |bench, _| {
+                    bench.iter(|| {
+                        out.fill(0.0);
+                        gemm_acc_on(isa, &mut out, black_box(&onehot), &w_in, HIDDEN);
+                    });
+                },
+            );
         }
         group.bench_with_input(BenchmarkId::new("onehot_gather", b), &b, |bench, _| {
             bench.iter(|| {

@@ -53,10 +53,11 @@
 //!
 //! The scalar forms are `#[inline(always)]` bodies of plain arithmetic and
 //! bit operations. The in-place slice forms run them through the same
-//! dispatch as [`crate::kernel::gemm_acc`], portably or as an AVX2
-//! instantiation; with no FMA and no reassociation each element gets the
-//! same sequence of operations in both, so scalar ≡ slice and portable ≡
-//! AVX2 bit for bit. That keeps the fused steps bit-identical to the graph.
+//! dispatch as [`crate::kernel::gemm_acc`], in the widest of its portable,
+//! AVX2 and AVX-512 instantiations the CPU has; with no FMA and no
+//! reassociation each element gets the same sequence of operations in every
+//! one, so scalar ≡ slice and every instantiation ≡ every other bit for bit.
+//! That keeps the fused steps bit-identical to the graph.
 //!
 //! [`Graph::sigmoid`]: crate::graph::Graph::sigmoid
 //! [`Graph::tanh`]: crate::graph::Graph::tanh
@@ -151,7 +152,7 @@ pub fn tanh(x: f32) -> f32 {
 pub fn exp_in_place(xs: &mut [f32]) {
     dispatch(
         #[inline(always)]
-        || xs.iter_mut().for_each(|x| *x = exp(*x)),
+        |_| xs.iter_mut().for_each(|x| *x = exp(*x)),
     );
 }
 
@@ -159,7 +160,7 @@ pub fn exp_in_place(xs: &mut [f32]) {
 pub fn sigmoid_in_place(xs: &mut [f32]) {
     dispatch(
         #[inline(always)]
-        || xs.iter_mut().for_each(|x| *x = sigmoid(*x)),
+        |_| xs.iter_mut().for_each(|x| *x = sigmoid(*x)),
     );
 }
 
@@ -167,13 +168,14 @@ pub fn sigmoid_in_place(xs: &mut [f32]) {
 pub fn tanh_in_place(xs: &mut [f32]) {
     dispatch(
         #[inline(always)]
-        || xs.iter_mut().for_each(|x| *x = tanh(*x)),
+        |_| xs.iter_mut().for_each(|x| *x = tanh(*x)),
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{dispatch_to, Isa};
     use std::hint::black_box;
 
     /// The bounds stated in the module docs.
@@ -327,34 +329,56 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    #[test]
-    fn scalar_portable_and_dispatched_forms_agree_bit_for_bit() {
-        type Forms = (fn(f32) -> f32, fn(&mut [f32]), &'static str);
-        let forms: [Forms; 3] = [
-            (exp, exp_in_place, "exp"),
-            (sigmoid, sigmoid_in_place, "sigmoid"),
-            (tanh, tanh_in_place, "tanh"),
-        ];
-        let inputs: Vec<f32> = strided().chain(EDGES).collect();
-        for (scalar, in_place, name) in forms {
-            // One call at a time through a pointer: scalar code.
-            let one_by_one: Vec<f32> = inputs.iter().map(|&x| black_box(scalar)(x)).collect();
-            // A loop the compiler vectorises without AVX2: the portable
-            // instantiation.
-            let portable: Vec<f32> = inputs.iter().map(|&x| scalar(x)).collect();
-            // On an AVX2 host, the AVX2 instantiation.
-            let mut dispatched = inputs.clone();
-            in_place(&mut dispatched);
+    /// `f` over `xs` in `isa`'s instantiation, the way the slice forms run
+    /// it.
+    #[inline(always)]
+    fn in_place_on(isa: Isa, xs: &mut [f32], f: impl Fn(f32) -> f32) {
+        dispatch_to(
+            isa,
+            #[inline(always)]
+            |_| xs.iter_mut().for_each(|x| *x = f(*x)),
+        );
+    }
+
+    /// Asserts that the scalar form of `f`, its slice form and every
+    /// instantiation in `isas` give the same bits.
+    fn check_forms(
+        name: &str,
+        f: impl Fn(f32) -> f32 + Copy,
+        in_place: fn(&mut [f32]),
+        isas: &[Isa],
+        inputs: &[f32],
+    ) {
+        // One call at a time through a pointer: scalar code.
+        let scalar: &dyn Fn(f32) -> f32 = black_box(&f);
+        let want: Vec<f32> = inputs.iter().map(|&x| scalar(x)).collect();
+        let mut dispatched = inputs.to_vec();
+        in_place(&mut dispatched);
+        let mut forms = vec![("dispatched".to_string(), dispatched)];
+        for &isa in isas {
+            let mut on = inputs.to_vec();
+            in_place_on(isa, &mut on, f);
+            forms.push((format!("{isa:?}"), on));
+        }
+        for (form, got) in &forms {
             for (i, &x) in inputs.iter().enumerate() {
-                let want = one_by_one[i];
                 assert!(
-                    same(portable[i], want) && same(dispatched[i], want),
-                    "{name}({x:e}): scalar {want:e}, portable {:e}, dispatched {:e}",
-                    portable[i],
-                    dispatched[i]
+                    same(got[i], want[i]),
+                    "{name}({x:e}): scalar {:e}, {form} {:e}",
+                    want[i],
+                    got[i]
                 );
             }
         }
+    }
+
+    #[test]
+    fn scalar_portable_and_dispatched_forms_agree_bit_for_bit() {
+        let isas = Isa::under_test("activations");
+        let inputs: Vec<f32> = strided().chain(EDGES).collect();
+        check_forms("exp", exp, exp_in_place, &isas, &inputs);
+        check_forms("sigmoid", sigmoid, sigmoid_in_place, &isas, &inputs);
+        check_forms("tanh", tanh, tanh_in_place, &isas, &inputs);
     }
 
     #[test]

@@ -15,35 +15,95 @@
 //! (no fused multiply-add, no reassociation, no partial sums). Blocking only
 //! changes *which* elements are worked on together, never the sequence of
 //! operations applied to one element, so the result is bit-for-bit the same
-//! for every batch size, on every host, and in both instantiations below.
+//! for every batch size, on every host, and in every instantiation below.
 //! That is what keeps batched ≡ single-request and fused ≡ graph exact.
 //!
 //! # Blocking and dispatch
 //!
 //! Dense rows are processed four at a time in register tiles of
-//! 4 × 16 outputs: a tile's sixteen accumulator lanes per row
-//! stay in registers for the whole `k` loop, so each `w` element is loaded
-//! once per four output rows and `out` is read and written once per call
-//! instead of once per `k`. Column tiles are the outer loop, so the `K × 16`
-//! panel of `w` a tile reads stays in L1 across all row blocks. Rows beyond
-//! a multiple of four, columns beyond a multiple of sixteen, and inputs that
-//! are mostly zeros take the row-at-a-time loop; `N = 1` (a dot product per
-//! row) runs four independent add chains.
+//! 4 rows × `TILE` columns: a tile's accumulators stay in registers for the
+//! whole `k` loop, so each `w` element is loaded once per four output rows
+//! and `out` is read and written once per call instead of once per `k`.
+//! Column tiles are the outer loop, so the `K × TILE` panel of `w` a tile
+//! reads stays in L1 across all row blocks. Rows beyond a multiple of four,
+//! columns beyond a multiple of `TILE`, and inputs that are mostly zeros
+//! take the row-at-a-time loop; `N = 1` (a dot product per row) runs four
+//! independent add chains.
 //!
 //! The body is plain safe Rust marked `#[inline(always)]` and instantiated
-//! twice: portably, and under `#[target_feature(enable = "avx2")]` so the
-//! compiler vectorises the same source eight lanes wide. [`gemm_acc`] picks
-//! once per call with `is_x86_feature_detected!` through a private
-//! `dispatch`, which the slice forms of [`crate::activation`] share; its
-//! call into the AVX2 instantiation is one of the workspace's two audited
-//! `unsafe` blocks (the other is `pp_obs::sync`'s timer-slack `prctl`).
+//! once per [`Isa`]: portably, under `#[target_feature(enable = "avx2")]`
+//! and under `#[target_feature(enable = "avx512f")]`, so the compiler
+//! vectorises the same source four, eight or sixteen lanes wide. The tile
+//! width follows the register file: 16 columns under AVX2 (eight 256-bit
+//! accumulators of its sixteen registers) and portably, 64 under AVX-512
+//! (sixteen 512-bit accumulators of its thirty-two), where a 16-column tile
+//! would leave four add chains to hide the add latency. [`gemm_acc`]
+//! and [`gather_acc`] pick the widest instantiation the CPU has, once per
+//! call, through a private `dispatch` that the slice forms of
+//! [`crate::activation`] share; its calls into the two target-feature
+//! instantiations are one of the workspace's two audited `unsafe` blocks
+//! (the other is `pp_obs::sync`'s timer-slack `prctl`). [`gemm_acc_on`]
+//! runs a named instantiation, so tests and benches cover all of them on
+//! one host.
 //!
 //! [`Tensor::matmul`]: crate::tensor::Tensor::matmul
 
 /// Output rows one register tile covers.
 const ROWS: usize = 4;
-/// Output columns one register tile covers (two 256-bit vectors of `f32`).
-const TILE: usize = 16;
+
+/// An instruction set the kernel body is instantiated for. Every
+/// instantiation gives the same bits; they differ in vector width only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// The compilation target's baseline (SSE2 on `x86_64`).
+    Portable,
+    /// 256-bit AVX2.
+    Avx2,
+    /// 512-bit AVX-512 Foundation.
+    Avx512,
+}
+
+impl Isa {
+    /// Every instantiation, narrowest first.
+    const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2, Isa::Avx512];
+
+    /// The instantiations this CPU can run, narrowest first; the last is the
+    /// one [`gemm_acc`] picks.
+    pub fn available() -> impl Iterator<Item = Isa> {
+        Self::ALL.into_iter().filter(|isa| isa.is_available())
+    }
+
+    /// The widest instantiation this CPU can run.
+    fn best() -> Isa {
+        if Isa::Avx512.is_available() {
+            Isa::Avx512
+        } else if Isa::Avx2.is_available() {
+            Isa::Avx2
+        } else {
+            Isa::Portable
+        }
+    }
+
+    /// Whether this CPU has every target feature the instantiation is
+    /// compiled with. `avx512f` implies `avx2`, `fma` and `f16c` to the
+    /// compiler, so those are required too.
+    fn is_available(self) -> bool {
+        match self {
+            Isa::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+                    && std::arch::is_x86_feature_detected!("f16c")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512 => false,
+        }
+    }
+}
 
 /// Accumulates `a · w` into `out`: `out` is `M × n`, `w` is `K × n`, `a` is
 /// `M × K`, all row-major. See the module docs for the order of operations.
@@ -55,49 +115,84 @@ pub fn gemm_acc(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
     check_shapes(out, a, w, n);
     dispatch(
         #[inline(always)]
-        || gemm_body(out, a, w, n),
+        |isa| gemm_on(isa, out, a, w, n),
     );
 }
 
-/// Runs `body` in its AVX2 instantiation when the CPU has AVX2, portably
-/// otherwise; without FMA the two give the same bits. Shared by
-/// [`gemm_acc`] and the slice forms in [`crate::activation`].
-///
-/// `body` must be an `#[inline(always)]` closure over `#[inline(always)]`
-/// callees: only code inlined into `with_avx2` is compiled for AVX2, and a
-/// large closure left out of line silently runs portably.
-#[inline(always)]
-pub(crate) fn dispatch(body: impl FnOnce()) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `with_avx2` requires only that the CPU supports AVX2,
-        // which the `is_x86_feature_detected!("avx2")` guard above has just
-        // established; what it runs is the safe `body`.
-        #[allow(unsafe_code)]
-        unsafe {
-            with_avx2(body);
-        }
-        return;
-    }
-    body();
-}
-
-/// [`gemm_acc`] without the CPU dispatch: always the portable instantiation.
-/// Exists so tests and benches can exercise it on hosts where [`gemm_acc`]
-/// picks AVX2; results are bit-identical.
+/// [`gemm_acc`] in the instantiation `isa` rather than the widest one.
+/// Exists so tests and benches can exercise every instantiation the host
+/// has; results are bit-identical.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths do not describe `M × K · K × n` shapes.
-pub fn gemm_acc_portable(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+/// Panics if the CPU cannot run `isa` (see [`Isa::available`]), or if the
+/// slice lengths do not describe `M × K · K × n` shapes.
+pub fn gemm_acc_on(isa: Isa, out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
     check_shapes(out, a, w, n);
-    gemm_body(out, a, w, n);
+    dispatch_to(
+        isa,
+        #[inline(always)]
+        |isa| gemm_on(isa, out, a, w, n),
+    );
+}
+
+/// Runs `body` in the widest instantiation the CPU has; see [`dispatch_to`].
+/// Shared by [`gemm_acc`], [`gather_acc`] and the slice forms in
+/// [`crate::activation`].
+#[inline(always)]
+pub(crate) fn dispatch(body: impl FnOnce(Isa)) {
+    dispatch_to(Isa::best(), body);
+}
+
+/// Runs `body(isa)` compiled for `isa`; without FMA every instantiation
+/// gives the same bits. `isa` is a constant in each instantiation, so a
+/// `match` on it in `body` folds away.
+///
+/// `body` must be an `#[inline(always)]` closure over `#[inline(always)]`
+/// callees: only code inlined into `with_avx2` / `with_avx512` is compiled
+/// for their target features, and a large closure left out of line
+/// silently runs portably (`pp-lint`'s `dispatch-inline` rule checks the
+/// closure).
+///
+/// # Panics
+///
+/// Panics if the CPU cannot run `isa`.
+#[inline(always)]
+pub(crate) fn dispatch_to(isa: Isa, body: impl FnOnce(Isa)) {
+    assert!(
+        isa.is_available(),
+        "this CPU cannot run the {isa:?} kernels"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa != Isa::Portable {
+        // SAFETY: `with_avx512` and `with_avx2` require only that the CPU
+        // supports the target features they are compiled with, which the
+        // `is_x86_feature_detected!` checks behind the `is_available`
+        // assertion above have just established for `isa`; what they run
+        // is the safe `body`.
+        #[allow(unsafe_code)]
+        unsafe {
+            if isa == Isa::Avx512 {
+                with_avx512(body);
+            } else {
+                with_avx2(body);
+            }
+        }
+        return;
+    }
+    body(Isa::Portable);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn with_avx2(body: impl FnOnce()) {
-    body();
+fn with_avx2(body: impl FnOnce(Isa)) {
+    body(Isa::Avx2);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn with_avx512(body: impl FnOnce(Isa)) {
+    body(Isa::Avx512);
 }
 
 fn check_shapes(out: &[f32], a: &[f32], w: &[f32], n: usize) {
@@ -123,8 +218,17 @@ fn check_shapes(out: &[f32], a: &[f32], w: &[f32], n: usize) {
     );
 }
 
+/// The GEMM body with the tile width of `isa`'s register file.
 #[inline(always)]
-fn gemm_body(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+fn gemm_on(isa: Isa, out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
+    match isa {
+        Isa::Portable | Isa::Avx2 => gemm_body::<16>(out, a, w, n),
+        Isa::Avx512 => gemm_body::<64>(out, a, w, n),
+    }
+}
+
+#[inline(always)]
+fn gemm_body<const TILE: usize>(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
     if out.is_empty() || w.is_empty() {
         return;
     }
@@ -145,7 +249,7 @@ fn gemm_body(out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
     };
     let (out_tiled, out_rest) = out.split_at_mut(tiled_rows * n);
     let (a_tiled, a_rest) = a.split_at(tiled_rows * k);
-    tiles(out_tiled, a_tiled, w, k, n, tiled_cols);
+    tiles::<TILE>(out_tiled, a_tiled, w, k, n, tiled_cols);
     if tiled_cols < n {
         rows(out_tiled, a_tiled, w, k, n, tiled_cols);
     }
@@ -173,9 +277,16 @@ fn rows(out: &mut [f32], a: &[f32], w: &[f32], k: usize, n: usize, from_col: usi
 }
 
 /// Register-tiled accumulation into columns `0..cols` (a multiple of
-/// [`TILE`]) of `out`, whose row count is a multiple of [`ROWS`].
+/// `TILE`) of `out`, whose row count is a multiple of [`ROWS`].
 #[inline(always)]
-fn tiles(out: &mut [f32], a: &[f32], w: &[f32], k: usize, n: usize, cols: usize) {
+fn tiles<const TILE: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    w: &[f32],
+    k: usize,
+    n: usize,
+    cols: usize,
+) {
     for j in (0..cols).step_by(TILE) {
         for (o, a_block) in out.chunks_exact_mut(ROWS * n).zip(a.chunks_exact(ROWS * k)) {
             let (a0, rest) = a_block.split_at(k);
@@ -385,10 +496,31 @@ pub fn gather_acc(out: &mut [f32], x: &SparseRows, w: &[f32], n: usize) {
     if n == 0 {
         return;
     }
+    dispatch(
+        #[inline(always)]
+        |_| gather_body(out, x, w, n),
+    );
+}
+
+#[inline(always)]
+fn gather_body(out: &mut [f32], x: &SparseRows, w: &[f32], n: usize) {
     for (row, o) in out.chunks_exact_mut(n).enumerate() {
         for (col, value) in x.row(row) {
             axpy(o, value, &w[col * n..(col + 1) * n]);
         }
+    }
+}
+
+#[cfg(test)]
+impl Isa {
+    /// The instantiations a test checks: every one this CPU can run. Prints
+    /// which it checks and which it skips (run with `--nocapture`), so a
+    /// green run on a host without AVX-512 is not read as AVX-512 coverage.
+    pub(crate) fn under_test(test: &str) -> Vec<Isa> {
+        let (checked, skipped): (Vec<Isa>, Vec<Isa>) =
+            Isa::ALL.into_iter().partition(|isa| isa.is_available());
+        println!("{test}: checked {checked:?}; skipped, not on this CPU: {skipped:?}");
+        checked
     }
 }
 
@@ -457,9 +589,10 @@ mod tests {
 
     #[test]
     fn both_instantiations_match_the_naive_reference_bit_for_bit() {
+        let isas = Isa::under_test("gemm_acc_on");
         let mut rng = StdRng::seed_from_u64(13);
         for &m in &[1usize, 3, 4, 5, 63, 64] {
-            for &n in &[1usize, 7, 16, 128, 384] {
+            for &n in &[1usize, 7, 16, 64, 80, 128, 384] {
                 for &k in &[1usize, 5, 98, 128] {
                     for fill in [Fill::Dense, Fill::HalfZero, Fill::OneHot, Fill::ZeroRows] {
                         let a = fill_a(&mut rng, m, k, fill);
@@ -470,10 +603,11 @@ mod tests {
                         let mut want = start.clone();
                         naive(&mut want, &a, &w, n);
                         let what = format!("{m}x{k}x{n} {fill:?}");
-                        let mut got = start.clone();
-                        gemm_acc_portable(&mut got, &a, &w, n);
-                        assert_bits_eq(&got, &want, &format!("portable {what}"));
-                        // On an AVX2 host this is the AVX2 instantiation.
+                        for &isa in &isas {
+                            let mut got = start.clone();
+                            gemm_acc_on(isa, &mut got, &a, &w, n);
+                            assert_bits_eq(&got, &want, &format!("{isa:?} {what}"));
+                        }
                         let mut got = start.clone();
                         gemm_acc(&mut got, &a, &w, n);
                         assert_bits_eq(&got, &want, &format!("dispatched {what}"));
@@ -485,6 +619,7 @@ mod tests {
 
     #[test]
     fn gather_matches_the_dense_product_bit_for_bit() {
+        let isas = Isa::under_test("gather");
         let mut rng = StdRng::seed_from_u64(29);
         for &(m, k, n) in &[
             (1usize, 99usize, 128usize),
@@ -502,10 +637,41 @@ mod tests {
                 }
                 let mut want = vec![0.0f32; m * n];
                 naive(&mut want, &a, &w, n);
+                let what = format!("{m}x{k}x{n} {fill:?}");
+                for &isa in &isas {
+                    let mut got = vec![0.0f32; m * n];
+                    dispatch_to(
+                        isa,
+                        #[inline(always)]
+                        |_| gather_body(&mut got, &x, &w, n),
+                    );
+                    assert_bits_eq(&got, &want, &format!("{isa:?} gather {what}"));
+                }
                 let mut got = vec![0.0f32; m * n];
                 gather_acc(&mut got, &x, &w, n);
-                assert_bits_eq(&got, &want, &format!("gather {m}x{k}x{n} {fill:?}"));
+                assert_bits_eq(&got, &want, &format!("dispatched gather {what}"));
             }
+        }
+    }
+
+    #[test]
+    fn dispatch_picks_the_widest_available_instantiation() {
+        let mut picked = None;
+        dispatch(
+            #[inline(always)]
+            |isa| picked = Some(isa),
+        );
+        assert_eq!(picked, Isa::available().last());
+        assert_eq!(Isa::available().next(), Some(Isa::Portable));
+    }
+
+    #[test]
+    fn an_instantiation_the_cpu_lacks_panics() {
+        for isa in Isa::ALL.into_iter().filter(|isa| !isa.is_available()) {
+            let run = std::panic::catch_unwind(|| {
+                gemm_acc_on(isa, &mut [0.0; 2], &[1.0], &[1.0, 2.0], 2);
+            });
+            assert!(run.is_err(), "{isa:?} ran on a CPU without it");
         }
     }
 
