@@ -9,7 +9,7 @@
 use crate::activity::{Activity, ActivityMap};
 use pp_core::PrecomputePolicy;
 use pp_data::schema::UserId;
-use pp_serving::{BatchServingEngine, PredictRequest, Prediction};
+use pp_serving::Prediction;
 use serde::{Deserialize, Serialize};
 
 /// What the subsystem did (or declined to do) for one scored session start.
@@ -158,32 +158,11 @@ impl DecisionEngine {
             .map(|p| self.decide(p, timestamp))
             .collect()
     }
-
-    /// Scores `requests` through a running [`BatchServingEngine`] (one
-    /// batched forward pass per engine batch) and decides on each result —
-    /// the production wiring of serving into precompute. Decisions carry
-    /// their request's session-start timestamp.
-    pub fn score_and_decide(
-        &mut self,
-        engine: &BatchServingEngine,
-        requests: &[PredictRequest],
-    ) -> Vec<Decision> {
-        let predictions = engine.predict_many_blocking(requests);
-        requests
-            .iter()
-            .zip(&predictions)
-            .map(|(request, prediction)| self.decide(prediction, request.timestamp))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_data::schema::{Context, DatasetKind, Tab};
-    use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
-    use pp_serving::ShardedStateStore;
-    use std::sync::Arc;
 
     fn prediction(id: u64, p: f64) -> Prediction {
         Prediction {
@@ -243,50 +222,5 @@ mod tests {
         assert_eq!(after.action, Action::Skip);
         assert!((before.threshold - 0.5).abs() < 1e-12);
         assert!((after.threshold - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn score_and_decide_consumes_the_batch_serving_engine() {
-        let model = Arc::new(RnnModel::new(
-            DatasetKind::MobileTab,
-            TaskKind::PerSession,
-            RnnModelConfig::tiny(),
-            3,
-        ));
-        let store = Arc::new(ShardedStateStore::new(4));
-        let serving = BatchServingEngine::start(model.clone(), store.clone(), 2, 16);
-        let requests: Vec<PredictRequest> = (0..24)
-            .map(|i| PredictRequest {
-                user_id: UserId(i as u64 % 7),
-                timestamp: 10_000 + i * 13,
-                context: Context::MobileTab {
-                    unread_count: (i % 5) as u8,
-                    active_tab: Tab::ALL[i as usize % Tab::ALL.len()],
-                },
-                elapsed_secs: 120 + i,
-            })
-            .collect();
-
-        let mut engine = DecisionEngine::new(PrecomputePolicy::with_threshold(0.0));
-        let decisions = engine.score_and_decide(&serving, &requests);
-        assert_eq!(decisions.len(), requests.len());
-        for (request, decision) in requests.iter().zip(&decisions) {
-            assert_eq!(decision.user_id, request.user_id);
-            assert_eq!(decision.timestamp, request.timestamp);
-            // Threshold 0: every scored request is a prefetch intent, and
-            // the probability matches the single-request path.
-            assert_eq!(decision.action, Action::Prefetch);
-            let state = store
-                .get_state(request.user_id)
-                .unwrap_or_else(|| model.initial_state());
-            let input = model.featurizer().predict_input(
-                request.timestamp,
-                &request.context,
-                request.elapsed_secs,
-            );
-            let single = model.predict_proba(&state, &input);
-            assert!((decision.probability - single).abs() < 1e-6);
-        }
-        assert_eq!(engine.stats().scored, 24);
     }
 }

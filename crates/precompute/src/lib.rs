@@ -14,8 +14,9 @@
 //!   and [`jain_index`] for fairness reporting;
 //! * [`decision`] — the [`DecisionEngine`]: applies per-activity
 //!   [`pp_core::PrecomputePolicy`]s to batched [`pp_serving::Prediction`]s
-//!   (straight from a [`pp_serving::BatchServingEngine`] via
-//!   `predict_many_blocking`) and emits per-request [`Decision`]s;
+//!   (a wave scored by a [`pp_serving::BatchScheduler`] or harvested from
+//!   a [`pp_serving::BatchServingEngine`]'s `submit_many` receivers) and
+//!   emits per-request [`Decision`]s;
 //! * [`scheduler`] — the [`PrefetchScheduler`]: token-bucket admission with
 //!   a max-inflight cap, costing each prefetch in the abstract cost units
 //!   of `pp-serving::cost` ([`prefetch_cost_units`]), so "budget" means the

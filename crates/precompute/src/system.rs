@@ -343,8 +343,8 @@ impl PrecomputeSystem {
         // sampled candidate: the wave-level `wave_admission` span and the
         // per-user `cache_insert` spans share a wave sequence number, and
         // each insert span carries the *user's* trace id — the same id the
-        // serving engine stamped on that user's `predict_many_blocking`
-        // spans — so one trace follows predict → decide → act.
+        // serving engine stamped on that user's `submit_many` spans — so
+        // one trace follows predict → decide → act.
         let tracer = pp_obs::Tracer::global();
         let wave_traced = tracer.enabled()
             && candidates
@@ -530,8 +530,7 @@ impl PrecomputeSystem {
         }
     }
 
-    /// The decision engine (e.g. for
-    /// [`DecisionEngine::score_and_decide`]-style wiring or inspection).
+    /// The decision engine (its policies and counters).
     pub fn decision_engine(&self) -> &DecisionEngine {
         &self.engine
     }

@@ -474,10 +474,6 @@ impl EngineShared {
         self.signals.len()
     }
 
-    fn owner(&self, shard: usize) -> usize {
-        shard % self.num_workers()
-    }
-
     /// Moves the work generation, so that a worker between its scan and its
     /// park scans again, and wakes the parked idle workers if `wake_idle`.
     fn bump_work_gen(&self, wake_idle: bool) {
@@ -583,16 +579,12 @@ impl BatchServingEngine {
         Self { shared, workers }
     }
 
-    /// The number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.shared.num_workers()
-    }
-
     /// The worker that owns `user`'s home shard (and therefore serves the
     /// user's jobs unless a peer steals the shard while this worker is
     /// busy).
-    pub fn home_worker(&self, user: UserId) -> usize {
-        self.shared.owner(self.shared.store.shard_index(user))
+    #[cfg(test)]
+    fn home_worker(&self, user: UserId) -> usize {
+        self.shared.store.shard_index(user) % self.shared.num_workers()
     }
 
     /// Routes jobs to their home-shard queues, then wakes only the workers
@@ -688,55 +680,16 @@ impl BatchServingEngine {
         })
     }
 
-    /// Submits a session-close hidden-state update; the returned receiver
-    /// yields `()` once the state has been advanced and re-stored. Updates
-    /// and predictions for the same user are applied in submission order
-    /// (they share the user's home-shard queue).
-    pub fn submit_update(&self, request: UpdateRequest) -> mpsc::Receiver<()> {
-        self.submit_updates(&[request])
-            .pop()
-            .expect("one receiver per request")
-    }
-
-    /// Submits a burst of updates in one enqueue pass.
+    /// Submits a burst of session-close hidden-state updates in one enqueue
+    /// pass; each returned receiver yields `()` once its state has been
+    /// advanced and re-stored, and disconnects if the worker applying it
+    /// died. Updates and predictions for the same user are applied in
+    /// submission order (they share the user's home-shard queue).
     pub fn submit_updates(&self, requests: &[UpdateRequest]) -> Vec<mpsc::Receiver<()>> {
         self.submit_wave(requests, |request, reply| JobKind::Update {
             request,
             reply,
         })
-    }
-
-    /// Submits a burst of updates and blocks until every state has been
-    /// advanced and re-stored.
-    pub fn apply_updates_blocking(&self, requests: &[UpdateRequest]) {
-        for receiver in self.submit_updates(requests) {
-            receiver
-                .recv()
-                .expect("engine worker dropped the update reply channel");
-        }
-    }
-
-    /// Submits a request and blocks for the prediction.
-    pub fn predict_blocking(&self, request: PredictRequest) -> Prediction {
-        self.submit(request)
-            .recv()
-            .expect("engine worker dropped the reply channel")
-    }
-
-    /// Submits a burst of requests in one queue lock and blocks until every
-    /// prediction is served, returning them in request order. This is the
-    /// integration point for downstream consumers (the `pp-precompute`
-    /// decision engine) that want one batched score vector per wave of
-    /// session starts.
-    pub fn predict_many_blocking(&self, requests: &[PredictRequest]) -> Vec<Prediction> {
-        self.submit_many(requests)
-            .into_iter()
-            .map(|receiver| {
-                receiver
-                    .recv()
-                    .expect("engine worker dropped the reply channel")
-            })
-            .collect()
     }
 
     /// Counters accumulated so far.
@@ -1372,7 +1325,9 @@ mod tests {
             })
             .collect();
         for (request, receiver) in receivers {
-            let prediction = receiver.recv().unwrap();
+            let prediction = receiver
+                .recv_timeout(HANG)
+                .expect("every submit is answered");
             assert_eq!(prediction.user_id, request.user_id);
             let state = store
                 .get_state(request.user_id)
@@ -1399,7 +1354,9 @@ mod tests {
         let receivers = engine.submit_many(&requests);
         assert_eq!(receivers.len(), requests.len());
         for (request, receiver) in requests.iter().zip(receivers) {
-            let prediction = receiver.recv().unwrap();
+            let prediction = receiver
+                .recv_timeout(HANG)
+                .expect("every request of the burst is answered");
             assert_eq!(prediction.user_id, request.user_id);
             let state = store
                 .get_state(request.user_id)
@@ -1431,7 +1388,10 @@ mod tests {
             Some(std::time::Duration::from_millis(10)),
         );
         // A lone request must not wait forever for 63 peers.
-        let prediction = engine.predict_blocking(request(1, 1));
+        let prediction = engine
+            .submit(request(1, 1))
+            .recv_timeout(HANG)
+            .expect("a lone request flushes at its coalesce deadline");
         assert_eq!(prediction.user_id, UserId(1));
         assert_eq!(engine.stats().predictions, 1);
     }
@@ -1453,7 +1413,9 @@ mod tests {
             .map(|i| engine.submit(request(i as u64, i)))
             .collect();
         for receiver in receivers {
-            receiver.recv().unwrap();
+            receiver
+                .recv_timeout(HANG)
+                .expect("a trickle is served within its coalesce window");
         }
         let stats = engine.stats();
         assert_eq!(stats.predictions, 8);
@@ -1501,8 +1463,10 @@ mod tests {
         // t = 500ms — after nearly 500ms of queue residence that must
         // count against the update's own deadline.
         let submitted = std::time::Instant::now();
-        let receiver = engine.submit_update(update(2, 2));
-        receiver.recv().unwrap();
+        let receiver = engine.submit_updates(&[update(2, 2)]).remove(0);
+        receiver
+            .recv_timeout(HANG)
+            .expect("the update is served after the held predict batch");
         let waited = submitted.elapsed();
         // Arrival-anchored: served ~500ms after arrival. The old
         // observation-anchored deadline re-armed the full window at
@@ -1511,7 +1475,9 @@ mod tests {
             waited < std::time::Duration::from_millis(750),
             "update waited {waited:?}; coalesce deadline must anchor at arrival, not observation"
         );
-        predict.recv().unwrap();
+        predict
+            .recv_timeout(HANG)
+            .expect("the held predict flushes at its deadline");
     }
 
     /// Bounds a wait only so that a hang fails the test instead of blocking
@@ -1713,7 +1679,7 @@ mod tests {
         let m = &held.model;
         let update_submitted = std::time::Instant::now();
         let close = update(0, 2);
-        let applied = held.engine.submit_update(close);
+        let applied = held.engine.submit_updates(&[close]).remove(0);
 
         // Per-user order: the predict was submitted first and scores the
         // state from before the update.
@@ -1841,7 +1807,7 @@ mod tests {
         let second = engine.submit(request(1, 2));
         assert_eq!(second.recv_timeout(HANG), disconnected);
         assert_eq!(
-            engine.submit_update(update(2, 3)).recv_timeout(HANG),
+            engine.submit_updates(&[update(2, 3)])[0].recv_timeout(HANG),
             Err(mpsc::RecvTimeoutError::Disconnected)
         );
         drop(engine);
@@ -1853,7 +1819,9 @@ mod tests {
         let store = Arc::new(ShardedStateStore::new(4));
         let engine = BatchServingEngine::start(m.clone(), store.clone(), 2, 8);
         let updates: Vec<UpdateRequest> = (0..6).map(|i| update(7, i)).collect();
-        engine.apply_updates_blocking(&updates);
+        for applied in engine.submit_updates(&updates) {
+            applied.recv_timeout(HANG).expect("every update is applied");
+        }
         // Sequential reference: same-user updates must chain in order.
         let mut h = m.initial_state();
         for u in &updates {
@@ -1875,14 +1843,17 @@ mod tests {
     }
 
     #[test]
-    fn predict_many_blocking_returns_in_request_order() {
+    fn submit_many_returns_in_request_order() {
         let m = Arc::new(model());
         let store = Arc::new(ShardedStateStore::new(4));
         let engine = BatchServingEngine::start(m.clone(), store.clone(), 2, 16);
         let requests: Vec<PredictRequest> = (0..20).map(|i| request(i as u64, i)).collect();
-        let predictions = engine.predict_many_blocking(&requests);
-        assert_eq!(predictions.len(), 20);
-        for (request, prediction) in requests.iter().zip(&predictions) {
+        let receivers = engine.submit_many(&requests);
+        assert_eq!(receivers.len(), 20);
+        for (request, receiver) in requests.iter().zip(receivers) {
+            let prediction = receiver
+                .recv_timeout(HANG)
+                .expect("every request is answered");
             assert_eq!(request.user_id, prediction.user_id);
         }
     }

@@ -6,10 +6,6 @@
 //! * [`kv_store`] — what a hidden-state store is measured and configured
 //!   by ([`StoreStats`], [`EvictionPolicy`]), the f32 wire encoding of a
 //!   state, and 8-bit quantization;
-//! * [`pipeline`] — a discrete-event replay of the serving flow: predict at
-//!   session start from the stored hidden state, stream-join context and
-//!   access flag when the session window closes, then advance and re-store
-//!   the hidden state;
 //! * [`cost`] — the serving cost model comparing the aggregation-feature
 //!   path (≈ 20 lookups, thousands of keys per user) against the
 //!   hidden-state path (one 512-byte lookup), reproducing the ≈ 10× overall
@@ -36,7 +32,6 @@ pub mod cost;
 pub mod kv_store;
 pub mod obs;
 pub mod online;
-pub mod pipeline;
 pub mod sharded;
 
 pub use batch::{
@@ -50,6 +45,5 @@ pub use kv_store::{
     decode_state_f32, encode_state_f32, EvictionPolicy, QuantizedState, StoreStats,
 };
 pub use obs::ServingObs;
-pub use online::{daily_metrics, run_online_comparison, DailyMetric, OnlineComparison};
-pub use pipeline::{ServingOutcome, ServingPipeline};
+pub use online::{run_online_comparison, DailyMetric, OnlineComparison};
 pub use sharded::{ShardedStateStore, StateShard};

@@ -49,7 +49,7 @@ pub struct OnlineComparison {
 }
 
 /// Groups scored predictions by day and computes daily PR-AUC.
-pub fn daily_metrics(predictions: &[ScoredPrediction], num_days: u32) -> Vec<DailyMetric> {
+fn daily_metrics(predictions: &[ScoredPrediction], num_days: u32) -> Vec<DailyMetric> {
     (0..num_days)
         .map(|day| {
             let day_preds: Vec<&ScoredPrediction> =

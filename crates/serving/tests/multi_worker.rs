@@ -8,11 +8,15 @@ use pp_data::schema::{Context, DatasetKind, Tab, UserId};
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
 use pp_serving::{BatchServingEngine, PredictRequest, ShardedStateStore, UpdateRequest};
 use std::sync::Arc;
+use std::time::Duration;
 
 const CLIENTS: usize = 4;
 const WORKERS: usize = 4;
 const USERS_PER_CLIENT: u64 = 12;
 const ROUNDS: i64 = 6;
+/// Bounds every reply wait, so that a hang fails the test instead of
+/// blocking it.
+const HANG: Duration = Duration::from_secs(10);
 
 fn model() -> RnnModel {
     RnnModel::new(
@@ -81,10 +85,15 @@ fn concurrent_clients_match_the_sequential_reference() {
                     let predict_receivers = engine.submit_many(&predicts);
                     let update_receivers = engine.submit_updates(&updates);
                     for receiver in predict_receivers {
-                        probabilities.push(receiver.recv().unwrap().probability);
+                        let prediction = receiver
+                            .recv_timeout(HANG)
+                            .expect("every prediction is answered");
+                        probabilities.push(prediction.probability);
                     }
                     for receiver in update_receivers {
-                        receiver.recv().unwrap();
+                        receiver
+                            .recv_timeout(HANG)
+                            .expect("every update is applied");
                     }
                 }
                 probabilities

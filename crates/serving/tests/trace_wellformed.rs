@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use serde::Value;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 const CLIENTS: usize = 4;
 const WORKERS: usize = 4;
@@ -29,6 +30,9 @@ const USERS_PER_CLIENT: u64 = 12;
 const ROUNDS: i64 = 4;
 const SAMPLE_EVERY: u64 = 4;
 const SEED: u64 = 17;
+/// Bounds every reply wait, so that a hang fails the test instead of
+/// blocking it.
+const HANG: Duration = Duration::from_secs(10);
 
 fn model() -> RnnModel {
     RnnModel::new(
@@ -106,10 +110,14 @@ fn engine_spans_are_wellformed_and_reconcile_with_worker_stats() {
                         })
                         .collect();
                     for receiver in engine.submit_many(&predicts) {
-                        receiver.recv().unwrap();
+                        receiver
+                            .recv_timeout(HANG)
+                            .expect("every prediction is answered");
                     }
                     for receiver in engine.submit_updates(&updates) {
-                        receiver.recv().unwrap();
+                        receiver
+                            .recv_timeout(HANG)
+                            .expect("every update is applied");
                     }
                 }
             })

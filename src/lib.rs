@@ -16,7 +16,7 @@
 //! | [`baselines`] | `pp-baselines` | percentage model, logistic regression, GBDT |
 //! | [`rnn`] | `pp-rnn` | the paper's GRU model, update-lag sequences, trainer |
 //! | [`metrics`] | `pp-metrics` | PR curves, PR-AUC, recall@precision, log loss |
-//! | [`serving`] | `pp-serving` | hidden-state store, stream-join pipeline, cost model |
+//! | [`serving`] | `pp-serving` | hidden-state store, batch scheduler and serving engine, cost model |
 //! | [`precompute`] | `pp-precompute` | decision engine, budgeted prefetch scheduler/cache, outcome accounting, adaptive thresholds |
 //! | [`core`] | `pp-core` | experiment drivers (Tables 3–5, Figures 1–7), policies |
 //!

@@ -5,16 +5,23 @@ use predictive_precompute::core::{
     run_feature_ablation, run_kfold_experiment, run_offline_experiment, ModelKind,
     OfflineExperimentConfig, PrecomputePolicy,
 };
+use predictive_precompute::data::schema::{Session, UserId};
 use predictive_precompute::data::split::UserSplit;
 use predictive_precompute::data::synth::{
     MobileTabConfig, MobileTabGenerator, MpuConfig, MpuGenerator, SyntheticGenerator,
     TimeshiftConfig, TimeshiftGenerator,
 };
 use predictive_precompute::data::DatasetKind;
+use predictive_precompute::precompute::{
+    AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig, PrecomputeSystem, SystemConfig,
+};
 use predictive_precompute::rnn::{
     scores_and_labels, RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig,
 };
-use predictive_precompute::serving::{run_online_comparison, ServingPipeline};
+use predictive_precompute::serving::{
+    run_online_comparison, BatchScheduler, PredictRequest, ShardedStateStore, UpdateRequest,
+};
+use std::collections::HashMap;
 
 fn fast_config() -> OfflineExperimentConfig {
     OfflineExperimentConfig {
@@ -162,18 +169,80 @@ fn rnn_training_plus_serving_pipeline_round_trip() {
     let (scores, labels) = scores_and_labels(&calib);
     let policy = PrecomputePolicy::for_target_precision(&scores, &labels, 0.5)
         .unwrap_or_else(|| PrecomputePolicy::with_threshold(0.5));
-    let mut pipeline = ServingPipeline::new(&model, policy.threshold());
-    let outcome = pipeline.replay(&dataset, &split.test);
+
+    // Serve the test users' sessions in timestamp order, one wave per
+    // session start: score it from the stored hidden state, decide and
+    // prefetch, resolve it against what the session did, then apply its
+    // close update (no stream-join lag).
+    let mut sessions: Vec<(UserId, Session)> = split
+        .test
+        .iter()
+        .flat_map(|&u| {
+            let user = &dataset.users[u];
+            user.sessions.iter().map(|&s| (user.user_id, s))
+        })
+        .collect();
+    sessions.sort_by_key(|&(user, s)| (s.timestamp, user));
+    let store = ShardedStateStore::new(1);
+    let mut scheduler = BatchScheduler::new(&model, &store, 16);
+    let mut system = PrecomputeSystem::new(SystemConfig {
+        initial_threshold: policy.threshold(),
+        budget: BudgetConfig {
+            capacity_units: sessions.len() as f64,
+            refill_units_per_sec: 0.0,
+            cost_per_prefetch_units: 1.0,
+            max_inflight: sessions.len(),
+        },
+        cache: CacheConfig::default(),
+        controller: ControllerConfig {
+            target_precision: 0.5,
+            ..ControllerConfig::default()
+        },
+        admission: AdmissionOrder::Priority,
+        recalibrate_from_outcomes: false,
+        payload_bytes: 64,
+    });
+    let mut last_update: HashMap<UserId, i64> = HashMap::new();
+    for &(user, s) in &sessions {
+        let since = last_update
+            .insert(user, s.timestamp)
+            .map_or(0, |t| s.timestamp - t);
+        let predictions = scheduler.run([PredictRequest {
+            user_id: user,
+            timestamp: s.timestamp,
+            context: s.context,
+            elapsed_secs: since,
+        }]);
+        system.handle_scores(&predictions, s.timestamp);
+        system
+            .resolve_session(user, s.timestamp, s.accessed)
+            .expect("the session was just decided");
+        scheduler.apply_updates(&[UpdateRequest {
+            user_id: user,
+            timestamp: s.timestamp,
+            context: s.context,
+            delta_t_secs: since,
+            accessed: s.accessed,
+        }]);
+    }
 
     let expected_sessions: usize = split.test.iter().map(|&i| dataset.users[i].len()).sum();
-    assert_eq!(outcome.predictions as usize, expected_sessions);
-    assert_eq!(outcome.hidden_updates as usize, expected_sessions);
-    assert_eq!(pipeline.store().len(), split.test.len());
-    // Precision/recall bookkeeping is internally consistent.
-    assert_eq!(
-        outcome.successful_prefetches + outcome.missed_accesses,
-        outcome.accesses
-    );
+    let served = scheduler.stats();
+    assert_eq!(served.predictions as usize, expected_sessions);
+    assert_eq!(served.updates as usize, expected_sessions);
+    assert_eq!(system.report().decisions.scored as usize, expected_sessions);
+    assert_eq!(store.len(), split.test.len());
+    // §9 store traffic: one read per prediction, one read-modify-write per
+    // update.
+    let traffic = store.stats();
+    assert_eq!(traffic.reads, served.predictions + served.updates);
+    assert_eq!(traffic.writes, served.updates);
+    // Precision/recall bookkeeping is internally consistent and accounts
+    // for every access.
+    system.check_invariants().expect("outcome books balance");
+    let outcomes = system.report().outcomes;
+    let accesses = sessions.iter().filter(|(_, s)| s.accessed).count() as u64;
+    assert_eq!(outcomes.hits + outcomes.missed_accesses, accesses);
 }
 
 #[test]
