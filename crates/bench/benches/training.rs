@@ -1,6 +1,7 @@
-//! Criterion benchmarks for RNN training throughput (§7.1): per-user
-//! parallel gradient accumulation versus sequential evaluation of the same
-//! minibatches, and GBDT training for comparison.
+//! Criterion benchmarks for training: one epoch of the fused GRU trainer
+//! (§7.1's minibatches, stepped time-major through the fused kernels), with
+//! the epoch's session count printed so the time reads per session step,
+//! and GBDT training for comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pp_baselines::{Gbdt, GbdtConfig};
@@ -12,7 +13,7 @@ use pp_features::baseline::{
 use pp_rnn::{RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
 use std::hint::black_box;
 
-fn bench_rnn_training_parallelism(c: &mut Criterion) {
+fn bench_rnn_training(c: &mut Criterion) {
     let ds = MobileTabGenerator::new(MobileTabConfig {
         num_users: 40,
         num_days: 10,
@@ -20,32 +21,29 @@ fn bench_rnn_training_parallelism(c: &mut Criterion) {
     })
     .generate();
     let idx: Vec<usize> = (0..ds.users.len()).collect();
+    let model = RnnModel::new(
+        DatasetKind::MobileTab,
+        TaskKind::PerSession,
+        RnnModelConfig {
+            hidden_dim: 32,
+            mlp_width: 32,
+            ..Default::default()
+        },
+        0,
+    );
+    let trainer = RnnTrainer::new(TrainerConfig {
+        epochs: 1,
+        train_last_days: 8,
+        ..Default::default()
+    });
+    let sessions = trainer.train(&mut model.clone(), &ds, &idx).total_sessions;
+    println!("rnn_training_one_epoch: {sessions} session steps; divide the time by them");
 
     let mut group = c.benchmark_group("rnn_training_one_epoch");
     group.sample_size(10);
-    for (name, parallel) in [("sequential", false), ("parallel_per_user", true)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut model = RnnModel::new(
-                    DatasetKind::MobileTab,
-                    TaskKind::PerSession,
-                    RnnModelConfig {
-                        hidden_dim: 32,
-                        mlp_width: 32,
-                        ..Default::default()
-                    },
-                    0,
-                );
-                let trainer = RnnTrainer::new(TrainerConfig {
-                    epochs: 1,
-                    train_last_days: 8,
-                    parallel,
-                    ..Default::default()
-                });
-                black_box(trainer.train(&mut model, &ds, &idx))
-            });
-        });
-    }
+    group.bench_function("gru_fused", |b| {
+        b.iter(|| black_box(trainer.train(&mut model.clone(), &ds, &idx)));
+    });
     group.finish();
 }
 
@@ -80,6 +78,6 @@ fn bench_gbdt_training(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_rnn_training_parallelism, bench_gbdt_training
+    targets = bench_rnn_training, bench_gbdt_training
 }
 criterion_main!(benches);

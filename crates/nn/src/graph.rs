@@ -6,9 +6,11 @@
 //! [`Graph::param`], from which a [`GradStore`] can be extracted with
 //! [`Graph::param_grads_into`].
 //!
-//! The graph is intentionally not thread-safe: the training loop in `pp-rnn`
-//! builds one graph per user sequence per thread (mirroring the paper's
-//! per-user parallelism) and merges the resulting gradient stores.
+//! The graph is intentionally not thread-safe: for the Tanh and LSTM cells
+//! the training loop in `pp-rnn` builds one graph per user sequence per
+//! thread (mirroring the paper's per-user parallelism) and merges the
+//! resulting gradient stores. A GRU trains through the fused backward in
+//! [`crate::layers`] instead, with this graph as its test oracle.
 
 use crate::activation;
 use crate::params::{GradStore, ParamId};

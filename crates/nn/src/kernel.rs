@@ -1,22 +1,27 @@
-//! The workspace's one dense kernel, `out += a · w`, and its sparse-input
-//! companion.
+//! The workspace's one dense kernel, `out += a · w`, its sparse-input
+//! companion, and their transposes for training.
 //!
 //! Every matrix product in the repository — [`Tensor::matmul`] (and with it
-//! the autograd graph, training and the single-request reference path) and
-//! the fused inference steps in [`crate::layers`] — goes through
+//! the autograd graph, the graph-trained cells and the single-request
+//! reference path) and the fused steps in [`crate::layers`] — goes through
 //! [`gemm_acc`]; inputs that are mostly zeros (one-hot features) go through
-//! [`gather_acc`] as `value × row` gathers instead.
+//! [`gather_acc`] as `value × row` gathers instead. The fused backward
+//! passes add the two transposed-operand products, [`gemm_at_acc`]
+//! (`aᵀ · g`, weight gradients) and [`gemm_bt_acc`] (`g · wᵀ`, input
+//! gradients), and [`scatter_acc`], the transpose of the gather.
 //!
 //! # The accumulation-order invariant
 //!
-//! For every output element `out[i][j]` both kernels perform exactly the
-//! additions `out[i][j] += a[i][k] * w[k][j]` for `k` ascending, skipping the
-//! `k` whose `a[i][k]` is zero, with one rounding per multiply and one per add
-//! (no fused multiply-add, no reassociation, no partial sums). Blocking only
-//! changes *which* elements are worked on together, never the sequence of
-//! operations applied to one element, so the result is bit-for-bit the same
-//! for every batch size, on every host, and in every instantiation below.
-//! That is what keeps batched ≡ single-request and fused ≡ graph exact.
+//! For every output element `out[i][j]` the forward kernels perform exactly
+//! the additions `out[i][j] += a[i][k] * w[k][j]` for `k` ascending,
+//! skipping the `k` whose `a[i][k]` is zero, with one rounding per multiply
+//! and one per add (no fused multiply-add, no reassociation, no partial
+//! sums); the transposed products keep the same rule over their own
+//! summation index. Blocking only changes *which* elements are worked on
+//! together, never the sequence of operations applied to one element, so
+//! the result is bit-for-bit the same for every batch size, on every host,
+//! and in every instantiation below. That is what keeps batched ≡
+//! single-request and fused ≡ graph exact.
 //!
 //! # Blocking and dispatch
 //!
@@ -37,8 +42,8 @@
 //! width follows the register file: 16 columns under AVX2 (eight 256-bit
 //! accumulators of its sixteen registers) and portably, 64 under AVX-512
 //! (sixteen 512-bit accumulators of its thirty-two), where a 16-column tile
-//! would leave four add chains to hide the add latency. [`gemm_acc`]
-//! and [`gather_acc`] pick the widest instantiation the CPU has, once per
+//! would leave four add chains to hide the add latency. Every product
+//! here picks the widest instantiation the CPU has, once per
 //! call, through a private `dispatch` that the slice forms of
 //! [`crate::activation`] share; its calls into the two target-feature
 //! instantiations are one of the workspace's two audited `unsafe` blocks
@@ -137,7 +142,7 @@ pub fn gemm_acc_on(isa: Isa, out: &mut [f32], a: &[f32], w: &[f32], n: usize) {
 }
 
 /// Runs `body` in the widest instantiation the CPU has; see [`dispatch_to`].
-/// Shared by [`gemm_acc`], [`gather_acc`] and the slice forms in
+/// Shared by every product in this module and the slice forms in
 /// [`crate::activation`].
 #[inline(always)]
 pub(crate) fn dispatch(body: impl FnOnce(Isa)) {
@@ -511,6 +516,301 @@ fn gather_body(out: &mut [f32], x: &SparseRows, w: &[f32], n: usize) {
     }
 }
 
+/// Accumulates `aᵀ · g` into `out` — the weight gradient of the product
+/// `a · w` given the output gradient `g`: `out` is `K × n`, `a` is `M × K`,
+/// `g` is `M × n`, all row-major.
+///
+/// For every element the additions are `out[k][j] += a[i][k] * g[i][j]` for
+/// `i` ascending, skipping the `i` whose `a[i][k]` is zero, one rounding per
+/// multiply and per add: the module's order with the row index in the role
+/// of `k`. Four output rows × one tile of columns stay in registers across
+/// the whole `i` loop.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not describe such shapes.
+pub fn gemm_at_acc(out: &mut [f32], a: &[f32], g: &[f32], n: usize) {
+    check_shapes_at(out, a, g, n);
+    dispatch(
+        #[inline(always)]
+        |isa| gemm_at_on(isa, out, a, g, n),
+    );
+}
+
+/// Accumulates `g · wᵀ` into `out` — the input gradient of the product
+/// `x · w` given the output gradient `g`: `out` is `M × K`, `g` is `M × n`,
+/// `w` is `K × n`, all row-major.
+///
+/// For every element the additions are `out[i][k] += g[i][j] * w[k][j]` for
+/// `j` ascending, skipping the `j` whose `g[i][j]` is zero. Each call packs
+/// `wᵀ` panel by panel into a stack buffer (`K × n` moves) and then runs
+/// the register tiles of [`gemm_acc`] over it, so the packing is amortised
+/// over the `M` rows: for a few rows against the same `w` call after call,
+/// transpose `w` once and use [`gemm_acc`].
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not describe such shapes.
+pub fn gemm_bt_acc(out: &mut [f32], g: &[f32], w: &[f32], n: usize) {
+    check_shapes_bt(out, g, w, n);
+    dispatch(
+        #[inline(always)]
+        |isa| gemm_bt_on(isa, out, g, w, n),
+    );
+}
+
+/// Accumulates `xᵀ · g` into `out` for sparse `x` — the weight gradient of
+/// [`gather_acc`], and its transpose: for every row of `x` in ascending
+/// order, `value ×` row `row` of `g` into row `column` of `out` for each
+/// entry. The same additions [`gemm_at_acc`] performs on the dense form of
+/// `x`. `out` is `x.width() × n`, `g` is `x.rows() × n`.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match those shapes.
+pub fn scatter_acc(out: &mut [f32], x: &SparseRows, g: &[f32], n: usize) {
+    assert_eq!(out.len(), x.width() * n, "scatter_acc: out shape");
+    assert_eq!(g.len(), x.rows() * n, "scatter_acc: g shape");
+    if n == 0 {
+        return;
+    }
+    dispatch(
+        #[inline(always)]
+        |_| scatter_body(out, x, g, n),
+    );
+}
+
+/// Adds the column sums of the row-major `g` (rows of `out.len()`) into
+/// `out`, rows ascending — the gradient of a bias added to every row.
+///
+/// # Panics
+///
+/// Panics if `g` is not whole rows of that width.
+pub fn column_sums_acc(out: &mut [f32], g: &[f32]) {
+    let n = out.len().max(1);
+    assert!(
+        g.len().is_multiple_of(n),
+        "column_sums_acc: g ({}) must be whole rows of width {n}",
+        g.len()
+    );
+    for row in g.chunks_exact(n) {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o += v;
+        }
+    }
+}
+
+fn check_shapes_at(out: &[f32], a: &[f32], g: &[f32], n: usize) {
+    if n == 0 {
+        assert!(
+            out.is_empty() && g.is_empty(),
+            "gemm_at_acc: zero-width output with non-empty buffers"
+        );
+        return;
+    }
+    assert!(
+        out.len().is_multiple_of(n) && g.len().is_multiple_of(n),
+        "gemm_at_acc: out ({}) and g ({}) must be whole rows of width {n}",
+        out.len(),
+        g.len()
+    );
+    assert_eq!(
+        a.len(),
+        (g.len() / n) * (out.len() / n),
+        "gemm_at_acc: a must be {} x {}",
+        g.len() / n,
+        out.len() / n
+    );
+}
+
+fn check_shapes_bt(out: &[f32], g: &[f32], w: &[f32], n: usize) {
+    if n == 0 {
+        assert!(
+            g.is_empty() && w.is_empty(),
+            "gemm_bt_acc: zero-width operands with non-empty buffers"
+        );
+        return;
+    }
+    assert!(
+        g.len().is_multiple_of(n) && w.len().is_multiple_of(n),
+        "gemm_bt_acc: g ({}) and w ({}) must be whole rows of width {n}",
+        g.len(),
+        w.len()
+    );
+    assert_eq!(
+        out.len(),
+        (g.len() / n) * (w.len() / n),
+        "gemm_bt_acc: out must be {} x {}",
+        g.len() / n,
+        w.len() / n
+    );
+}
+
+/// The `aᵀ · g` body with the tile width of `isa`'s register file.
+#[inline(always)]
+fn gemm_at_on(isa: Isa, out: &mut [f32], a: &[f32], g: &[f32], n: usize) {
+    match isa {
+        Isa::Portable | Isa::Avx2 => gemm_at_body::<16>(out, a, g, n),
+        Isa::Avx512 => gemm_at_body::<64>(out, a, g, n),
+    }
+}
+
+/// `c_r += x_r * b` for the four rows of a register tile, in one pass when
+/// every `x_r` is non-zero.
+#[inline(always)]
+fn tile_step<const TILE: usize>(c: &mut [[f32; TILE]; ROWS], x: [f32; ROWS], b: &[f32; TILE]) {
+    if x.iter().all(|&x| x != 0.0) {
+        for t in 0..TILE {
+            c[0][t] += x[0] * b[t];
+            c[1][t] += x[1] * b[t];
+            c[2][t] += x[2] * b[t];
+            c[3][t] += x[3] * b[t];
+        }
+    } else {
+        for (c, &x) in c.iter_mut().zip(&x) {
+            if x != 0.0 {
+                axpy(c, x, b);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn gemm_at_body<const TILE: usize>(out: &mut [f32], a: &[f32], g: &[f32], n: usize) {
+    if out.is_empty() || g.is_empty() {
+        return;
+    }
+    let k = out.len() / n;
+    let blocked = k / ROWS * ROWS;
+    let tiled_cols = n - n % TILE;
+    let (out_tiled, out_rest) = out.split_at_mut(blocked * n);
+    for j in (0..tiled_cols).step_by(TILE) {
+        for (block, o) in out_tiled.chunks_exact_mut(ROWS * n).enumerate() {
+            let first = block * ROWS;
+            let mut c = [[0.0f32; TILE]; ROWS];
+            for (r, c) in c.iter_mut().enumerate() {
+                c.copy_from_slice(&o[r * n + j..r * n + j + TILE]);
+            }
+            for (a_row, g_row) in a.chunks_exact(k).zip(g.chunks_exact(n)) {
+                let x = [
+                    a_row[first],
+                    a_row[first + 1],
+                    a_row[first + 2],
+                    a_row[first + 3],
+                ];
+                let b: &[f32; TILE] = g_row[j..j + TILE]
+                    .try_into()
+                    .expect("slice is one tile wide");
+                tile_step(&mut c, x, b);
+            }
+            for (r, c) in c.iter().enumerate() {
+                o[r * n + j..r * n + j + TILE].copy_from_slice(c);
+            }
+        }
+    }
+    if tiled_cols < n {
+        at_rows(out_tiled, a, g, k, n, 0, tiled_cols);
+    }
+    at_rows(out_rest, a, g, k, n, blocked, 0);
+}
+
+/// Row-at-a-time `aᵀ · g` into columns `from_col..n` of the rows of `out`,
+/// which are output rows `first_row..`.
+#[inline(always)]
+fn at_rows(
+    out: &mut [f32],
+    a: &[f32],
+    g: &[f32],
+    k: usize,
+    n: usize,
+    first_row: usize,
+    from_col: usize,
+) {
+    for (r, o) in out.chunks_exact_mut(n).enumerate() {
+        for (a_row, g_row) in a.chunks_exact(k).zip(g.chunks_exact(n)) {
+            let x = a_row[first_row + r];
+            if x != 0.0 {
+                axpy(&mut o[from_col..], x, &g_row[from_col..]);
+            }
+        }
+    }
+}
+
+/// The `g · wᵀ` body with the tile width of `isa`'s register file.
+#[inline(always)]
+fn gemm_bt_on(isa: Isa, out: &mut [f32], g: &[f32], w: &[f32], n: usize) {
+    match isa {
+        Isa::Portable | Isa::Avx2 => gemm_bt_body::<16>(out, g, w, n),
+        Isa::Avx512 => gemm_bt_body::<64>(out, g, w, n),
+    }
+}
+
+/// Values of `j` one packed panel of `wᵀ` covers.
+const PANEL: usize = 32;
+
+#[inline(always)]
+fn gemm_bt_body<const TILE: usize>(out: &mut [f32], g: &[f32], w: &[f32], n: usize) {
+    if out.is_empty() || w.is_empty() {
+        return;
+    }
+    let k = w.len() / n;
+    // `panel[jj][t]` is `w[k0 + t][j0 + jj]`. Lanes past a narrow last
+    // tile hold stale values; their sums are never stored.
+    let mut panel = [[0.0f32; TILE]; PANEL];
+    for k0 in (0..k).step_by(TILE) {
+        let width = TILE.min(k - k0);
+        for j0 in (0..n).step_by(PANEL) {
+            let depth = PANEL.min(n - j0);
+            for (t, w_row) in w[k0 * n..].chunks_exact(n).take(width).enumerate() {
+                for (p, &v) in panel.iter_mut().zip(&w_row[j0..j0 + depth]) {
+                    p[t] = v;
+                }
+            }
+            let panel = &panel[..depth];
+            let mut out_blocks = out.chunks_exact_mut(ROWS * k);
+            let mut g_blocks = g.chunks_exact(ROWS * n);
+            for (o, g_block) in (&mut out_blocks).zip(&mut g_blocks) {
+                let mut c = [[0.0f32; TILE]; ROWS];
+                for (r, c) in c.iter_mut().enumerate() {
+                    c[..width].copy_from_slice(&o[r * k + k0..r * k + k0 + width]);
+                }
+                for (jj, b) in panel.iter().enumerate() {
+                    let x = [
+                        g_block[j0 + jj],
+                        g_block[n + j0 + jj],
+                        g_block[2 * n + j0 + jj],
+                        g_block[3 * n + j0 + jj],
+                    ];
+                    tile_step(&mut c, x, b);
+                }
+                for (r, c) in c.iter().enumerate() {
+                    o[r * k + k0..r * k + k0 + width].copy_from_slice(&c[..width]);
+                }
+            }
+            let g_tail = g_blocks.remainder().chunks_exact(n);
+            for (o, g_row) in out_blocks.into_remainder().chunks_exact_mut(k).zip(g_tail) {
+                let mut c = [0.0f32; TILE];
+                c[..width].copy_from_slice(&o[k0..k0 + width]);
+                for (b, &x) in panel.iter().zip(&g_row[j0..j0 + depth]) {
+                    if x != 0.0 {
+                        axpy(&mut c, x, b);
+                    }
+                }
+                o[k0..k0 + width].copy_from_slice(&c[..width]);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn scatter_body(out: &mut [f32], x: &SparseRows, g: &[f32], n: usize) {
+    for (row, g_row) in g.chunks_exact(n).enumerate() {
+        for (col, value) in x.row(row) {
+            axpy(&mut out[col * n..(col + 1) * n], value, g_row);
+        }
+    }
+}
+
 #[cfg(test)]
 impl Isa {
     /// The instantiations a test checks: every one this CPU can run. Prints
@@ -652,6 +952,138 @@ mod tests {
                 assert_bits_eq(&got, &want, &format!("dispatched gather {what}"));
             }
         }
+    }
+
+    /// `out[k][j] += a[i][k] * g[i][j]`, each element on its own, `i`
+    /// ascending, zero `a` skipped.
+    fn naive_at(out: &mut [f32], a: &[f32], g: &[f32], n: usize) {
+        let (k, m) = (out.len() / n, g.len() / n);
+        for (kk, o_row) in out.chunks_exact_mut(n).enumerate() {
+            for (j, o) in o_row.iter_mut().enumerate() {
+                for i in 0..m {
+                    let x = a[i * k + kk];
+                    if x != 0.0 {
+                        *o += x * g[i * n + j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out[i][k] += g[i][j] * w[k][j]`, each element on its own, `j`
+    /// ascending, zero `g` skipped.
+    fn naive_bt(out: &mut [f32], g: &[f32], w: &[f32], n: usize) {
+        let k = w.len() / n;
+        for (i, o_row) in out.chunks_exact_mut(k).enumerate() {
+            for (kk, o) in o_row.iter_mut().enumerate() {
+                for j in 0..n {
+                    let x = g[i * n + j];
+                    if x != 0.0 {
+                        *o += x * w[kk * n + j];
+                    }
+                }
+            }
+        }
+    }
+
+    fn uniform(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    #[test]
+    fn transposed_products_match_the_naive_reference_bit_for_bit() {
+        let isas = Isa::under_test("gemm_at / gemm_bt");
+        let mut rng = StdRng::seed_from_u64(31);
+        for &m in &[1usize, 3, 4, 5, 64] {
+            for &k in &[1usize, 5, 16, 64, 98] {
+                for &n in &[1usize, 7, 16, 33, 64, 80] {
+                    for fill in [Fill::Dense, Fill::HalfZero, Fill::ZeroRows] {
+                        let what = format!("{m}x{k}x{n} {fill:?}");
+                        // aᵀ · g: a is m × k, g is m × n, out is k × n.
+                        let a = fill_a(&mut rng, m, k, fill);
+                        let g = uniform(&mut rng, m * n);
+                        let start = uniform(&mut rng, k * n);
+                        let mut want = start.clone();
+                        naive_at(&mut want, &a, &g, n);
+                        for &isa in &isas {
+                            let mut got = start.clone();
+                            dispatch_to(
+                                isa,
+                                #[inline(always)]
+                                |isa| gemm_at_on(isa, &mut got, &a, &g, n),
+                            );
+                            assert_bits_eq(&got, &want, &format!("{isa:?} at {what}"));
+                        }
+                        let mut got = start.clone();
+                        gemm_at_acc(&mut got, &a, &g, n);
+                        assert_bits_eq(&got, &want, &format!("dispatched at {what}"));
+
+                        // g · wᵀ: g is m × n, w is k × n, out is m × k.
+                        let g = fill_a(&mut rng, m, n, fill);
+                        let w = uniform(&mut rng, k * n);
+                        let start = uniform(&mut rng, m * k);
+                        let mut want = start.clone();
+                        naive_bt(&mut want, &g, &w, n);
+                        for &isa in &isas {
+                            let mut got = start.clone();
+                            dispatch_to(
+                                isa,
+                                #[inline(always)]
+                                |isa| gemm_bt_on(isa, &mut got, &g, &w, n),
+                            );
+                            assert_bits_eq(&got, &want, &format!("{isa:?} bt {what}"));
+                        }
+                        let mut got = start.clone();
+                        gemm_bt_acc(&mut got, &g, &w, n);
+                        assert_bits_eq(&got, &want, &format!("dispatched bt {what}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_matches_the_dense_transposed_product_bit_for_bit() {
+        let isas = Isa::under_test("scatter");
+        let mut rng = StdRng::seed_from_u64(37);
+        for &(m, k, n) in &[
+            (1usize, 99usize, 64usize),
+            (8, 98, 16),
+            (64, 50, 7),
+            (5, 9, 1),
+        ] {
+            for fill in [Fill::OneHot, Fill::HalfZero] {
+                let a = fill_a(&mut rng, m, k, fill);
+                let g = uniform(&mut rng, m * n);
+                let mut x = SparseRows::new();
+                x.clear(k);
+                for row in a.chunks_exact(k) {
+                    x.push_dense_row(row);
+                }
+                let start = uniform(&mut rng, k * n);
+                let mut want = start.clone();
+                naive_at(&mut want, &a, &g, n);
+                let what = format!("{m}x{k}x{n} {fill:?}");
+                for &isa in &isas {
+                    let mut got = start.clone();
+                    dispatch_to(
+                        isa,
+                        #[inline(always)]
+                        |_| scatter_body(&mut got, &x, &g, n),
+                    );
+                    assert_bits_eq(&got, &want, &format!("{isa:?} scatter {what}"));
+                }
+                let mut got = start.clone();
+                scatter_acc(&mut got, &x, &g, n);
+                assert_bits_eq(&got, &want, &format!("dispatched scatter {what}"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_bt_acc: out must be")]
+    fn mismatched_transposed_shapes_panic() {
+        gemm_bt_acc(&mut [0.0; 3], &[0.0; 4], &[0.0; 4], 2);
     }
 
     #[test]

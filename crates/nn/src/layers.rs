@@ -5,16 +5,20 @@
 //! Layers own no tensors; they hold [`ParamId`] handles into a shared
 //! [`ParamStore`] and build their forward pass inside a caller-provided
 //! [`Graph`], which makes them usable from multiple threads that each build
-//! their own graph over the same parameters.
+//! their own graph over the same parameters. The cells also have fused,
+//! graph-free steps over whole batches of rows: `step_into` for inference
+//! and, for the GRU, [`GruCell::step_train_into`] and [`GruBackward`] for
+//! backpropagation through time without a tape.
 
 use crate::activation::{sigmoid_in_place, tanh_in_place};
 use crate::graph::{Graph, NodeId};
 use crate::init::Init;
-use crate::kernel::{gather_acc, gemm_acc, SparseRows};
-use crate::params::{ParamId, ParamStore};
+use crate::kernel::{column_sums_acc, gather_acc, gemm_acc, gemm_at_acc, scatter_acc, SparseRows};
+use crate::params::{GradStore, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::marker::PhantomData;
 
 /// A fully-connected affine layer `y = x · W + b` with `W: in × out`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,6 +107,9 @@ pub struct CellScratch {
     /// LSTM only: the hidden half of the `[h ; c]` rows, made contiguous
     /// for the GEMM.
     h: Vec<f32>,
+    /// GRU backward only: `W_hr`, `W_hz`, `W_hn` transposed, gate-major,
+    /// written once per reverse sweep by [`GruCell::backward`].
+    w_h_t: Vec<f32>,
 }
 
 impl CellScratch {
@@ -349,13 +356,8 @@ impl GruCell {
     ) {
         let hd = self.hidden_dim;
         check_step_shapes(x, self.input_dim, h, out, hd);
-        let gates = [
-            (self.w_ir, self.w_hr),
-            (self.w_iz, self.w_hz),
-            (self.w_in, self.w_hn),
-        ];
         let CellScratch { inp, hid, .. } = scratch;
-        pre_activations(inp, hid, store, x, h, &gates, hd);
+        pre_activations(inp, hid, store, x, h, &self.gates(), hd);
         let plane = h.len();
         let (xr, rest) = inp.split_at(plane);
         let (xz, xn) = rest.split_at(plane);
@@ -395,6 +397,111 @@ impl GruCell {
         }
     }
 
+    /// `(W_i, W_h)` of the `r`, `z` and `n` gates.
+    fn gates(&self) -> [(ParamId, ParamId); 3] {
+        [
+            (self.w_ir, self.w_hr),
+            (self.w_iz, self.w_hz),
+            (self.w_in, self.w_hn),
+        ]
+    }
+
+    /// Length of the `saved` tape of a `rows`-row
+    /// [`GruCell::step_train_into`].
+    pub fn saved_len(&self, rows: usize) -> usize {
+        GRU_SAVED_PLANES * rows * self.hidden_dim
+    }
+
+    /// The training forward step: [`GruCell::step_into`]'s arithmetic, so
+    /// `out` is bit-identical to it, keeping what the backward step needs.
+    /// `saved` (`4 × rows × hidden_dim`, gate-major) receives every row's
+    /// `r`, `z`, `n` and `h·W_hn + b_hn`; with the step's `x` and `h`, which
+    /// the caller keeps, that is the step's whole tape for
+    /// [`GruBackward::step_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the cell.
+    pub fn step_train_into(
+        &self,
+        store: &ParamStore,
+        x: &SparseRows,
+        h: &[f32],
+        scratch: &mut CellScratch,
+        saved: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let hd = self.hidden_dim;
+        check_step_shapes(x, self.input_dim, h, out, hd);
+        assert_eq!(
+            saved.len(),
+            self.saved_len(x.rows()),
+            "step tape shape mismatch"
+        );
+        let CellScratch { inp, hid, .. } = scratch;
+        pre_activations(inp, hid, store, x, h, &self.gates(), hd);
+        let plane = h.len();
+        let (xr, rest) = inp.split_at(plane);
+        let (xz, xn) = rest.split_at(plane);
+        let (hr, rest) = hid.split_at(plane);
+        let (hz, hn) = rest.split_at(plane);
+        let (r, rest) = saved.split_at_mut(plane);
+        let (z, rest) = rest.split_at_mut(plane);
+        let (n, hn_b) = rest.split_at_mut(plane);
+        let bias = |id: ParamId| store.get(id).as_slice();
+        let (b_ir, b_iz, b_in) = (bias(self.b_ir), bias(self.b_iz), bias(self.b_in));
+        let (b_hr, b_hz, b_hn) = (bias(self.b_hr), bias(self.b_hz), bias(self.b_hn));
+        // `step_into`'s sums and activations, each gate a pass over all
+        // rows instead of one row at a time (element-wise, so the same bits).
+        for row in (0..plane).step_by(hd.max(1)) {
+            for c in 0..hd {
+                let i = row + c;
+                r[i] = (xr[i] + b_ir[c]) + (hr[i] + b_hr[c]);
+                z[i] = (xz[i] + b_iz[c]) + (hz[i] + b_hz[c]);
+                hn_b[i] = hn[i] + b_hn[c];
+            }
+        }
+        sigmoid_in_place(r);
+        sigmoid_in_place(z);
+        for row in (0..plane).step_by(hd.max(1)) {
+            for (c, &b_in) in b_in.iter().enumerate() {
+                let i = row + c;
+                n[i] = (xn[i] + b_in) + r[i] * hn_b[i];
+            }
+        }
+        tanh_in_place(n);
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (1.0 - z[i]) * n[i] + z[i] * h[i];
+        }
+    }
+
+    /// Starts a reverse sweep over steps taken with
+    /// [`GruCell::step_train_into`]: transposes `W_hr`, `W_hz` and `W_hn`
+    /// once into `scratch`, so every step multiplies its state gradients by
+    /// them with plain [`gemm_acc`] calls instead of packing `Wᵀ` per step.
+    /// The sweep borrows `store`, so the weights cannot change under it.
+    pub fn backward<'a>(
+        &'a self,
+        store: &'a ParamStore,
+        scratch: &'a mut CellScratch,
+    ) -> GruBackward<'a> {
+        let hd = self.hidden_dim;
+        scratch.w_h_t.clear();
+        for w in [self.w_hr, self.w_hz, self.w_hn] {
+            let w = store.get(w).as_slice();
+            for col in 0..hd {
+                scratch
+                    .w_h_t
+                    .extend(w.iter().skip(col).step_by(hd).copied());
+            }
+        }
+        GruBackward {
+            cell: self,
+            scratch,
+            weights: PhantomData,
+        }
+    }
+
     /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         3 * (self.input_dim * self.hidden_dim)
@@ -408,6 +515,115 @@ impl GruCell {
             3 * 2 * self.input_dim * self.hidden_dim + 3 * 2 * self.hidden_dim * self.hidden_dim;
         let elementwise = 10 * self.hidden_dim;
         (matmuls + elementwise) as u64
+    }
+}
+
+/// Planes of a GRU step's tape: `r`, `z`, `n` and `h·W_hn + b_hn`.
+const GRU_SAVED_PLANES: usize = 4;
+
+/// A reverse sweep through a GRU unroll, from [`GruCell::backward`]: the
+/// recurrent weights transposed once, and the scratch each step's gate
+/// gradients live in.
+#[derive(Debug)]
+pub struct GruBackward<'a> {
+    cell: &'a GruCell,
+    scratch: &'a mut CellScratch,
+    /// The store the transposed weights were read from stays borrowed.
+    weights: PhantomData<&'a ParamStore>,
+}
+
+impl GruBackward<'_> {
+    /// The backward step of one [`GruCell::step_train_into`], given the
+    /// same `x`, `h` and `saved` and `dh_next`, the loss gradient with
+    /// respect to the step's output rows. Adds all twelve parameter
+    /// gradients straight into `grads` and, unless `dh_prev` is `None` (the
+    /// initial state, whose gradient nobody reads), the gradient with
+    /// respect to `h` into `dh_prev`.
+    ///
+    /// Per element, with `ĥ = h·W_hn + b_hn`: `dn = dh'(1 − z)` and
+    /// `dz = dh'·h − dh'·n` (the graph's order), so `dâ_n = dn(1 − n²)` is
+    /// the input side of `n` and `dâ_n·r` its hidden side;
+    /// `dâ_r = dâ_n·ĥ·r(1 − r)` and `dâ_z = dz·z(1 − z)` feed both sides of
+    /// their gates. Weight gradients are `xᵀ·dâ` ([`scatter_acc`]) and
+    /// `hᵀ·dâ` ([`gemm_at_acc`]), bias gradients column sums, and
+    /// `dh += dh'·z + Σ dâ_hidden·W_hᵀ` over the three gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the cell.
+    pub fn step_into(
+        &mut self,
+        x: &SparseRows,
+        h: &[f32],
+        saved: &[f32],
+        dh_next: &[f32],
+        dh_prev: Option<&mut [f32]>,
+        grads: &mut GradStore,
+    ) {
+        let cell = self.cell;
+        let hd = cell.hidden_dim;
+        check_step_shapes(x, cell.input_dim, h, dh_next, hd);
+        assert_eq!(
+            saved.len(),
+            cell.saved_len(x.rows()),
+            "step tape shape mismatch"
+        );
+        let plane = h.len();
+        let CellScratch { inp, w_h_t, .. } = &mut *self.scratch;
+        inp.clear();
+        inp.resize(4 * plane, 0.0);
+        let (da_r, rest) = inp.split_at_mut(plane);
+        let (da_z, rest) = rest.split_at_mut(plane);
+        let (da_n, da_hn) = rest.split_at_mut(plane);
+        let (r, rest) = saved.split_at(plane);
+        let (z, rest) = rest.split_at(plane);
+        let (n, hn_b) = rest.split_at(plane);
+        for i in 0..plane {
+            let g = dh_next[i];
+            let dn = g * (1.0 - z[i]);
+            let dz = g * h[i] - g * n[i];
+            let dan = dn * (1.0 - n[i] * n[i]);
+            da_n[i] = dan;
+            da_hn[i] = dan * r[i];
+            da_r[i] = (dan * hn_b[i]) * (r[i] * (1.0 - r[i]));
+            da_z[i] = dz * (z[i] * (1.0 - z[i]));
+        }
+        let hidden_sides = [&*da_r, &*da_z, &*da_hn];
+        if let Some(dh_prev) = dh_prev {
+            assert_eq!(dh_prev.len(), plane, "step state shape mismatch");
+            for ((d, &g), &z) in dh_prev.iter_mut().zip(dh_next).zip(z) {
+                *d += g * z;
+            }
+            for (da, w_t) in hidden_sides
+                .iter()
+                .zip(w_h_t.chunks_exact((hd * hd).max(1)))
+            {
+                gemm_acc(dh_prev, da, w_t, hd);
+            }
+        }
+        let input_sides = [
+            (cell.w_ir, &*da_r),
+            (cell.w_iz, &*da_z),
+            (cell.w_in, &*da_n),
+        ];
+        for (w, da) in input_sides {
+            scatter_acc(grads.get_mut(w).as_mut_slice(), x, da, hd);
+        }
+        let hidden = [cell.w_hr, cell.w_hz, cell.w_hn];
+        for (w, da) in hidden.into_iter().zip(hidden_sides) {
+            gemm_at_acc(grads.get_mut(w).as_mut_slice(), h, da, hd);
+        }
+        let biases = [
+            (cell.b_ir, &*da_r),
+            (cell.b_hr, &*da_r),
+            (cell.b_iz, &*da_z),
+            (cell.b_hz, &*da_z),
+            (cell.b_in, &*da_n),
+            (cell.b_hn, &*da_hn),
+        ];
+        for (b, da) in biases {
+            column_sums_acc(grads.get_mut(b).as_mut_slice(), da);
+        }
     }
 }
 
@@ -673,7 +889,7 @@ impl LstmCell {
             (self.w_ig, self.w_hg),
             (self.w_io, self.w_ho),
         ];
-        let CellScratch { inp, hid, h } = scratch;
+        let CellScratch { inp, hid, h, .. } = scratch;
         pre_activations(inp, hid, store, x, h, &gates, hd);
         let plane = x.rows() * hd;
         let biases = [self.b_i, self.b_f, self.b_g, self.b_o].map(|id| store.get(id).as_slice());
@@ -765,18 +981,25 @@ impl Dropout {
             return x;
         }
         let shape = graph.value(x).shape();
-        let keep = 1.0 - self.p;
-        let mask_data: Vec<f32> = (0..shape.0 * shape.1)
-            .map(|_| {
-                if rng.gen::<f32>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        let mut mask_data = Vec::with_capacity(shape.0 * shape.1);
+        self.mask_into(rng, shape.0 * shape.1, &mut mask_data);
         let mask = Tensor::from_vec(shape.0, shape.1, mask_data);
         graph.mask_mul(x, mask)
+    }
+
+    /// Appends the next `len` mask values drawn from `rng` to `out`:
+    /// `1 / (1 - p)` for a survivor, 0 for a dropped element — the draws
+    /// [`Dropout::forward`] makes in training, so the same stream gives the
+    /// same masks.
+    pub fn mask_into<R: Rng + ?Sized>(&self, rng: &mut R, len: usize, out: &mut Vec<f32>) {
+        let keep = 1.0 - self.p;
+        out.extend((0..len).map(|_| {
+            if rng.gen::<f32>() < keep {
+                1.0 / keep
+            } else {
+                0.0
+            }
+        }));
     }
 }
 
@@ -1002,6 +1225,131 @@ mod tests {
             gru.step_into(&store, &sparse, h.as_slice(), &mut scratch, &mut out);
             assert_eq!(out, gru.forward_infer(&store, &x, &h).into_vec());
         }
+    }
+
+    /// `‖got − want‖ ≤ 1e-5 · ‖want‖` (plus a floor for all-zero `want`).
+    fn assert_close(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let norm = |v: &mut dyn Iterator<Item = f32>| v.map(|x| x * x).sum::<f32>().sqrt();
+        let diff = norm(&mut got.iter().zip(want).map(|(g, w)| g - w));
+        let scale = norm(&mut want.iter().copied());
+        assert!(
+            diff <= 1e-5 * scale + 1e-12,
+            "{what}: |got - want| = {diff:e} against |want| = {scale:e}"
+        );
+    }
+
+    #[test]
+    fn gru_training_steps_match_the_graph() {
+        let (input_dim, hd, rows, steps) = (11, 8, 3, 4);
+        let mut store = ParamStore::new();
+        let mut r = rng();
+        let cell = GruCell::new("gru", input_dim, hd, &mut store, &mut r);
+        let ids: Vec<ParamId> = store.iter().map(|(id, _)| id).collect();
+        for &id in &ids {
+            for v in store.get_mut(id).as_mut_slice() {
+                *v = r.gen_range(-0.5..0.5);
+            }
+        }
+        let random = |r: &mut StdRng, cols: usize| {
+            let data = (0..rows * cols).map(|_| r.gen_range(-1.0..1.0)).collect();
+            Tensor::from_vec(rows, cols, data)
+        };
+        let xs: Vec<Tensor> = (0..steps)
+            .map(|t| {
+                let (x, _) = serving_like_batch(rows + t, input_dim, hd);
+                Tensor::from_vec(rows, input_dim, x.as_slice()[..rows * input_dim].to_vec())
+            })
+            .collect();
+        let h0 = random(&mut r, hd);
+        // The loss is Σ_t Σ h_{t+1} ⊙ c_t, so dL/dh_{t+1} = c_t directly.
+        let cs: Vec<Tensor> = (0..steps).map(|_| random(&mut r, hd)).collect();
+
+        let mut g = Graph::new();
+        let h0_node = g.constant(h0.clone());
+        let mut h = h0_node;
+        let mut outputs = Vec::new();
+        let mut loss = None;
+        for (x, c) in xs.iter().zip(&cs) {
+            let x = g.constant(x.clone());
+            h = cell.forward(&mut g, &store, x, h);
+            outputs.push(h);
+            let c = g.constant(c.clone());
+            let weighted = g.mul(h, c);
+            let term = g.sum(weighted);
+            loss = Some(loss.map_or(term, |acc| g.add(acc, term)));
+        }
+        let loss = loss.expect("at least one step");
+        g.backward(loss);
+        let mut want = store.zero_grads();
+        g.param_grads_into(&mut want);
+
+        let mut scratch = CellScratch::default();
+        let inputs: Vec<SparseRows> = xs
+            .iter()
+            .map(|x| {
+                let mut sparse = SparseRows::new();
+                sparse.clear(input_dim);
+                x.iter_rows().for_each(|row| sparse.push_dense_row(row));
+                sparse
+            })
+            .collect();
+        let mut states = vec![h0.into_vec()];
+        let mut saved = Vec::new();
+        for (t, x) in inputs.iter().enumerate() {
+            let mut tape = vec![0.0; cell.saved_len(rows)];
+            let mut out = vec![0.0; rows * hd];
+            cell.step_train_into(&store, x, &states[t], &mut scratch, &mut tape, &mut out);
+            assert_bits_eq(
+                &Tensor::from_vec(rows, hd, out.clone()),
+                g.value(outputs[t]),
+                &format!("training forward step {t}"),
+            );
+            states.push(out);
+            saved.push(tape);
+        }
+        let mut got = store.zero_grads();
+        let mut back = cell.backward(&store, &mut scratch);
+        let mut carry = vec![0.0f32; rows * hd];
+        for t in (0..steps).rev() {
+            let dh_next: Vec<f32> = carry
+                .iter()
+                .zip(cs[t].as_slice())
+                .map(|(a, b)| a + b)
+                .collect();
+            carry = vec![0.0; rows * hd];
+            back.step_into(
+                &inputs[t],
+                &states[t],
+                &saved[t],
+                &dh_next,
+                Some(&mut carry),
+                &mut got,
+            );
+        }
+        assert_close(&carry, g.grad(h0_node).as_slice(), "dL/dh_0");
+        for &id in &ids {
+            let name = store
+                .iter()
+                .nth(id.index())
+                .map(|(_, e)| e.name().to_owned());
+            assert_close(
+                got.get(id).as_slice(),
+                want.get(id).as_slice(),
+                &format!("{name:?}"),
+            );
+        }
+    }
+
+    #[test]
+    fn dropout_masks_are_the_forward_passes_masks() {
+        let d = Dropout::new(0.3);
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::ones(2, 50));
+        let y = d.forward(&mut g, x, true, &mut rng());
+        let mut masks = Vec::new();
+        d.mask_into(&mut rng(), 100, &mut masks);
+        assert_eq!(g.value(y).as_slice(), masks.as_slice());
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //!
 //! * a dense 2-D [`tensor::Tensor`],
 //! * a tape-based reverse-mode autodiff [`graph::Graph`],
-//! * [`kernel`]: the one GEMM every product goes through, and its
-//!   sparse-input companion,
+//! * [`kernel`]: the one GEMM every product goes through, its
+//!   sparse-input companion, and their transposes for backward passes,
 //! * [`activation`]: the one `exp` / `sigmoid` / `tanh` every forward
 //!   pass evaluates, with stated error bounds,
 //! * [`layers`]: `Linear`, `GruCell`, `LstmCell`, `TanhCell`, `Dropout`,
+//!   with fused batch steps (and, for the GRU, a fused backward),
 //! * [`optim`]: Adam and SGD,
-//! * [`params`]: shared named parameter storage designed for the paper's
-//!   per-user parallel gradient accumulation.
+//! * [`params`]: shared named parameter storage, and the gradient stores
+//!   both training paths add into.
 //!
 //! The crate is *not* a general deep-learning framework: it trades
 //! generality (no GPU, no broadcasting rules, `f32` only) for a small,

@@ -6,7 +6,8 @@
 //! per-user parallel training scheme from §7.1 of the paper: worker threads
 //! read parameter values from a shared store, build their own autograd
 //! graphs, and produce a [`GradStore`] each, which are then summed and
-//! applied by a single optimizer step.
+//! applied by a single optimizer step. The GRU's fused backward adds its
+//! gradients straight into one [`GradStore`] instead.
 
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};

@@ -11,9 +11,10 @@
 //!   (a prediction may only read hidden states that were computable before
 //!   the session started);
 //! * [`trainer`] — the §7 training recipe (Adam 1e-3, dropout 0.2, loss on
-//!   the last 21 days, minibatches of 10 users with per-user parallel
-//!   gradient accumulation, history truncation), plus forward-only
-//!   evaluation utilities.
+//!   the last 21 days, minibatches of 10 users, history truncation): a GRU
+//!   trains through one fused time-major pass per minibatch, the Tanh and
+//!   LSTM cells through per-user autograd tapes; plus batched forward-only
+//!   evaluation.
 //!
 //! # Examples
 //!
@@ -37,7 +38,6 @@
 //! let trainer = RnnTrainer::new(TrainerConfig {
 //!     epochs: 1,
 //!     train_last_days: 5,
-//!     parallel: false,
 //!     ..Default::default()
 //! });
 //! let users: Vec<usize> = (0..dataset.users.len()).collect();

@@ -13,9 +13,11 @@ use pp_data::schema::DatasetKind;
 use pp_features::rnn_input::RnnFeaturizer;
 use pp_nn::activation::{sigmoid, sigmoid_in_place};
 use pp_nn::graph::{Graph, NodeId};
-use pp_nn::kernel::{gather_acc, gemm_acc, SparseRows};
+use pp_nn::kernel::{
+    column_sums_acc, gather_acc, gemm_acc, gemm_at_acc, gemm_bt_acc, scatter_acc, SparseRows,
+};
 use pp_nn::layers::{CellKind, CellScratch, Dropout, GruCell, Linear, LstmCell, TanhCell};
-use pp_nn::params::ParamStore;
+use pp_nn::params::{GradStore, ParamStore};
 use pp_nn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,6 +185,51 @@ impl BatchScratch {
             assert_eq!(state.len(), state_dim, "state length mismatch");
             rows[row * state_dim..][..state_dim].copy_from_slice(state);
         }
+    }
+}
+
+/// One training batch of the prediction head — every retained prediction of
+/// a minibatch — with the forward values its backward pass reads, reused
+/// from minibatch to minibatch. The trainer fills [`HeadBatch::h`],
+/// [`HeadBatch::inputs`], [`HeadBatch::labels`] and [`HeadBatch::masks`]
+/// row by row; [`RnnModel::head_train_step`] leaves each row's state
+/// gradient in [`HeadBatch::dh`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HeadBatch {
+    /// `rows × hidden_dim` hidden states the predictions read.
+    pub(crate) h: Vec<f32>,
+    /// The prediction inputs.
+    pub(crate) inputs: SparseRows,
+    /// 1.0 for an access, 0.0 otherwise.
+    pub(crate) labels: Vec<f32>,
+    /// `rows × mlp_width` inverted-dropout masks; empty when dropout is off.
+    pub(crate) masks: Vec<f32>,
+    /// `1 + L(f)`, `rows × hidden_dim` (latent cross only).
+    one_plus: Vec<f32>,
+    /// `h ⊙ (1 + L(f))`, `rows × hidden_dim` (latent cross only).
+    crossed: Vec<f32>,
+    /// The MLP's hidden pre-activations after the dropout mask,
+    /// `rows × mlp_width`.
+    dropped: Vec<f32>,
+    /// ReLU of `dropped`.
+    activated: Vec<f32>,
+    /// The logits, then their gradients.
+    logits: Vec<f32>,
+    /// Gradient with respect to `dropped`'s pre-mask values.
+    d_hidden: Vec<f32>,
+    /// Gradient with respect to `crossed` (or `h` without latent cross).
+    d_crossed: Vec<f32>,
+    /// `rows × hidden_dim` loss gradient with respect to `h`.
+    pub(crate) dh: Vec<f32>,
+}
+
+impl HeadBatch {
+    /// Drops every row, keeping the allocations.
+    pub(crate) fn clear(&mut self, predict_dims: usize) {
+        self.h.clear();
+        self.inputs.clear(predict_dims);
+        self.labels.clear();
+        self.masks.clear();
     }
 }
 
@@ -530,6 +577,160 @@ impl RnnModel {
         sigmoid_in_place(logits);
         probabilities.clear();
         probabilities.extend(logits.iter().map(|&p| p as f64));
+    }
+
+    /// The GRU cell, which the trainer unrolls fused; `None` for the
+    /// graph-trained cells.
+    pub(crate) fn gru(&self) -> Option<&GruCell> {
+        match &self.cell {
+            Cell::Gru(cell) => Some(cell),
+            _ => None,
+        }
+    }
+
+    /// Appends one prediction's dropout mask (`mlp_width` values) drawn
+    /// from `rng` to `out` — the draws [`RnnModel::predict_logit_node`]
+    /// makes in training — or nothing when dropout is off.
+    pub(crate) fn dropout_mask_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<f32>) {
+        if self.dropout.p() > 0.0 {
+            self.dropout.mask_into(rng, self.config.mlp_width, out);
+        }
+    }
+
+    /// The head's training forward and backward over one batch with its
+    /// dropout masks given: latent cross, `[h' ; f]`, MLP, dropout, ReLU,
+    /// output layer, then a log loss per row. Adds every head parameter's
+    /// gradient of the *summed* loss into `grads`, leaves each row's
+    /// gradient with respect to `h` in `batch.dh`, and returns the summed
+    /// loss. The forward pass is [`RnnModel::predict_proba_batch_into`]'s
+    /// arithmetic with the masks applied, so under the graph's masks its
+    /// logits are the graph's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an LSTM model (its head reads half the state) or if the
+    /// batch does not match the model's shapes.
+    pub(crate) fn head_train_step(&self, batch: &mut HeadBatch, grads: &mut GradStore) -> f64 {
+        assert!(
+            !matches!(self.cell, Cell::Lstm(_)),
+            "the fused head reads the whole state"
+        );
+        let HeadBatch {
+            h,
+            inputs: f,
+            labels,
+            masks,
+            one_plus,
+            crossed,
+            dropped,
+            activated,
+            logits,
+            d_hidden,
+            d_crossed,
+            dh,
+        } = batch;
+        let (hd, width, rows) = (self.config.hidden_dim, self.config.mlp_width, f.rows());
+        assert_eq!(
+            f.width(),
+            self.predict_input_dims(),
+            "input length mismatch"
+        );
+        assert_eq!(h.len(), rows * hd, "state length mismatch");
+        assert_eq!(labels.len(), rows, "one label per row");
+        assert!(
+            masks.is_empty() || masks.len() == rows * width,
+            "one mask per row"
+        );
+        let weights = |layer: &Linear| {
+            let (w, b) = layer.params();
+            (self.params.get(w).as_slice(), self.params.get(b).as_slice())
+        };
+
+        // Forward, as in `predict_proba_batch_into`.
+        let crossed: &[f32] = if let Some(latent) = &self.latent {
+            let (w, b) = weights(latent);
+            one_plus.clear();
+            one_plus.resize(rows * hd, 0.0);
+            gather_acc(one_plus, f, w, hd);
+            for row in one_plus.chunks_exact_mut(hd.max(1)) {
+                for (l, &b) in row.iter_mut().zip(b) {
+                    *l = (*l + b) + 1.0;
+                }
+            }
+            crossed.clear();
+            crossed.extend(h.iter().zip(one_plus.iter()).map(|(&h, &l)| h * l));
+            crossed
+        } else {
+            h
+        };
+        let (w_mlp, b_mlp) = weights(&self.mlp_hidden);
+        dropped.clear();
+        dropped.resize(rows * width, 0.0);
+        gemm_acc(dropped, crossed, &w_mlp[..hd * width], width);
+        gather_acc(dropped, f, &w_mlp[hd * width..], width);
+        for row in dropped.chunks_exact_mut(width.max(1)) {
+            for (v, &b) in row.iter_mut().zip(b_mlp) {
+                *v += b;
+            }
+        }
+        if !masks.is_empty() {
+            for (v, &m) in dropped.iter_mut().zip(masks.iter()) {
+                *v *= m;
+            }
+        }
+        activated.clear();
+        activated.extend(dropped.iter().map(|&v| v.max(0.0)));
+        let (w_out, b_out) = weights(&self.mlp_out);
+        logits.clear();
+        logits.resize(rows, 0.0);
+        gemm_acc(logits, activated, w_out, 1);
+        // The graph's fused log loss per row; each logit is then replaced by
+        // its gradient, `σ(z) − y`.
+        let mut loss = 0.0f64;
+        for (z, &y) in logits.iter_mut().zip(labels.iter()) {
+            *z += b_out[0];
+            loss += f64::from(z.max(0.0) - *z * y + (1.0 + (-z.abs()).exp()).ln());
+            *z = sigmoid(*z) - y;
+        }
+
+        // Backward.
+        let d_logits = &*logits;
+        let (w_id, b_id) = self.mlp_out.params();
+        column_sums_acc(grads.get_mut(b_id).as_mut_slice(), d_logits);
+        gemm_at_acc(grads.get_mut(w_id).as_mut_slice(), activated, d_logits, 1);
+        d_hidden.clear();
+        d_hidden.resize(rows * width, 0.0);
+        gemm_bt_acc(d_hidden, d_logits, w_out, 1);
+        // Through the ReLU, then the mask.
+        for (i, d) in d_hidden.iter_mut().enumerate() {
+            if dropped[i] <= 0.0 {
+                *d = 0.0;
+            } else if !masks.is_empty() {
+                *d *= masks[i];
+            }
+        }
+        let (w_id, b_id) = self.mlp_hidden.params();
+        column_sums_acc(grads.get_mut(b_id).as_mut_slice(), d_hidden);
+        let (g_dense, g_sparse) = grads.get_mut(w_id).as_mut_slice().split_at_mut(hd * width);
+        gemm_at_acc(g_dense, crossed, d_hidden, width);
+        scatter_acc(g_sparse, f, d_hidden, width);
+        d_crossed.clear();
+        d_crossed.resize(rows * hd, 0.0);
+        gemm_bt_acc(d_crossed, d_hidden, &w_mlp[..hd * width], width);
+        dh.clear();
+        if let Some(latent) = &self.latent {
+            // h' = h ⊙ (1 + L(f)): dh = dh' ⊙ (1 + L(f)), dL = dh' ⊙ h.
+            dh.extend(d_crossed.iter().zip(one_plus.iter()).map(|(&d, &l)| d * l));
+            for (d, &h) in d_crossed.iter_mut().zip(h.iter()) {
+                *d *= h;
+            }
+            let (w_id, b_id) = latent.params();
+            column_sums_acc(grads.get_mut(b_id).as_mut_slice(), d_crossed);
+            scatter_acc(grads.get_mut(w_id).as_mut_slice(), f, d_crossed, hd);
+        } else {
+            dh.extend_from_slice(d_crossed);
+        }
+        loss
     }
 
     /// Batched inference: advances `states.len()` stored states in one

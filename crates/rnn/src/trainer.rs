@@ -6,18 +6,36 @@
 //! * the loss is the average log loss over the predictions of the **last 21
 //!   days** only (earlier predictions have too little history and
 //!   over-weight cold-start errors);
-//! * minibatches of 10 users, each user's sequence evaluated independently
-//!   and gradients accumulated — optionally on separate threads, which is
-//!   the paper's alternative to padded batching (§7.1, "models train twice
-//!   as quickly with this approach");
+//! * minibatches of 10 users without padding (§7.1);
 //! * user histories truncated to the most recent 10,000 sessions.
+//!
+//! §7.1 avoids padded batching by evaluating each user's sequence on its
+//! own thread ("models train twice as quickly with this approach"). A GRU
+//! here avoids it differently: a minibatch's users advance together
+//! time-major, longest unroll first, so the rows still running at a step
+//! are a prefix of the batch and a user whose sequence has ended simply
+//! drops off its end. The forward pass saves each step's gates into one
+//! arena reused across minibatches; the prediction head then runs forward
+//! and backward once over every retained prediction, and one reverse sweep
+//! through [`GruBackward`](pp_nn::layers::GruBackward) carries the state
+//! gradients back, each step's parameter gradients added straight into the
+//! minibatch's [`GradStore`]. Everything runs on the fused kernels serving
+//! uses, so a session step — forward, head and backward — costs a few
+//! microseconds, not the tens of a one-row autograd tape (ARCHITECTURE.md,
+//! *Achieved vs. bound: training*). The Tanh and LSTM cells
+//! (§6.2's ablation) keep the per-user [`Graph`] path, threads optional,
+//! and that path is also the GRU's test oracle: on the same minibatch and
+//! dropout masks both give the same gradients to 1e-5, though not the same
+//! bits, since the sums run in another order.
 
-use crate::model::{RnnModel, TaskKind};
+use crate::model::{BatchScratch, HeadBatch, RnnModel, TaskKind};
 use crate::sequence::{plan_per_session, plan_timeshift, LagConfig, UserSequencePlan};
 use pp_data::schema::{Dataset, UserHistory};
 use pp_data::synth::build_peak_window_examples;
 use pp_nn::activation::sigmoid;
 use pp_nn::graph::{Graph, NodeId};
+use pp_nn::kernel::SparseRows;
+use pp_nn::layers::CellScratch;
 use pp_nn::optim::{Adam, AdamConfig, Optimizer};
 use pp_nn::params::GradStore;
 use pp_nn::tensor::Tensor;
@@ -25,6 +43,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::time::Instant;
 
 /// Training configuration.
@@ -43,7 +62,9 @@ pub struct TrainerConfig {
     /// Truncate each user's history to this many most recent sessions
     /// (paper: 10,000 for MPU).
     pub max_history_sessions: usize,
-    /// Evaluate minibatch users on separate threads (paper §7.1).
+    /// Evaluate minibatch users on separate threads (paper §7.1). Applies
+    /// to the graph-trained cells (Tanh, LSTM) only: a GRU minibatch is one
+    /// fused pass, so this changes nothing for it.
     pub parallel: bool,
     /// Global gradient-norm clip (0 disables clipping).
     pub grad_clip: f32,
@@ -76,8 +97,9 @@ impl Default for TrainerConfig {
 impl TrainerConfig {
     /// A preset for training a model *inside* a running simulation or
     /// benchmark on a seeded warmup split: a couple of epochs over small
-    /// parallel minibatches — enough for informative scores in seconds, not
-    /// a paper-scale fit. Deterministic for a given `seed`.
+    /// minibatches (parallel per user for the graph-trained cells) —
+    /// enough for informative scores in seconds, not a paper-scale fit.
+    /// Deterministic for a given `seed`.
     pub fn warmup(seed: u64) -> Self {
         Self {
             epochs: 2,
@@ -198,6 +220,8 @@ impl RnnTrainer {
     }
 
     /// Trains the model in place on the given users and returns a report.
+    /// A GRU trains through the fused time-major pass, the Tanh and LSTM
+    /// cells through per-user autograd tapes (see the module docs).
     ///
     /// # Panics
     ///
@@ -213,6 +237,7 @@ impl RnnTrainer {
             "cannot train on an empty user set"
         );
         let start = Instant::now();
+        let fused = model.gru().is_some();
         let windows = self.windows_for(model, dataset);
         let first_train_day = dataset.num_days.saturating_sub(self.config.train_last_days);
         let mut adam = Adam::new(
@@ -227,6 +252,8 @@ impl RnnTrainer {
         let mut loss_trace = Vec::new();
         let mut total_predictions = 0u64;
         let mut total_sessions = 0u64;
+        let mut grads = model.params().zero_grads();
+        let mut arena = FusedArena::default();
 
         for epoch in 0..self.config.epochs {
             order.shuffle(&mut rng);
@@ -251,24 +278,15 @@ impl RnnTrainer {
                 }
                 total_predictions += batch_predictions;
 
-                // Per-user gradient computation (optionally on threads).
-                let results = if self.config.parallel && plans.len() > 1 {
-                    run_users_parallel(model, &plans, self.config.seed, epoch)
+                // Gradients of the summed loss, averaged over the number of
+                // prediction/label pairs in the minibatch.
+                grads.zero();
+                let seed = self.config.seed;
+                let loss_sum = if fused {
+                    fused_gradients(model, &plans, seed, epoch, &mut arena, &mut grads)
                 } else {
-                    plans
-                        .iter()
-                        .map(|(ui, plan)| user_gradients(model, plan, self.config.seed, epoch, *ui))
-                        .collect()
+                    graph_gradients(model, &plans, seed, epoch, self.config.parallel, &mut grads)
                 };
-
-                // Merge in deterministic (user) order and average over the
-                // number of prediction/label pairs in the minibatch.
-                let mut grads = model.params().zero_grads();
-                let mut loss_sum = 0.0f64;
-                for r in &results {
-                    grads.merge(&r.grads);
-                    loss_sum += r.loss_sum;
-                }
                 grads.scale(1.0 / batch_predictions as f32);
                 if self.config.grad_clip > 0.0 {
                     grads.clip_global_norm(self.config.grad_clip);
@@ -303,15 +321,219 @@ impl RnnTrainer {
         let windows = self.windows_for(model, dataset);
         let first_day = last_days.map(|d| dataset.num_days.saturating_sub(d));
         let mut out = Vec::new();
-        for &ui in user_indices {
-            let mut plan = self.plan_user(model, dataset, &dataset.users[ui], windows.as_deref());
-            if let Some(first) = first_day {
-                plan.retain_predictions_from_day(first);
-            }
-            score_user_plan(model, &plan, ui, &mut out);
+        let mut scratch = BatchScratch::new();
+        for users in user_indices.chunks(EVAL_USERS) {
+            let plans: Vec<UserSequencePlan> = users
+                .iter()
+                .map(|&ui| {
+                    let user = &dataset.users[ui];
+                    let mut plan = self.plan_user(model, dataset, user, windows.as_deref());
+                    if let Some(first) = first_day {
+                        plan.retain_predictions_from_day(first);
+                    }
+                    plan
+                })
+                .collect();
+            score_plans(model, users, &plans, &mut scratch, &mut out);
         }
         out
     }
+}
+
+/// Users [`RnnTrainer::evaluate`] unrolls together: a batch holds at most
+/// one update row per user.
+const EVAL_USERS: usize = 64;
+
+/// Hidden-state updates a plan's predictions need: the largest
+/// `hidden_index` (later updates cannot influence any prediction).
+fn steps_needed(plan: &UserSequencePlan) -> usize {
+    plan.predictions
+        .iter()
+        .map(|p| p.hidden_index)
+        .max()
+        .unwrap_or(0)
+}
+
+/// The per-(user, epoch) dropout stream, so that every path and thread
+/// draws a user's masks identically.
+fn dropout_rng(seed: u64, user_index: usize, epoch: usize) -> StdRng {
+    StdRng::seed_from_u64(
+        seed ^ (user_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (epoch as u64) << 32,
+    )
+}
+
+/// The per-user graph path (Tanh and LSTM cells): one tape per user,
+/// optionally a thread each (paper §7.1), merged in user order into
+/// `grads`. Returns the summed loss.
+fn graph_gradients(
+    model: &RnnModel,
+    plans: &[(usize, UserSequencePlan)],
+    seed: u64,
+    epoch: usize,
+    parallel: bool,
+    grads: &mut GradStore,
+) -> f64 {
+    let results = if parallel && plans.len() > 1 {
+        run_users_parallel(model, plans, seed, epoch)
+    } else {
+        plans
+            .iter()
+            .map(|(ui, plan)| user_gradients(model, plan, seed, epoch, *ui))
+            .collect()
+    };
+    let mut loss_sum = 0.0f64;
+    for r in &results {
+        grads.merge(&r.grads);
+        loss_sum += r.loss_sum;
+    }
+    loss_sum
+}
+
+/// Buffers of [`fused_gradients`], reused from minibatch to minibatch.
+#[derive(Debug, Default)]
+struct FusedArena {
+    /// `(plan, steps needed)` of every user with a retained prediction,
+    /// most steps first, so every time step's rows are a prefix of the
+    /// previous step's.
+    order: Vec<(usize, usize)>,
+    /// Rows of each time step, non-increasing.
+    rows: Vec<usize>,
+    /// First row of each state block, then the total: block 0 is `h_0` for
+    /// every user in `order`, block `t + 1` the output of step `t`.
+    block_start: Vec<usize>,
+    /// The state blocks, `hidden_dim` values a row.
+    states: Vec<f32>,
+    /// The loss gradient of every state row, laid out like `states`.
+    state_grads: Vec<f32>,
+    /// Every step's `GruCell::step_train_into` tape, back to back.
+    saved: Vec<f32>,
+    /// Every step's update inputs.
+    inputs: Vec<SparseRows>,
+    cell: CellScratch,
+    head: HeadBatch,
+    /// The state block (the prediction's `hidden_index`) and row each head
+    /// row read.
+    head_rows: Vec<(usize, usize)>,
+}
+
+/// The fused GRU path over a whole minibatch, adding the gradients of the
+/// summed loss into `grads` and returning that loss. The users run
+/// together time-major, longest unroll first, so a user whose sequence has
+/// ended drops off the end of the batch and no padded row is computed; the
+/// head then runs once over every retained prediction, each user's dropout
+/// masks drawn from its own stream in plan order (the graph path's masks),
+/// and one reverse sweep carries the state gradients back.
+fn fused_gradients(
+    model: &RnnModel,
+    plans: &[(usize, UserSequencePlan)],
+    seed: u64,
+    epoch: usize,
+    arena: &mut FusedArena,
+    grads: &mut GradStore,
+) -> f64 {
+    let cell = model.gru().expect("the fused path unrolls a GRU");
+    let store = model.params();
+    let hd = model.state_dim();
+    let FusedArena {
+        order,
+        rows,
+        block_start,
+        states,
+        state_grads,
+        saved,
+        inputs,
+        cell: scratch,
+        head,
+        head_rows,
+    } = arena;
+
+    order.clear();
+    order.extend(
+        plans
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, plan))| !plan.predictions.is_empty())
+            .map(|(i, (_, plan))| (i, steps_needed(plan))),
+    );
+    order.sort_by_key(|&(_, steps)| Reverse(steps));
+    let steps = order.first().map_or(0, |&(_, steps)| steps);
+    rows.clear();
+    rows.extend((0..steps).map(|t| order.partition_point(|&(_, steps)| steps > t)));
+    block_start.clear();
+    block_start.extend([0, order.len()]);
+    for &r in rows.iter() {
+        block_start.push(block_start[block_start.len() - 1] + r);
+    }
+    let total_rows = block_start[block_start.len() - 1];
+    states.clear();
+    states.resize(total_rows * hd, 0.0);
+    state_grads.clear();
+    state_grads.resize(total_rows * hd, 0.0);
+    saved.clear();
+    saved.resize(cell.saved_len(rows.iter().sum()), 0.0);
+    if inputs.len() < steps {
+        inputs.resize_with(steps, SparseRows::new);
+    }
+
+    // Forward, one step of every active user at a time.
+    let mut tape_at = 0;
+    for (t, (&active, x)) in rows.iter().zip(inputs.iter_mut()).enumerate() {
+        x.clear(model.update_input_dims());
+        for &(plan, _) in &order[..active] {
+            x.push_dense_row(&plans[plan].1.updates[t].update_input);
+        }
+        let (done, next) = states.split_at_mut(block_start[t + 1] * hd);
+        let h = &done[block_start[t] * hd..][..active * hd];
+        let tape = &mut saved[tape_at..][..cell.saved_len(active)];
+        cell.step_train_into(store, x, h, scratch, tape, &mut next[..active * hd]);
+        tape_at += tape.len();
+    }
+
+    // The head over every retained prediction.
+    head.clear(model.predict_input_dims());
+    head_rows.clear();
+    for (row, &(plan, _)) in order.iter().enumerate() {
+        let (user_index, plan) = &plans[plan];
+        let mut rng = dropout_rng(seed, *user_index, epoch);
+        for p in &plan.predictions {
+            let at = (block_start[p.hidden_index] + row) * hd;
+            head.h.extend_from_slice(&states[at..at + hd]);
+            head.inputs.push_dense_row(&p.predict_input);
+            head.labels.push(if p.label { 1.0 } else { 0.0 });
+            model.dropout_mask_into(&mut rng, &mut head.masks);
+            head_rows.push((p.hidden_index, row));
+        }
+    }
+    let loss_sum = model.head_train_step(head, grads);
+
+    // Each prediction's state gradient onto the state it read; `h_0`'s is
+    // dropped.
+    for (dh, &(block, row)) in head.dh.chunks_exact(hd.max(1)).zip(head_rows.iter()) {
+        if block > 0 {
+            let at = (block_start[block] + row) * hd;
+            for (g, &d) in state_grads[at..at + hd].iter_mut().zip(dh) {
+                *g += d;
+            }
+        }
+    }
+
+    // The reverse sweep.
+    let mut back = cell.backward(store, scratch);
+    for (t, (&active, x)) in rows.iter().zip(inputs.iter()).enumerate().rev() {
+        let tape_len = cell.saved_len(active);
+        tape_at -= tape_len;
+        let (before, after) = state_grads.split_at_mut(block_start[t + 1] * hd);
+        let dh_prev = (t > 0).then(|| &mut before[block_start[t] * hd..][..active * hd]);
+        back.step_into(
+            x,
+            &states[block_start[t] * hd..][..active * hd],
+            &saved[tape_at..tape_at + tape_len],
+            &after[..active * hd],
+            dh_prev,
+            grads,
+        );
+    }
+    loss_sum
 }
 
 /// Result of one user's backward pass.
@@ -331,24 +553,14 @@ fn user_gradients(
     user_index: usize,
 ) -> UserGradients {
     let mut graph = Graph::new();
-    // Deterministic per-(user, epoch) dropout stream so that parallel and
-    // sequential execution produce identical gradients.
-    let mut rng = StdRng::seed_from_u64(
-        seed ^ (user_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (epoch as u64) << 32,
-    );
+    let mut rng = dropout_rng(seed, user_index, epoch);
 
     // Hidden-state chain: h_0 = 0, h_i = update(h_{i-1}, x_i).
     let mut hidden_nodes: Vec<NodeId> = Vec::with_capacity(plan.num_updates() + 1);
     hidden_nodes.push(graph.constant(Tensor::zeros(1, model.state_dim())));
     // Only build updates up to the last one any prediction needs; later
     // updates cannot influence the loss.
-    let max_needed = plan
-        .predictions
-        .iter()
-        .map(|p| p.hidden_index)
-        .max()
-        .unwrap_or(0);
-    for step in plan.updates.iter().take(max_needed) {
+    for step in plan.updates.iter().take(steps_needed(plan)) {
         let x = graph.constant(Tensor::from_row(&step.update_input));
         let prev = *hidden_nodes.last().expect("h_0 exists");
         let next = model.update_node(&mut graph, prev, x);
@@ -407,37 +619,86 @@ fn run_users_parallel(
         .collect()
 }
 
-/// Scores a user's plan forward-only (no gradients, dropout off).
-fn score_user_plan(
+/// Scores `plans` (of the users `user_indices`) forward-only, dropout off,
+/// appending to `out` in user order and each user's predictions in plan
+/// order. The users run together time-major: at hidden index `t` the
+/// predictions that read `h_t` go through one
+/// [`RnnModel::predict_proba_batch_into`], then every user with a
+/// prediction further on advances through one
+/// [`RnnModel::advance_state_batch_into`]. Both are bit-identical per row
+/// to the single-request graph path, so the scores are too.
+fn score_plans(
     model: &RnnModel,
-    plan: &UserSequencePlan,
-    user_index: usize,
+    user_indices: &[usize],
+    plans: &[UserSequencePlan],
+    scratch: &mut BatchScratch,
     out: &mut Vec<ScoredPrediction>,
 ) {
-    if plan.predictions.is_empty() {
-        return;
+    let sd = model.state_dim();
+    // Output slots first, in the order the caller reads them; `pending`
+    // lists `(hidden_index, slot, plan, prediction)` by hidden index.
+    let mut pending = Vec::new();
+    for (i, (plan, &user_index)) in plans.iter().zip(user_indices).enumerate() {
+        for (j, p) in plan.predictions.iter().enumerate() {
+            pending.push((p.hidden_index, out.len(), i, j));
+            out.push(ScoredPrediction {
+                user_index,
+                day_offset: p.day_offset,
+                score: f64::NAN,
+                label: p.label,
+            });
+        }
     }
-    let max_needed = plan
-        .predictions
+    pending.sort_by_key(|&(hidden_index, ..)| hidden_index);
+    // Users longest unroll first, so the advancing rows are a prefix.
+    let mut users: Vec<(usize, usize)> = plans
         .iter()
-        .map(|p| p.hidden_index)
-        .max()
-        .unwrap_or(0);
-    // Materialize the hidden states the predictions need.
-    let mut states: Vec<Vec<f32>> = Vec::with_capacity(max_needed + 1);
-    states.push(model.initial_state());
-    for step in plan.updates.iter().take(max_needed) {
-        let next = model.advance_state(states.last().expect("h_0"), &step.update_input);
-        states.push(next);
+        .map(steps_needed)
+        .enumerate()
+        .filter(|&(i, _)| !plans[i].predictions.is_empty())
+        .collect();
+    users.sort_by_key(|&(_, steps)| Reverse(steps));
+    let mut row_of = vec![0; plans.len()];
+    for (row, &(i, _)) in users.iter().enumerate() {
+        row_of[i] = row;
     }
-    for p in &plan.predictions {
-        let score = model.predict_proba(&states[p.hidden_index], &p.predict_input);
-        out.push(ScoredPrediction {
-            user_index,
-            day_offset: p.day_offset,
-            score,
-            label: p.label,
-        });
+    let mut states = vec![0.0f32; users.len() * sd];
+    let steps = users.first().map_or(0, |&(_, steps)| steps);
+    let mut next = 0;
+    for t in 0..=steps {
+        let reading = pending[next..].partition_point(|&(hidden_index, ..)| hidden_index == t);
+        let reading = &pending[next..next + reading];
+        next += reading.len();
+        if !reading.is_empty() {
+            scratch.begin(sd, model.predict_input_dims());
+            for &(_, _, i, j) in reading {
+                scratch
+                    .inputs_mut()
+                    .push_dense_row(&plans[i].predictions[j].predict_input);
+            }
+            let rows = scratch.zeroed_states().chunks_exact_mut(sd.max(1));
+            for (row, &(_, _, i, _)) in rows.zip(reading) {
+                row.copy_from_slice(&states[row_of[i] * sd..][..sd]);
+            }
+            model.predict_proba_batch_into(scratch);
+            for (&score, &(_, slot, ..)) in scratch.probabilities().iter().zip(reading) {
+                out[slot].score = score;
+            }
+        }
+        let active = users.partition_point(|&(_, steps)| steps > t);
+        if active > 0 {
+            scratch.begin(sd, model.update_input_dims());
+            for &(i, _) in &users[..active] {
+                scratch
+                    .inputs_mut()
+                    .push_dense_row(&plans[i].updates[t].update_input);
+            }
+            scratch
+                .zeroed_states()
+                .copy_from_slice(&states[..active * sd]);
+            model.advance_state_batch_into(scratch);
+            states[..active * sd].copy_from_slice(scratch.next_states());
+        }
     }
 }
 
@@ -465,6 +726,8 @@ mod tests {
         TimeshiftGenerator,
     };
     use pp_metrics::pr::pr_auc;
+    use pp_nn::layers::CellKind;
+    use rand::Rng;
 
     fn tiny_dataset(users: usize) -> Dataset {
         MobileTabGenerator::new(MobileTabConfig {
@@ -543,12 +806,307 @@ mod tests {
         assert!(all.len() > scored.len());
     }
 
+    fn model_with(cell: CellKind, task: TaskKind, hidden: usize, latent_cross: bool) -> RnnModel {
+        let kind = match task {
+            TaskKind::PerSession => DatasetKind::MobileTab,
+            TaskKind::Timeshifted => DatasetKind::Timeshift,
+        };
+        RnnModel::new(
+            kind,
+            task,
+            RnnModelConfig {
+                cell,
+                hidden_dim: hidden,
+                mlp_width: hidden,
+                latent_cross,
+                ..RnnModelConfig::default()
+            },
+            3,
+        )
+    }
+
+    /// Moves every parameter, biases included, off its initial value.
+    fn perturb(model: &mut RnnModel, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ids: Vec<_> = model.params().iter().map(|(id, _)| id).collect();
+        for id in ids {
+            for v in model.params_mut().get_mut(id).as_mut_slice() {
+                *v += rng.gen_range(-0.1..0.1);
+            }
+        }
+    }
+
+    /// Scores a user's plan forward-only on the single-request graph path
+    /// (what `evaluate` did one user at a time before it ran batched).
+    fn score_user_plan(
+        model: &RnnModel,
+        plan: &UserSequencePlan,
+        user_index: usize,
+        out: &mut Vec<ScoredPrediction>,
+    ) {
+        let mut states = vec![model.initial_state()];
+        for step in plan.updates.iter().take(steps_needed(plan)) {
+            let next = model.advance_state(states.last().expect("h_0"), &step.update_input);
+            states.push(next);
+        }
+        for p in &plan.predictions {
+            out.push(ScoredPrediction {
+                user_index,
+                day_offset: p.day_offset,
+                score: model.predict_proba(&states[p.hidden_index], &p.predict_input),
+                label: p.label,
+            });
+        }
+    }
+
+    #[test]
+    fn batched_evaluation_is_bit_identical_to_the_per_user_graph_replay() {
+        let mobile = tiny_dataset(9);
+        let timeshift = TimeshiftGenerator::new(TimeshiftConfig {
+            num_users: 9,
+            num_days: 10,
+            ..Default::default()
+        })
+        .generate();
+        for task in [TaskKind::PerSession, TaskKind::Timeshifted] {
+            let ds = match task {
+                TaskKind::PerSession => &mobile,
+                TaskKind::Timeshifted => &timeshift,
+            };
+            // Out of order and repeated, as a caller may pass them.
+            let idx = [4usize, 0, 8, 3, 3, 1, 7, 2, 6, 5];
+            for cell in [CellKind::Tanh, CellKind::Gru, CellKind::Lstm] {
+                let mut model = model_with(cell, task, 16, true);
+                perturb(&mut model, 11);
+                let trainer = tiny_trainer(false);
+                let windows = trainer.windows_for(&model, ds);
+                for last_days in [None, Some(3)] {
+                    let got = trainer.evaluate(&model, ds, &idx, last_days);
+                    let mut want = Vec::new();
+                    for &ui in &idx {
+                        let mut plan =
+                            trainer.plan_user(&model, ds, &ds.users[ui], windows.as_deref());
+                        if let Some(d) = last_days {
+                            plan.retain_predictions_from_day(ds.num_days - d);
+                        }
+                        score_user_plan(&model, &plan, ui, &mut want);
+                    }
+                    assert_eq!(got.len(), want.len(), "{cell} {task:?}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            (g.user_index, g.day_offset, g.label, g.score.to_bits()),
+                            (w.user_index, w.day_offset, w.label, w.score.to_bits()),
+                            "{cell} {task:?} last_days={last_days:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One minibatch's plans with the edge cases the fused path must get
+    /// right: users whose unrolls end at different steps, one user with no
+    /// retained prediction, one whose every prediction reads `h_0`, and one
+    /// that keeps its first days, so reads `h_0` and later states.
+    fn oracle_minibatch(
+        trainer: &RnnTrainer,
+        model: &RnnModel,
+        ds: &Dataset,
+    ) -> Vec<(usize, UserSequencePlan)> {
+        let first_day = ds.num_days.saturating_sub(trainer.config.train_last_days);
+        let windows = trainer.windows_for(model, ds);
+        let mut plans: Vec<(usize, UserSequencePlan)> = (0..ds.users.len())
+            .map(|ui| {
+                let plan = trainer.plan_user(model, ds, &ds.users[ui], windows.as_deref());
+                (ui, plan)
+            })
+            .collect();
+        plans[0].1.predictions.clear();
+        // Of the users with sessions, the first reads only `h_0`, the second
+        // keeps every day and the rest the training days.
+        let mut with_sessions = 0;
+        for (_, plan) in &mut plans[1..] {
+            if plan.predictions.is_empty() {
+                continue;
+            }
+            match with_sessions {
+                0 => plan.predictions.retain(|p| p.hidden_index == 0),
+                1 => {}
+                _ => plan.retain_predictions_from_day(first_day),
+            }
+            with_sessions += 1;
+        }
+        assert!(with_sessions > 2, "too few users with sessions");
+        plans
+    }
+
+    /// The graph path's and the fused path's gradients of one minibatch
+    /// agree to 1e-5 relative (Euclidean norm over each parameter), and
+    /// their losses to 1e-6.
+    fn assert_fused_matches_graph(
+        model: &RnnModel,
+        plans: &[(usize, UserSequencePlan)],
+        seed: u64,
+    ) {
+        let mut want = model.params().zero_grads();
+        let want_loss = graph_gradients(model, plans, seed, 1, false, &mut want);
+        let mut got = model.params().zero_grads();
+        let mut arena = FusedArena::default();
+        // Twice through one arena: reuse must not leak state.
+        for _ in 0..2 {
+            got.zero();
+            let got_loss = fused_gradients(model, plans, seed, 1, &mut arena, &mut got);
+            assert!(
+                (got_loss - want_loss).abs() <= 1e-6 * want_loss.abs(),
+                "loss {got_loss} vs {want_loss}"
+            );
+        }
+        for (id, entry) in model.params().iter() {
+            let (g, w) = (got.get(id).as_slice(), want.get(id).as_slice());
+            let diff = g
+                .iter()
+                .zip(w)
+                .map(|(g, w)| (g - w) * (g - w))
+                .sum::<f32>()
+                .sqrt();
+            let scale = w.iter().map(|w| w * w).sum::<f32>().sqrt();
+            assert!(
+                diff <= 1e-5 * scale,
+                "{}: |fused - graph| = {diff:e} against |graph| = {scale:e} (seed {seed})",
+                entry.name()
+            );
+        }
+    }
+
+    #[test]
+    fn fused_gradients_match_the_graph() {
+        let ds = tiny_dataset(6);
+        let trainer = tiny_trainer(false);
+        for latent_cross in [true, false] {
+            let mut model = model_with(CellKind::Gru, TaskKind::PerSession, 16, latent_cross);
+            perturb(&mut model, 5);
+            let plans = oracle_minibatch(&trainer, &model, &ds);
+            assert_fused_matches_graph(&model, &plans, 17);
+        }
+        // No dropout (no masks drawn), and the timeshifted task's head.
+        let mut model = RnnModel::new(
+            DatasetKind::MobileTab,
+            TaskKind::PerSession,
+            RnnModelConfig {
+                dropout: 0.0,
+                ..RnnModelConfig::tiny()
+            },
+            4,
+        );
+        perturb(&mut model, 6);
+        assert_fused_matches_graph(&model, &oracle_minibatch(&trainer, &model, &ds), 18);
+        let timeshift = TimeshiftGenerator::new(TimeshiftConfig {
+            num_users: 6,
+            num_days: 10,
+            ..Default::default()
+        })
+        .generate();
+        let mut model = model_with(CellKind::Gru, TaskKind::Timeshifted, 16, true);
+        perturb(&mut model, 7);
+        let plans = oracle_minibatch(&trainer, &model, &timeshift);
+        assert_fused_matches_graph(&model, &plans, 19);
+    }
+
+    /// The oracle over ≥ 16 seeds × hidden 16 / 64 × latent cross on / off;
+    /// run in release with `cargo test --release -p pp-rnn -- --ignored`.
+    #[test]
+    #[ignore = "a minute in debug; CI runs it in release"]
+    fn fused_gradients_match_the_graph_across_seeds() {
+        for seed in 0..16u64 {
+            let ds = MobileTabGenerator::new(MobileTabConfig {
+                num_users: 8,
+                num_days: 10,
+                seed,
+                ..Default::default()
+            })
+            .generate();
+            let trainer = tiny_trainer(false);
+            for hidden in [16, 64] {
+                for latent_cross in [true, false] {
+                    let mut model =
+                        model_with(CellKind::Gru, TaskKind::PerSession, hidden, latent_cross);
+                    perturb(&mut model, seed);
+                    let plans = oracle_minibatch(&trainer, &model, &ds);
+                    assert_fused_matches_graph(&model, &plans, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_gradients_match_finite_differences() {
+        let ds = tiny_dataset(5);
+        let trainer = tiny_trainer(false);
+        let mut model = model_with(CellKind::Gru, TaskKind::PerSession, 4, true);
+        perturb(&mut model, 2);
+        let mut plans = oracle_minibatch(&trainer, &model, &ds);
+        // Short unrolls keep the f32 loss's rounding below the differences.
+        for (_, plan) in &mut plans {
+            plan.predictions.retain(|p| p.hidden_index <= 6);
+        }
+        let mut arena = FusedArena::default();
+        let mut loss_at = |model: &RnnModel| {
+            let mut grads = model.params().zero_grads();
+            let loss = fused_gradients(model, &plans, 9, 0, &mut arena, &mut grads);
+            (loss, grads)
+        };
+        let (_, grads) = loss_at(&model);
+        let eps = 1e-3f32;
+        let ids: Vec<_> = model.params().iter().map(|(id, _)| id).collect();
+        let mut checked = 0;
+        for id in ids {
+            let len = model.params().get(id).len();
+            for i in [0, len / 2, len - 1] {
+                let start = model.params().get(id).as_slice()[i];
+                model.params_mut().get_mut(id).as_mut_slice()[i] = start + eps;
+                let (plus, _) = loss_at(&model);
+                model.params_mut().get_mut(id).as_mut_slice()[i] = start - eps;
+                let (minus, _) = loss_at(&model);
+                model.params_mut().get_mut(id).as_mut_slice()[i] = start;
+                let numeric = (plus - minus) / (2.0 * f64::from(eps));
+                let analytic = f64::from(grads.get(id).as_slice()[i]);
+                assert!(
+                    (numeric - analytic).abs() <= 2e-3 + 1e-2 * analytic.abs(),
+                    "{}[{i}]: finite difference {numeric} vs fused {analytic}",
+                    model.params().iter().nth(id.index()).expect("id").1.name()
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 3 * 18);
+    }
+
+    #[test]
+    fn training_gives_the_same_bits_twice() {
+        let ds = tiny_dataset(10);
+        let idx: Vec<usize> = (0..ds.users.len()).collect();
+        let train = || {
+            let mut model = tiny_model();
+            let report = tiny_trainer(false).train(&mut model, &ds, &idx);
+            (model, report.loss_trace)
+        };
+        let (a, trace_a) = train();
+        let (b, trace_b) = train();
+        assert_eq!(trace_a, trace_b);
+        for ((_, x), (_, y)) in a.params().iter().zip(b.params().iter()) {
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(x.value()), bits(y.value()), "{}", x.name());
+        }
+    }
+
     #[test]
     fn parallel_and_sequential_training_agree() {
+        // `parallel` only applies to the graph-trained cells.
         let ds = tiny_dataset(8);
         let idx: Vec<usize> = (0..ds.users.len()).collect();
-        let mut seq_model = tiny_model();
-        let mut par_model = tiny_model();
+        let lstm = || model_with(CellKind::Lstm, TaskKind::PerSession, 16, true);
+        let mut seq_model = lstm();
+        let mut par_model = lstm();
         tiny_trainer(false).train(&mut seq_model, &ds, &idx);
         tiny_trainer(true).train(&mut par_model, &ds, &idx);
         // Same seeds, same per-user dropout streams, deterministic merge
