@@ -891,7 +891,7 @@ mod tests {
     fn both_instantiations_match_the_naive_reference_bit_for_bit() {
         let isas = Isa::under_test("gemm_acc_on");
         let mut rng = StdRng::seed_from_u64(13);
-        for &m in &[1usize, 3, 4, 5, 63, 64] {
+        for &m in &[1usize, 2, 3, 4, 5, 6, 7, 63, 64] {
             for &n in &[1usize, 7, 16, 64, 80, 128, 384] {
                 for &k in &[1usize, 5, 98, 128] {
                     for fill in [Fill::Dense, Fill::HalfZero, Fill::OneHot, Fill::ZeroRows] {

@@ -1180,7 +1180,7 @@ mod tests {
                 }
             }
         }
-        for rows in [1usize, 8, 64] {
+        for rows in [1usize, 2, 3, 7, 8, 64] {
             let (x, h) = serving_like_batch(rows, input_dim, hidden);
             let (_, hc) = serving_like_batch(rows, input_dim, 2 * hidden);
             let mut g = Graph::new();

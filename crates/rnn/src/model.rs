@@ -1031,7 +1031,7 @@ mod tests {
                 );
                 let f = m.featurizer();
                 let mut scratch = BatchScratch::new();
-                for rows in [1usize, 8, 64] {
+                for rows in [1usize, 2, 3, 7, 8, 64] {
                     // Every third user is a cold start (all-zero state).
                     let states: Vec<Vec<f32>> = (0..rows as i64)
                         .map(|i| {

@@ -1762,7 +1762,11 @@ mod tests {
 
     /// Stores a state of the wrong length for `user`: `read_states_into`
     /// panics on it by contract, which kills the worker that serves `user`.
+    /// The put fixes the store's width at 3, so it must be the store's
+    /// first: into a store that already holds model-width states it would
+    /// panic here, on the test thread, and kill no worker.
     fn poison(store: &ShardedStateStore, user: UserId) {
+        assert!(store.is_empty(), "poison must be the store's first put");
         store.put_state(user, &[0.0; 3]);
     }
 

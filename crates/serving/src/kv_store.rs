@@ -272,10 +272,10 @@ mod tests {
         put(&store, A, &[1.0]);
         put(&store, B, &[2.0]);
         // Overwriting a resident state keeps the store at capacity.
-        put(&store, A, &[1.0, 1.0]);
+        put(&store, A, &[1.5]);
         assert_eq!(store.len(), 2);
         assert_eq!(store.stats().evictions, 0);
-        assert_eq!(get(&store, A).unwrap(), [1.0, 1.0]);
+        assert_eq!(get(&store, A).unwrap(), [1.5]);
     }
 
     #[test]

@@ -4,27 +4,36 @@
 //! A [`ShardedStateStore`] splits the user population over `N` independent
 //! [`StateShard`]s by a hash of the user id, so requests for different
 //! users proceed concurrently and only same-shard accesses contend. A shard
-//! is one mutex around a `u64 → slot` map, a slab of slots that each own
-//! their `f32` state buffer, the eviction order and the shard's traffic
-//! counters.
+//! is one mutex around a `u64 → slot` map, a slab of 32-byte slots (user,
+//! recency and frequency stamps, list links), one arena of state rows — slot
+//! `i`'s state is row `i` — the eviction order and the shard's traffic
+//! counters. A stored state therefore costs its `4 × width` bytes in the
+//! arena, its slot and its map entry, and no allocation of its own.
+//!
+//! The first put fixes the store's width; a put of any other width panics.
+//! A bounded shard allocates its `capacity + 1` rows at its first put (a
+//! newcomer is inserted before its victim leaves); an unbounded one grows by
+//! chunks of 64 rows that never move, so growing never copies
+//! the arena or leaves a discarded copy's pages behind.
 //!
 //! The unit of work is a batch of users, not one user. The store walks the
 //! batch in order, cuts it into runs of consecutive same-shard users (at
 //! most 64 long), and takes each run's shard lock once, never two at a
 //! time. A read run probes every key first, so the runs' hash-probe misses
 //! overlap, then touches each hit and copies it into the caller's row in
-//! row order. A write run overwrites the buffer already there, one user
-//! after another. The process-wide `serving.store.*` counters move once
+//! row order. A write run copies each row over the one already there, one
+//! user after another. The process-wide `serving.store.*` counters move once
 //! per call. A single user is a run of one through the same locked read or
 //! write. Neither path builds a key, encodes a value or, once the resident
-//! set is warm, allocates: an evicting put moves the newcomer into its
-//! victim's buffer.
+//! set is warm, allocates: an evicting put copies the newcomer into its
+//! victim's row.
 
 use crate::kv_store::{EvictionPolicy, StoreStats};
 use parking_lot::Mutex;
 use pp_data::schema::UserId;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// "No slot": the end of the recency list, and a probe that missed.
 const NIL: u32 = u32::MAX;
@@ -33,6 +42,14 @@ const NIL: u32 = u32::MAX;
 /// live in stack buffers of this many entries, so a 64-row batch drained
 /// from one shard's queue takes that shard's lock once.
 const RUN: usize = 64;
+
+/// `log2` of the rows in one chunk of an unbounded shard's arena: 64 rows,
+/// 32 KiB at H = 128, so a shard's last, partly filled chunk leaves little
+/// unused.
+const CHUNK_SHIFT: u32 = 6;
+
+/// Rows in one chunk of an unbounded shard's arena.
+const CHUNK_ROWS: usize = 1 << CHUNK_SHIFT;
 
 /// Hash of a user id inside its shard: Murmur3's 64-bit finalizer.
 /// Deliberately not [`ShardedStateStore::shard_index`]'s mixer — every key
@@ -65,13 +82,11 @@ impl Hasher for UserHasher {
     }
 }
 
-/// One resident (or freed) state with its recency and frequency stamps.
+/// One resident (or freed) state's user, recency and frequency stamps; its
+/// values are the arena row of the same index.
 #[derive(Debug)]
 struct Slot {
     user: u64,
-    /// Overwritten in place by `put`; a freed slot keeps the allocation for
-    /// the next newcomer.
-    state: Vec<f32>,
     /// Monotone tick of the last touch.
     tick: u64,
     /// Lifetime touches (puts + bounded read hits) of this user's state.
@@ -81,12 +96,86 @@ struct Slot {
     next: u32,
 }
 
+/// A shard's state rows, `width` values each: row `i` is slot `i`'s state.
+/// Rows live in chunks of `chunk_rows` rows, each allocated whole and never
+/// reallocated, so a row never moves once written.
+#[derive(Debug)]
+struct Rows {
+    /// Values per row: 0 until the shard's first put.
+    width: usize,
+    /// `log2` of rows per chunk. A bounded shard's one chunk holds
+    /// `capacity + 1` rows and every row index is below `2^32`, so its
+    /// shift is 32: `at >> 32` is chunk 0 for any `u32` index.
+    shift: u32,
+    /// Rows allocated per chunk: `capacity + 1`, or `CHUNK_ROWS`.
+    chunk_rows: usize,
+    chunks: Vec<Vec<f32>>,
+}
+
+impl Rows {
+    fn new(capacity: Option<usize>) -> Self {
+        let (shift, chunk_rows) = match capacity {
+            Some(capacity) => (u32::BITS, capacity + 1),
+            None => (CHUNK_SHIFT, CHUNK_ROWS),
+        };
+        Self {
+            width: 0,
+            shift,
+            chunk_rows,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// The chunk holding row `at`, and the row's first value in it.
+    fn locate(&self, at: u32) -> (usize, usize) {
+        let at = u64::from(at);
+        let chunk = (at >> self.shift) as usize;
+        let row = (at & ((1 << self.shift) - 1)) as usize;
+        (chunk, row * self.width)
+    }
+
+    fn row(&self, at: u32) -> &[f32] {
+        let (chunk, start) = self.locate(at);
+        &self.chunks[chunk][start..][..self.width]
+    }
+
+    fn row_mut(&mut self, at: u32) -> &mut [f32] {
+        let (chunk, start) = self.locate(at);
+        let width = self.width;
+        &mut self.chunks[chunk][start..][..width]
+    }
+
+    /// Writes `state` as row `at`, the row after the last one, starting a
+    /// new chunk when the last one is full. The first row fixes the width.
+    fn push(&mut self, at: u32, state: &[f32]) {
+        if at == 0 {
+            self.width = state.len();
+        }
+        assert_eq!(
+            state.len(),
+            self.width,
+            "a shard of {}-value rows cannot take one of {}",
+            self.width,
+            state.len()
+        );
+        let (chunk, _) = self.locate(at);
+        if chunk == self.chunks.len() {
+            self.chunks
+                .push(Vec::with_capacity(self.chunk_rows * self.width));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
+        debug_assert!(chunk.len() + state.len() <= chunk.capacity());
+        chunk.extend_from_slice(state);
+    }
+}
+
 /// Everything a shard mutates, behind one lock so the map, the eviction
 /// order and the counters can never disagree.
 #[derive(Debug)]
 struct ShardInner {
     slot_of: HashMap<u64, u32, BuildHasherDefault<UserHasher>>,
     slots: Vec<Slot>,
+    rows: Rows,
     /// Indices of `slots` not in `slot_of`, reused before the slab grows.
     free: Vec<u32>,
     /// Most recently touched slot; [`EvictionPolicy::Lru`] shards only.
@@ -158,7 +247,7 @@ impl ShardInner {
         }
     }
 
-    /// Drops `at`'s user from the shard; the slot and its buffer go to the
+    /// Drops `at`'s user from the shard; the slot and its row go to the
     /// free list.
     fn release(&mut self, at: u32, order: Option<EvictionPolicy>) {
         self.unrank(at, order);
@@ -175,9 +264,8 @@ impl ShardInner {
             self.rank(at, order);
         }
         self.stats.hits += 1;
-        let state = &self.slots[at as usize].state;
-        self.stats.bytes_read += 4 * state.len() as u64;
-        state
+        self.stats.bytes_read += 4 * self.rows.width as u64;
+        self.rows.row(at)
     }
 
     /// Stores `state` for `user`, overwriting the previous one in place;
@@ -199,27 +287,17 @@ impl ShardInner {
                 at
             }
             None => {
-                let at = self.free.pop().unwrap_or_else(|| {
-                    let at = u32::try_from(self.slots.len()).expect("a shard holds < 2^32 states");
-                    self.slots.push(Slot {
-                        user: 0,
-                        state: Vec::new(),
-                        tick: 0,
-                        freq: 0,
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    at
-                });
+                let at = self
+                    .free
+                    .pop()
+                    .unwrap_or_else(|| self.push_slot(state, capacity));
                 let slot = &mut self.slots[at as usize];
                 (slot.user, slot.freq) = (user, 1);
                 self.slot_of.insert(user, at);
                 at
             }
         };
-        let buffer = &mut self.slots[at as usize].state;
-        buffer.clear();
-        buffer.extend_from_slice(state);
+        self.rows.row_mut(at).copy_from_slice(state);
         self.rank(at, order);
         let mut evicted = 0;
         if let Some(capacity) = capacity {
@@ -231,6 +309,26 @@ impl ShardInner {
             self.stats.evictions += evicted;
         }
         evicted
+    }
+
+    /// Appends a slot with `state` as its row. A bounded shard's first put
+    /// sizes the slab, the map and the arena for the `capacity + 1` states
+    /// it can briefly hold, so filling it allocates nothing more.
+    fn push_slot(&mut self, state: &[f32], capacity: Option<usize>) -> u32 {
+        if let Some(capacity) = capacity.filter(|_| self.slots.is_empty()) {
+            self.slots.reserve_exact(capacity + 1);
+            self.slot_of.reserve(capacity + 1);
+        }
+        let at = u32::try_from(self.slots.len()).expect("a shard holds < 2^32 states");
+        self.slots.push(Slot {
+            user: 0,
+            tick: 0,
+            freq: 0,
+            prev: NIL,
+            next: NIL,
+        });
+        self.rows.push(at, state);
+        at
     }
 }
 
@@ -258,6 +356,7 @@ impl StateShard {
             inner: Mutex::new(ShardInner {
                 slot_of: HashMap::default(),
                 slots: Vec::new(),
+                rows: Rows::new(capacity),
                 free: Vec::new(),
                 lru_head: NIL,
                 lru_tail: NIL,
@@ -308,11 +407,7 @@ impl StateShard {
     /// Total bytes of the states currently stored.
     pub(crate) fn stored_bytes(&self) -> u64 {
         let inner = self.inner.lock();
-        let widths = inner
-            .slot_of
-            .values()
-            .map(|&at| inner.slots[at as usize].state.len());
-        4 * widths.sum::<usize>() as u64
+        4 * (inner.rows.width * inner.slot_of.len()) as u64
     }
 
     /// Counted reads of a run of this shard's users under one lock. Every
@@ -366,7 +461,7 @@ impl StateShard {
         let inner = &mut *guard;
         let at = *inner.slot_of.get(&user.0)?;
         inner.release(at, self.order());
-        Some(inner.slots[at as usize].state.clone())
+        Some(inner.rows.row(at).to_vec())
     }
 
     /// Whether `user`'s state is stored; neither counted nor a touch.
@@ -417,6 +512,8 @@ fn count_writes(writes: usize, evicted: u64) {
 #[derive(Debug)]
 pub struct ShardedStateStore {
     shards: Vec<StateShard>,
+    /// Values per state, fixed by the first put.
+    width: OnceLock<usize>,
 }
 
 impl ShardedStateStore {
@@ -431,6 +528,7 @@ impl ShardedStateStore {
             shards: (0..num_shards)
                 .map(|_| StateShard::new(None, EvictionPolicy::default()))
                 .collect(),
+            width: OnceLock::new(),
         }
     }
 
@@ -476,6 +574,7 @@ impl ShardedStateStore {
                     StateShard::new(Some(capacity), policy)
                 })
                 .collect(),
+            width: OnceLock::new(),
         }
     }
 
@@ -514,6 +613,20 @@ impl ShardedStateStore {
 
     fn shard_of(&self, user: UserId) -> &StateShard {
         &self.shards[self.shard_index(user)]
+    }
+
+    /// Fixes the store's width at the first put and holds every later put
+    /// to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store already holds states of another width.
+    fn check_width(&self, width: usize) {
+        let fixed = *self.width.get_or_init(|| width);
+        assert_eq!(
+            fixed, width,
+            "this store holds states of {fixed} values; cannot put one of {width}"
+        );
     }
 
     /// Walks `users` in order as runs of consecutive same-shard users, each
@@ -616,11 +729,12 @@ impl ShardedStateStore {
     /// state; `rows` splits into `users.len()` states of equal width. The
     /// users are stored in order, consecutive users of one shard under one
     /// lock, so evictions, stats and recency come out exactly as if each
-    /// were stored alone.
+    /// were stored alone. The store's first put fixes its width.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` does not split into `users.len()` equal rows.
+    /// Panics if `rows` does not split into `users.len()` equal rows, or if
+    /// the store holds states of another width.
     pub fn put_states(
         &self,
         users: impl IntoIterator<Item = UserId, IntoIter: ExactSizeIterator>,
@@ -635,6 +749,9 @@ impl ShardedStateStore {
             "{} values do not split into {count} equal states",
             rows.len()
         );
+        if count > 0 {
+            self.check_width(width);
+        }
         let mut evicted = 0;
         let writes = self.for_each_run(users, |shard, first, run| {
             evicted += shard.put_run(run, &rows[first * width..], width);
@@ -645,7 +762,12 @@ impl ShardedStateStore {
     /// Stores a user's hidden state, replacing any previous one: the
     /// one-user case of [`Self::put_states`], a run of one through the same
     /// locked write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds states of another width.
     pub fn put_state(&self, user: UserId, state: &[f32]) {
+        self.check_width(state.len());
         let evicted = self.shard_of(user).put_run(&[user.0], state, state.len());
         count_writes(1, evicted);
     }
@@ -734,20 +856,72 @@ mod tests {
     }
 
     #[test]
-    fn states_of_different_widths_share_a_store() {
+    #[should_panic(expected = "this store holds states of 3 values; cannot put one of 128")]
+    fn states_of_different_widths_cannot_share_a_store() {
+        // Users 1 and 2 sit in different shards: the width is the store's,
+        // not a shard's.
         let store = ShardedStateStore::with_capacity(2, 8);
-        let wide: Vec<f32> = (0..128).map(|d| d as f32 * 0.5).collect();
+        assert_ne!(store.shard_index(UserId(1)), store.shard_index(UserId(2)));
         store.put_state(UserId(1), &[1.0, 2.0, 3.0]);
-        store.put_state(UserId(2), &wide);
+        store.put_state(UserId(2), &[0.5; 128]);
+    }
+
+    #[test]
+    fn a_batch_put_of_another_width_panics_before_storing_anything() {
+        let store = ShardedStateStore::new(4);
+        store.put_states([UserId(1)], &[1.0, 2.0, 3.0]);
+        let wide = std::panic::catch_unwind(|| {
+            store.put_states([UserId(2), UserId(3)], &[0.0; 8]);
+        });
+        assert!(wide.is_err());
+        assert_eq!(store.len(), 1);
+        // An empty batch fixes and checks nothing.
+        store.put_states(std::iter::empty::<UserId>(), &[]);
         assert_eq!(store.get_state(UserId(1)).unwrap(), [1.0, 2.0, 3.0]);
-        assert_eq!(store.get_state(UserId(2)).unwrap(), wide);
-        // A slot takes whatever width is put next.
-        store.put_state(UserId(1), &wide);
-        store.put_state(UserId(2), &[4.0; 3]);
-        let mut row = [0.0f32; 128];
-        assert!(store.read_state_into(UserId(1), &mut row));
-        assert_eq!(row[..], wide[..]);
-        assert_eq!(store.stored_bytes(), 4 * (128 + 3));
+    }
+
+    #[test]
+    fn an_unbounded_shard_keeps_its_rows_across_chunks() {
+        // One shard, so every put lands in one arena: rows past the first
+        // chunk live in later chunks and earlier rows never move.
+        let store = ShardedStateStore::new(1);
+        let users = 3 * CHUNK_ROWS as u64 + 5;
+        for id in 0..users {
+            store.put_state(UserId(id), &[id as f32, -(id as f32)]);
+        }
+        assert_eq!(store.remove_state(UserId(7)).unwrap(), [7.0, -7.0]);
+        // The freed row is reused before the arena grows.
+        store.put_state(UserId(users), &[0.5, 0.25]);
+        for id in (0..=users).filter(|&id| id != 7) {
+            let expected = if id == users {
+                [0.5, 0.25]
+            } else {
+                [id as f32, -(id as f32)]
+            };
+            assert_eq!(store.get_state(UserId(id)).unwrap(), expected, "user {id}");
+        }
+        let inner = store.shard(0).inner.lock();
+        assert_eq!(inner.slots.len(), users as usize);
+        assert_eq!(inner.rows.chunks.len(), 4);
+        assert_eq!(inner.rows.width, 2);
+    }
+
+    #[test]
+    fn a_bounded_shard_allocates_its_rows_once_and_recycles_victims_rows() {
+        let store = ShardedStateStore::with_capacity(1, 5);
+        for id in 0..40u64 {
+            store.put_state(UserId(id), &[id as f32; 3]);
+        }
+        assert_eq!(store.len(), 5);
+        for id in 35..40u64 {
+            assert_eq!(store.get_state(UserId(id)).unwrap(), [id as f32; 3]);
+        }
+        let inner = store.shard(0).inner.lock();
+        // Capacity + 1 rows: the newcomer and its victim, briefly together.
+        assert_eq!(inner.slots.len(), 6);
+        assert_eq!(inner.rows.chunks.len(), 1);
+        assert_eq!(inner.rows.chunks[0].capacity(), 6 * 3);
+        assert_eq!(inner.rows.width, 3);
     }
 
     #[test]

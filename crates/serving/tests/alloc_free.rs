@@ -3,16 +3,22 @@
 //! (features written as input entries, then the stored states copied into
 //! their rows by one store call), running its forward pass and writing the
 //! advanced states back makes zero heap allocations — a write-back
-//! overwrites the stored state in place, and on a full bounded store a new
-//! user's state moves into the evicted one's buffer. The batch's users are
-//! ordered by shard, as the engine's `gather` drains them, so the store
-//! works through multi-user runs under one lock each, not only runs of one.
+//! overwrites the stored state's arena row in place, and on a full bounded
+//! store a new user's state is copied into the evicted one's row. The
+//! batch's users are ordered by shard, as the engine's `gather` drains
+//! them, so the store works through multi-user runs under one lock each,
+//! not only runs of one.
 //!
 //! Outside the brackets, and listed here because they do allocate:
 //! * turning [`BatchScratch::probabilities`] into `Prediction`s for callers
 //!   that want a `Vec` (`BatchScheduler::run`, the reply channel sends);
-//! * the first state a store slot ever holds, and the slot map growing
-//!   towards the resident set;
+//! * a shard's first put, which allocates its row arena, slab and slot map
+//!   (a bounded shard sizes all three for its capacity there);
+//! * an unbounded shard's arena gaining a 64-row chunk, and its slab and
+//!   slot map growing, as new users arrive;
+//! * a bounded shard's first eviction, which starts its free list, and the
+//!   one doubling of its slot map once erased keys' tombstones use up the
+//!   map's spare room;
 //! * the engine's per-request `mpsc` channel, per-batch job vectors and
 //!   per-batch set of update users.
 //!
@@ -120,7 +126,7 @@ fn predict_and_update_chunks_allocate_nothing_with_a_warm_scratch() {
     );
 
     // A full bounded store: every put of a new user evicts, and the
-    // newcomer's state lands in the victim's buffer — one batch of
+    // newcomer's state lands in the victim's row — one batch of
     // newcomers in shard order, as a write-back stores them.
     let full = ShardedStateStore::with_capacity(16, 256);
     let state = scratch.next_state(0);

@@ -35,6 +35,9 @@ pub struct Stats {
     pub reallocations: usize,
     /// Bytes requested by `alloc` / `alloc_zeroed` and by growing `realloc`s.
     pub bytes_allocated: usize,
+    /// Bytes released by `dealloc` and by shrinking `realloc`s, so
+    /// `bytes_allocated - bytes_deallocated` is the change in live bytes.
+    pub bytes_deallocated: usize,
 }
 
 /// An allocator that counts the calls it forwards to `T`.
@@ -44,6 +47,7 @@ pub struct StatsAlloc<T: GlobalAlloc> {
     deallocations: AtomicUsize,
     reallocations: AtomicUsize,
     bytes_allocated: AtomicUsize,
+    bytes_deallocated: AtomicUsize,
     inner: T,
 }
 
@@ -53,6 +57,7 @@ pub static INSTRUMENTED_SYSTEM: StatsAlloc<System> = StatsAlloc {
     deallocations: AtomicUsize::new(0),
     reallocations: AtomicUsize::new(0),
     bytes_allocated: AtomicUsize::new(0),
+    bytes_deallocated: AtomicUsize::new(0),
     inner: System,
 };
 
@@ -64,6 +69,7 @@ impl<T: GlobalAlloc> StatsAlloc<T> {
             deallocations: self.deallocations.load(Ordering::SeqCst),
             reallocations: self.reallocations.load(Ordering::SeqCst),
             bytes_allocated: self.bytes_allocated.load(Ordering::SeqCst),
+            bytes_deallocated: self.bytes_deallocated.load(Ordering::SeqCst),
         }
     }
 }
@@ -92,6 +98,7 @@ impl<'a, T: GlobalAlloc + 'a> Region<'a, T> {
             deallocations: now.deallocations - self.initial.deallocations,
             reallocations: now.reallocations - self.initial.reallocations,
             bytes_allocated: now.bytes_allocated - self.initial.bytes_allocated,
+            bytes_deallocated: now.bytes_deallocated - self.initial.bytes_deallocated,
         }
     }
 }
@@ -111,6 +118,8 @@ unsafe impl<T: GlobalAlloc> GlobalAlloc for StatsAlloc<T> {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.deallocations.fetch_add(1, Ordering::SeqCst);
+        self.bytes_deallocated
+            .fetch_add(layout.size(), Ordering::SeqCst);
         // SAFETY: the caller's obligations for `dealloc` are passed through.
         unsafe { self.inner.dealloc(ptr, layout) }
     }
@@ -127,6 +136,8 @@ unsafe impl<T: GlobalAlloc> GlobalAlloc for StatsAlloc<T> {
         self.reallocations.fetch_add(1, Ordering::SeqCst);
         self.bytes_allocated
             .fetch_add(new_size.saturating_sub(layout.size()), Ordering::SeqCst);
+        self.bytes_deallocated
+            .fetch_add(layout.size().saturating_sub(new_size), Ordering::SeqCst);
         // SAFETY: the caller's obligations for `realloc` are passed through.
         unsafe { self.inner.realloc(ptr, layout, new_size) }
     }

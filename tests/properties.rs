@@ -197,20 +197,24 @@ proptest! {
     #[test]
     fn sharded_store_roundtrips_without_state_bleed(
         writes in prop::collection::vec(
-            (0u64..40, prop::collection::vec(-10.0f32..10.0, 4..12)),
+            (0u64..40, prop::collection::vec(-10.0f32..10.0, 11)),
             1..120,
         ),
+        width in 4usize..12,
         shards in 1usize..12,
     ) {
         use predictive_precompute::data::schema::UserId;
         use predictive_precompute::serving::ShardedStateStore;
         use std::collections::HashMap;
 
+        // A store holds states of one width: the case draws it, and every
+        // write stores the first `width` of its values.
         let store = ShardedStateStore::new(shards);
         let mut reference: HashMap<u64, Vec<f32>> = HashMap::new();
-        for (id, state) in &writes {
+        for (id, values) in &writes {
+            let state = &values[..width];
             store.put_state(UserId(*id), state);
-            reference.insert(*id, state.clone());
+            reference.insert(*id, state.to_vec());
         }
         prop_assert_eq!(store.len(), reference.len());
         for (id, expected) in &reference {
