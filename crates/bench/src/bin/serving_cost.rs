@@ -2,18 +2,19 @@
 //! (paper: RNN ≈ 9.5× GBDT), key-value lookups per prediction (paper: ≈ 20
 //! for the aggregation path vs 1 for the hidden-state path), storage keys
 //! per user, and the overall serving-cost ratio (paper: ≈ 10× in favour of
-//! the RNN). Also reports the effect of hidden-state quantization.
+//! the RNN). Also reports what the state store keeps of a hidden state: its
+//! bf16 rounding, at two bytes a value.
 
 use pp_baselines::Gbdt;
 use pp_bench::{section, Scale};
-use pp_data::schema::DatasetKind;
+use pp_data::schema::{DatasetKind, UserId};
 use pp_data::split::UserSplit;
 use pp_data::synth::{MobileTabGenerator, SyntheticGenerator};
 use pp_features::baseline::{
     build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
 };
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
-use pp_serving::{baseline_profile, compare, rnn_profile, CostWeights, QuantizedState};
+use pp_serving::{baseline_profile, compare, rnn_profile, CostWeights, ShardedStateStore};
 
 fn main() {
     let scale = Scale::from_env();
@@ -74,17 +75,19 @@ fn main() {
         cmp.overall_cost_ratio
     );
 
-    section("Hidden-state storage and quantization");
+    section("Hidden-state storage");
     let state: Vec<f32> = (0..rnn.state_dim())
         .map(|i| ((i as f32) * 0.37).sin())
         .collect();
-    let quant = QuantizedState::quantize(&state);
+    let store = ShardedStateStore::new(1);
+    store.put_state(UserId(0), &state);
+    let stored = store.get_state(UserId(0)).expect("just stored");
     println!("f32 hidden state  : {} bytes/user", rnn.state_bytes());
-    println!("8-bit quantized   : {} bytes/user", quant.encoded_bytes());
+    println!("bf16 in the store : {} bytes/user", store.stored_bytes());
     let err = state
         .iter()
-        .zip(quant.dequantize())
+        .zip(stored)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
-    println!("max quantization error: {err:.4}");
+    println!("max rounding error: {err:.4}");
 }

@@ -1212,6 +1212,14 @@ mod tests {
         )
     }
 
+    /// `state` as a store hands it back: rounded to bf16 by a round trip
+    /// through a one-shard store.
+    fn as_stored(state: &[f32]) -> Vec<f32> {
+        let store = ShardedStateStore::new(1);
+        store.put_state(UserId(0), state);
+        store.get_state(UserId(0)).expect("just stored")
+    }
+
     fn request(id: u64, i: i64) -> PredictRequest {
         PredictRequest {
             user_id: UserId(id),
@@ -1295,14 +1303,20 @@ mod tests {
         let mut scheduler = BatchScheduler::new(&m, &store, 4);
         scheduler.apply_updates(&updates);
 
-        // Sequential reference.
+        // Sequential reference, each state stored before the next update
+        // reads it.
         let mut h = m.initial_state();
         for u in &updates {
-            h = m.advance_state(
-                &h,
-                &m.featurizer()
-                    .update_input(u.timestamp, &u.context, u.delta_t_secs, u.accessed),
-            );
+            h =
+                as_stored(&m.advance_state(
+                    &h,
+                    &m.featurizer().update_input(
+                        u.timestamp,
+                        &u.context,
+                        u.delta_t_secs,
+                        u.accessed,
+                    ),
+                ));
         }
         let stored = store.get_state(UserId(5)).unwrap();
         for (a, b) in stored.iter().zip(&h) {
@@ -1695,7 +1709,7 @@ mod tests {
         applied.recv_timeout(HANG).expect("the absorbed update");
         let waited = update_submitted.elapsed();
         assert!(waited < wait * 3 / 2, "update waited {waited:?}");
-        let next = m.advance_state(
+        let next = as_stored(&m.advance_state(
             &m.initial_state(),
             &m.featurizer().update_input(
                 close.timestamp,
@@ -1703,7 +1717,7 @@ mod tests {
                 close.delta_t_secs,
                 close.accessed,
             ),
-        );
+        ));
         let stored = held.store.get_state(UserId(0)).unwrap();
         for (a, b) in stored.iter().zip(&next) {
             assert!((a - b).abs() < 1e-6);
@@ -1826,14 +1840,20 @@ mod tests {
         for applied in engine.submit_updates(&updates) {
             applied.recv_timeout(HANG).expect("every update is applied");
         }
-        // Sequential reference: same-user updates must chain in order.
+        // Sequential reference: same-user updates must chain in order, each
+        // through the store.
         let mut h = m.initial_state();
         for u in &updates {
-            h = m.advance_state(
-                &h,
-                &m.featurizer()
-                    .update_input(u.timestamp, &u.context, u.delta_t_secs, u.accessed),
-            );
+            h =
+                as_stored(&m.advance_state(
+                    &h,
+                    &m.featurizer().update_input(
+                        u.timestamp,
+                        &u.context,
+                        u.delta_t_secs,
+                        u.accessed,
+                    ),
+                ));
         }
         let stored = store.get_state(UserId(7)).unwrap();
         for (a, b) in stored.iter().zip(&h) {

@@ -2,16 +2,15 @@
 //! formats a state takes outside the serving process.
 //!
 //! The serving store itself is [`crate::sharded::ShardedStateStore`], which
-//! keeps states as `f32` rows and never encodes them. This module holds the
-//! pieces around it:
+//! keeps states as bf16 rows in memory and never encodes them. This module
+//! holds the pieces around it:
 //!
 //! * [`StoreStats`] — request counts and bytes moved, the units of the §9
 //!   serving cost model (one 512-byte hidden-state read per prediction
 //!   against ≈ 20 aggregation-feature lookups for the GBDT path);
 //! * [`EvictionPolicy`] — which state a capacity-bounded shard sacrifices;
 //! * [`encode_state_f32`] / [`decode_state_f32`] — the little-endian wire
-//!   format of a state, for a store that does live across a network;
-//! * [`QuantizedState`] — the 8-bit variant of §9.
+//!   format of a state, for a store that does live across a network.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -83,84 +82,10 @@ pub fn decode_state_f32(bytes: &Bytes) -> Vec<f32> {
         .collect()
 }
 
-/// A uniformly quantized hidden state: one byte per dimension plus a scale
-/// and offset (§9: "neural network quantization methods can also be applied
-/// to store single bytes instead of floating-point numbers").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedState {
-    /// Per-dimension codes.
-    pub codes: Vec<u8>,
-    /// Dequantized value = `offset + code × scale`.
-    pub scale: f32,
-    /// See `scale`.
-    pub offset: f32,
-}
-
-impl QuantizedState {
-    /// Quantizes a state vector to 8 bits per dimension.
-    pub fn quantize(state: &[f32]) -> Self {
-        let min = state.iter().copied().fold(f32::INFINITY, f32::min);
-        let max = state.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let (min, max) = if state.is_empty() || !min.is_finite() {
-            (0.0, 0.0)
-        } else {
-            (min, max)
-        };
-        let scale = if max > min { (max - min) / 255.0 } else { 1.0 };
-        let codes = state
-            .iter()
-            .map(|&v| (((v - min) / scale).round().clamp(0.0, 255.0)) as u8)
-            .collect();
-        Self {
-            codes,
-            scale,
-            offset: min,
-        }
-    }
-
-    /// Reconstructs the (lossy) state vector.
-    pub fn dequantize(&self) -> Vec<f32> {
-        self.codes
-            .iter()
-            .map(|&c| self.offset + c as f32 * self.scale)
-            .collect()
-    }
-
-    /// Serialized size in bytes (codes + scale + offset).
-    pub fn encoded_bytes(&self) -> usize {
-        self.codes.len() + 8
-    }
-
-    /// Encodes into bytes for the key-value store.
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.encoded_bytes());
-        out.extend_from_slice(&self.scale.to_le_bytes());
-        out.extend_from_slice(&self.offset.to_le_bytes());
-        out.extend_from_slice(&self.codes);
-        Bytes::from(out)
-    }
-
-    /// Decodes from bytes produced by [`QuantizedState::encode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is shorter than the 8-byte header.
-    pub fn decode(bytes: &Bytes) -> Self {
-        assert!(bytes.len() >= 8, "quantized state too short");
-        let scale = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let offset = f32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        Self {
-            codes: bytes[8..].to_vec(),
-            scale,
-            offset,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::StateShard;
+    use crate::sharded::{from_bf16, StateShard};
     use pp_data::schema::UserId;
 
     // The shard tests below pin what `EvictionPolicy` and `StoreStats`
@@ -177,7 +102,9 @@ mod tests {
 
     fn get(shard: &StateShard, user: UserId) -> Option<Vec<f32>> {
         let mut found = None;
-        shard.read_run(&[user.0], |_, state| found = Some(state.to_vec()));
+        shard.read_run(&[user.0], |_, row| {
+            found = Some(row.iter().map(|&code| from_bf16(code)).collect());
+        });
         found
     }
 
@@ -197,12 +124,13 @@ mod tests {
         assert_eq!(stats.reads, 2);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.writes, 1);
-        assert_eq!(stats.bytes_written, 20);
-        assert_eq!(stats.bytes_read, 20);
+        // Two bytes per value: the shard stores bf16.
+        assert_eq!(stats.bytes_written, 10);
+        assert_eq!(stats.bytes_read, 10);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         store.reset_stats();
         assert_eq!(store.stats().reads, 0);
-        assert_eq!(store.stored_bytes(), 20);
+        assert_eq!(store.stored_bytes(), 10);
         assert_eq!(store.remove(A).unwrap(), [1.0, 2.0, 3.0, 4.0, 5.0]);
         assert!(store.is_empty());
         assert_eq!(store.stored_bytes(), 0);
@@ -220,32 +148,6 @@ mod tests {
     fn paper_scale_state_is_512_bytes() {
         let state = vec![0.1f32; 128];
         assert_eq!(encode_state_f32(&state).len(), 512);
-    }
-
-    #[test]
-    fn quantization_is_close_and_4x_smaller() {
-        let state: Vec<f32> = (0..128).map(|i| (i as f32 / 13.0).sin()).collect();
-        let q = QuantizedState::quantize(&state);
-        let back = q.dequantize();
-        assert_eq!(back.len(), state.len());
-        let max_err = state
-            .iter()
-            .zip(&back)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_err < 0.01, "quantization error too large: {max_err}");
-        assert!(q.encoded_bytes() * 3 < encode_state_f32(&state).len());
-        // Encode/decode roundtrip.
-        let decoded = QuantizedState::decode(&q.encode());
-        assert_eq!(decoded, q);
-    }
-
-    #[test]
-    fn quantization_handles_constant_and_empty_vectors() {
-        let q = QuantizedState::quantize(&[1.5; 10]);
-        assert!(q.dequantize().iter().all(|&v| (v - 1.5).abs() < 1e-6));
-        let q = QuantizedState::quantize(&[]);
-        assert!(q.dequantize().is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! production architecture and measurements of §9 of the paper:
 //!
 //! * [`kv_store`] — what a hidden-state store is measured and configured
-//!   by ([`StoreStats`], [`EvictionPolicy`]), the f32 wire encoding of a
-//!   state, and 8-bit quantization;
+//!   by ([`StoreStats`], [`EvictionPolicy`]) and the f32 wire encoding of a
+//!   state;
 //! * [`cost`] — the serving cost model comparing the aggregation-feature
 //!   path (≈ 20 lookups, thousands of keys per user) against the
 //!   hidden-state path (one 512-byte lookup), reproducing the ≈ 10× overall
@@ -15,8 +15,8 @@
 //!   target precision;
 //! * [`sharded`] — the hidden-state store (the paper's Redis-like store,
 //!   in process): a [`ShardedStateStore`] of N independent typed
-//!   [`StateShard`]s keyed by user-id hash, `f32` states read by copy and
-//!   overwritten in place;
+//!   [`StateShard`]s keyed by user-id hash, states kept as bf16 rows (read
+//!   widened into the caller's `f32` row, overwritten in place);
 //! * [`batch`] — the [`BatchScheduler`] and multi-threaded
 //!   [`BatchServingEngine`] coalescing concurrent session starts into
 //!   batched forward passes (one matmul per batch instead of per user);
@@ -41,9 +41,7 @@ pub use batch::{
 pub use cost::{
     baseline_profile, compare, rnn_profile, CostComparison, CostWeights, ServingProfile,
 };
-pub use kv_store::{
-    decode_state_f32, encode_state_f32, EvictionPolicy, QuantizedState, StoreStats,
-};
+pub use kv_store::{decode_state_f32, encode_state_f32, EvictionPolicy, StoreStats};
 pub use obs::ServingObs;
 pub use online::{run_online_comparison, DailyMetric, OnlineComparison};
 pub use sharded::{ShardedStateStore, StateShard};

@@ -7,8 +7,17 @@
 //! is one mutex around a `u64 → slot` map, a slab of 32-byte slots (user,
 //! recency and frequency stamps, list links), one arena of state rows — slot
 //! `i`'s state is row `i` — the eviction order and the shard's traffic
-//! counters. A stored state therefore costs its `4 × width` bytes in the
+//! counters. A stored state therefore costs its `2 × width` bytes in the
 //! arena, its slot and its map entry, and no allocation of its own.
+//!
+//! Rows hold bf16 values: the top half of each `f32`. A put rounds every
+//! value to the nearest bf16, ties to even (NaN stays NaN); a read widens it
+//! back with a 16-bit shift, straight into the caller's `f32` row. So a read
+//! returns the bf16 rounding of what was put — within 2⁻⁸ of each normal
+//! value, relatively: bf16 keeps 8 significant bits — and a value that is
+//! already a bf16 comes back exactly.
+//! `tests/state_rounding_bound.rs` at the workspace root bounds what this
+//! moves a served score by.
 //!
 //! The first put fixes the store's width; a put of any other width panics.
 //! A bounded shard allocates its `capacity + 1` rows at its first put (a
@@ -96,9 +105,9 @@ struct Slot {
     next: u32,
 }
 
-/// A shard's state rows, `width` values each: row `i` is slot `i`'s state.
-/// Rows live in chunks of `chunk_rows` rows, each allocated whole and never
-/// reallocated, so a row never moves once written.
+/// A shard's state rows, `width` bf16 values each: row `i` is slot `i`'s
+/// state. Rows live in chunks of `chunk_rows` rows, each allocated whole and
+/// never reallocated, so a row never moves once written.
 #[derive(Debug)]
 struct Rows {
     /// Values per row: 0 until the shard's first put.
@@ -109,7 +118,7 @@ struct Rows {
     shift: u32,
     /// Rows allocated per chunk: `capacity + 1`, or `CHUNK_ROWS`.
     chunk_rows: usize,
-    chunks: Vec<Vec<f32>>,
+    chunks: Vec<Vec<u16>>,
 }
 
 impl Rows {
@@ -134,19 +143,20 @@ impl Rows {
         (chunk, row * self.width)
     }
 
-    fn row(&self, at: u32) -> &[f32] {
+    fn row(&self, at: u32) -> &[u16] {
         let (chunk, start) = self.locate(at);
         &self.chunks[chunk][start..][..self.width]
     }
 
-    fn row_mut(&mut self, at: u32) -> &mut [f32] {
+    fn row_mut(&mut self, at: u32) -> &mut [u16] {
         let (chunk, start) = self.locate(at);
         let width = self.width;
         &mut self.chunks[chunk][start..][..width]
     }
 
-    /// Writes `state` as row `at`, the row after the last one, starting a
-    /// new chunk when the last one is full. The first row fixes the width.
+    /// Appends row `at`, the row after the last one, for `state` to be
+    /// written into, starting a new chunk when the last one is full. The
+    /// first row fixes the width.
     fn push(&mut self, at: u32, state: &[f32]) {
         if at == 0 {
             self.width = state.len();
@@ -165,7 +175,7 @@ impl Rows {
         }
         let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
         debug_assert!(chunk.len() + state.len() <= chunk.capacity());
-        chunk.extend_from_slice(state);
+        chunk.resize(chunk.len() + state.len(), 0);
     }
 }
 
@@ -257,19 +267,19 @@ impl ShardInner {
 
     /// Counted read of the state in slot `at`; on a bounded shard a hit is
     /// also a touch.
-    fn touch(&mut self, at: u32, order: Option<EvictionPolicy>) -> &[f32] {
+    fn touch(&mut self, at: u32, order: Option<EvictionPolicy>) -> &[u16] {
         if order.is_some() {
             self.unrank(at, order);
             self.slots[at as usize].freq += 1;
             self.rank(at, order);
         }
         self.stats.hits += 1;
-        self.stats.bytes_read += 4 * self.rows.width as u64;
+        self.stats.bytes_read += BF16_BYTES * self.rows.width as u64;
         self.rows.row(at)
     }
 
-    /// Stores `state` for `user`, overwriting the previous one in place;
-    /// returns how many states a new user's arrival evicted.
+    /// Stores `state`, rounded to bf16, for `user`, overwriting the previous
+    /// one in place; returns how many states a new user's arrival evicted.
     fn put(
         &mut self,
         user: u64,
@@ -279,7 +289,7 @@ impl ShardInner {
     ) -> u64 {
         let order = capacity.map(|_| policy);
         self.stats.writes += 1;
-        self.stats.bytes_written += 4 * state.len() as u64;
+        self.stats.bytes_written += BF16_BYTES * state.len() as u64;
         let at = match self.slot_of.get(&user) {
             Some(&at) => {
                 self.unrank(at, order);
@@ -297,7 +307,7 @@ impl ShardInner {
                 at
             }
         };
-        self.rows.row_mut(at).copy_from_slice(state);
+        narrow_row(self.rows.row_mut(at), state);
         self.rank(at, order);
         let mut evicted = 0;
         if let Some(capacity) = capacity {
@@ -311,7 +321,7 @@ impl ShardInner {
         evicted
     }
 
-    /// Appends a slot with `state` as its row. A bounded shard's first put
+    /// Appends a slot and a row for `state`. A bounded shard's first put
     /// sizes the slab, the map and the arena for the `capacity + 1` states
     /// it can briefly hold, so filling it allocates nothing more.
     fn push_slot(&mut self, state: &[f32], capacity: Option<usize>) -> u32 {
@@ -407,21 +417,21 @@ impl StateShard {
     /// Total bytes of the states currently stored.
     pub(crate) fn stored_bytes(&self) -> u64 {
         let inner = self.inner.lock();
-        4 * (inner.rows.width * inner.slot_of.len()) as u64
+        BF16_BYTES * (inner.rows.width * inner.slot_of.len()) as u64
     }
 
     /// Counted reads of a run of this shard's users under one lock. Every
     /// key is probed before any state is touched, so the probes' cache
     /// misses overlap instead of queueing behind one another; a read moves
     /// no slot, so the probes stay valid. Then, in run order, each hit is
-    /// touched (on a bounded shard) and handed to `copy_out` with its index
-    /// in the run — the ticks, frequencies and stats that reading the users
-    /// one at a time leaves. Returns the hits.
+    /// touched (on a bounded shard) and its bf16 row handed to `copy_out`
+    /// with its index in the run — the ticks, frequencies and stats that
+    /// reading the users one at a time leaves. Returns the hits.
     ///
     /// # Panics
     ///
     /// Panics if the run is longer than `RUN`.
-    pub(crate) fn read_run(&self, users: &[u64], mut copy_out: impl FnMut(usize, &[f32])) -> u64 {
+    pub(crate) fn read_run(&self, users: &[u64], mut copy_out: impl FnMut(usize, &[u16])) -> u64 {
         let order = self.order();
         let mut probes = [NIL; RUN];
         let probes = &mut probes[..users.len()];
@@ -441,10 +451,10 @@ impl StateShard {
         hits
     }
 
-    /// Stores row `i` of `rows` (`width` values each) for `users[i]` under
-    /// one lock, one user after another. A put can evict a later user of the
-    /// same run, so nothing is probed ahead. Returns how many states the
-    /// run's new users evicted.
+    /// Stores row `i` of `rows` (`width` values each), rounded to bf16, for
+    /// `users[i]` under one lock, one user after another. A put can evict a
+    /// later user of the same run, so nothing is probed ahead. Returns how
+    /// many states the run's new users evicted.
     pub(crate) fn put_run(&self, users: &[u64], rows: &[f32], width: usize) -> u64 {
         let mut inner = self.inner.lock();
         let mut evicted = 0;
@@ -455,13 +465,13 @@ impl StateShard {
         evicted
     }
 
-    /// Removes `user`'s state, returning it if present.
+    /// Removes `user`'s state, returning it (widened) if present.
     pub(crate) fn remove(&self, user: UserId) -> Option<Vec<f32>> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let at = *inner.slot_of.get(&user.0)?;
         inner.release(at, self.order());
-        Some(inner.rows.row(at).to_vec())
+        Some(widen(inner.rows.row(at)))
     }
 
     /// Whether `user`'s state is stored; neither counted nor a touch.
@@ -470,12 +480,57 @@ impl StateShard {
     }
 }
 
-/// Copies a stored state into the caller's row.
+/// Bytes one stored value takes: a bf16.
+const BF16_BYTES: u64 = 2;
+
+/// The bf16 nearest `value`, ties to even: its top 16 bits after adding
+/// `0x7fff` plus the lowest kept bit, which carries into the kept half
+/// exactly when the dropped half is above one half, or equal to it with
+/// the kept half odd. A finite value past bf16's largest rounds to ±∞. A
+/// NaN gets its quiet bit and no add — the add would carry `0x7f80_0001`
+/// into +∞ — so it keeps its sign and top payload bits and stays a NaN. Two
+/// selects and no branch, so a row's loop vectorizes.
+fn to_bf16(value: f32) -> u16 {
+    let nan = value.is_nan();
+    let bits = value.to_bits() | if nan { 0x0040_0000 } else { 0 };
+    let bias = if nan { 0 } else { 0x7fff + ((bits >> 16) & 1) };
+    (bits.wrapping_add(bias) >> 16) as u16
+}
+
+/// The `f32` a bf16 stands for: its 16 bits on top of 16 zero bits, exact.
+pub(crate) fn from_bf16(code: u16) -> f32 {
+    f32::from_bits(u32::from(code) << 16)
+}
+
+/// Rounds `state` into the arena row `row`.
 ///
 /// # Panics
 ///
 /// Panics if the two differ in length.
-fn copy_row(out: &mut [f32], state: &[f32]) {
+fn narrow_row(row: &mut [u16], state: &[f32]) {
+    assert_eq!(
+        row.len(),
+        state.len(),
+        "a row of {} values cannot take {}",
+        row.len(),
+        state.len()
+    );
+    for (code, &value) in row.iter_mut().zip(state) {
+        *code = to_bf16(value);
+    }
+}
+
+/// A stored row widened into a new `Vec`.
+fn widen(row: &[u16]) -> Vec<f32> {
+    row.iter().map(|&code| from_bf16(code)).collect()
+}
+
+/// Widens a stored state into the caller's row.
+///
+/// # Panics
+///
+/// Panics if the two differ in length.
+fn copy_row(out: &mut [f32], state: &[u16]) {
     assert_eq!(
         state.len(),
         out.len(),
@@ -483,7 +538,9 @@ fn copy_row(out: &mut [f32], state: &[f32]) {
         state.len(),
         out.len()
     );
-    out.copy_from_slice(state);
+    for (value, &code) in out.iter_mut().zip(state) {
+        *value = from_bf16(code);
+    }
 }
 
 /// Moves the process-wide read counters once for a call that read `reads`
@@ -661,7 +718,7 @@ impl ShardedStateStore {
         first
     }
 
-    /// Copies the stored hidden states of `users` into `rows` — row `i`,
+    /// Widens the stored hidden states of `users` into `rows` — row `i`,
     /// `width` values long, for `users[i]` — without allocating; a user with
     /// no stored state leaves its row untouched. Consecutive users of one
     /// shard share one lock, so a batch ordered by [`Self::shard_index`]
@@ -698,18 +755,19 @@ impl ShardedStateStore {
         hits as usize
     }
 
-    /// Fetches a user's hidden state, if one is stored: a run of one
-    /// through the same locked read as [`Self::read_states_into`].
+    /// Fetches a user's hidden state — the bf16 rounding of what was put —
+    /// if one is stored: a run of one through the same locked read as
+    /// [`Self::read_states_into`].
     pub fn get_state(&self, user: UserId) -> Option<Vec<f32>> {
         let mut found = None;
         let hits = self
             .shard_of(user)
-            .read_run(&[user.0], |_, state| found = Some(state.to_vec()));
+            .read_run(&[user.0], |_, state| found = Some(widen(state)));
         count_reads(1, hits);
         found
     }
 
-    /// Copies a user's stored hidden state straight into `out`: the
+    /// Widens a user's stored hidden state straight into `out`: the
     /// one-user case of [`Self::read_states_into`], a run of one through the
     /// same locked read. Returns `false`, leaving `out` untouched, when none
     /// is stored.
@@ -725,8 +783,9 @@ impl ShardedStateStore {
         hits == 1
     }
 
-    /// Stores row `i` of `rows` for `users[i]`, replacing any previous
-    /// state; `rows` splits into `users.len()` states of equal width. The
+    /// Stores row `i` of `rows`, rounded to bf16, for `users[i]`, replacing
+    /// any previous state; `rows` splits into `users.len()` states of equal
+    /// width. The
     /// users are stored in order, consecutive users of one shard under one
     /// lock, so evictions, stats and recency come out exactly as if each
     /// were stored alone. The store's first put fixes its width.
@@ -759,7 +818,8 @@ impl ShardedStateStore {
         count_writes(writes, evicted);
     }
 
-    /// Stores a user's hidden state, replacing any previous one: the
+    /// Stores a user's hidden state, rounded to bf16, replacing any previous
+    /// one: the
     /// one-user case of [`Self::put_states`], a run of one through the same
     /// locked write.
     ///
@@ -795,7 +855,7 @@ impl ShardedStateStore {
         self.shards.iter().all(StateShard::is_empty)
     }
 
-    /// Total bytes stored across all shards.
+    /// Total bytes stored across all shards: two per value.
     pub fn stored_bytes(&self) -> u64 {
         self.shards.iter().map(StateShard::stored_bytes).sum()
     }
@@ -832,6 +892,154 @@ impl ShardedStateStore {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// The value of a bf16 by its definition, in `f64`: sign, 8-bit
+    /// exponent biased by 127 and 7-bit fraction, subnormal at exponent 0.
+    /// At exponent 255 this reads the fraction as if it were finite, so the
+    /// infinity code is worth 2¹²⁸ — the next step past bf16's largest,
+    /// which is what a value rounds to ∞ against.
+    fn bf16_value(code: u16) -> f64 {
+        let sign = if code & 0x8000 == 0 { 1.0 } else { -1.0 };
+        let exponent = i32::from((code >> 7) & 0xff);
+        let fraction = f64::from(code & 0x7f);
+        let magnitude = match exponent {
+            0 => fraction * 2f64.powi(-133),
+            _ => (1.0 + fraction / 128.0) * 2f64.powi(exponent - 127),
+        };
+        sign * magnitude
+    }
+
+    /// The bf16 code nearest `value` by the definition, in `f64`: the two
+    /// codes around it, the nearer one, and on a tie the even one. A NaN
+    /// keeps its sign and top payload bits and gets the quiet bit.
+    fn reference_bf16(value: f32) -> u16 {
+        if value.is_nan() {
+            return (value.to_bits() >> 16) as u16 | 0x0040;
+        }
+        let toward_zero = (value.to_bits() >> 16) as u16;
+        let (x, below) = (f64::from(value), bf16_value(toward_zero));
+        if x == below {
+            return toward_zero;
+        }
+        let away = toward_zero + 1;
+        let (to_below, to_away) = ((x - below).abs(), (bf16_value(away) - x).abs());
+        if to_below < to_away || (to_below == to_away && toward_zero.is_multiple_of(2)) {
+            toward_zero
+        } else {
+            away
+        }
+    }
+
+    /// What a store hands back for `value`, by the reference rounding.
+    fn stored(value: f32) -> f32 {
+        bf16_value(reference_bf16(value)) as f32
+    }
+
+    /// Every 4,099th bit pattern: the prime stride covers every exponent
+    /// and both signs.
+    fn strided() -> impl Iterator<Item = f32> {
+        (0..=u32::MAX).step_by(4_099).map(f32::from_bits)
+    }
+
+    fn check_rounding(values: impl Iterator<Item = f32>) {
+        for value in values {
+            let (got, want) = (to_bf16(value), reference_bf16(value));
+            assert_eq!(got, want, "{value:e} ({:#010x})", value.to_bits());
+            // Half a step of 8 significant bits: the bound the module docs
+            // state, and the one the score-movement test prices a read at.
+            let rounded = from_bf16(got);
+            if value.is_normal() && rounded.is_finite() {
+                let error = (f64::from(rounded) - f64::from(value)).abs();
+                assert!(error <= f64::from(value).abs() / 256.0, "{value:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_bf16_code_widens_to_its_value() {
+        for code in 0..=u16::MAX {
+            let value = from_bf16(code);
+            if (code >> 7) & 0xff == 0xff && code & 0x7f != 0 {
+                assert!(value.is_nan(), "{code:#06x}");
+                assert_eq!(to_bf16(value), code | 0x0040, "{code:#06x}");
+                continue;
+            }
+            let want = match code & 0x7fff {
+                0x7f80 => bf16_value(code).signum() * f64::INFINITY,
+                _ => bf16_value(code),
+            };
+            assert_eq!(f64::from(value), want, "{code:#06x}");
+            assert_eq!(value.to_bits() >> 16, u32::from(code), "{code:#06x}");
+            // A bf16 value is stored exactly.
+            assert_eq!(to_bf16(value), code, "{code:#06x}");
+        }
+    }
+
+    #[test]
+    fn rounding_matches_the_reference_on_a_strided_sweep() {
+        check_rounding(strided());
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 inputs; run with `cargo test --release -p pp-serving -- --ignored`"]
+    fn rounding_matches_the_reference_on_every_f32() {
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        let chunk = (1u64 << 32) / threads as u64 + 1;
+        std::thread::scope(|scope| {
+            for t in 0..threads as u64 {
+                let (start, end) = (t * chunk, ((t + 1) * chunk).min(1 << 32));
+                scope.spawn(move || {
+                    check_rounding((start..end).map(|bits| f32::from_bits(bits as u32)));
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn rounding_keeps_nan_signed_zeros_infinities_subnormals_and_ties_to_even() {
+        let cases: [(u32, u16); 18] = [
+            // NaN stays NaN, quiet, with its sign: without the special
+            // case the rounding add carries 0x7f80_0001 into +∞.
+            (0x7f80_0001, 0x7fc0),
+            (0xff80_0001, 0xffc0),
+            (0x7fc0_0000, 0x7fc0),
+            (0x7fff_ffff, 0x7fff),
+            (0x0000_0000, 0x0000),
+            (0x8000_0000, 0x8000),
+            (0x7f80_0000, 0x7f80),
+            (0xff80_0000, 0xff80),
+            // Past bf16's largest finite value, by half a step or more: ∞.
+            (0x7f7f_ffff, 0x7f80),
+            (0xff7f_8000, 0xff80),
+            (0x7f7f_7fff, 0x7f7f),
+            // Subnormals: a tie goes to the even code, either way.
+            (0x0000_0001, 0x0000),
+            (0x0000_8000, 0x0000),
+            (0x0001_8000, 0x0002),
+            (0x8000_8001, 0x8001),
+            // Normal ties: 1 + 2⁻⁸ is halfway between 1 and 1 + 2⁻⁷.
+            (0x3f80_8000, 0x3f80),
+            (0x3f81_8000, 0x3f82),
+            (0x3f80_8001, 0x3f81),
+        ];
+        for (bits, code) in cases {
+            let value = f32::from_bits(bits);
+            assert_eq!(to_bf16(value), code, "{bits:#010x}");
+            assert_eq!(reference_bf16(value), code, "{bits:#010x}");
+        }
+        // And through a store: a read hands back the rounding of the put.
+        let store = ShardedStateStore::new(2);
+        let state: Vec<f32> = cases
+            .iter()
+            .map(|&(bits, _)| f32::from_bits(bits))
+            .collect();
+        store.put_state(UserId(1), &state);
+        let back = store.get_state(UserId(1)).unwrap();
+        for ((&(bits, code), value), sent) in cases.iter().zip(&back).zip(&state) {
+            assert_eq!(value.to_bits(), u32::from(code) << 16, "{bits:#010x}");
+            assert_eq!(value.is_nan(), sent.is_nan(), "{bits:#010x}");
+        }
+    }
 
     #[test]
     fn in_shard_hash_spreads_the_keys_a_shard_actually_holds() {
@@ -956,7 +1164,9 @@ mod tests {
         }
         assert_eq!(store.len(), 200);
         for id in 0..200u64 {
-            let expected: Vec<f32> = (0..16).map(|d| (id * 31 + d) as f32 * 0.25).collect();
+            let expected: Vec<f32> = (0..16)
+                .map(|d| stored((id * 31 + d) as f32 * 0.25))
+                .collect();
             assert_eq!(store.get_state(UserId(id)).unwrap(), expected, "user {id}");
         }
         assert!(store.get_state(UserId(10_000)).is_none());
@@ -991,7 +1201,7 @@ mod tests {
         assert_eq!(stats.writes, 2);
         assert_eq!(stats.reads, 2);
         assert_eq!(stats.hits, 1);
-        assert_eq!(store.stored_bytes(), 2 * 8 * 4);
+        assert_eq!(store.stored_bytes(), 2 * 8 * 2);
         assert_eq!(store.shard_stats().len(), 4);
         store.reset_stats();
         assert_eq!(store.stats().reads, 0);
@@ -1083,7 +1293,8 @@ mod tests {
                     let id = UserId(t * 1_000 + i);
                     let state = vec![(t * 1_000 + i) as f32; 8];
                     store.put_state(id, &state);
-                    assert_eq!(store.get_state(id).unwrap(), state);
+                    let expected: Vec<f32> = state.iter().map(|&v| stored(v)).collect();
+                    assert_eq!(store.get_state(id).unwrap(), expected);
                 }
             }));
         }
@@ -1092,6 +1303,9 @@ mod tests {
         }
         assert_eq!(store.len(), 8 * 200);
         // Spot-check cross-thread isolation after the fact.
-        assert_eq!(store.get_state(UserId(3_007)).unwrap(), vec![3_007.0f32; 8]);
+        assert_eq!(
+            store.get_state(UserId(3_007)).unwrap(),
+            vec![stored(3_007.0); 8]
+        );
     }
 }

@@ -120,10 +120,11 @@ fn predict_and_update_chunks_allocate_nothing_with_a_warm_scratch() {
         (0, 0),
         "write_back_chunk allocated: {write_back:?}"
     );
-    assert_eq!(
-        store.get_state(users[0]).as_deref(),
-        Some(scratch.next_state(0))
-    );
+    // The store keeps the bf16 rounding of the state: the same row put
+    // through a fresh store reads back the same bits.
+    let reference = ShardedStateStore::new(1);
+    reference.put_state(users[0], scratch.next_state(0));
+    assert_eq!(store.get_state(users[0]), reference.get_state(users[0]));
 
     // A full bounded store: every put of a new user evicts, and the
     // newcomer's state lands in the victim's row — one batch of

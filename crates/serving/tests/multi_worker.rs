@@ -102,7 +102,9 @@ fn concurrent_clients_match_the_sequential_reference() {
         .collect();
     let served: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
-    // Sequential reference, one user at a time.
+    // Sequential reference, one user at a time, each state stored in a
+    // store of its own between an update and the next read of it.
+    let reference = ShardedStateStore::new(1);
     for (client, probabilities) in served.iter().enumerate() {
         for user in 0..USERS_PER_CLIENT {
             let mut state = m.initial_state();
@@ -118,7 +120,7 @@ fn concurrent_clients_match_the_sequential_reference() {
                     "client {client} user {user} round {round}: engine {got} vs reference {expected}"
                 );
                 let u = update_request(client, user, round);
-                state = m.advance_state(
+                let next = m.advance_state(
                     &state,
                     &m.featurizer().update_input(
                         u.timestamp,
@@ -127,6 +129,8 @@ fn concurrent_clients_match_the_sequential_reference() {
                         u.accessed,
                     ),
                 );
+                reference.put_state(u.user_id, &next);
+                state = reference.get_state(u.user_id).unwrap();
             }
             // The stored hidden state equals the reference chain's end.
             let stored = store

@@ -5,7 +5,9 @@
 //! victim = minimum `(rank, tick)` — and the two must agree after every
 //! operation on what was found, what is resident and what was counted.
 //! Batch reads and puts are checked against the reference applied one user
-//! at a time, in order: a batch must be indistinguishable from its rows.
+//! at a time, in order: a batch must be indistinguishable from its rows. The
+//! reference keeps each state rounded to bf16, as the store does, and counts
+//! two bytes a value.
 
 use pp_data::schema::UserId;
 use pp_serving::{EvictionPolicy, ShardedStateStore, StoreStats};
@@ -37,19 +39,20 @@ impl Reference {
             self.next_tick += 1;
         }
         self.stats.hits += 1;
-        self.stats.bytes_read += 4 * self.entries[at].1.len() as u64;
+        self.stats.bytes_read += 2 * self.entries[at].1.len() as u64;
         Some(self.entries[at].1.clone())
     }
 
     fn put(&mut self, user: u64, state: &[f32]) {
         self.stats.writes += 1;
-        self.stats.bytes_written += 4 * state.len() as u64;
+        self.stats.bytes_written += 2 * state.len() as u64;
+        let state: Vec<f32> = state.iter().map(|&value| bf16(value)).collect();
         match self.position(user) {
             Some(at) => {
                 let freq = self.entries[at].3 + 1;
-                self.entries[at] = (user, state.to_vec(), self.next_tick, freq);
+                self.entries[at] = (user, state, self.next_tick, freq);
             }
-            None => self.entries.push((user, state.to_vec(), self.next_tick, 1)),
+            None => self.entries.push((user, state, self.next_tick, 1)),
         }
         self.next_tick += 1;
         while self
@@ -70,6 +73,22 @@ impl Reference {
 
     fn remove(&mut self, user: u64) -> Option<Vec<f32>> {
         self.position(user).map(|at| self.entries.swap_remove(at).1)
+    }
+}
+
+/// The bf16 nearest a finite `value`, ties to even: of its truncation to
+/// bf16 and the next bf16 away from zero, the nearer, and on a tie the one
+/// whose last kept bit is 0.
+fn bf16(value: f32) -> f32 {
+    assert!(value.is_finite());
+    let down = value.to_bits() & 0xffff_0000;
+    let (below, above) = (f32::from_bits(down), f32::from_bits(down + 0x1_0000));
+    let x = f64::from(value);
+    let (to_below, to_above) = ((x - f64::from(below)).abs(), (f64::from(above) - x).abs());
+    if to_below < to_above || (to_below == to_above && down & 0x1_0000 == 0) {
+        below
+    } else {
+        above
     }
 }
 

@@ -35,9 +35,10 @@ fn batched_replay_matches_single_request_replay() {
     }
     events.sort_unstable();
 
-    // Single-request reference: plain per-user state kept in a map, one
-    // predict_proba / advance_state call per session.
-    let mut single_states: HashMap<UserId, Vec<f32>> = HashMap::new();
+    // Single-request reference: one predict_proba / advance_state call per
+    // session, each user's state kept in a one-shard store of its own
+    // (which rounds it to bf16 as the serving store does).
+    let single_states = ShardedStateStore::new(1);
     let mut single_last_ts: HashMap<UserId, i64> = HashMap::new();
     let mut single_probs: Vec<f64> = Vec::new();
 
@@ -64,8 +65,7 @@ fn batched_replay_matches_single_request_replay() {
             let session = &dataset.users[ui].sessions[si];
             let user_id = dataset.users[ui].user_id;
             let state = single_states
-                .get(&user_id)
-                .cloned()
+                .get_state(user_id)
                 .unwrap_or_else(|| model.initial_state());
             let elapsed = ts - single_last_ts.get(&user_id).copied().unwrap_or(ts);
             let input = model
@@ -95,15 +95,14 @@ fn batched_replay_matches_single_request_replay() {
             let session = &dataset.users[ui].sessions[si];
             let user_id = dataset.users[ui].user_id;
             let state = single_states
-                .get(&user_id)
-                .cloned()
+                .get_state(user_id)
                 .unwrap_or_else(|| model.initial_state());
             let delta = ts - single_last_ts.get(&user_id).copied().unwrap_or(ts);
             let input =
                 model
                     .featurizer()
                     .update_input(ts, &session.context, delta, session.accessed);
-            single_states.insert(user_id, model.advance_state(&state, &input));
+            single_states.put_state(user_id, &model.advance_state(&state, &input));
             single_last_ts.insert(user_id, ts);
         }
         let updates: Vec<UpdateRequest> = day_events
@@ -139,7 +138,8 @@ fn batched_replay_matches_single_request_replay() {
 
     // And the final hidden states agree user-by-user.
     assert_eq!(store.len(), single_states.len());
-    for (user_id, single_state) in &single_states {
+    for user_id in single_last_ts.keys() {
+        let single_state = single_states.get_state(*user_id).unwrap();
         let batched_state = store
             .get_state(*user_id)
             .unwrap_or_else(|| panic!("batched store lost {user_id}"));

@@ -34,6 +34,22 @@ fn session_history() -> impl Strategy<Value = Vec<Session>> {
     )
 }
 
+/// The bf16 nearest a finite `value`, ties to even — what the sharded store
+/// keeps of it: of its truncation to bf16 and the next bf16 away from zero,
+/// the nearer, and on a tie the one whose last kept bit is 0.
+fn bf16(value: f32) -> f32 {
+    assert!(value.is_finite());
+    let down = value.to_bits() & 0xffff_0000;
+    let (below, above) = (f32::from_bits(down), f32::from_bits(down + 0x1_0000));
+    let x = f64::from(value);
+    let (to_below, to_above) = ((x - f64::from(below)).abs(), (f64::from(above) - x).abs());
+    if to_below < to_above || (to_below == to_above && down & 0x1_0000 == 0) {
+        below
+    } else {
+        above
+    }
+}
+
 proptest! {
     /// PR-AUC is always in [0, 1] and recall@precision never exceeds the
     /// recall of the full curve.
@@ -208,13 +224,13 @@ proptest! {
         use std::collections::HashMap;
 
         // A store holds states of one width: the case draws it, and every
-        // write stores the first `width` of its values.
+        // write stores the first `width` of its values, rounded to bf16.
         let store = ShardedStateStore::new(shards);
         let mut reference: HashMap<u64, Vec<f32>> = HashMap::new();
         for (id, values) in &writes {
             let state = &values[..width];
             store.put_state(UserId(*id), state);
-            reference.insert(*id, state.to_vec());
+            reference.insert(*id, state.iter().map(|&value| bf16(value)).collect());
         }
         prop_assert_eq!(store.len(), reference.len());
         for (id, expected) in &reference {
