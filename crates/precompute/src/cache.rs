@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 /// Every time cumulative LRU evictions cross another multiple of this
 /// stride, one `EvictionStorm` event is emitted — a bounded-rate signal
 /// that inserts are displacing live payloads.
-pub const EVICTION_STORM_STRIDE: u64 = 64;
+const EVICTION_STORM_STRIDE: u64 = 64;
 
 /// Cache sizing and freshness configuration.
 ///
@@ -143,35 +143,6 @@ impl Shard {
         self.lru.remove(&entry.tick);
         Some(entry)
     }
-
-    /// Reads without consuming. A fresh entry is touched (its LRU recency
-    /// refreshed); an expired entry is dropped *without* a recency touch —
-    /// stale data must not look recently useful on its way out.
-    fn get(&mut self, user: u64, now: i64) -> GetResult {
-        let Some(entry) = self.map.get(&user) else {
-            return GetResult::Miss;
-        };
-        if entry.expires_at <= now {
-            let entry = self.map.remove(&user).expect("just observed");
-            self.lru.remove(&entry.tick);
-            return GetResult::Expired;
-        }
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        let entry = self.map.get_mut(&user).expect("just observed");
-        self.lru.remove(&entry.tick);
-        entry.tick = tick;
-        self.lru.insert(tick, user);
-        GetResult::Fresh(entry.payload.clone())
-    }
-}
-
-/// Outcome of a non-consuming shard read.
-#[derive(Debug)]
-enum GetResult {
-    Fresh(Bytes),
-    Expired,
-    Miss,
 }
 
 /// A sharded, TTL + LRU bounded store of precomputed payloads.
@@ -233,7 +204,7 @@ impl PrefetchCache {
 
     /// The shard a user's payload lives in (same SplitMix64 spread as
     /// [`pp_serving::ShardedStateStore`]).
-    pub fn shard_index(&self, user: UserId) -> usize {
+    fn shard_index(&self, user: UserId) -> usize {
         let mut z = user.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -285,55 +256,6 @@ impl PrefetchCache {
         op.record(&obs.cache_op_ns);
     }
 
-    /// Reads the payload held for `user` without consuming it. A fresh
-    /// payload is returned and its LRU recency refreshed; an expired payload
-    /// is dropped on discovery — counted as `expired`, never as an LRU
-    /// eviction, and without a recency touch on the way out.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bytes::Bytes;
-    /// use pp_data::schema::UserId;
-    /// use pp_precompute::{CacheConfig, PrefetchCache};
-    ///
-    /// let cache = PrefetchCache::new(CacheConfig::default());
-    /// cache.insert(UserId(9), Bytes::from_static(b"p"), 0);
-    /// // `get` peeks: the payload survives repeated reads…
-    /// assert!(cache.get(UserId(9), 10).is_some());
-    /// assert!(cache.get(UserId(9), 20).is_some());
-    /// // …until `take` consumes it.
-    /// assert!(cache.take(UserId(9), 30).is_some());
-    /// assert!(cache.get(UserId(9), 40).is_none());
-    /// ```
-    pub fn get(&self, user: UserId, now: i64) -> Option<Bytes> {
-        let obs = crate::obs::PrecomputeObs::global();
-        let op = pp_obs::Stopwatch::start();
-        let shard = &self.shards[self.shard_index(user)];
-        let result = shard.lock().get(user.0, now);
-        let mut stats = self.stats.lock();
-        let payload = match result {
-            GetResult::Fresh(payload) => {
-                stats.hits += 1;
-                obs.cache_hits.inc();
-                Some(payload)
-            }
-            GetResult::Expired => {
-                stats.expirations += 1;
-                obs.cache_expired.inc();
-                None
-            }
-            GetResult::Miss => {
-                stats.misses += 1;
-                obs.cache_misses.inc();
-                None
-            }
-        };
-        drop(stats);
-        op.record(&obs.cache_op_ns);
-        payload
-    }
-
     /// Consumes the payload held for `user`, if it is still fresh at `now`.
     /// An expired payload is dropped and reported as `None` — serving stale
     /// precomputed data would be worse than recomputing.
@@ -365,46 +287,8 @@ impl PrefetchCache {
         payload
     }
 
-    /// Drops every payload already expired at `now`, returning how many
-    /// were dropped (counted as expirations).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bytes::Bytes;
-    /// use pp_data::schema::UserId;
-    /// use pp_precompute::{CacheConfig, PrefetchCache};
-    ///
-    /// let cache = PrefetchCache::new(CacheConfig {
-    ///     shards: 1,
-    ///     capacity_per_shard: 8,
-    ///     ttl_secs: 50,
-    /// });
-    /// cache.insert(UserId(1), Bytes::from_static(b"old"), 0);   // expires at 50
-    /// cache.insert(UserId(2), Bytes::from_static(b"new"), 100); // expires at 150
-    /// assert_eq!(cache.purge_expired(120), 1);
-    /// assert_eq!(cache.len(), 1);
-    /// ```
-    pub fn purge_expired(&self, now: i64) -> usize {
-        let mut dropped = 0usize;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            let stale: Vec<u64> = shard
-                .map
-                .iter()
-                .filter(|(_, e)| e.expires_at <= now)
-                .map(|(&u, _)| u)
-                .collect();
-            for user in stale {
-                shard.take(user);
-                dropped += 1;
-            }
-        }
-        self.stats.lock().expirations += dropped as u64;
-        dropped
-    }
-
-    /// Number of payloads currently held (fresh or not yet purged).
+    /// Number of payloads currently held (fresh, or expired but not yet
+    /// taken or displaced).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
@@ -491,65 +375,6 @@ mod tests {
         // User 0 was the least recently touched.
         assert!(c.take(UserId(0), 2).is_none());
         assert!(c.take(UserId(9), 2).is_some());
-    }
-
-    #[test]
-    fn purge_expired_sweeps_only_stale_entries() {
-        let c = PrefetchCache::new(CacheConfig {
-            shards: 4,
-            capacity_per_shard: 8,
-            ttl_secs: 50,
-        });
-        for id in 0..10u64 {
-            c.insert(UserId(id), Bytes::from(vec![0u8; 4]), id as i64 * 10);
-        }
-        // At t=95, entries inserted at t<=40 (expiry <= 90 < 95) are stale:
-        // ids 0..=4 expire at 50..=90.
-        let dropped = c.purge_expired(95);
-        assert_eq!(dropped, 5);
-        assert_eq!(c.len(), 5);
-        assert_eq!(c.stored_bytes(), 20);
-        assert!(c.take(UserId(9), 95).is_some());
-    }
-
-    #[test]
-    fn get_reads_without_consuming_and_refreshes_recency() {
-        let c = cache(2, 100);
-        c.insert(UserId(1), Bytes::from_static(b"a"), 0);
-        c.insert(UserId(2), Bytes::from_static(b"b"), 1);
-        // A fresh get does not consume…
-        assert_eq!(c.get(UserId(1), 50).unwrap(), Bytes::from_static(b"a"));
-        assert_eq!(c.get(UserId(1), 50).unwrap(), Bytes::from_static(b"a"));
-        assert_eq!(c.len(), 2);
-        // …and refreshes recency: user 2 is now the LRU victim.
-        c.insert(UserId(3), Bytes::from_static(b"c"), 2);
-        assert!(c.get(UserId(2), 3).is_none());
-        assert!(c.get(UserId(1), 3).is_some());
-        let stats = c.stats();
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.lru_evictions, 1);
-    }
-
-    #[test]
-    fn expired_entry_on_get_counts_as_expired_and_skips_the_recency_touch() {
-        let c = cache(2, 100);
-        c.insert(UserId(1), Bytes::from_static(b"old"), 0);
-        c.insert(UserId(2), Bytes::from_static(b"young"), 150);
-        // User 1's payload expired at t=100; discovering that on get() must
-        // count as `expired`, not `evicted`, and must not refresh recency —
-        // the entry is dropped outright.
-        assert!(c.get(UserId(1), 200).is_none());
-        let stats = c.stats();
-        assert_eq!(stats.expirations, 1);
-        assert_eq!(stats.lru_evictions, 0);
-        assert_eq!(c.len(), 1);
-        // The fresh entry is untouched and the freed slot is reusable
-        // without an eviction.
-        c.insert(UserId(3), Bytes::from_static(b"new"), 200);
-        assert_eq!(c.stats().lru_evictions, 0);
-        assert!(c.get(UserId(2), 200).is_some());
-        assert!(c.get(UserId(3), 200).is_some());
     }
 
     #[test]

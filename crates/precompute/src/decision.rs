@@ -53,12 +53,10 @@ pub struct DecisionStats {
 
 /// Applies per-activity [`PrecomputePolicy`]s to batched predictions.
 ///
-/// Single-activity callers can ignore the activity dimension entirely: the
-/// untagged methods route through [`Activity::MobileTab`], and
-/// [`DecisionEngine::set_policy`] keeps every activity on one shared
-/// policy. A multi-activity deployment instead gives each activity its own
-/// operating point via [`DecisionEngine::set_policy_for`] and decides with
-/// [`DecisionEngine::decide_for`].
+/// The public calls are single-activity: [`DecisionEngine::decide`]
+/// decides on [`Activity::MobileTab`]. It is the N = 1 call of the
+/// crate-private per-activity form, through which
+/// [`crate::PrecomputeSystem`] gives each activity its own operating point.
 #[derive(Debug, Clone)]
 pub struct DecisionEngine {
     policies: ActivityMap<PrecomputePolicy>,
@@ -74,27 +72,9 @@ impl DecisionEngine {
         }
     }
 
-    /// The policy currently in force for the default activity
-    /// ([`Activity::MobileTab`]) — the single-activity view.
-    pub fn policy(&self) -> PrecomputePolicy {
-        self.policies[Activity::MobileTab]
-    }
-
-    /// The policy currently in force for `activity`.
-    pub fn policy_for(&self, activity: Activity) -> PrecomputePolicy {
-        self.policies[activity]
-    }
-
-    /// Replaces the policy in force for *every* activity (the
-    /// single-activity adaptive controller's entry point; decisions already
-    /// taken keep the threshold they were taken at).
-    pub fn set_policy(&mut self, policy: PrecomputePolicy) {
-        self.policies = ActivityMap::uniform(policy);
-    }
-
     /// Replaces the policy in force for `activity` only — the per-activity
     /// controller's entry point in a shared deployment.
-    pub fn set_policy_for(&mut self, activity: Activity, policy: PrecomputePolicy) {
+    pub(crate) fn set_policy_for(&mut self, activity: Activity, policy: PrecomputePolicy) {
         self.policies[activity] = policy;
     }
 
@@ -110,19 +90,19 @@ impl DecisionEngine {
     }
 
     /// Counters accumulated for `activity`.
-    pub fn stats_for(&self, activity: Activity) -> DecisionStats {
+    pub(crate) fn stats_for(&self, activity: Activity) -> DecisionStats {
         self.by_activity[activity]
     }
 
-    /// Decides for a single prediction made at `timestamp`, on the default
-    /// activity ([`Activity::MobileTab`]).
+    /// Decides for a single prediction made at `timestamp`, under the
+    /// policy in force.
     pub fn decide(&mut self, prediction: &Prediction, timestamp: i64) -> Decision {
         self.decide_for(Activity::MobileTab, prediction, timestamp)
     }
 
-    /// Decides for a single `activity` prediction made at `timestamp`,
-    /// under that activity's policy.
-    pub fn decide_for(
+    /// [`DecisionEngine::decide`] for an `activity` prediction, under that
+    /// activity's policy.
+    pub(crate) fn decide_for(
         &mut self,
         activity: Activity,
         prediction: &Prediction,
@@ -150,14 +130,6 @@ impl DecisionEngine {
             },
         }
     }
-
-    /// Decides for one wave of batched predictions, all made at `timestamp`.
-    pub fn decide_batch(&mut self, predictions: &[Prediction], timestamp: i64) -> Vec<Decision> {
-        predictions
-            .iter()
-            .map(|p| self.decide(p, timestamp))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -174,10 +146,11 @@ mod tests {
     #[test]
     fn policy_splits_prefetch_from_skip() {
         let mut engine = DecisionEngine::new(PrecomputePolicy::with_threshold(0.6));
-        let decisions = engine.decide_batch(
-            &[prediction(1, 0.9), prediction(2, 0.59), prediction(3, 0.6)],
-            1_000,
-        );
+        let decisions: Vec<Decision> =
+            [prediction(1, 0.9), prediction(2, 0.59), prediction(3, 0.6)]
+                .iter()
+                .map(|p| engine.decide(p, 1_000))
+                .collect();
         assert_eq!(decisions[0].action, Action::Prefetch);
         assert_eq!(decisions[1].action, Action::Skip);
         assert_eq!(decisions[2].action, Action::Prefetch);
@@ -207,16 +180,13 @@ mod tests {
         assert_eq!(engine.stats_for(Activity::Mpu).skips, 1);
         assert_eq!(engine.stats_for(Activity::MobileTab).prefetch_intents, 1);
         assert_eq!(engine.stats().scored, 2);
-        // Untagged set_policy resets every activity.
-        engine.set_policy(PrecomputePolicy::with_threshold(0.1));
-        assert!((engine.policy_for(Activity::Mpu).threshold() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn set_policy_changes_future_decisions_only() {
         let mut engine = DecisionEngine::new(PrecomputePolicy::with_threshold(0.5));
         let before = engine.decide(&prediction(1, 0.55), 0);
-        engine.set_policy(PrecomputePolicy::with_threshold(0.7));
+        engine.set_policy_for(Activity::MobileTab, PrecomputePolicy::with_threshold(0.7));
         let after = engine.decide(&prediction(1, 0.55), 1);
         assert_eq!(before.action, Action::Prefetch);
         assert_eq!(after.action, Action::Skip);

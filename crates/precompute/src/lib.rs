@@ -20,14 +20,14 @@
 //! * [`scheduler`] — the [`PrefetchScheduler`]: token-bucket admission with
 //!   a max-inflight cap, costing each prefetch in the abstract cost units
 //!   of `pp-serving::cost` ([`prefetch_cost_units`]), so "budget" means the
-//!   same thing as the §9 serving-cost model; fractional-clock refill,
+//!   same thing as the §9 serving-cost model; refill per elapsed second,
 //!   [`AdmissionOrder`]-controlled wave admission (FIFO, or
 //!   highest-probability-first so a low bucket is spent on the prefetches
 //!   most likely to become hits), and **shared multi-activity buckets**:
-//!   per-activity costs drawing on one budget under a pluggable
-//!   [`FairnessPolicy`] (greedy, guaranteed-share floors, or
-//!   deficit-weighted round-robin), with per-activity spend accounting that
-//!   provably sums to the total drain;
+//!   per-activity costs drawing on one budget under a [`FairnessPolicy`]
+//!   (greedy, guaranteed-share floors, or deficit-weighted round-robin),
+//!   with per-activity spend accounting that provably sums to the total
+//!   drain;
 //! * [`cache`] — the sharded [`PrefetchCache`]: TTL + LRU bounded storage
 //!   for precomputed payloads keyed by user (a TTL-expired payload counts
 //!   as expired, never as an LRU eviction);
@@ -46,14 +46,20 @@
 //! * [`system`] — the [`PrecomputeSystem`] wiring all of it together behind
 //!   two calls: `handle_scores` / `handle_wave` at session start,
 //!   `resolve_session` when the ground truth lands — with one adaptive
-//!   controller and one learned feedback loop (`on_window_resolved`) *per
-//!   activity*: every closed controller window drains that activity's
-//!   (score, label) samples into
+//!   controller and one learned feedback loop *per activity*: every closed
+//!   controller window drains that activity's (score, label) samples into
 //!   [`pp_core::PrecomputePolicy::recalibrate`] and applies the refit
 //!   threshold, with a starvation fallback so a saturated threshold
 //!   recovers from resolved skips instead of deadlocking. The per-activity
 //!   spend/hit ledger surfaces through
 //!   [`PrecomputeSystem::activity_report`].
+//!
+//! The scheduler's and the decision engine's public calls are
+//! single-activity: they book on [`Activity::MobileTab`], and each is the
+//! N = 1 call of one crate-private multi-activity method. Only
+//! [`PrecomputeSystem`] drives those, so [`PrecomputeSystem::new_multi`] and
+//! [`PrecomputeSystem::handle_wave`] are the one public way to run several
+//! activities on one budget.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

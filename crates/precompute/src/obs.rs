@@ -26,7 +26,7 @@ pub struct PrecomputeObs {
     /// `precompute.wave_size` — prefetch candidates per admitted wave.
     pub wave_size: Arc<Histogram>,
     /// `precompute.cache_op_ns` — latency of individual cache operations
-    /// (insert / get / take).
+    /// (insert / take).
     pub cache_op_ns: Arc<Histogram>,
     /// `precompute.cache.hits` — cache reads that found a live payload.
     pub cache_hits: Arc<Counter>,

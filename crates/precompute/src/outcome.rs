@@ -138,11 +138,10 @@ pub struct ResolvedSample {
     pub label: bool,
 }
 
-/// Most recent resolutions kept **per activity** for
-/// [`OutcomeTracker::drain_samples`] when nobody drains (bounded so an
-/// un-drained tracker cannot grow forever). Anything waiting on a sample
-/// count must trigger at or below this bound —
-/// [`OutcomeTracker::samples_len_for`] can never exceed it.
+/// Most recent resolutions' (score, label) samples kept **per activity**
+/// for recalibration when nobody drains them (bounded so an un-drained
+/// tracker cannot grow forever). Anything waiting on a sample count must
+/// trigger at or below this bound — the count can never exceed it.
 pub const MAX_RETAINED_SAMPLES: usize = 8_192;
 
 /// Resolves decisions against observed session outcomes, bucketed per
@@ -192,8 +191,8 @@ impl OutcomeTracker {
     /// # Panics
     ///
     /// Panics if the user already has an unresolved decision — the caller
-    /// must resolve (or [`OutcomeTracker::abandon`]) the previous session
-    /// first, otherwise decisions would leak and conservation would break.
+    /// must resolve the previous session first, otherwise decisions would
+    /// leak and conservation would break.
     pub fn record(&mut self, decision: Decision) {
         let previous = self.pending.insert(decision.user_id.0, decision);
         assert!(
@@ -205,7 +204,7 @@ impl OutcomeTracker {
     }
 
     /// The pending decision for `user`, if any.
-    pub fn pending_decision(&self, user: pp_data::schema::UserId) -> Option<Decision> {
+    pub(crate) fn pending_decision(&self, user: pp_data::schema::UserId) -> Option<Decision> {
         self.pending.get(&user.0).copied()
     }
 
@@ -250,13 +249,6 @@ impl OutcomeTracker {
         Some(outcome)
     }
 
-    /// Resolves the pending decision for `user` as a session that ended
-    /// without the ground truth ever arriving (treated as not accessed).
-    /// Returns the outcome, or `None` when nothing was pending.
-    pub fn abandon(&mut self, user: pp_data::schema::UserId) -> Option<Outcome> {
-        self.resolve(user, false, false)
-    }
-
     /// Outcome totals so far, summed across activities.
     pub fn counts(&self) -> OutcomeCounts {
         let mut total = OutcomeCounts::default();
@@ -283,38 +275,16 @@ impl OutcomeTracker {
         self.pending.len()
     }
 
-    /// Number of (score, label) samples awaiting a drain, across all
-    /// activities.
-    pub fn samples_len(&self) -> usize {
-        self.samples
-            .values()
-            .map(std::collections::VecDeque::len)
-            .sum()
-    }
-
     /// Number of `activity` (score, label) samples awaiting a drain.
-    pub fn samples_len_for(&self, activity: Activity) -> usize {
+    pub(crate) fn samples_len_for(&self, activity: Activity) -> usize {
         self.samples[activity].len()
     }
 
-    /// Drains the (score, label) pairs of every resolution since the last
-    /// drain (bounded to the most recent 8 192 per activity), oldest first
-    /// within each activity — the window of labelled observations a
-    /// [`pp_core::PrecomputePolicy::recalibrate`] step consumes. In a
-    /// multi-activity deployment prefer
-    /// [`OutcomeTracker::drain_samples_for`], which keeps the activities'
-    /// calibration windows separate.
-    pub fn drain_samples(&mut self) -> Vec<ResolvedSample> {
-        let mut all = Vec::with_capacity(self.samples_len());
-        for activity in Activity::ALL {
-            all.extend(self.samples[activity].drain(..));
-        }
-        all
-    }
-
     /// Drains the (score, label) pairs of `activity`'s resolutions since
-    /// the last drain, oldest first.
-    pub fn drain_samples_for(&mut self, activity: Activity) -> Vec<ResolvedSample> {
+    /// the last drain (bounded to the most recent [`MAX_RETAINED_SAMPLES`]),
+    /// oldest first — the window of labelled observations a
+    /// [`pp_core::PrecomputePolicy::recalibrate`] step consumes.
+    pub(crate) fn drain_samples_for(&mut self, activity: Activity) -> Vec<ResolvedSample> {
         self.samples[activity].drain(..).collect()
     }
 
@@ -394,7 +364,11 @@ mod tests {
         let mut t = OutcomeTracker::new();
         assert!(t.resolve(UserId(1), true, true).is_none());
         t.record(decision(1, Action::Prefetch));
-        assert_eq!(t.abandon(UserId(1)), Some(Outcome::WastedPrefetch));
+        // A session abandoned before its ground truth resolves as no access.
+        assert_eq!(
+            t.resolve(UserId(1), false, false),
+            Some(Outcome::WastedPrefetch)
+        );
         assert!(t.check_conservation().is_ok());
     }
 
@@ -421,12 +395,13 @@ mod tests {
             probability: 0.7,
             ..decision(3, Action::Denied)
         });
-        assert_eq!(t.samples_len(), 0);
+        let mobile = Activity::MobileTab;
+        assert_eq!(t.samples_len_for(mobile), 0);
         t.resolve(UserId(1), true, true);
         t.resolve(UserId(2), false, false);
         t.resolve(UserId(3), true, false);
-        assert_eq!(t.samples_len(), 3);
-        let samples = t.drain_samples();
+        assert_eq!(t.samples_len_for(mobile), 3);
+        let samples = t.drain_samples_for(mobile);
         // Every action kind contributes, in resolution order, carrying the
         // decision-time score and the ground-truth access label.
         assert_eq!(
@@ -446,8 +421,8 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(t.samples_len(), 0);
-        assert!(t.drain_samples().is_empty());
+        assert_eq!(t.samples_len_for(mobile), 0);
+        assert!(t.drain_samples_for(mobile).is_empty());
         assert!(t.check_conservation().is_ok());
     }
 
@@ -476,14 +451,11 @@ mod tests {
         assert_eq!(t.counts().resolved(), 4);
         assert!(t.check_conservation().is_ok());
         // Samples drain per activity, keeping calibration windows separate.
-        assert_eq!(t.samples_len(), 4);
-        assert_eq!(t.samples_len_for(Activity::Timeshift), 2);
+        let samples_len = |t: &OutcomeTracker| Activity::ALL.map(|a| t.samples_len_for(a));
+        assert_eq!(samples_len(&t), [1, 2, 1]);
         let timeshift = t.drain_samples_for(Activity::Timeshift);
         assert_eq!(timeshift.len(), 2);
-        assert_eq!(t.samples_len(), 2);
-        // The aggregate drain sweeps what is left.
-        assert_eq!(t.drain_samples().len(), 2);
-        assert_eq!(t.samples_len(), 0);
+        assert_eq!(samples_len(&t), [1, 0, 1]);
     }
 
     #[test]

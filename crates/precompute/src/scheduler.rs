@@ -8,10 +8,14 @@
 //! same language as the §9 serving-cost model — plus a max-inflight cap
 //! bounding how much speculative work may be outstanding at once.
 //!
-//! The bucket can be **shared across activities**
-//! ([`PrefetchScheduler::shared`]): each [`Activity`] carries its own
-//! per-prefetch cost (different models, different payloads) and spends from
-//! the one bucket under a pluggable [`FairnessPolicy`] —
+//! The public calls are single-activity: [`PrefetchScheduler::new`],
+//! [`PrefetchScheduler::try_admit`], [`PrefetchScheduler::admit_wave`] and
+//! [`PrefetchScheduler::complete_one`] book everything on
+//! [`Activity::MobileTab`]. Each is the N = 1 call of one crate-private
+//! multi-activity method, which [`crate::PrecomputeSystem::new_multi`]
+//! drives to **share the bucket across activities**: each [`Activity`]
+//! carries its own per-prefetch cost (different models, different
+//! payloads) and spends from the one bucket under a [`FairnessPolicy`] —
 //!
 //! * [`FairnessPolicy::Greedy`] — unconstrained: first come (or highest
 //!   probability first), first served; one hot activity may drain the
@@ -86,10 +90,8 @@ pub struct BudgetConfig {
     /// Sustained budget: units replenished per second of traffic time.
     pub refill_units_per_sec: f64,
     /// Cost of one prefetch, in the same units (see
-    /// [`prefetch_cost_units`]). For a shared multi-activity bucket this is
-    /// the *default* cost, used by the untagged admission path; tagged
-    /// admission uses the per-activity costs handed to
-    /// [`PrefetchScheduler::shared`].
+    /// [`prefetch_cost_units`]). A shared multi-activity bucket charges the
+    /// per-activity costs of [`crate::MultiActivityConfig::costs`] instead.
     pub cost_per_prefetch_units: f64,
     /// Maximum prefetches admitted but not yet resolved.
     pub max_inflight: usize,
@@ -161,8 +163,8 @@ pub enum FairnessPolicy {
         /// Reserved fraction of the budget per activity (`Σ ≤ 1`).
         floors: ActivityMap<f64>,
     },
-    /// Deficit-weighted round-robin across activities inside
-    /// [`PrefetchScheduler::admit_wave_tagged`]: each activity accrues
+    /// Deficit-weighted round-robin across activities inside wave
+    /// admission: each activity accrues
     /// `weights[a]`-proportional credit and admits candidates while its
     /// credit covers its per-prefetch cost, with an activity that runs out
     /// of candidates donating its surplus credit back. Resolved to its
@@ -256,30 +258,6 @@ pub struct SchedulerBudgetStats {
     pub max_inflight_seen: usize,
 }
 
-impl SchedulerBudgetStats {
-    /// Fraction of the offered budget actually spent, in `[0, 1]`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pp_precompute::SchedulerBudgetStats;
-    ///
-    /// let stats = SchedulerBudgetStats {
-    ///     units_spent: 25.0,
-    ///     units_offered: 100.0,
-    ///     ..SchedulerBudgetStats::default()
-    /// };
-    /// assert_eq!(stats.utilization(), 0.25);
-    /// ```
-    pub fn utilization(&self) -> f64 {
-        if self.units_offered <= 0.0 {
-            0.0
-        } else {
-            self.units_spent / self.units_offered
-        }
-    }
-}
-
 /// Per-activity slice of the shared budget's ledger: what one activity
 /// spent and how often it was turned away. Per-activity *hit* accounting
 /// lives in [`crate::outcome::OutcomeTracker::counts_for`], which resolves
@@ -301,7 +279,7 @@ pub struct ActivityBudgetStats {
 ///
 /// # Examples
 ///
-/// A single-activity bucket holding two 25-unit prefetches:
+/// A bucket holding two 25-unit prefetches:
 ///
 /// ```
 /// use pp_precompute::{AdmitResult, BudgetConfig, PrefetchScheduler};
@@ -319,43 +297,6 @@ pub struct ActivityBudgetStats {
 /// assert_eq!(scheduler.try_admit(3), AdmitResult::Admitted);
 /// scheduler.check_invariants().unwrap();
 /// ```
-///
-/// A bucket shared by three activities with guaranteed-share floors:
-///
-/// ```
-/// use pp_precompute::{
-///     Activity, ActivityMap, AdmissionOrder, AdmitResult, BudgetConfig, FairnessPolicy,
-///     PrefetchScheduler,
-/// };
-///
-/// let mut scheduler = PrefetchScheduler::shared(
-///     BudgetConfig {
-///         capacity_units: 100.0,
-///         refill_units_per_sec: 0.0,
-///         cost_per_prefetch_units: 25.0,
-///         max_inflight: 16,
-///     },
-///     ActivityMap::uniform(25.0),
-///     FairnessPolicy::GuaranteedShare { floors: ActivityMap::uniform(0.25) },
-/// );
-/// // MobileTab drains the common pool (25 shared units) and its own
-/// // 25-unit reserve, but cannot touch the other activities' reserves.
-/// for _ in 0..2 {
-///     assert_eq!(
-///         scheduler.try_admit_for(Activity::MobileTab, 0),
-///         AdmitResult::Admitted
-///     );
-/// }
-/// assert_eq!(
-///     scheduler.try_admit_for(Activity::MobileTab, 0),
-///     AdmitResult::DeniedBudget
-/// );
-/// assert_eq!(
-///     scheduler.try_admit_for(Activity::Timeshift, 0),
-///     AdmitResult::Admitted
-/// );
-/// scheduler.check_invariants().unwrap();
-/// ```
 #[derive(Debug, Clone)]
 pub struct PrefetchScheduler {
     config: BudgetConfig,
@@ -367,16 +308,12 @@ pub struct PrefetchScheduler {
     /// Per-activity per-prefetch cost (uniform for single-activity use).
     costs: ActivityMap<f64>,
     fairness: FairnessPolicy,
-    /// Timestamp of the last refill; monotone (stale clocks refill nothing).
+    /// Timestamp (seconds) of the last refill; monotone (stale clocks
+    /// refill nothing).
     refilled_at: Option<i64>,
-    /// Clock ticks per second of traffic time (1.0 = a seconds clock).
-    ticks_per_sec: f64,
     inflight: usize,
     /// Inflight prefetches per activity (always sums to `inflight`).
     inflight_by_activity: ActivityMap<usize>,
-    /// Per-activity inflight caps, checked after the global cap
-    /// (`usize::MAX` = uncapped, the default).
-    inflight_caps: ActivityMap<usize>,
     /// Unspent deficit-round-robin credit carried across waves, per
     /// activity (zero for other fairness policies).
     drr_deficit: ActivityMap<f64>,
@@ -385,8 +322,8 @@ pub struct PrefetchScheduler {
 }
 
 impl PrefetchScheduler {
-    /// Creates a single-activity scheduler with a full bucket (greedy
-    /// fairness, uniform costs — exactly the classic token bucket).
+    /// Creates a scheduler with a full bucket (greedy fairness, uniform
+    /// costs — exactly the classic token bucket).
     ///
     /// # Panics
     ///
@@ -402,10 +339,11 @@ impl PrefetchScheduler {
         )
     }
 
-    /// Creates a scheduler whose one token bucket is **shared** by every
-    /// [`Activity`]: `costs[a]` is activity `a`'s per-prefetch cost (derive
-    /// it from that activity's serving profile via [`prefetch_cost_units`])
-    /// and `fairness` arbitrates contention — see [`FairnessPolicy`].
+    /// [`PrefetchScheduler::new`] for N activities: one token bucket
+    /// **shared** by every [`Activity`], where `costs[a]` is activity `a`'s
+    /// per-prefetch cost (derive it from that activity's serving profile
+    /// via [`prefetch_cost_units`]) and `fairness` arbitrates contention —
+    /// see [`FairnessPolicy`].
     ///
     /// Under [`FairnessPolicy::GuaranteedShare`] the bucket starts full
     /// with each reserve at its floor share and the remainder in the common
@@ -417,7 +355,11 @@ impl PrefetchScheduler {
     /// activity's cost is not in `(0, capacity_units]`, or when the
     /// fairness policy is malformed (floors outside `[0, 1]` or summing
     /// past 1; non-positive weights).
-    pub fn shared(config: BudgetConfig, costs: ActivityMap<f64>, fairness: FairnessPolicy) -> Self {
+    pub(crate) fn shared(
+        config: BudgetConfig,
+        costs: ActivityMap<f64>,
+        fairness: FairnessPolicy,
+    ) -> Self {
         assert!(config.capacity_units > 0.0, "capacity must be positive");
         assert!(
             config.refill_units_per_sec >= 0.0,
@@ -450,10 +392,8 @@ impl PrefetchScheduler {
             costs,
             fairness,
             refilled_at: None,
-            ticks_per_sec: 1.0,
             inflight: 0,
             inflight_by_activity: ActivityMap::uniform(0),
-            inflight_caps: ActivityMap::uniform(usize::MAX),
             drr_deficit: ActivityMap::uniform(0.0),
             stats: SchedulerBudgetStats {
                 units_offered: config.capacity_units,
@@ -463,46 +403,9 @@ impl PrefetchScheduler {
         }
     }
 
-    /// Creates a scheduler whose `now` timestamps tick `ticks_per_sec`
-    /// times per second of traffic time (e.g. `1_000.0` for a milliseconds
-    /// clock). Refill is computed from the *fractional* elapsed seconds
-    /// `(now − last) / ticks_per_sec`, so N small ticks refill exactly as
-    /// much as one big tick — a caller quantizing a fine-grained clock down
-    /// to whole seconds would instead silently drop every sub-second
-    /// remainder and starve a low-rate bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the [`PrefetchScheduler::new`] conditions, or when
-    /// `ticks_per_sec` is not positive and finite.
-    pub fn with_clock(config: BudgetConfig, ticks_per_sec: f64) -> Self {
-        assert!(
-            ticks_per_sec > 0.0 && ticks_per_sec.is_finite(),
-            "ticks_per_sec must be positive and finite"
-        );
-        let mut scheduler = Self::new(config);
-        scheduler.ticks_per_sec = ticks_per_sec;
-        scheduler
-    }
-
     /// The budget configuration.
     pub fn config(&self) -> BudgetConfig {
         self.config
-    }
-
-    /// The fairness policy arbitrating the shared bucket.
-    pub fn fairness(&self) -> FairnessPolicy {
-        self.fairness
-    }
-
-    /// Per-prefetch cost of `activity`, in bucket units.
-    pub fn cost_for(&self, activity: Activity) -> f64 {
-        self.costs[activity]
-    }
-
-    /// Clock ticks per second of traffic time (1.0 = a seconds clock).
-    pub fn ticks_per_sec(&self) -> f64 {
-        self.ticks_per_sec
     }
 
     /// Tokens currently in the bucket (common pool **plus** every
@@ -511,47 +414,9 @@ impl PrefetchScheduler {
         self.tokens + self.reserved.values().sum::<f64>()
     }
 
-    /// Tokens currently reserved for `activity` (zero unless the fairness
-    /// policy is [`FairnessPolicy::GuaranteedShare`]).
-    pub fn reserved_tokens(&self, activity: Activity) -> f64 {
-        self.reserved[activity]
-    }
-
     /// Prefetches admitted but not yet resolved.
     pub fn inflight(&self) -> usize {
         self.inflight
-    }
-
-    /// Prefetches admitted for `activity` but not yet resolved.
-    pub fn inflight_for(&self, activity: Activity) -> usize {
-        self.inflight_by_activity[activity]
-    }
-
-    /// `activity`'s inflight cap (`usize::MAX` when uncapped).
-    pub fn max_inflight_for(&self, activity: Activity) -> usize {
-        self.inflight_caps[activity]
-    }
-
-    /// Caps how many of `activity`'s prefetches may be inflight at once,
-    /// on top of the global `max_inflight`. The default (`usize::MAX`)
-    /// leaves only the global cap — today's behavior. Lowering a cap below
-    /// the activity's current inflight count only affects *new*
-    /// admissions; already-inflight prefetches drain normally.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cap` is zero (a zero cap would silently disable the
-    /// activity; configure its policy or weights instead).
-    pub fn set_max_inflight_for(&mut self, activity: Activity, cap: usize) {
-        assert!(cap > 0, "per-activity inflight cap must be positive");
-        self.inflight_caps[activity] = cap;
-    }
-
-    /// Unspent [`FairnessPolicy::DeficitRoundRobin`] credit carried for
-    /// `activity` from earlier waves (zero under other policies, and for
-    /// activities whose queues drained).
-    pub fn drr_deficit(&self, activity: Activity) -> f64 {
-        self.drr_deficit[activity]
     }
 
     /// Counters accumulated so far, across all activities.
@@ -564,37 +429,31 @@ impl PrefetchScheduler {
     /// # Examples
     ///
     /// ```
-    /// use pp_precompute::{Activity, ActivityMap, BudgetConfig, FairnessPolicy, PrefetchScheduler};
+    /// use pp_precompute::{Activity, BudgetConfig, PrefetchScheduler};
     ///
-    /// let mut s = PrefetchScheduler::shared(
-    ///     BudgetConfig {
-    ///         capacity_units: 100.0,
-    ///         refill_units_per_sec: 0.0,
-    ///         cost_per_prefetch_units: 10.0,
-    ///         max_inflight: 8,
-    ///     },
-    ///     ActivityMap::from_fn(|a| 10.0 * (a.index() + 1) as f64),
-    ///     FairnessPolicy::Greedy,
-    /// );
-    /// s.try_admit_for(Activity::Mpu, 0);
-    /// assert_eq!(s.activity_stats(Activity::Mpu).units_spent, 30.0);
-    /// assert_eq!(s.activity_stats(Activity::MobileTab).admitted, 0);
+    /// let mut s = PrefetchScheduler::new(BudgetConfig {
+    ///     capacity_units: 100.0,
+    ///     refill_units_per_sec: 0.0,
+    ///     cost_per_prefetch_units: 30.0,
+    ///     max_inflight: 8,
+    /// });
+    /// s.try_admit(0);
+    /// // Single-activity admissions are booked on MobileTab.
+    /// assert_eq!(s.activity_stats(Activity::MobileTab).units_spent, 30.0);
+    /// assert_eq!(s.activity_stats(Activity::Mpu).admitted, 0);
     /// ```
     pub fn activity_stats(&self, activity: Activity) -> ActivityBudgetStats {
         self.by_activity[activity]
     }
 
     fn refill(&mut self, now: i64) {
-        // Fractional elapsed-seconds conversion: a sub-second tick (under a
-        // fine-grained clock) still refills its exact share, instead of the
-        // whole-unit truncation that starves a low-rate bucket.
         let since_secs = match self.refilled_at {
             None => {
                 self.refilled_at = Some(now);
                 return;
             }
             Some(at) if now <= at => return,
-            Some(at) => (now - at) as f64 / self.ticks_per_sec,
+            Some(at) => (now - at) as f64,
         };
         let added = (since_secs * self.config.refill_units_per_sec)
             .min(self.config.capacity_units - self.tokens());
@@ -636,26 +495,21 @@ impl PrefetchScheduler {
         }
     }
 
-    /// Attempts to admit one prefetch at traffic time `now` (seconds) on
-    /// the default activity ([`Activity::MobileTab`]) — the single-activity
-    /// path. See [`PrefetchScheduler::try_admit_for`].
+    /// Attempts to admit one prefetch at traffic time `now` (seconds).
+    /// Refills the bucket for the elapsed time first, then checks the
+    /// inflight cap and the budget. On admission the prefetch's cost is
+    /// deducted and one inflight slot is taken; pair with
+    /// [`PrefetchScheduler::complete_one`] when the prefetch resolves.
     pub fn try_admit(&mut self, now: i64) -> AdmitResult {
         self.try_admit_for(Activity::MobileTab, now)
     }
 
-    /// Attempts to admit one prefetch for `activity` at traffic time `now`
-    /// (seconds). Refills the bucket for the elapsed time first, then
-    /// checks the inflight caps (global, then this activity's) and the
-    /// funds this activity may draw on (the common pool plus its own
-    /// reserve). On admission the activity's cost is deducted — common
-    /// pool first, reserve for the remainder — and one inflight slot is
-    /// taken; pair with [`PrefetchScheduler::complete_one_for`] when the
-    /// prefetch resolves.
-    pub fn try_admit_for(&mut self, activity: Activity, now: i64) -> AdmitResult {
+    /// [`PrefetchScheduler::try_admit`] for `activity`: the funds it may
+    /// draw on are the common pool plus its own reserve, and its cost is
+    /// deducted from the pool first, the reserve for the remainder.
+    pub(crate) fn try_admit_for(&mut self, activity: Activity, now: i64) -> AdmitResult {
         self.refill(now);
-        if self.inflight >= self.config.max_inflight
-            || self.inflight_by_activity[activity] >= self.inflight_caps[activity]
-        {
+        if self.inflight >= self.config.max_inflight {
             self.stats.denied_inflight += 1;
             self.by_activity[activity].denied_inflight += 1;
             return AdmitResult::DeniedInflight;
@@ -680,10 +534,9 @@ impl PrefetchScheduler {
         AdmitResult::Admitted
     }
 
-    /// Admits one wave of single-activity prefetch candidates at traffic
-    /// time `now`, returning one [`AdmitResult`] per candidate *in input
-    /// order* — [`PrefetchScheduler::admit_wave_tagged`] with every
-    /// candidate on the default activity.
+    /// Admits one wave of prefetch candidates, given by their predicted
+    /// probabilities, at traffic time `now`, returning one [`AdmitResult`]
+    /// per candidate *in input order*.
     ///
     /// The bucket refills once for the whole wave, then candidates are
     /// offered in the given [`AdmissionOrder`]: FIFO spends the budget on
@@ -705,9 +558,8 @@ impl PrefetchScheduler {
         self.admit_wave_tagged(now, &candidates, order)
     }
 
-    /// Admits one wave of `(activity, probability)` prefetch candidates at
-    /// traffic time `now`, returning one [`AdmitResult`] per candidate *in
-    /// input order*.
+    /// [`PrefetchScheduler::admit_wave`] for `(activity, probability)`
+    /// candidates.
     ///
     /// Under [`FairnessPolicy::Greedy`] and
     /// [`FairnessPolicy::GuaranteedShare`] the wave is offered in the given
@@ -718,37 +570,7 @@ impl PrefetchScheduler {
     /// [`AdmissionOrder`] and then interleaved across activities by deficit
     /// round-robin, so the bucket is split weight-proportionally (in cost
     /// units) even when one activity dominates the wave's head.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pp_precompute::{
-    ///     Activity, ActivityMap, AdmissionOrder, AdmitResult, BudgetConfig, FairnessPolicy,
-    ///     PrefetchScheduler,
-    /// };
-    ///
-    /// // An 80-unit bucket; MobileTab prefetches cost 10, MPU's cost 40.
-    /// let mut s = PrefetchScheduler::shared(
-    ///     BudgetConfig {
-    ///         capacity_units: 80.0,
-    ///         refill_units_per_sec: 0.0,
-    ///         cost_per_prefetch_units: 40.0,
-    ///         max_inflight: 16,
-    ///     },
-    ///     ActivityMap::from_fn(|a| if a == Activity::Mpu { 40.0 } else { 10.0 }),
-    ///     FairnessPolicy::DeficitRoundRobin { weights: ActivityMap::uniform(1.0) },
-    /// );
-    /// // Eight MobileTab candidates arrived ahead of the one MPU candidate.
-    /// // FIFO under greedy fairness would spend all 80 units on MobileTab;
-    /// // equal-weight round-robin gives each activity 40 units of credit.
-    /// let mut wave = vec![(Activity::MobileTab, 0.9); 8];
-    /// wave.push((Activity::Mpu, 0.6));
-    /// let results = s.admit_wave_tagged(0, &wave, AdmissionOrder::Fifo);
-    /// assert_eq!(results[8], AdmitResult::Admitted);
-    /// assert_eq!(s.activity_stats(Activity::Mpu).admitted, 1);
-    /// assert_eq!(s.activity_stats(Activity::MobileTab).admitted, 4);
-    /// ```
-    pub fn admit_wave_tagged(
+    pub(crate) fn admit_wave_tagged(
         &mut self,
         now: i64,
         candidates: &[(Activity, f64)],
@@ -792,8 +614,8 @@ impl PrefetchScheduler {
                     ActivityMap::from_fn(|a| effective[a] + fresh[a])
                 } else {
                     // Not enough tokens to honor every carried deficit
-                    // (possible when direct try_admit_for calls drained the
-                    // pool between waves): scale them down pro rata.
+                    // (possible when try_admit_for calls drained the pool
+                    // between waves): scale them down pro rata.
                     effective.map(|_, &d| d * (self.tokens / carried))
                 };
                 // Drain the queues interleaved, one candidate per activity
@@ -862,17 +684,16 @@ impl PrefetchScheduler {
         results
     }
 
-    /// Releases one inflight slot on the default activity
-    /// ([`Activity::MobileTab`]) — the single-activity path. See
-    /// [`PrefetchScheduler::complete_one_for`].
+    /// Releases one inflight slot (an admitted prefetch resolved). A
+    /// completion with nothing inflight is ignored.
     pub fn complete_one(&mut self) {
         self.complete_one_for(Activity::MobileTab);
     }
 
-    /// Releases one of `activity`'s inflight slots (an admitted prefetch
-    /// resolved). A completion with nothing inflight for that activity is
-    /// ignored, keeping the global and per-activity books consistent.
-    pub fn complete_one_for(&mut self, activity: Activity) {
+    /// [`PrefetchScheduler::complete_one`] for `activity`: a completion
+    /// with nothing inflight for that activity is ignored, keeping the
+    /// global and per-activity books consistent.
+    pub(crate) fn complete_one_for(&mut self, activity: Activity) {
         if self.inflight_by_activity[activity] > 0 {
             self.inflight_by_activity[activity] -= 1;
             self.inflight -= 1;
@@ -1076,10 +897,11 @@ mod tests {
     #[test]
     fn utilization_is_spent_over_offered() {
         let mut s = PrefetchScheduler::new(config());
-        assert_eq!(s.stats().utilization(), 0.0);
+        assert_eq!(s.stats().units_spent, 0.0);
         let _ = s.try_admit(0);
         // 25 spent of the 100 offered so far.
-        assert!((s.stats().utilization() - 0.25).abs() < 1e-12);
+        let stats = s.stats();
+        assert_eq!((stats.units_spent, stats.units_offered), (25.0, 100.0));
     }
 
     #[test]
@@ -1101,42 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn fractional_clock_refills_sub_second_ticks() {
-        // A fine-grained clock with a slow bucket: 2 units/s means one
-        // 25-unit prefetch every 12.5 s. Under whole-second truncation a
-        // sub-second tick would refill 0 units forever (starvation);
-        // fractional conversion credits each tick its exact share.
-        let config = BudgetConfig {
-            capacity_units: 100.0,
-            refill_units_per_sec: 2.0,
-            cost_per_prefetch_units: 25.0,
-            max_inflight: 16,
-        };
-        // 8 ticks/s keeps every refill increment (2.0 / 8 = 0.25 units)
-        // exactly representable, so the equality edge below is not at the
-        // mercy of float accumulation.
-        let mut s = PrefetchScheduler::with_clock(config, 8.0);
-        assert_eq!(s.ticks_per_sec(), 8.0);
-        // Drain the initial bucket (4 × 25 units).
-        for _ in 0..4 {
-            assert_eq!(s.try_admit(0), AdmitResult::Admitted);
-            s.complete_one();
-        }
-        assert_eq!(s.try_admit(0), AdmitResult::DeniedBudget);
-        // 99 single-tick refills: 24.75 units — one tick short of a prefetch.
-        let mut now = 0i64;
-        for _ in 0..99 {
-            now += 1;
-            s.refill(now);
-        }
-        assert!((s.tokens() - 24.75).abs() < 1e-12, "tokens {}", s.tokens());
-        assert_eq!(s.try_admit(now), AdmitResult::DeniedBudget);
-        // The 100th tick (12.5 s total) crosses the cost line exactly.
-        assert_eq!(s.try_admit(now + 1), AdmitResult::Admitted);
-        assert!(s.check_invariants().is_ok());
-    }
-
-    #[test]
     fn n_small_ticks_refill_exactly_as_much_as_one_big_tick() {
         let config = BudgetConfig {
             capacity_units: 1_000.0,
@@ -1146,32 +932,24 @@ mod tests {
             cost_per_prefetch_units: 900.0,
             max_inflight: 8,
         };
-        for ticks_per_sec in [1.0, 10.0, 1_000.0] {
-            // Spend one prefetch so there is headroom to refill into.
-            let mut fine = PrefetchScheduler::with_clock(config, ticks_per_sec);
-            let mut coarse = PrefetchScheduler::with_clock(config, ticks_per_sec);
-            assert_eq!(fine.try_admit(0), AdmitResult::Admitted);
-            assert_eq!(coarse.try_admit(0), AdmitResult::Admitted);
-            // 240 ticks as 240 × 1 vs 1 × 240.
-            for tick in 1..=240i64 {
-                fine.refill(tick);
-            }
-            coarse.refill(240);
-            assert!(
-                (fine.tokens() - coarse.tokens()).abs() < 1e-6,
-                "clock {ticks_per_sec}: {} vs {}",
-                fine.tokens(),
-                coarse.tokens()
-            );
-            assert!(fine.check_invariants().is_ok());
-            assert!(coarse.check_invariants().is_ok());
+        // Spend one prefetch so there is headroom to refill into.
+        let mut fine = PrefetchScheduler::new(config);
+        let mut coarse = PrefetchScheduler::new(config);
+        assert_eq!(fine.try_admit(0), AdmitResult::Admitted);
+        assert_eq!(coarse.try_admit(0), AdmitResult::Admitted);
+        // 240 seconds as 240 × 1 vs 1 × 240.
+        for tick in 1..=240i64 {
+            fine.refill(tick);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ticks_per_sec must be positive")]
-    fn zero_clock_scale_panics() {
-        let _ = PrefetchScheduler::with_clock(config(), 0.0);
+        coarse.refill(240);
+        assert!(
+            (fine.tokens() - coarse.tokens()).abs() < 1e-6,
+            "{} vs {}",
+            fine.tokens(),
+            coarse.tokens()
+        );
+        assert!(fine.check_invariants().is_ok());
+        assert!(coarse.check_invariants().is_ok());
     }
 
     #[test]
@@ -1304,7 +1082,7 @@ mod tests {
         let mut s =
             PrefetchScheduler::shared(config, costs, FairnessPolicy::GuaranteedShare { floors });
         assert!((s.tokens() - 100.0).abs() < 1e-9);
-        assert!((s.reserved_tokens(Activity::Mpu) - 20.0).abs() < 1e-9);
+        assert!((s.reserved[Activity::Mpu] - 20.0).abs() < 1e-9);
         // MobileTab can win the common pool (40) plus its own reserve (20):
         // 6 × 10 units — and not an Mpu/Timeshift token more.
         for _ in 0..6 {
@@ -1326,7 +1104,7 @@ mod tests {
             AdmitResult::Admitted
         );
         assert_eq!(s.try_admit_for(Activity::Mpu, 0), AdmitResult::DeniedBudget);
-        assert!(s.reserved_tokens(Activity::Timeshift).abs() < 1e-9);
+        assert!(s.reserved[Activity::Timeshift].abs() < 1e-9);
         s.check_invariants().unwrap();
     }
 
@@ -1356,7 +1134,7 @@ mod tests {
         );
         // Full reserves decline their share: Timeshift's reserve was full
         // (25), so the refill must not overfill it.
-        assert!(s.reserved_tokens(Activity::Timeshift) <= 25.0 + 1e-9);
+        assert!(s.reserved[Activity::Timeshift] <= 25.0 + 1e-9);
         s.check_invariants().unwrap();
     }
 
@@ -1425,7 +1203,7 @@ mod tests {
             }
             s.check_invariants().unwrap();
             assert!(
-                s.drr_deficit(Activity::Mpu) <= config.capacity_units,
+                s.drr_deficit[Activity::Mpu] <= config.capacity_units,
                 "deficit must stay bounded"
             );
         }
@@ -1456,57 +1234,14 @@ mod tests {
         wave.push((Activity::Mpu, 0.8));
         s.admit_wave_tagged(0, &wave, AdmissionOrder::Fifo);
         assert!(
-            s.drr_deficit(Activity::Mpu) > 0.0,
+            s.drr_deficit[Activity::Mpu] > 0.0,
             "starved MPU banks a deficit"
         );
         // MPU absent: its deficit is donated, not hoarded.
         let mobile_only: Vec<(Activity, f64)> = vec![(Activity::MobileTab, 0.9); 8];
         s.admit_wave_tagged(1, &mobile_only, AdmissionOrder::Fifo);
-        assert_eq!(s.drr_deficit(Activity::Mpu), 0.0);
+        assert_eq!(s.drr_deficit[Activity::Mpu], 0.0);
         s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn per_activity_inflight_cap_binds_only_its_activity() {
-        let (config, costs) = shared_config(1_000.0, 0.0);
-        let mut s = PrefetchScheduler::shared(config, costs, FairnessPolicy::Greedy);
-        s.set_max_inflight_for(Activity::Timeshift, 2);
-        assert_eq!(s.max_inflight_for(Activity::Timeshift), 2);
-        assert_eq!(s.max_inflight_for(Activity::MobileTab), usize::MAX);
-        for _ in 0..2 {
-            assert_eq!(
-                s.try_admit_for(Activity::Timeshift, 0),
-                AdmitResult::Admitted
-            );
-        }
-        // Timeshift is at its cap; the others are untouched.
-        assert_eq!(
-            s.try_admit_for(Activity::Timeshift, 0),
-            AdmitResult::DeniedInflight
-        );
-        assert_eq!(
-            s.try_admit_for(Activity::MobileTab, 0),
-            AdmitResult::Admitted
-        );
-        assert_eq!(s.inflight_for(Activity::Timeshift), 2);
-        assert_eq!(s.inflight(), 3);
-        assert_eq!(s.activity_stats(Activity::Timeshift).denied_inflight, 1);
-        s.check_invariants().unwrap();
-        // Completing a Timeshift prefetch frees its slot.
-        s.complete_one_for(Activity::Timeshift);
-        assert_eq!(
-            s.try_admit_for(Activity::Timeshift, 0),
-            AdmitResult::Admitted
-        );
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "per-activity inflight cap must be positive")]
-    fn zero_per_activity_cap_panics() {
-        let (config, costs) = shared_config(100.0, 0.0);
-        let mut s = PrefetchScheduler::shared(config, costs, FairnessPolicy::Greedy);
-        s.set_max_inflight_for(Activity::Mpu, 0);
     }
 
     #[test]
@@ -1640,7 +1375,7 @@ mod tests {
             }
             let stats = s.stats();
             prop_assert!((stats.units_spent - stats.admitted as f64 * 17.0).abs() < 1e-6);
-            prop_assert!(stats.utilization() <= 1.0 + 1e-9);
+            prop_assert!(stats.units_spent <= stats.units_offered * (1.0 + 1e-9));
         }
 
         /// Shared-bucket conservation, the property the acceptance criteria

@@ -36,9 +36,8 @@ use serde::{Deserialize, Serialize};
 /// Every `now` the system is driven with is in **seconds** of traffic time:
 /// the cache's `ttl_secs` and the budget's `refill_units_per_sec` are both
 /// denominated against that clock. A deployment on a finer clock must
-/// convert before calling in (the standalone
-/// [`PrefetchScheduler::with_clock`](crate::scheduler::PrefetchScheduler::with_clock)
-/// exists for embedding the budget alone under a fine-grained clock).
+/// convert before calling in; refill is computed from whole elapsed
+/// seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Threshold the decision engine starts from (the offline-calibrated
@@ -201,10 +200,11 @@ pub struct PrecomputeSystem {
 }
 
 impl PrecomputeSystem {
-    /// Builds a single-activity subsystem from `config`: every activity
-    /// shares one cost, one threshold, and a greedy bucket — the classic
-    /// flow, with all traffic on [`Activity::MobileTab`] unless tagged
-    /// waves say otherwise.
+    /// Builds a single-activity subsystem from `config`: the N = 1 case of
+    /// [`PrecomputeSystem::new_multi`], where every activity shares one
+    /// cost, one threshold, and a greedy bucket — the classic flow, with
+    /// all traffic on [`Activity::MobileTab`] unless tagged waves say
+    /// otherwise.
     ///
     /// # Panics
     ///
@@ -496,8 +496,7 @@ impl PrecomputeSystem {
     /// controller's safe band); a degenerate window — all-positive,
     /// all-negative, or an infeasible target — refuses to refit and the
     /// threshold *holds* at whatever the proportional controller chose.
-    /// Returns the recalibrated threshold when one was applied.
-    pub fn on_window_resolved(&mut self, activity: Activity) -> Option<f64> {
+    fn on_window_resolved(&mut self, activity: Activity) {
         let samples = self.tracker.drain_samples_for(activity);
         let scores: Vec<f64> = samples.iter().map(|s| s.score).collect();
         let labels: Vec<bool> = samples.iter().map(|s| s.label).collect();
@@ -515,7 +514,6 @@ impl PrecomputeSystem {
                     activity.slug(),
                     threshold,
                 );
-                Some(threshold)
             }
             None => {
                 self.recalibration_holds[activity] += 1;
@@ -525,14 +523,8 @@ impl PrecomputeSystem {
                     activity.slug(),
                     scores.len() as f64,
                 );
-                None
             }
         }
-    }
-
-    /// The decision engine (its policies and counters).
-    pub fn decision_engine(&self) -> &DecisionEngine {
-        &self.engine
     }
 
     /// The budget scheduler.
@@ -554,11 +546,6 @@ impl PrecomputeSystem {
     /// ([`Activity::MobileTab`]) — the single-activity view.
     pub fn controller(&self) -> &AdaptiveThresholdController {
         &self.controllers[Activity::MobileTab]
-    }
-
-    /// The adaptive controller holding `activity`'s operating point.
-    pub fn controller_for(&self, activity: Activity) -> &AdaptiveThresholdController {
-        &self.controllers[activity]
     }
 
     /// Snapshot of every live metric, aggregated across activities.
