@@ -431,7 +431,9 @@ pub struct WorkerStats {
     /// State updates this worker applied.
     pub updates: u64,
     /// Batches that drained at least one job from a shard this worker does
-    /// not own (work stealing under skewed traffic).
+    /// not own. A batch steals only when the worker's own shards gave it
+    /// nothing, when a coalesce hold re-gathers into it, or while a peer
+    /// has exited.
     pub steals: u64,
     /// Nanoseconds spent parked waiting for work.
     pub idle_ns: u64,
@@ -470,6 +472,36 @@ struct EngineShared {
 }
 
 impl EngineShared {
+    /// The state a fresh engine's workers share: every queue empty, every
+    /// worker counted alive.
+    fn new(
+        model: Arc<RnnModel>,
+        store: Arc<ShardedStateStore>,
+        workers: usize,
+        max_batch: usize,
+        coalesce_wait: Option<std::time::Duration>,
+    ) -> Self {
+        let num_shards = store.num_shards();
+        Self {
+            model,
+            store,
+            max_batch,
+            coalesce_wait,
+            queues: (0..num_shards).map(|_| ShardQueue::default()).collect(),
+            signals: (0..workers).map(|_| WorkerSignal::default()).collect(),
+            worker_counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
+            work_gen: Mutex::new(0),
+            idle: Condvar::new(),
+            queued: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            alive: AtomicUsize::new(workers),
+            predictions: AtomicU64::new(0),
+            updates: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            largest_batch: AtomicUsize::new(0),
+        }
+    }
+
     fn num_workers(&self) -> usize {
         self.signals.len()
     }
@@ -484,6 +516,64 @@ impl EngineShared {
             self.idle.notify_all();
         }
     }
+
+    /// The worker that owns `user`'s home shard (and therefore serves the
+    /// user's jobs unless a peer with no work of its own steals the shard
+    /// while this worker is busy).
+    #[cfg(test)]
+    fn home_worker(&self, user: UserId) -> usize {
+        self.store.shard_index(user) % self.num_workers()
+    }
+
+    /// Routes jobs to their home-shard queues, then wakes only the workers
+    /// the jobs need. Every worker's signal counts the pass: a worker
+    /// holding a partial batch open is woken once the jobs enqueued since it
+    /// parked could fill the batch, and otherwise sleeps on to its deadline.
+    /// The work generation always moves, but the parked idle workers are
+    /// woken (`notify_all`, so a busy peer cannot consume the only wake-up)
+    /// only when no holder has room for the whole pass: jobs a holder can
+    /// absorb join its batch at its *earlier* deadline instead of opening a
+    /// second hold with a later one. An engine started without a coalesce
+    /// wait never has a holder, so every pass wakes its idle workers.
+    fn enqueue(&self, jobs: Vec<Job>) {
+        if jobs.is_empty() {
+            return;
+        }
+        let arrived = jobs.len();
+        // Count the jobs in BEFORE any becomes visible in a queue: an
+        // already-awake worker may drain them at once, and its `fetch_sub`
+        // must never see less than it takes.
+        let depth = self.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
+        crate::obs::ServingObs::global()
+            .queue_depth
+            .set(depth as f64);
+        for job in jobs {
+            let queue = &self.queues[self.store.shard_index(job.kind.user_id())];
+            let mut q = queue.jobs.lock_or_panic("shard queue");
+            // Read under the queue lock, which the last worker out takes
+            // after it zeroes the count: a job queued here is either seen
+            // by that worker's sweep or refused now.
+            if self.alive.load(Ordering::SeqCst) == 0 {
+                drop(q);
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                continue;
+            }
+            q.push_back(job);
+            queue.len.store(q.len(), Ordering::Release);
+        }
+        // Every job is queued before any signal is read: a holder whose room
+        // counts them either is still parked — its deadline's scan comes
+        // later — or zeroed its room before this pass read it, and the pass
+        // then wakes the idle workers as if nobody were holding. What a
+        // holder absorbs but cannot take (another kind, a user already in
+        // its update batch, a shard a peer has claimed) is announced when
+        // its batch's claims drop, no later than the holder's deadline.
+        let mut absorbed = false;
+        for signal in &self.signals {
+            absorbed |= signal.arrive(arrived);
+        }
+        self.bump_work_gen(!absorbed);
+    }
 }
 
 /// A multi-threaded batched serving engine: `workers` threads drain
@@ -492,9 +582,14 @@ impl EngineShared {
 ///
 /// Each worker **owns** the shards `s` of the engine's
 /// [`ShardedStateStore`] with `s % workers == worker`, so a user's jobs
-/// have a home worker and per-user predict/update ordering is preserved
-/// without a global lock; idle workers **steal** whole shard queues from
-/// busy peers, so skewed traffic still saturates every core.
+/// have a home worker; a shard claim held from drain to write-back
+/// preserves per-user predict/update ordering without a global lock. A
+/// worker **steals** (claims a peer's shard queue) only when its own shards
+/// gave its new batch nothing, so skewed traffic still saturates every core
+/// while an owner with work of its own is never locked out of its shards.
+/// Two exceptions steal greedily: a coalesce hold's re-gathers fill the
+/// held batch from every shard, and while any worker has exited the
+/// survivors drain its shards beside their own.
 ///
 /// Who is woken by a submission: a worker holding a partial batch open
 /// ([`start_with_coalesce`](Self::start_with_coalesce)) only once the jobs
@@ -549,25 +644,13 @@ impl BatchServingEngine {
     ) -> Self {
         assert!(workers > 0, "need at least one worker");
         assert!(max_batch > 0, "max_batch must be positive");
-        let num_shards = store.num_shards();
-        let shared = Arc::new(EngineShared {
+        let shared = Arc::new(EngineShared::new(
             model,
             store,
+            workers,
             max_batch,
             coalesce_wait,
-            queues: (0..num_shards).map(|_| ShardQueue::default()).collect(),
-            signals: (0..workers).map(|_| WorkerSignal::default()).collect(),
-            worker_counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
-            work_gen: Mutex::new(0),
-            idle: Condvar::new(),
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            alive: AtomicUsize::new(workers),
-            predictions: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            largest_batch: AtomicUsize::new(0),
-        });
+        ));
         let workers = (0..workers)
             .map(|worker| {
                 let shared = shared.clone();
@@ -577,65 +660,6 @@ impl BatchServingEngine {
             })
             .collect();
         Self { shared, workers }
-    }
-
-    /// The worker that owns `user`'s home shard (and therefore serves the
-    /// user's jobs unless a peer steals the shard while this worker is
-    /// busy).
-    #[cfg(test)]
-    fn home_worker(&self, user: UserId) -> usize {
-        self.shared.store.shard_index(user) % self.shared.num_workers()
-    }
-
-    /// Routes jobs to their home-shard queues, then wakes only the workers
-    /// the jobs need. Every worker's signal counts the pass: a worker
-    /// holding a partial batch open is woken once the jobs enqueued since it
-    /// parked could fill the batch, and otherwise sleeps on to its deadline.
-    /// The work generation always moves, but the parked idle workers are
-    /// woken (`notify_all`, so a busy peer cannot consume the only wake-up)
-    /// only when no holder has room for the whole pass: jobs a holder can
-    /// absorb join its batch at its *earlier* deadline instead of opening a
-    /// second hold with a later one. An engine started without a coalesce
-    /// wait never has a holder, so every pass wakes its idle workers.
-    fn enqueue(&self, jobs: Vec<Job>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let shared = &self.shared;
-        let arrived = jobs.len();
-        // Count the jobs in BEFORE any becomes visible in a queue: an
-        // already-awake worker may drain them at once, and its `fetch_sub`
-        // must never see less than it takes.
-        let depth = shared.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
-        crate::obs::ServingObs::global()
-            .queue_depth
-            .set(depth as f64);
-        for job in jobs {
-            let queue = &shared.queues[shared.store.shard_index(job.kind.user_id())];
-            let mut q = queue.jobs.lock_or_panic("shard queue");
-            // Read under the queue lock, which the last worker out takes
-            // after it zeroes the count: a job queued here is either seen
-            // by that worker's sweep or refused now.
-            if shared.alive.load(Ordering::SeqCst) == 0 {
-                drop(q);
-                shared.queued.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-            q.push_back(job);
-            queue.len.store(q.len(), Ordering::Release);
-        }
-        // Every job is queued before any signal is read: a holder whose room
-        // counts them either is still parked — its deadline's scan comes
-        // later — or zeroed its room before this pass read it, and the pass
-        // then wakes the idle workers as if nobody were holding. What a
-        // holder absorbs but cannot take (another kind, a user already in
-        // its update batch, a shard a peer has claimed) is announced when
-        // its batch's claims drop, no later than the holder's deadline.
-        let mut absorbed = false;
-        for signal in &shared.signals {
-            absorbed |= signal.arrive(arrived);
-        }
-        shared.bump_work_gen(!absorbed);
     }
 
     /// One enqueue pass for a wave of requests of one kind, all stamped
@@ -656,7 +680,7 @@ impl BatchServingEngine {
                 Job::new(kind(request, reply), arrived)
             })
             .collect();
-        self.enqueue(jobs);
+        self.shared.enqueue(jobs);
         receivers
     }
 
@@ -802,6 +826,19 @@ struct GatheredBatch<'a> {
     stole: bool,
 }
 
+impl<'a> GatheredBatch<'a> {
+    fn new(shared: &'a EngineShared) -> Self {
+        Self {
+            claims: Claims {
+                shared,
+                shards: Vec::new(),
+            },
+            jobs: Vec::new(),
+            stole: false,
+        }
+    }
+}
+
 /// The shard claims one batch holds, released when dropped: after the
 /// batch's write-backs — so no peer can reorder this batch's users — or by
 /// a panic unwinding out of the batch, so a worker that dies does not
@@ -858,6 +895,14 @@ impl Drop for WorkerExit<'_> {
 /// draining a FIFO prefix into `batch`. A queue's prefix stops at a
 /// kind change or (for updates) a user already in the batch, so per-user
 /// ordering and same-user-once-per-update-batch both hold.
+///
+/// The gather that opens a batch steals only if the worker's own shards
+/// gave it nothing: a claim is held to write-back, so a foreign shard taken
+/// into a batch that already had work would lock its owner out of it for
+/// no gain. Two cases still steal greedily. A re-gather into a held batch
+/// (`batch` non-empty on entry) fills it from every shard, as the coalesce
+/// hold's room counts every arrival. While a worker has exited, the
+/// survivors drain its shards even when their own never run dry.
 fn gather(
     shared: &EngineShared,
     worker: usize,
@@ -866,71 +911,86 @@ fn gather(
 ) {
     let num_shards = shared.queues.len();
     let workers = shared.num_workers();
-    let own = (worker..num_shards).step_by(workers);
-    let foreign = (0..num_shards).filter(|s| s % workers != worker);
-    for shard in own.chain(foreign) {
-        if batch.jobs.len() >= shared.max_batch {
-            break;
+    let own_first = batch.jobs.is_empty() && shared.alive.load(Ordering::SeqCst) == workers;
+    for shard in (worker..num_shards).step_by(workers) {
+        drain_shard(shared, shard, batch, seen_users);
+    }
+    if own_first && !batch.jobs.is_empty() {
+        return;
+    }
+    for shard in (0..num_shards).filter(|s| s % workers != worker) {
+        batch.stole |= drain_shard(shared, shard, batch, seen_users);
+    }
+}
+
+/// Drains a FIFO prefix of `shard`'s queue into `batch`, claiming the queue
+/// first unless the batch already holds it. Returns whether this call
+/// claimed it: a claim that drained nothing is released at once.
+fn drain_shard(
+    shared: &EngineShared,
+    shard: usize,
+    batch: &mut GatheredBatch<'_>,
+    seen_users: &mut HashSet<UserId>,
+) -> bool {
+    if batch.jobs.len() >= shared.max_batch {
+        return false;
+    }
+    let queue = &shared.queues[shard];
+    let already_claimed = batch.claims.shards.contains(&shard);
+    if !already_claimed {
+        if queue.len.load(Ordering::Acquire) == 0 {
+            return false;
         }
-        let queue = &shared.queues[shard];
-        let already_claimed = batch.claims.shards.contains(&shard);
-        if !already_claimed {
-            if queue.len.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            // Acquire on failure too: the loser reads the queue state the
-            // winner's claim protects (len) right after this — a Relaxed
-            // failure load would let those reads be satisfied from before
-            // the winner's Release.
-            if queue
-                .claimed
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-        }
-        let mut drained = 0usize;
+        // Acquire on failure too: the loser reads the queue state the
+        // winner's claim protects (len) right after this — a Relaxed
+        // failure load would let those reads be satisfied from before
+        // the winner's Release.
+        if queue
+            .claimed
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
+            .is_err()
         {
-            // One lazy clock read per drained queue, shared by every traced
-            // job claimed from it (untraced batches never read the clock).
-            let mut claim_now: Option<std::time::Instant> = None;
-            let mut q = queue.jobs.lock_or_panic("shard queue");
-            while batch.jobs.len() < shared.max_batch {
-                let Some(front) = q.front() else { break };
-                if let Some(first) = batch.jobs.first() {
-                    if std::mem::discriminant(&first.kind) != std::mem::discriminant(&front.kind) {
-                        break;
-                    }
-                }
-                if matches!(front.kind, JobKind::Update { .. })
-                    && !seen_users.insert(front.kind.user_id())
-                {
-                    // A second update for the same user waits for the next
-                    // batch so it reads the state the first one writes.
-                    break;
-                }
-                let mut job = q.pop_front().expect("front exists");
-                if job.traced {
-                    job.claimed = Some(*claim_now.get_or_insert_with(std::time::Instant::now));
-                }
-                batch.jobs.push(job);
-                drained += 1;
-            }
-            queue.len.store(q.len(), Ordering::Release);
-        }
-        if already_claimed {
-            continue;
-        }
-        if drained == 0 {
-            queue.claimed.store(false, Ordering::Release);
-        } else {
-            batch.claims.shards.push(shard);
-            if shard % workers != worker {
-                batch.stole = true;
-            }
+            return false;
         }
     }
+    let mut drained = 0usize;
+    {
+        // One lazy clock read per drained queue, shared by every traced
+        // job claimed from it (untraced batches never read the clock).
+        let mut claim_now: Option<std::time::Instant> = None;
+        let mut q = queue.jobs.lock_or_panic("shard queue");
+        while batch.jobs.len() < shared.max_batch {
+            let Some(front) = q.front() else { break };
+            if let Some(first) = batch.jobs.first() {
+                if std::mem::discriminant(&first.kind) != std::mem::discriminant(&front.kind) {
+                    break;
+                }
+            }
+            if matches!(front.kind, JobKind::Update { .. })
+                && !seen_users.insert(front.kind.user_id())
+            {
+                // A second update for the same user waits for the next
+                // batch so it reads the state the first one writes.
+                break;
+            }
+            let mut job = q.pop_front().expect("front exists");
+            if job.traced {
+                job.claimed = Some(*claim_now.get_or_insert_with(std::time::Instant::now));
+            }
+            batch.jobs.push(job);
+            drained += 1;
+        }
+        queue.len.store(q.len(), Ordering::Release);
+    }
+    if already_claimed {
+        return false;
+    }
+    if drained == 0 {
+        queue.claimed.store(false, Ordering::Release);
+        return false;
+    }
+    batch.claims.shards.push(shard);
+    true
 }
 
 fn worker_loop(shared: &EngineShared, worker: usize) {
@@ -944,14 +1004,7 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // with the scan moves the generation, so the park below falls
         // through instead of sleeping on work it never saw.
         let gen_before = *shared.work_gen.lock_or_panic("work generation");
-        let mut batch = GatheredBatch {
-            claims: Claims {
-                shared,
-                shards: Vec::new(),
-            },
-            jobs: Vec::new(),
-            stole: false,
-        };
+        let mut batch = GatheredBatch::new(shared);
         let mut seen_users = HashSet::new();
         gather(shared, worker, &mut batch, &mut seen_users);
 
@@ -1519,10 +1572,10 @@ mod tests {
     }
 
     /// `n` distinct users (never user 0) whose home worker is `worker`.
-    fn users_homed_on(engine: &BatchServingEngine, worker: usize, n: usize) -> Vec<UserId> {
+    fn users_homed_on(shared: &EngineShared, worker: usize, n: usize) -> Vec<UserId> {
         let users = (1..256).map(UserId);
         let homed: Vec<UserId> = users
-            .filter(|&u| engine.home_worker(u) == worker)
+            .filter(|&u| shared.home_worker(u) == worker)
             .take(n)
             .collect();
         assert_eq!(homed.len(), n, "not enough users homed on worker {worker}");
@@ -1586,7 +1639,7 @@ mod tests {
     /// Three single submits — three enqueue passes — for users homed on the
     /// parked peer.
     fn three_more_homed_on_the_peer(held: &Held) -> Vec<mpsc::Receiver<Prediction>> {
-        let users = users_homed_on(&held.engine, held.peer, 3);
+        let users = users_homed_on(&held.engine.shared, held.peer, 3);
         let submits = users.iter().zip(2..);
         submits
             .map(|(user, i)| held.engine.submit(request(user.0, i)))
@@ -1613,7 +1666,7 @@ mod tests {
         } = hold_one(2, wait);
         // Two distinct users sharing a single shard homed on the idle peer:
         // the pattern that lost a wakeup in the old engine.
-        let second = users_homed_on(&engine, peer, 1)[0];
+        let second = users_homed_on(&engine.shared, peer, 1)[0];
         let third = (1..256)
             .map(UserId)
             .find(|&u| u != second && store.shard_index(u) == store.shard_index(second))
@@ -1747,7 +1800,7 @@ mod tests {
         // Homed on the dead worker: only the survivor's steal serves them,
         // at their own deadline.
         let submitted = std::time::Instant::now();
-        let replies: Vec<_> = users_homed_on(&held.engine, held.holder, 2)
+        let replies: Vec<_> = users_homed_on(&held.engine.shared, held.holder, 2)
             .iter()
             .map(|user| held.engine.submit(request(user.0, 2)))
             .collect();
@@ -1782,6 +1835,102 @@ mod tests {
     fn poison(store: &ShardedStateStore, user: UserId) {
         assert!(store.is_empty(), "poison must be the store's first put");
         store.put_state(user, &[0.0; 3]);
+    }
+
+    /// Engine state with no worker running, so a test drives `gather` by
+    /// hand: two workers over four shards, worker 0 owning shards 0 and 2.
+    fn unstarted() -> EngineShared {
+        let store = Arc::new(ShardedStateStore::new(4));
+        EngineShared::new(Arc::new(model()), store, 2, 8, None)
+    }
+
+    /// Queues one predict for each of `n` users homed on `worker`. Nobody
+    /// will reply, so the receivers are dropped at once.
+    fn queue_homed_on(shared: &EngineShared, worker: usize, n: usize) {
+        let now = std::time::Instant::now();
+        let jobs = users_homed_on(shared, worker, n)
+            .into_iter()
+            .zip(0..)
+            .map(|(user, i)| {
+                let (reply, _) = mpsc::channel();
+                let request = request(user.0, i);
+                Job::new(JobKind::Predict { request, reply }, now)
+            })
+            .collect();
+        shared.enqueue(jobs);
+    }
+
+    /// Worker 0's gather into `batch`, returning the shards it has claimed.
+    fn gather_by_worker_0<'a>(
+        shared: &'a EngineShared,
+        batch: &mut GatheredBatch<'a>,
+    ) -> Vec<usize> {
+        gather(shared, 0, batch, &mut HashSet::new());
+        batch.claims.shards.clone()
+    }
+
+    #[test]
+    fn a_worker_with_own_work_claims_no_foreign_shard_in_its_first_gather() {
+        // Fails on the parent, whose first gather took all four jobs and
+        // held worker 1's shards to write-back.
+        let shared = unstarted();
+        queue_homed_on(&shared, 0, 2);
+        queue_homed_on(&shared, 1, 2);
+        let mut batch = GatheredBatch::new(&shared);
+        let claimed = gather_by_worker_0(&shared, &mut batch);
+        assert_eq!(batch.jobs.len(), 2);
+        assert!(claimed.iter().all(|s| s % 2 == 0), "claimed {claimed:?}");
+        assert!(!batch.stole);
+        for queue in [&shared.queues[1], &shared.queues[3]] {
+            assert!(!queue.claimed.load(Ordering::SeqCst));
+        }
+        let left: usize = shared
+            .queues
+            .iter()
+            .map(|q| q.jobs.lock().unwrap().len())
+            .sum();
+        assert_eq!(left, 2, "worker 1's jobs stay queued for worker 1");
+    }
+
+    #[test]
+    fn a_re_gather_into_a_held_batch_still_steals() {
+        // A coalesce hold re-gathers into its open batch: the room it
+        // published counted every arrival, its own shards' or not.
+        let shared = unstarted();
+        queue_homed_on(&shared, 0, 1);
+        let mut batch = GatheredBatch::new(&shared);
+        gather_by_worker_0(&shared, &mut batch);
+        queue_homed_on(&shared, 1, 2);
+        let claimed = gather_by_worker_0(&shared, &mut batch);
+        assert_eq!(batch.jobs.len(), 3);
+        assert!(claimed.iter().any(|s| s % 2 == 1), "claimed {claimed:?}");
+        assert!(batch.stole);
+    }
+
+    #[test]
+    fn a_worker_with_no_own_work_steals() {
+        let shared = unstarted();
+        queue_homed_on(&shared, 1, 3);
+        let mut batch = GatheredBatch::new(&shared);
+        let claimed = gather_by_worker_0(&shared, &mut batch);
+        assert_eq!(batch.jobs.len(), 3);
+        assert!(claimed.iter().all(|s| s % 2 == 1), "claimed {claimed:?}");
+        assert!(batch.stole);
+    }
+
+    #[test]
+    fn while_a_worker_is_dead_its_peers_steal_beside_their_own_work() {
+        // A survivor whose own shards never run dry would otherwise leave
+        // the dead worker's shards queued for ever.
+        let shared = unstarted();
+        shared.alive.fetch_sub(1, Ordering::SeqCst);
+        queue_homed_on(&shared, 0, 2);
+        queue_homed_on(&shared, 1, 2);
+        let mut batch = GatheredBatch::new(&shared);
+        let claimed = gather_by_worker_0(&shared, &mut batch);
+        assert_eq!(batch.jobs.len(), 4);
+        assert!(claimed.iter().any(|s| s % 2 == 1), "claimed {claimed:?}");
+        assert!(batch.stole);
     }
 
     #[test]

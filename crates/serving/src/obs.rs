@@ -33,7 +33,9 @@ pub struct ServingObs {
     /// `serving.worker.batches` — batches served across all workers.
     pub worker_batches: Arc<Counter>,
     /// `serving.worker.steals` — batches that drained at least one job from
-    /// a shard the serving worker does not own (work stealing).
+    /// a shard the serving worker does not own: its own shards gave the
+    /// batch nothing, a coalesce hold re-gathered into it, or a peer has
+    /// exited.
     pub worker_steals: Arc<Counter>,
     /// `serving.worker.hold_wakes` — returns from a coalesce hold's timed
     /// wait: a batch that could fill, a shutdown or the deadline. Divided by
