@@ -54,7 +54,8 @@ fn main() {
             dim,
             eval.report.pr_auc,
             eval.report.recall_at_50_precision,
-            dim * 4
+            // The store keeps a state as one bf16 row: two bytes a value.
+            2 * dim
         );
     }
 

@@ -4,11 +4,16 @@
 //! A [`ShardedStateStore`] splits the user population over `N` independent
 //! [`StateShard`]s by a hash of the user id, so requests for different
 //! users proceed concurrently and only same-shard accesses contend. A shard
-//! is one mutex around a `u64 → slot` map, a slab of 32-byte slots (user,
-//! recency and frequency stamps, list links), one arena of state rows — slot
-//! `i`'s state is row `i` — the eviction order and the shard's traffic
-//! counters. A stored state therefore costs its `2 × width` bytes in the
-//! arena, its slot and its map entry, and no allocation of its own.
+//! is one mutex around an index of slot numbers, a slab of 16-byte slots
+//! (user and LRU list links), one arena of state rows — slot `i`'s state is
+//! row `i` — the eviction order and the shard's traffic counters. The index
+//! is open addressing over a power-of-two `Vec<u32>` kept at most half
+//! full: a lookup probes linearly from the user's hash and compares the
+//! user in each slot it meets, and a deletion shifts the rest of its
+//! cluster back, so there are no tombstones. A stored state therefore costs
+//! its `2 × width` bytes in the arena, its 16-byte slot and two to four
+//! 4-byte index buckets, and no allocation of its own; a frequency-weighted
+//! shard adds its `(freq, tick)` stamps and their rank entry.
 //!
 //! Rows hold bf16 values: the top half of each `f32`. A put rounds every
 //! value to the nearest bf16, ties to even (NaN stays NaN); a read widens it
@@ -20,15 +25,16 @@
 //! moves a served score by.
 //!
 //! The first put fixes the store's width; a put of any other width panics.
-//! A bounded shard allocates its `capacity + 1` rows at its first put (a
-//! newcomer is inserted before its victim leaves); an unbounded one grows by
-//! chunks of 64 rows that never move, so growing never copies
-//! the arena or leaves a discarded copy's pages behind.
+//! A bounded shard allocates its `capacity + 1` rows, slots and index at
+//! its first put (a newcomer is inserted before its victim leaves) and
+//! never grows or rehashes them; an unbounded one grows its arena by chunks
+//! of 64 rows that never move, so growing never copies the arena or leaves
+//! a discarded copy's pages behind, and doubles its index.
 //!
 //! The unit of work is a batch of users, not one user. The store walks the
 //! batch in order, cuts it into runs of consecutive same-shard users (at
 //! most 64 long), and takes each run's shard lock once, never two at a
-//! time. A read run probes every key first, so the runs' hash-probe misses
+//! time. A read run probes every key first, so the run's index misses
 //! overlap, then touches each hit and copies it into the caller's row in
 //! row order. A write run copies each row over the one already there, one
 //! user after another. The process-wide `serving.store.*` counters move once
@@ -40,12 +46,14 @@
 use crate::kv_store::{EvictionPolicy, StoreStats};
 use parking_lot::Mutex;
 use pp_data::schema::UserId;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// "No slot": the end of the recency list, and a probe that missed.
+/// "No slot": the end of the recency list, and an empty index bucket.
 const NIL: u32 = u32::MAX;
+
+/// Buckets in an unbounded shard's first index; it doubles from there.
+const MIN_BUCKETS: usize = 16;
 
 /// Most users one shard lock is taken for: a run's ids and probed slots
 /// live in stack buffers of this many entries, so a 64-row batch drained
@@ -63,7 +71,7 @@ const CHUNK_ROWS: usize = 1 << CHUNK_SHIFT;
 /// Hash of a user id inside its shard: Murmur3's 64-bit finalizer.
 /// Deliberately not [`ShardedStateStore::shard_index`]'s mixer — every key
 /// of a shard shares that hash modulo the shard count, so reusing it (or
-/// the raw id) would pile the shard's keys onto a fraction of the map's
+/// the raw id) would pile the shard's keys onto a fraction of the index's
 /// buckets. Fixed rather than randomly keyed: user ids are assigned by the
 /// system, not chosen by its clients.
 fn in_shard_hash(user: u64) -> u64 {
@@ -73,33 +81,11 @@ fn in_shard_hash(user: u64) -> u64 {
     z ^ (z >> 33)
 }
 
-/// [`in_shard_hash`] as the slot map's hasher.
-#[derive(Debug, Default)]
-struct UserHasher(u64);
-
-impl Hasher for UserHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("slot maps are keyed by u64 user ids");
-    }
-
-    fn write_u64(&mut self, user: u64) {
-        self.0 = in_shard_hash(user);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One resident (or freed) state's user, recency and frequency stamps; its
-/// values are the arena row of the same index.
+/// One resident (or freed) state's user and LRU links; its values are the
+/// arena row of the same index.
 #[derive(Debug)]
 struct Slot {
     user: u64,
-    /// Monotone tick of the last touch.
-    tick: u64,
-    /// Lifetime touches (puts + bounded read hits) of this user's state.
-    freq: u64,
     /// Neighbours in the LRU list (towards the head / towards the tail).
     prev: u32,
     next: u32,
@@ -179,32 +165,120 @@ impl Rows {
     }
 }
 
-/// Everything a shard mutates, behind one lock so the map, the eviction
+/// Everything a shard mutates, behind one lock so the index, the eviction
 /// order and the counters can never disagree.
 #[derive(Debug)]
 struct ShardInner {
-    slot_of: HashMap<u64, u32, BuildHasherDefault<UserHasher>>,
+    /// Open-addressing index of the resident slots: a power-of-two number
+    /// of buckets, at most half of them holding a slot number, the rest
+    /// `NIL`. A user's slot sits at or after its home bucket
+    /// (`in_shard_hash(user)`'s low bits, wrapping), with no empty bucket
+    /// in between.
+    index: Vec<u32>,
     slots: Vec<Slot>,
     rows: Rows,
-    /// Indices of `slots` not in `slot_of`, reused before the slab grows.
+    /// Indices of `slots` not in `index`, reused before the slab grows.
     free: Vec<u32>,
     /// Most recently touched slot; [`EvictionPolicy::Lru`] shards only.
     lru_head: u32,
     /// Least recently touched slot — the LRU victim.
     lru_tail: u32,
-    /// `(freq, tick) → slot`, victim first;
-    /// [`EvictionPolicy::FrequencyWeighted`] shards only.
+    /// Slot `i`'s `(freq, tick)`: lifetime touches (puts + read hits) and
+    /// the tick of the last; [`EvictionPolicy::FrequencyWeighted`] shards
+    /// only.
+    ranks: Vec<(u64, u64)>,
+    /// `(freq, tick) → slot`, victim first; frequency-weighted shards only.
     by_rank: BTreeMap<(u64, u64), u32>,
     next_tick: u64,
     stats: StoreStats,
 }
 
 impl ShardInner {
+    /// Resident states: every slot not on the free list.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// `user`'s home bucket.
+    fn home(&self, user: u64) -> usize {
+        in_shard_hash(user) as usize & (self.index.len() - 1)
+    }
+
+    /// The bucket holding `user`'s slot, or else the empty bucket its probe
+    /// ended at. An index with no buckets yet answers a miss.
+    fn probe(&self, user: u64) -> Result<usize, usize> {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut bucket = in_shard_hash(user) as usize & mask;
+        while let Some(&at) = self.index.get(bucket) {
+            if at == NIL {
+                break;
+            }
+            if self.slots[at as usize].user == user {
+                return Ok(bucket);
+            }
+            bucket = (bucket + 1) & mask;
+        }
+        Err(bucket)
+    }
+
+    /// `user`'s slot, or `NIL`.
+    fn slot_of(&self, user: u64) -> u32 {
+        self.probe(user).map_or(NIL, |bucket| self.index[bucket])
+    }
+
+    /// Files the new slot `at`, whose user is set, in the index: in
+    /// `bucket`, the empty bucket its user's miss ended at, unless the index
+    /// must first grow to stay at most half full. A bounded shard's index
+    /// grows once, from nothing at its first put, to hold `capacity + 1`
+    /// slots; an unbounded shard's doubles.
+    fn index_slot(&mut self, at: u32, bucket: usize, capacity: Option<usize>) {
+        let user = self.slots[at as usize].user;
+        let bucket = if 2 * self.len() > self.index.len() {
+            let buckets = match capacity {
+                Some(capacity) => (2 * (capacity + 1)).next_power_of_two(),
+                None => (2 * self.index.len()).max(MIN_BUCKETS),
+            };
+            let old = std::mem::replace(&mut self.index, vec![NIL; buckets]);
+            for moved in old.into_iter().filter(|&moved| moved != NIL) {
+                let user = self.slots[moved as usize].user;
+                let to = self.probe(user).expect_err("indexed users are distinct");
+                self.index[to] = moved;
+            }
+            self.probe(user).expect_err("a new user is not indexed")
+        } else {
+            bucket
+        };
+        self.index[bucket] = at;
+    }
+
+    /// Empties `hole` and shifts the rest of its cluster back: an entry
+    /// moves into the hole when the hole lies (cyclically) between its home
+    /// and where it sits, so every entry stays reachable from its home
+    /// with no empty bucket in between, and no tombstone is left.
+    fn unindex(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut bucket = hole;
+        loop {
+            bucket = (bucket + 1) & mask;
+            let at = self.index[bucket];
+            if at == NIL {
+                break;
+            }
+            let home = self.home(self.slots[at as usize].user);
+            if bucket.wrapping_sub(home) & mask >= bucket.wrapping_sub(hole) & mask {
+                self.index[hole] = at;
+                hole = bucket;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
     /// Takes `at` out of the eviction order `order` keeps (`None`: an
-    /// unbounded shard keeps none).
-    fn unrank(&mut self, at: u32, order: Option<EvictionPolicy>) {
+    /// unbounded shard keeps none) and returns its touches so far, which
+    /// only frequency weighting counts (0 otherwise).
+    fn unrank(&mut self, at: u32, order: Option<EvictionPolicy>) -> u64 {
         match order {
-            None => {}
+            None => 0,
             Some(EvictionPolicy::Lru) => {
                 let Slot { prev, next, .. } = self.slots[at as usize];
                 match prev {
@@ -215,19 +289,19 @@ impl ShardInner {
                     NIL => self.lru_tail = prev,
                     n => self.slots[n as usize].prev = prev,
                 }
+                0
             }
             Some(EvictionPolicy::FrequencyWeighted) => {
-                let slot = &self.slots[at as usize];
-                self.by_rank.remove(&(slot.freq, slot.tick));
+                let rank = self.ranks[at as usize];
+                self.by_rank.remove(&rank);
+                rank.0
             }
         }
     }
 
-    /// Stamps `at` with the next tick and files it as the most recent touch.
-    fn rank(&mut self, at: u32, order: Option<EvictionPolicy>) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        self.slots[at as usize].tick = tick;
+    /// Files `at` as the most recent touch, its `freq`-th, in the eviction
+    /// order; under frequency weighting it is stamped with the next tick.
+    fn rank(&mut self, at: u32, order: Option<EvictionPolicy>, freq: u64) {
         match order {
             None => {}
             Some(EvictionPolicy::Lru) => {
@@ -240,8 +314,10 @@ impl ShardInner {
                 }
             }
             Some(EvictionPolicy::FrequencyWeighted) => {
-                let freq = self.slots[at as usize].freq;
-                self.by_rank.insert((freq, tick), at);
+                let rank = (freq, self.next_tick);
+                self.next_tick += 1;
+                self.ranks[at as usize] = rank;
+                self.by_rank.insert(rank, at);
             }
         }
     }
@@ -257,22 +333,19 @@ impl ShardInner {
         }
     }
 
-    /// Drops `at`'s user from the shard; the slot and its row go to the
-    /// free list.
-    fn release(&mut self, at: u32, order: Option<EvictionPolicy>) {
+    /// Drops slot `at`'s user, indexed in `bucket`, from the shard; the
+    /// slot and its row go to the free list.
+    fn release(&mut self, at: u32, bucket: usize, order: Option<EvictionPolicy>) {
         self.unrank(at, order);
-        self.slot_of.remove(&self.slots[at as usize].user);
+        self.unindex(bucket);
         self.free.push(at);
     }
 
     /// Counted read of the state in slot `at`; on a bounded shard a hit is
     /// also a touch.
     fn touch(&mut self, at: u32, order: Option<EvictionPolicy>) -> &[u16] {
-        if order.is_some() {
-            self.unrank(at, order);
-            self.slots[at as usize].freq += 1;
-            self.rank(at, order);
-        }
+        let freq = self.unrank(at, order);
+        self.rank(at, order, freq + 1);
         self.stats.hits += 1;
         self.stats.bytes_read += BF16_BYTES * self.rows.width as u64;
         self.rows.row(at)
@@ -290,30 +363,31 @@ impl ShardInner {
         let order = capacity.map(|_| policy);
         self.stats.writes += 1;
         self.stats.bytes_written += BF16_BYTES * state.len() as u64;
-        let at = match self.slot_of.get(&user) {
-            Some(&at) => {
-                self.unrank(at, order);
-                self.slots[at as usize].freq += 1;
-                at
+        let (at, freq) = match self.probe(user) {
+            Ok(bucket) => {
+                let at = self.index[bucket];
+                (at, self.unrank(at, order) + 1)
             }
-            None => {
+            Err(bucket) => {
                 let at = self
                     .free
                     .pop()
-                    .unwrap_or_else(|| self.push_slot(state, capacity));
-                let slot = &mut self.slots[at as usize];
-                (slot.user, slot.freq) = (user, 1);
-                self.slot_of.insert(user, at);
-                at
+                    .unwrap_or_else(|| self.push_slot(state, capacity, order));
+                self.slots[at as usize].user = user;
+                self.index_slot(at, bucket, capacity);
+                (at, 1)
             }
         };
         narrow_row(self.rows.row_mut(at), state);
-        self.rank(at, order);
+        self.rank(at, order, freq);
         let mut evicted = 0;
         if let Some(capacity) = capacity {
-            while self.slot_of.len() > capacity {
+            while self.len() > capacity {
                 let victim = self.victim(policy);
-                self.release(victim, order);
+                let bucket = self
+                    .probe(self.slots[victim as usize].user)
+                    .expect("a ranked slot is indexed");
+                self.release(victim, bucket, order);
                 evicted += 1;
             }
             self.stats.evictions += evicted;
@@ -322,21 +396,30 @@ impl ShardInner {
     }
 
     /// Appends a slot and a row for `state`. A bounded shard's first put
-    /// sizes the slab, the map and the arena for the `capacity + 1` states
-    /// it can briefly hold, so filling it allocates nothing more.
-    fn push_slot(&mut self, state: &[f32], capacity: Option<usize>) -> u32 {
+    /// sizes the slab, its ranks and the arena for the `capacity + 1`
+    /// states it can briefly hold, so filling it allocates nothing more.
+    fn push_slot(
+        &mut self,
+        state: &[f32],
+        capacity: Option<usize>,
+        order: Option<EvictionPolicy>,
+    ) -> u32 {
+        let weighted = order == Some(EvictionPolicy::FrequencyWeighted);
         if let Some(capacity) = capacity.filter(|_| self.slots.is_empty()) {
             self.slots.reserve_exact(capacity + 1);
-            self.slot_of.reserve(capacity + 1);
+            if weighted {
+                self.ranks.reserve_exact(capacity + 1);
+            }
         }
         let at = u32::try_from(self.slots.len()).expect("a shard holds < 2^32 states");
         self.slots.push(Slot {
             user: 0,
-            tick: 0,
-            freq: 0,
             prev: NIL,
             next: NIL,
         });
+        if weighted {
+            self.ranks.push((0, 0));
+        }
         self.rows.push(at, state);
         at
     }
@@ -346,9 +429,11 @@ impl ShardInner {
 /// to it, optionally bounded to a number of states under an
 /// [`EvictionPolicy`].
 ///
-/// Recency and frequency are kept per state: every `put` and, on a bounded
-/// shard, every read hit stamps the state with a fresh tick and counts one
-/// more touch. After a new user's state is inserted a bounded shard evicts
+/// On a bounded shard every `put` and every read hit is a touch: under
+/// LRU it moves the state to the front of the recency list; under
+/// frequency weighting it counts one more touch of the state and stamps it
+/// with a fresh tick. An unbounded shard keeps no order.
+/// After a new user's state is inserted a bounded shard evicts
 /// the minimum `(rank, tick)` — rank 0 under [`EvictionPolicy::Lru`], the
 /// touch count under [`EvictionPolicy::FrequencyWeighted`], so a newcomer
 /// can be its own victim there — until it is back within its bound.
@@ -364,12 +449,13 @@ impl StateShard {
         assert!(capacity != Some(0), "capacity must be positive");
         Self {
             inner: Mutex::new(ShardInner {
-                slot_of: HashMap::default(),
+                index: Vec::new(),
                 slots: Vec::new(),
                 rows: Rows::new(capacity),
                 free: Vec::new(),
                 lru_head: NIL,
                 lru_tail: NIL,
+                ranks: Vec::new(),
                 by_rank: BTreeMap::new(),
                 next_tick: 0,
                 stats: StoreStats::default(),
@@ -397,7 +483,7 @@ impl StateShard {
 
     /// Number of states currently stored.
     pub fn len(&self) -> usize {
-        self.inner.lock().slot_of.len()
+        self.inner.lock().len()
     }
 
     /// Returns `true` when the shard holds no state.
@@ -417,7 +503,7 @@ impl StateShard {
     /// Total bytes of the states currently stored.
     pub(crate) fn stored_bytes(&self) -> u64 {
         let inner = self.inner.lock();
-        BF16_BYTES * (inner.rows.width * inner.slot_of.len()) as u64
+        BF16_BYTES * (inner.rows.width * inner.len()) as u64
     }
 
     /// Counted reads of a run of this shard's users under one lock. Every
@@ -438,7 +524,7 @@ impl StateShard {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         for (at, user) in probes.iter_mut().zip(users) {
-            *at = inner.slot_of.get(user).copied().unwrap_or(NIL);
+            *at = inner.slot_of(*user);
         }
         inner.stats.reads += users.len() as u64;
         let mut hits = 0;
@@ -469,14 +555,15 @@ impl StateShard {
     pub(crate) fn remove(&self, user: UserId) -> Option<Vec<f32>> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let at = *inner.slot_of.get(&user.0)?;
-        inner.release(at, self.order());
+        let bucket = inner.probe(user.0).ok()?;
+        let at = inner.index[bucket];
+        inner.release(at, bucket, self.order());
         Some(widen(inner.rows.row(at)))
     }
 
     /// Whether `user`'s state is stored; neither counted nor a touch.
     pub(crate) fn contains(&self, user: UserId) -> bool {
-        self.inner.lock().slot_of.contains_key(&user.0)
+        self.inner.lock().probe(user.0).is_ok()
     }
 }
 
@@ -891,6 +978,7 @@ impl ShardedStateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     /// The value of a bf16 by its definition, in `f64`: sign, 8-bit
@@ -1043,8 +1131,8 @@ mod tests {
 
     #[test]
     fn in_shard_hash_spreads_the_keys_a_shard_actually_holds() {
-        // A shard's keys all share `shard_index`; the slot map's hash must
-        // not. The map indexes buckets by the hash's low bits.
+        // A shard's keys all share `shard_index`; the index's hash must
+        // not. The index picks a home bucket by the hash's low bits.
         let store = ShardedStateStore::new(16);
         let mut buckets = vec![[0usize; 64]; 16];
         let mut held = [0usize; 16];
@@ -1130,6 +1218,176 @@ mod tests {
         assert_eq!(inner.rows.chunks.len(), 1);
         assert_eq!(inner.rows.chunks[0].capacity(), 6 * 3);
         assert_eq!(inner.rows.width, 3);
+        // And an index of 16 buckets, at most half full with 6 slots, sized
+        // at the first put and never grown by the 35 evictions since.
+        assert_eq!(inner.index.len(), 16);
+        assert_eq!(inner.index.iter().filter(|&&at| at != NIL).count(), 5);
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    }
+
+    /// Stores `value` for `user` in `shard`, one value wide.
+    fn put_one(shard: &StateShard, user: u64, value: f32) {
+        shard.put_run(&[user], &[value], 1);
+    }
+
+    /// Holds `shard`'s index to `reference`: each user there finds its
+    /// slot and reads back its value, each `absent` user misses, and the
+    /// index holds exactly the reference's users, at most half full.
+    fn check_index(shard: &StateShard, reference: &HashMap<u64, f32>, absent: &[u64]) {
+        let inner = shard.inner.lock();
+        for (&user, &value) in reference {
+            let at = inner.slot_of(user);
+            assert_ne!(at, NIL, "user {user} is not found");
+            assert_eq!(from_bf16(inner.rows.row(at)[0]), value, "user {user}");
+        }
+        for &user in absent {
+            assert_eq!(inner.slot_of(user), NIL, "user {user} is found");
+        }
+        let indexed = inner.index.iter().filter(|&&at| at != NIL).count();
+        assert_eq!(indexed, reference.len());
+        assert_eq!(inner.len(), reference.len());
+        assert!(
+            2 * indexed <= inner.index.len(),
+            "{indexed} in {}",
+            inner.index.len()
+        );
+    }
+
+    #[test]
+    fn removing_from_a_wrapped_cluster_shifts_its_tail_back() {
+        // An unbounded shard's first index has 16 buckets. Keys picked by
+        // search for their home buckets fill 14, 15, 0, 1, 2: one cluster
+        // that wraps past the table's end.
+        let shard = StateShard::new(None, EvictionPolicy::Lru);
+        let mut candidates = 0u64..;
+        let mut key_at_home = |home: u64| {
+            candidates
+                .find(|&user| in_shard_hash(user) & 15 == home)
+                .expect("the search is unbounded")
+        };
+        let keys = [14, 15, 14, 1, 0, 14].map(&mut key_at_home);
+        let layout = |shard: &StateShard, buckets: &[usize]| -> Vec<Option<u64>> {
+            let inner = shard.inner.lock();
+            let user = |&bucket: &usize| match inner.index[bucket] {
+                NIL => None,
+                at => Some(inner.slots[at as usize].user),
+            };
+            buckets.iter().map(user).collect()
+        };
+        let mut reference = HashMap::new();
+        let put = |user: u64, reference: &mut HashMap<u64, f32>| {
+            let value = reference.len() as f32;
+            put_one(&shard, user, value);
+            reference.insert(user, value);
+        };
+        for &user in &keys[..5] {
+            put(user, &mut reference);
+        }
+        let [k0, k1, k2, k3, k4, k5] = keys.map(Some);
+        assert_eq!(
+            layout(&shard, &[14, 15, 0, 1, 2, 3]),
+            [k0, k1, k2, k3, k4, None]
+        );
+        check_index(&shard, &reference, &[]);
+        // From the middle (bucket 15): the key homed at 14 moves back
+        // across the wrap, the one at its home (1) stays, and the last one,
+        // homed at 0, moves back into the hole at its own home.
+        assert!(shard.remove(UserId(keys[1])).is_some());
+        reference.remove(&keys[1]);
+        check_index(&shard, &reference, &keys[1..2]);
+        assert_eq!(layout(&shard, &[14, 15, 0, 1, 2]), [k0, k2, k4, k3, None]);
+        // From the wrapped part (bucket 0): the key at its home stays, and
+        // a key homed at 14 behind it moves back past it, across the wrap.
+        put(keys[5], &mut reference);
+        assert!(shard.remove(UserId(keys[4])).is_some());
+        reference.remove(&keys[4]);
+        check_index(&shard, &reference, &[keys[1], keys[4]]);
+        assert_eq!(layout(&shard, &[14, 15, 0, 1, 2]), [k0, k2, k5, k3, None]);
+    }
+
+    #[test]
+    fn the_index_agrees_with_a_hash_map_under_churn() {
+        // Two puts to a removal over a user range that starts at 8, so the
+        // first 16-bucket index churns full of wrapped clusters, and then
+        // doubles every 3,000 steps, so the shard grows through several
+        // doublings of its index while users keep leaving it.
+        let shard = StateShard::new(None, EvictionPolicy::Lru);
+        let mut reference = HashMap::new();
+        let mut sizes = vec![];
+        for step in 0..30_000u64 {
+            let range = 8 << (step / 3_000);
+            let draw = in_shard_hash(step ^ 0x5eed);
+            let user = (draw >> 8) % range;
+            if draw.is_multiple_of(3) {
+                let expected = reference.remove(&user);
+                let removed = shard.remove(UserId(user));
+                assert_eq!(removed, expected.map(|value| vec![value]), "step {step}");
+            } else {
+                let value = (step % 256) as f32;
+                put_one(&shard, user, value);
+                reference.insert(user, value);
+            }
+            let buckets = shard.inner.lock().index.len();
+            if sizes.last() != Some(&buckets) {
+                sizes.push(buckets);
+            }
+            if step % 97 == 0 || step < 3_000 {
+                let absent: Vec<u64> = (0..range).filter(|u| !reference.contains_key(u)).collect();
+                check_index(&shard, &reference, &absent);
+            }
+        }
+        let absent: Vec<u64> = (0..8 << 9).filter(|u| !reference.contains_key(u)).collect();
+        check_index(&shard, &reference, &absent);
+        assert!(sizes.len() >= 6, "the index went through sizes {sizes:?}");
+    }
+
+    #[test]
+    #[ignore = "10^6 users (≈ 290 MB); run with `cargo test --release -p pp-serving -- --ignored`"]
+    fn an_unbounded_store_finds_each_of_a_million_users() {
+        // The paper's scale: one H = 128 state per user of the product.
+        const USERS: u64 = 1_000_000;
+        let store = ShardedStateStore::new(16);
+        let mut state = [0.0f32; 128];
+        for id in 0..USERS {
+            state[0] = (id % 256) as f32;
+            store.put_state(UserId(id), &state);
+        }
+        assert_eq!(store.len(), USERS as usize);
+        for id in 0..USERS {
+            assert!(store.read_state_into(UserId(id), &mut state), "user {id}");
+            assert_eq!(state[0], (id % 256) as f32, "user {id}");
+        }
+        for id in USERS..2 * USERS {
+            assert!(!store.contains_state(UserId(id)), "user {id}");
+        }
+        let (mut bytes, mut probes, mut longest) = (0, 0, 0);
+        for shard in &store.shards {
+            let inner = shard.inner.lock();
+            bytes += 4 * inner.index.capacity()
+                + std::mem::size_of::<Slot>() * inner.slots.capacity()
+                + 4 * inner.free.capacity()
+                + inner
+                    .rows
+                    .chunks
+                    .iter()
+                    .map(|c| 2 * c.capacity())
+                    .sum::<usize>()
+                + std::mem::size_of::<Vec<u16>>() * inner.rows.chunks.capacity();
+            let mask = inner.index.len() - 1;
+            for (bucket, &at) in inner.index.iter().enumerate() {
+                if at != NIL {
+                    let home = inner.home(inner.slots[at as usize].user);
+                    let probe = (bucket.wrapping_sub(home) & mask) + 1;
+                    (probes, longest) = (probes + probe, longest.max(probe));
+                }
+            }
+        }
+        eprintln!(
+            "{USERS} users in 16 shards: {:.1} B per state; a hit probes {:.2} buckets, \
+             at most {longest}",
+            bytes as f64 / USERS as f64,
+            probes as f64 / USERS as f64
+        );
     }
 
     #[test]

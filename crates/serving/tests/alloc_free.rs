@@ -12,13 +12,13 @@
 //! Outside the brackets, and listed here because they do allocate:
 //! * turning [`BatchScratch::probabilities`] into `Prediction`s for callers
 //!   that want a `Vec` (`BatchScheduler::run`, the reply channel sends);
-//! * a shard's first put, which allocates its row arena, slab and slot map
-//!   (a bounded shard sizes all three for its capacity there);
-//! * an unbounded shard's arena gaining a 64-row chunk, and its slab and
-//!   slot map growing, as new users arrive;
-//! * a bounded shard's first eviction, which starts its free list, and the
-//!   one doubling of its slot map once erased keys' tombstones use up the
-//!   map's spare room;
+//! * a shard's first put, which allocates its row arena, slab and slot
+//!   index (a bounded shard sizes all three for its capacity there, and
+//!   never grows them);
+//! * an unbounded shard's arena gaining a 64-row chunk, and its slab
+//!   growing and slot index doubling, as new users arrive;
+//! * a bounded shard's first eviction, which starts its free list (the
+//!   index deletes without tombstones, so evictions never make it grow);
 //! * the engine's per-request `mpsc` channel, per-batch job vectors and
 //!   per-batch set of update users.
 //!

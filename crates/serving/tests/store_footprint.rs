@@ -1,17 +1,22 @@
 //! A stored state costs its bytes and no allocation of its own. Filling
 //! `ShardedStateStore::with_capacity_and_policy(16, 50_000, Lru)` with
 //! 50,000 H = 128 states makes a handful of allocations per shard (its
-//! slab, slot map and row arena, sized once at its first put), not one per
-//! state, and live bytes stay within `2 · width + 96` per stored state —
-//! after the fill and after 100,000 evicting puts of new users.
+//! slab, slot index and row arena, sized once at its first put), not one
+//! per state, and live bytes stay within `2 · width + 40` per stored state —
+//! after the fill and after 100,000 evicting puts of new users, which make
+//! at most one allocation per shard (its free list's first entry).
 //!
 //! Before states moved into one row arena per shard, each state owned a
 //! `Vec<f32>`: this fill made 49,901 allocations and 160 reallocations for
 //! 49,694 resident states and held 608.4 B per state, and 630.2 B after the
 //! evicting puts, against the 512 B of the state itself. The `f32` arena's
 //! figures on the same fill were 72 allocations, 570.1 B and 588.9 B; with
-//! bf16 rows they are 72 allocations, 312.4 B and 332.8 B, against the
-//! state's 256 B.
+//! bf16 rows they were 72 allocations, 312.4 B and 332.8 B, against the
+//! state's 256 B, and the evicting puts made 25 allocations: a `HashMap`
+//! slot map doubled once its erased keys' tombstones used up its room. With
+//! 16-byte slots and an open-addressing index of `u32` slot numbers, which
+//! deletes without tombstones, they are 72 allocations, 284.4 B and
+//! 282.7 B, and the evicting puts make 9.
 //!
 //! Alone in its file: the counting allocator is process-wide, so no other
 //! test may run beside this one.
@@ -27,9 +32,9 @@ static GLOBAL: &StatsAlloc<System> = &INSTRUMENTED_SYSTEM;
 const SHARDS: usize = 16;
 const STATES: usize = 50_000;
 const WIDTH: usize = 128;
-/// Per state beyond its `2 · WIDTH` bytes of bf16 values: the 32-byte slot,
-/// the slot map's share and the arena's one spare row.
-const OVERHEAD: usize = 96;
+/// Per state beyond its `2 · WIDTH` bytes of bf16 values: the 16-byte slot,
+/// the index's two to four 4-byte buckets and the arena's one spare row.
+const OVERHEAD: usize = 40;
 
 /// Writes `id` into the state's first three values, one byte each: every
 /// integer below 256 is a bf16 value, so the store keeps them exactly.
@@ -80,10 +85,14 @@ fn a_stored_state_costs_its_bytes_and_no_allocation_of_its_own() {
     let evicted = region.change();
     assert_eq!(store.len(), STATES);
     let bytes = live_per_state(evicted, STATES);
+    let allocations = evicted.allocations - filled.allocations;
     eprintln!(
-        "after evicting puts: {} allocations, {} reallocations, {bytes:.1} B per state",
-        evicted.allocations - filled.allocations,
+        "after evicting puts: {allocations} allocations, {} reallocations, {bytes:.1} B per state",
         evicted.reallocations - filled.reallocations
+    );
+    assert!(
+        allocations <= SHARDS,
+        "the evicting puts made {allocations} allocations: more than a free list per shard"
     );
     assert!(
         bytes <= (2 * WIDTH + OVERHEAD) as f64,

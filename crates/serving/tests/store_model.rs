@@ -7,13 +7,19 @@
 //! Batch reads and puts are checked against the reference applied one user
 //! at a time, in order: a batch must be indistinguishable from its rows. The
 //! reference keeps each state rounded to bf16, as the store does, and counts
-//! two bytes a value.
+//! two bytes a value. Each case draws its users from 32 ids or from 1,024:
+//! the small range keeps shards full and evicting, the large one grows an
+//! unbounded shard's slot index through several doublings, to long probe
+//! runs.
 
 use pp_data::schema::UserId;
 use pp_serving::{EvictionPolicy, ShardedStateStore, StoreStats};
 use proptest::prelude::*;
 
+/// The small user range, every user of which is checked after every step.
 const USERS: u64 = 32;
+/// The large user range.
+const WIDE_USERS: u64 = 1_024;
 const WIDTH: usize = 4;
 
 /// One shard of the reference.
@@ -127,9 +133,9 @@ fn batch(store: &ShardedStateStore, drawn: &[u64], value: i32) -> Vec<UserId> {
 /// One step: `(kind, user, value, batch of 1–8 users)`.
 type Op = (u8, u64, i32, Vec<u64>);
 
-/// Runs `ops` through `store` and a reference of the same shape, comparing
-/// after every step.
-fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[Op]) {
+/// Runs `ops`, whose users are below `users`, through `store` and a
+/// reference of the same shape, comparing after every step.
+fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[Op], users: u64) {
     let mut reference: Vec<Reference> = (0..store.num_shards())
         .map(|shard| Reference {
             capacity: store.shard(shard).capacity(),
@@ -200,6 +206,15 @@ fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[Op]) {
                 "step {step}: residency of user {probe}"
             );
         }
+        // Past the small range, every user the reference holds; the lengths
+        // below then rule out any other resident user.
+        for probe in reference.iter().flat_map(|shard| &shard.entries) {
+            assert!(
+                store.contains_state(UserId(probe.0)),
+                "step {step}: residency of user {}",
+                probe.0
+            );
+        }
         let stats = store.stats();
         assert_eq!(stats, total(&reference), "step {step}");
         assert!(stats.hits <= stats.reads);
@@ -211,7 +226,7 @@ fn agree(store: &ShardedStateStore, policy: EvictionPolicy, ops: &[Op]) {
         }
     }
     // What is left holds the same bits.
-    for user in 0..USERS {
+    for user in 0..users {
         let expected = reference[store.shard_index(UserId(user))].remove(user);
         let found = store.remove_state(UserId(user));
         assert_eq!(found.as_deref().map(bits), expected.as_deref().map(bits));
@@ -223,20 +238,29 @@ proptest! {
     #[test]
     fn store_agrees_with_a_linear_scan_reference(
         ops in prop::collection::vec(
-            (0u8..10, 0..USERS, -50i32..50, prop::collection::vec(0..USERS, 1..9)),
+            (0u8..10, 0..WIDE_USERS, -50i32..50, prop::collection::vec(0..WIDE_USERS, 1..9)),
             1..240,
         ),
         per_shard in 1usize..8,
         spare in 0usize..4,
+        wide in any::<bool>(),
     ) {
+        // The drawn users, folded into the case's range.
+        let users = if wide { WIDE_USERS } else { USERS };
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(kind, user, value, drawn)| {
+                (kind, user % users, value, drawn.iter().map(|u| u % users).collect())
+            })
+            .collect();
         for shards in [1, 4] {
-            agree(&ShardedStateStore::new(shards), EvictionPolicy::Lru, &ops);
+            agree(&ShardedStateStore::new(shards), EvictionPolicy::Lru, &ops, users);
             for policy in [EvictionPolicy::Lru, EvictionPolicy::FrequencyWeighted] {
                 // Shard bounds of 1–8 states, not all equal when `spare` is
                 // not a multiple of the shard count.
                 let capacity = shards * per_shard + spare % shards;
                 let store = ShardedStateStore::with_capacity_and_policy(shards, capacity, policy);
-                agree(&store, policy, &ops);
+                agree(&store, policy, &ops, users);
             }
         }
     }
