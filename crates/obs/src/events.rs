@@ -1,5 +1,5 @@
 //! The bounded structured-event log: a mutex-guarded ring buffer of
-//! typed events, drainable to JSONL.
+//! typed, serializable events.
 //!
 //! Events capture the *dynamics* the cumulative metric counters flatten
 //! away — when a threshold moved, when the budget bucket first ran dry,
@@ -160,34 +160,6 @@ impl EventLog {
         let mut ring = self.inner.lock_recover();
         ring.events.drain(..).collect()
     }
-
-    /// Renders events as JSON Lines (one object per line).
-    #[must_use]
-    pub fn to_jsonl(events: &[Event]) -> String {
-        let mut out = String::new();
-        for event in events {
-            out.push_str(&serde_json::to_string(event).expect("events always serialize"));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders events as JSON Lines followed by a `{"footer":true,...}`
-    /// accounting line, so a truncated dump is distinguishable from a
-    /// complete one and silent drops are visible in the artifact itself.
-    /// `dropped`/`recorded` come from the log that buffered the events
-    /// ([`EventLog::dropped`] / [`EventLog::recorded`]).
-    #[must_use]
-    pub fn to_jsonl_with_footer(events: &[Event], dropped: u64, recorded: u64) -> String {
-        let mut out = Self::to_jsonl(events);
-        out.push_str(&format!(
-            "{{\"footer\":true,\"events\":{},\"events_dropped\":{},\"events_recorded\":{}}}\n",
-            events.len(),
-            dropped,
-            recorded,
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -215,38 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn overfilled_ring_reports_the_exact_drop_count_in_the_footer() {
-        let log = EventLog::new(8);
-        for i in 0..50i64 {
-            log.record(i, EventKind::EvictionStorm, "prefetch_cache", i as f64);
-        }
-        let (dropped, recorded) = (log.dropped(), log.recorded());
-        let events = log.drain();
-        let jsonl = EventLog::to_jsonl_with_footer(&events, dropped, recorded);
-        assert_eq!(jsonl.lines().count(), 9, "8 events + 1 footer");
-        let footer: serde::Value = serde_json::from_str(jsonl.lines().last().unwrap()).unwrap();
-        let pairs = footer.as_object().expect("footer object");
-        let get = |k: &str| {
-            pairs
-                .iter()
-                .find(|(key, _)| key == k)
-                .and_then(|(_, v)| v.as_u64())
-        };
-        assert_eq!(get("events"), Some(8));
-        assert_eq!(get("events_dropped"), Some(42));
-        assert_eq!(get("events_recorded"), Some(50));
-    }
-
-    #[test]
     fn events_roundtrip_through_jsonl() {
         let log = EventLog::new(4);
         log.record(7, EventKind::Recalibration, "Timeshift", 0.55);
         let events = log.drain();
-        let jsonl = EventLog::to_jsonl(&events);
-        assert_eq!(jsonl.lines().count(), 1);
-        let back: Event = serde_json::from_str(jsonl.lines().next().unwrap()).unwrap();
+        let line = serde_json::to_string(&events[0]).unwrap();
+        assert!(!line.contains('\n'), "one event, one line");
+        let back: Event = serde_json::from_str(&line).unwrap();
         assert_eq!(back, events[0]);
-        assert!(jsonl.contains("\"Recalibration\""));
+        assert!(line.contains("\"Recalibration\""));
     }
 
     #[test]

@@ -8,22 +8,20 @@
 //!
 //! * [`metrics`] — [`Counter`], [`Gauge`], and the log-bucketed latency
 //!   [`Histogram`] (exact counts, interpolated p50/p90/p99, merge-able
-//!   across threads), plus the zero-alloc [`SpanTimer`] RAII guard and the
-//!   explicit [`Stopwatch`] for hot-path timing;
-//! * [`events`] — the bounded ring-buffer [`EventLog`] of structured
-//!   [`Event`]s (threshold moves, budget exhaustion, eviction storms,
-//!   recalibration windows), drainable to JSONL;
+//!   across threads), plus the zero-alloc [`Stopwatch`] for hot-path
+//!   timing;
+//! * [`events`] — the bounded ring-buffer [`EventLog`] of structured,
+//!   serializable [`Event`]s (threshold moves, budget exhaustion, eviction
+//!   storms, recalibration windows);
 //! * [`registry`] — the global-or-injected [`MetricsRegistry`] handing out
-//!   named metric handles, its serializable [`Snapshot`], and the periodic
-//!   [`Reporter`];
+//!   named metric handles, and its serializable [`Snapshot`];
 //! * [`sync`] — the [`LockPolicy`] extension trait naming the workspace's
 //!   mutex poison policies (`lock_or_panic` for engine-critical state,
 //!   `lock_recover` for observability state), and
 //!   [`sync::spawn_worker`], which names a worker thread and gives it exact
 //!   timers; **not** feature-gated;
 //! * [`trace`] — the sampled per-request [`Tracer`] (deterministic
-//!   seeded-hash sampling, bounded per-worker [`Span`] buffers), the
-//!   Chrome trace-event exporter [`chrome_trace_json`], and the
+//!   seeded-hash sampling, bounded per-worker [`Span`] buffers) and the
 //!   [`TailReport`] latency attribution.
 //!
 //! ## Compiled-out mode
@@ -44,14 +42,12 @@ pub mod sync;
 pub mod trace;
 
 pub use events::{Event, EventKind, EventLog};
-pub use metrics::{Counter, Gauge, Histogram, SpanTimer, Stopwatch};
-pub use registry::{
-    CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsRegistry, Reporter, Snapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, Stopwatch};
+pub use registry::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsRegistry, Snapshot};
 pub use sync::LockPolicy;
 pub use trace::{
-    chrome_trace_json, tail_report, Span, SpanBuilder, SpanId, Stage, StageTail, TailReport,
-    TraceId, Tracer, TracerConfig,
+    tail_report, Span, SpanBuilder, SpanId, Stage, StageTail, TailReport, TraceId, Tracer,
+    TracerConfig,
 };
 
 /// Whether instrumentation is compiled in (the `enabled` cargo feature).

@@ -1,5 +1,5 @@
 //! Atomic metric primitives: counters, gauges, log-bucketed latency
-//! histograms, and the timers that feed them.
+//! histograms, and the stopwatch that feeds them.
 //!
 //! Everything here is lock-free and shareable across threads behind an
 //! `Arc`. Recording is wait-free (a handful of relaxed atomic RMWs); in
@@ -7,7 +7,7 @@
 //! constant-folds to nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -174,22 +174,6 @@ impl Histogram {
         }
     }
 
-    /// Records a duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, duration: Duration) {
-        self.record(duration.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Starts a [`SpanTimer`] that records into this histogram on drop.
-    #[inline]
-    #[must_use]
-    pub fn span(&self) -> SpanTimer<'_> {
-        SpanTimer {
-            histogram: self,
-            started: crate::is_enabled().then(Instant::now),
-        }
-    }
-
     /// Number of recorded values.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -272,26 +256,10 @@ impl Histogram {
     }
 }
 
-/// A zero-alloc RAII guard recording elapsed nanoseconds into its
-/// histogram on drop. Obtain one via [`Histogram::span`]; in the
-/// compiled-out build neither the clock read nor the drop does anything.
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    histogram: &'a Histogram,
-    started: Option<Instant>,
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(started) = self.started {
-            self.histogram.record_duration(started.elapsed());
-        }
-    }
-}
-
-/// An explicit start/record timer for paths where RAII scoping is
-/// awkward (e.g. timing only one branch of a loop). `Copy`, so it can be
-/// recorded without ceremony; dropping it without recording is fine.
+/// A start/record timer: [`Stopwatch::start`] reads the clock and
+/// [`Stopwatch::record`] records the elapsed nanoseconds into a histogram,
+/// so the span may end in another scope than it began. `Copy`; dropping
+/// it without recording is fine.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: Option<Instant>,
@@ -311,16 +279,8 @@ impl Stopwatch {
     #[inline]
     pub fn record(self, histogram: &Histogram) {
         if let Some(started) = self.started {
-            histogram.record_duration(started.elapsed());
+            histogram.record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-    }
-
-    /// Elapsed nanoseconds so far (0 in the compiled-out build).
-    #[must_use]
-    pub fn elapsed_nanos(self) -> u64 {
-        self.started.map_or(0, |s| {
-            s.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-        })
     }
 }
 
@@ -426,13 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn span_timer_and_stopwatch_record() {
+    fn stopwatch_records_into_its_histogram() {
         let histogram = Histogram::new();
-        {
-            let _span = histogram.span();
-            std::hint::black_box(0);
-        }
         let sw = Stopwatch::start();
+        std::hint::black_box(0);
+        sw.record(&histogram);
         sw.record(&histogram);
         assert_eq!(histogram.count(), 2);
         assert!(histogram.max() > 0, "elapsed time must be non-zero");

@@ -1,5 +1,5 @@
-//! The metrics registry: named metric handles, point-in-time snapshots,
-//! and the periodic reporter.
+//! The metrics registry: named metric handles and point-in-time
+//! snapshots.
 //!
 //! Consumers look a handle up **once** (typically into an
 //! `OnceLock`-cached struct of `Arc`s) and record through the atomics
@@ -200,8 +200,8 @@ pub struct Snapshot {
     pub histograms: Vec<HistogramSnapshot>,
     /// Events sitting in the ring at snapshot time.
     pub events_buffered: u64,
-    /// Events dropped by the ring bound so far — non-zero means the
-    /// JSONL dump is missing that many oldest events.
+    /// Events dropped by the ring bound so far — non-zero means a drain
+    /// is missing that many oldest events.
     pub events_dropped: u64,
     /// Total events ever recorded (buffered + drained + dropped).
     pub events_recorded: u64,
@@ -224,47 +224,6 @@ impl Snapshot {
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-}
-
-/// Drives periodic snapshots off a caller-supplied clock (the simulators
-/// run on traffic time, not wall time, so the reporter does too).
-#[derive(Debug)]
-pub struct Reporter {
-    period: i64,
-    last: Option<i64>,
-}
-
-impl Reporter {
-    /// Creates a reporter snapshotting every `period` clock units.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `period` is not positive.
-    #[must_use]
-    pub fn new(period: i64) -> Self {
-        assert!(period > 0, "reporter period must be positive");
-        Self { period, last: None }
-    }
-
-    /// Takes a snapshot when `now` is at least a period past the last
-    /// one (the first tick always reports).
-    pub fn tick(&mut self, registry: &MetricsRegistry, now: i64) -> Option<Snapshot> {
-        match self.last {
-            Some(last) if now - last < self.period => None,
-            _ => {
-                self.last = Some(now);
-                Some(registry.snapshot())
-            }
-        }
-    }
-
-    /// Forgets the last tick, so the next one always reports. Call when
-    /// the caller's clock restarts (e.g. a new simulator scenario) —
-    /// otherwise a clock that jumps backwards yields a negative delta
-    /// and the reporter never fires again.
-    pub fn reset(&mut self) {
-        self.last = None;
     }
 }
 
@@ -321,30 +280,5 @@ mod tests {
         let json = serde_json::to_string(&snapshot).unwrap();
         assert!(json.contains("\"events_dropped\":42"));
         assert!(json.contains("\"events_recorded\":50"));
-    }
-
-    #[test]
-    fn reporter_reset_survives_a_clock_restart() {
-        let registry = MetricsRegistry::new();
-        let mut reporter = Reporter::new(10);
-        assert!(reporter.tick(&registry, 100).is_some());
-        // The clock restarted (new scenario): without a reset the delta
-        // is negative forever and the reporter never fires again.
-        reporter.reset();
-        assert!(reporter.tick(&registry, 0).is_some());
-        assert!(reporter.tick(&registry, 5).is_none());
-        assert!(reporter.tick(&registry, 10).is_some());
-    }
-
-    #[test]
-    fn reporter_fires_once_per_period() {
-        let registry = MetricsRegistry::new();
-        let mut reporter = Reporter::new(10);
-        assert!(reporter.tick(&registry, 0).is_some(), "first tick reports");
-        assert!(reporter.tick(&registry, 5).is_none());
-        assert!(reporter.tick(&registry, 9).is_none());
-        assert!(reporter.tick(&registry, 10).is_some());
-        assert!(reporter.tick(&registry, 11).is_none());
-        assert!(reporter.tick(&registry, 25).is_some());
     }
 }

@@ -13,14 +13,10 @@
 //! serving spans, so one trace follows a user across the predict → decide
 //! → act boundary.
 //!
-//! Exports:
-//!
-//! * [`chrome_trace_json`] — the Chrome trace-event format (open in
-//!   Perfetto or `chrome://tracing`); a caller drains the tracer and
-//!   writes the string wherever it wants the file;
-//! * [`tail_report`] — the [`TailReport`]: end-to-end p50/p90/p99
-//!   decomposed by stage, plus queue-time vs service-time share for the
-//!   slowest percentile.
+//! A caller drains the tracer ([`Tracer::drain`]) and folds the spans with
+//! [`tail_report`] into a [`TailReport`]: end-to-end p50/p90/p99
+//! decomposed by stage, plus queue-time vs service-time share for the
+//! slowest percentile.
 //!
 //! Everything honors the crate's compile-time `enabled` feature: with it
 //! off, [`Tracer::enabled`] is `false`, recording folds away, and the
@@ -200,22 +196,35 @@ impl TracerConfig {
     /// Resolves the config from the environment: `PP_TRACE_SAMPLE`
     /// (sampling denominator, default 64, 0 disables) and `PP_TRACE_SEED`
     /// (hash seed, default 17).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when either is set but
+    /// is not a `u64`.
     #[must_use]
     pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Some(n) = std::env::var("PP_TRACE_SAMPLE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            config.sample_every = n;
+        let var = |name| std::env::var(name).ok();
+        Self::from_vars(
+            var("PP_TRACE_SAMPLE").as_deref(),
+            var("PP_TRACE_SEED").as_deref(),
+        )
+    }
+
+    /// The config for the given `PP_TRACE_SAMPLE` and `PP_TRACE_SEED`
+    /// values (`None` = unset).
+    fn from_vars(sample: Option<&str>, seed: Option<&str>) -> Self {
+        let defaults = Self::default();
+        let parse = |name: &str, value: Option<&str>, default: u64| {
+            value.map_or(default, |raw| {
+                raw.parse()
+                    .unwrap_or_else(|_| panic!("{name}={raw:?} is not a valid value"))
+            })
+        };
+        Self {
+            sample_every: parse("PP_TRACE_SAMPLE", sample, defaults.sample_every),
+            seed: parse("PP_TRACE_SEED", seed, defaults.seed),
+            ..defaults
         }
-        if let Some(seed) = std::env::var("PP_TRACE_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            config.seed = seed;
-        }
-        config
     }
 }
 
@@ -399,46 +408,6 @@ impl Tracer {
         spans.sort_by_key(|s| (s.start_ns, s.span.0));
         spans
     }
-}
-
-/// Renders spans in the Chrome trace-event JSON format (complete `"X"`
-/// events, microsecond timestamps): load the file in Perfetto or
-/// `chrome://tracing`. `pid` 1 is the serving engine, `pid` 2 the
-/// precompute loop; `tid` is the serving worker index. `args` carries the
-/// trace/span/parent ids and the batch link, so member jobs of one batch
-/// are recoverable in the UI.
-#[must_use]
-pub fn chrome_trace_json(spans: &[Span]) -> String {
-    let mut out = String::with_capacity(128 + spans.len() * 160);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    for (i, span) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let pid = if matches!(span.stage, Stage::WaveAdmission | Stage::CacheInsert) {
-            2
-        } else {
-            1
-        };
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-             \"pid\":{},\"tid\":{},\"args\":{{\"trace\":{},\"span\":{},\"parent\":{},\
-             \"user\":{},\"batch\":{}}}}}",
-            span.stage.name(),
-            if pid == 2 { "precompute" } else { "serving" },
-            span.start_ns as f64 / 1_000.0,
-            span.duration_ns() as f64 / 1_000.0,
-            pid,
-            span.worker,
-            span.trace.0,
-            span.span.0,
-            span.parent.0,
-            span.user,
-            span.batch,
-        ));
-    }
-    out.push_str("]}");
-    out
 }
 
 /// Linear-interpolated percentile of an already-sorted slice (0.0 when
@@ -799,6 +768,27 @@ mod tests {
     }
 
     #[test]
+    fn env_values_parse_and_unset_ones_keep_the_defaults() {
+        let unset = TracerConfig::from_vars(None, None);
+        assert_eq!((unset.sample_every, unset.seed), (64, 17));
+        let set = TracerConfig::from_vars(Some("0"), Some("23"));
+        assert_eq!((set.sample_every, set.seed), (0, 23));
+        assert_eq!(set.lane_capacity, TracerConfig::default().lane_capacity);
+    }
+
+    #[test]
+    #[should_panic(expected = "PP_TRACE_SAMPLE=\"6d\" is not a valid value")]
+    fn an_unparsable_sample_rate_panics_naming_it() {
+        let _ = TracerConfig::from_vars(Some("6d"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "PP_TRACE_SEED=\"-1\" is not a valid value")]
+    fn an_unparsable_seed_panics_naming_it() {
+        let _ = TracerConfig::from_vars(None, Some("-1"));
+    }
+
+    #[test]
     fn lanes_are_bounded_and_drops_are_counted() {
         let tracer = Tracer::new(TracerConfig {
             sample_every: 1,
@@ -818,74 +808,6 @@ mod tests {
             drained.windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
             "drain must be start-time sorted"
         );
-    }
-
-    #[test]
-    fn chrome_export_is_valid_json_with_complete_events() {
-        let mut spans = request_tree(1, 99, 1_000, 10_000, 0, 2_000, 5_000, 500);
-        spans.push(Span {
-            trace: TraceId(7),
-            span: SpanId(50),
-            parent: SpanId::NONE,
-            stage: Stage::WaveAdmission,
-            worker: Span::WAVE_WORKER,
-            user: 0,
-            batch: 3,
-            start_ns: 9_000,
-            end_ns: 12_000,
-        });
-        let json = chrome_trace_json(&spans);
-        let value: serde::Value = serde_json::from_str(&json).expect("chrome export parses");
-        let events = value
-            .as_object()
-            .and_then(|o| o.iter().find(|(k, _)| k == "traceEvents"))
-            .and_then(|(_, v)| v.as_array())
-            .expect("traceEvents array");
-        assert_eq!(events.len(), spans.len());
-        for event in events {
-            let pairs = event.as_object().expect("event object");
-            let get = |k: &str| pairs.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-            assert_eq!(get("ph").and_then(|v| v.as_str()), Some("X"));
-            assert!(get("ts").and_then(serde::Value::as_f64).is_some());
-            assert!(get("dur").and_then(serde::Value::as_f64).unwrap() >= 0.0);
-            assert!(get("name").and_then(|v| v.as_str()).is_some());
-        }
-        // The request span's ts/dur are in microseconds.
-        let request = events
-            .iter()
-            .find(|e| {
-                e.as_object()
-                    .and_then(|p| p.iter().find(|(k, _)| k == "name"))
-                    .and_then(|(_, v)| v.as_str())
-                    == Some("request")
-            })
-            .unwrap()
-            .as_object()
-            .unwrap();
-        let dur = request
-            .iter()
-            .find(|(k, _)| k == "dur")
-            .and_then(|(_, v)| v.as_f64())
-            .unwrap();
-        assert!((dur - 17.5).abs() < 1e-9, "17500 ns = 17.5 µs, got {dur}");
-        // The precompute span lands on pid 2.
-        let wave = events
-            .iter()
-            .find(|e| {
-                e.as_object()
-                    .and_then(|p| p.iter().find(|(k, _)| k == "name"))
-                    .and_then(|(_, v)| v.as_str())
-                    == Some("wave_admission")
-            })
-            .unwrap();
-        let pid = wave
-            .as_object()
-            .unwrap()
-            .iter()
-            .find(|(k, _)| k == "pid")
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap();
-        assert_eq!(pid, 2);
     }
 
     #[test]

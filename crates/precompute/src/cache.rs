@@ -236,8 +236,6 @@ impl PrefetchCache {
         let evictions_before = stats.lru_evictions;
         stats.lru_evictions += effects.lru_evicted;
         stats.expirations += effects.expired;
-        obs.cache_evicted.add(effects.lru_evicted);
-        obs.cache_expired.add(effects.expired);
         // An eviction storm: cumulative LRU evictions crossed another
         // multiple of the storm stride — inserts are displacing live
         // payloads faster than sessions consume them.
@@ -268,17 +266,14 @@ impl PrefetchCache {
         let payload = match entry {
             Some(entry) if entry.expires_at > now => {
                 stats.hits += 1;
-                obs.cache_hits.inc();
                 Some(entry.payload)
             }
             Some(_) => {
                 stats.expirations += 1;
-                obs.cache_expired.inc();
                 None
             }
             None => {
                 stats.misses += 1;
-                obs.cache_misses.inc();
                 None
             }
         };

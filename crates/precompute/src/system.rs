@@ -377,10 +377,8 @@ impl PrecomputeSystem {
         }
         let mut denied_budget = false;
         for (&i, admission) in candidates.iter().zip(&admissions) {
-            let activity = decisions[i].activity;
             match admission {
                 AdmitResult::Admitted => {
-                    obs.admitted[activity].inc();
                     let user = decisions[i].user_id.0;
                     let insert_span =
                         (wave_traced && tracer.sampled(user)).then(pp_obs::SpanBuilder::start);
@@ -402,7 +400,6 @@ impl PrecomputeSystem {
                     }
                 }
                 AdmitResult::DeniedBudget | AdmitResult::DeniedInflight => {
-                    obs.denied[activity].inc();
                     denied_budget |= *admission == AdmitResult::DeniedBudget;
                     decisions[i].action = Action::Denied;
                 }

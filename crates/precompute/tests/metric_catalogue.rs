@@ -1,0 +1,78 @@
+//! The metric catalogue in `docs/observability.md` is the code's: the
+//! serving and precompute handles, registered on a fresh registry, produce
+//! exactly the names (and kinds) its catalogue tables list, with `<slug>`
+//! expanded over the activities. `ppbench` reads four serving histograms by
+//! name and reads a missing one as 0, so a rename here would zero four
+//! ledger lines without failing anything else.
+
+use pp_obs::MetricsRegistry;
+use pp_precompute::{Activity, PrecomputeObs};
+use pp_serving::ServingObs;
+use std::collections::BTreeSet;
+
+const DOC: &str = include_str!("../../../docs/observability.md");
+
+/// The histograms `ppbench` reads by name.
+const READ_BY_NAME: [&str; 4] = [
+    "serving.forward_pass_ns",
+    "serving.batch_assembly_ns",
+    "serving.coalesce_wait_ns",
+    "serving.batch_size",
+];
+
+/// `(name, kind)` of every row of the doc's `## Metric catalogue` tables.
+fn documented() -> BTreeSet<(String, String)> {
+    let start = DOC
+        .find("\n## Metric catalogue")
+        .expect("a Metric catalogue section");
+    let section = &DOC[start + 1..];
+    let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+    let mut rows = BTreeSet::new();
+    for line in section.lines().filter(|l| l.starts_with("| `")) {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let name = cells[1].trim_matches('`');
+        let kind = cells[2].to_string();
+        if name.contains("<slug>") {
+            for activity in Activity::ALL {
+                rows.insert((name.replace("<slug>", activity.slug()), kind.clone()));
+            }
+        } else {
+            rows.insert((name.to_string(), kind));
+        }
+    }
+    rows
+}
+
+#[test]
+fn the_documented_catalogue_is_what_the_code_registers() {
+    let registry = MetricsRegistry::new();
+    let _ = ServingObs::register(&registry);
+    let _ = PrecomputeObs::register(&registry);
+    let snapshot = registry.snapshot();
+    let counters = snapshot.counters.iter().map(|c| (&c.name, "counter"));
+    let gauges = snapshot.gauges.iter().map(|g| (&g.name, "gauge"));
+    let histograms = snapshot.histograms.iter().map(|h| (&h.name, "histogram"));
+    let registered: BTreeSet<(String, String)> = counters
+        .chain(gauges)
+        .chain(histograms)
+        .map(|(name, kind)| (name.clone(), kind.to_string()))
+        .collect();
+
+    let documented = documented();
+    let undocumented: Vec<_> = registered.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "registered but not in docs/observability.md's catalogue: {undocumented:?}"
+    );
+    let unregistered: Vec<_> = documented.difference(&registered).collect();
+    assert!(
+        unregistered.is_empty(),
+        "in docs/observability.md's catalogue but not registered: {unregistered:?}"
+    );
+    for name in READ_BY_NAME {
+        assert!(
+            snapshot.histogram(name).is_some(),
+            "ppbench reads the histogram {name}, which is not registered"
+        );
+    }
+}

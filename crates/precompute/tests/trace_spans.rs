@@ -2,32 +2,26 @@
 //! [`PrecomputeSystem::handle_wave`] must emit one `wave_admission` span per
 //! traced wave and one `cache_insert` span per admitted prefetch, every span
 //! closed, each insert linked to its wave through the shared `batch`
-//! sequence number, and the Chrome trace-event export must carry them as
-//! complete events under `pid` 2.
+//! sequence number, and no span of another stage.
 //!
 //! This file owns its process's global [`Tracer`]: it holds exactly one
 //! test, which sets the sampling knobs before the first `Tracer::global()`
 //! touch.
 
 use pp_data::schema::UserId;
-use pp_obs::{chrome_trace_json, Stage, Tracer};
+use pp_obs::{Stage, Tracer};
 use pp_precompute::{
     Activity, AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig, PrecomputeSystem,
     SystemConfig,
 };
 use pp_serving::Prediction;
-use serde::Value;
 use std::collections::HashSet;
 
 const WAVES: i64 = 20;
 const USERS_PER_WAVE: u64 = 16;
 
-fn field<'a>(object: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    object.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
 #[test]
-fn handle_wave_emits_closed_linked_spans_that_export_as_chrome_events() {
+fn handle_wave_emits_closed_linked_spans() {
     std::env::set_var("PP_TRACE_SAMPLE", "1");
     std::env::set_var("PP_TRACE_SEED", "17");
 
@@ -85,30 +79,15 @@ fn handle_wave_emits_closed_linked_spans_that_export_as_chrome_events() {
     assert!(!inserts.is_empty());
     for span in &spans {
         assert!(span.end_ns >= span.start_ns, "open span: {span:?}");
+        assert!(
+            matches!(span.stage, Stage::WaveAdmission | Stage::CacheInsert),
+            "the precompute loop emitted a span of another stage: {span:?}"
+        );
     }
     for insert in &inserts {
         assert!(
             waves.contains(&insert.batch),
             "cache_insert links no wave_admission span: {insert:?}"
         );
-    }
-
-    let root: Value = serde_json::from_str(&chrome_trace_json(&spans)).expect("valid JSON");
-    let events = root
-        .as_object()
-        .and_then(|o| field(o, "traceEvents"))
-        .and_then(Value::as_array)
-        .expect("a traceEvents array");
-    assert_eq!(events.len(), spans.len());
-    for event in events {
-        let event = event.as_object().expect("event is an object");
-        assert_eq!(field(event, "ph").and_then(Value::as_str), Some("X"));
-        for key in ["ts", "dur", "pid", "tid"] {
-            assert!(
-                field(event, key).and_then(Value::as_f64).is_some(),
-                "event without a numeric {key}: {event:?}"
-            );
-        }
-        assert_eq!(field(event, "pid").and_then(Value::as_u64), Some(2));
     }
 }

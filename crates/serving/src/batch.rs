@@ -465,9 +465,6 @@ struct EngineShared {
     /// Worker threads still running. The one that takes it to zero closes
     /// the engine (see [`WorkerExit`]).
     alive: AtomicUsize,
-    predictions: AtomicU64,
-    updates: AtomicU64,
-    batches: AtomicU64,
     largest_batch: AtomicUsize,
 }
 
@@ -495,9 +492,6 @@ impl EngineShared {
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             alive: AtomicUsize::new(workers),
-            predictions: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             largest_batch: AtomicUsize::new(0),
         }
     }
@@ -716,12 +710,14 @@ impl BatchServingEngine {
         })
     }
 
-    /// Counters accumulated so far.
+    /// Counters accumulated so far: the per-worker counters summed.
     pub fn stats(&self) -> EngineStats {
+        let workers = self.worker_stats();
+        let sum = |count: fn(&WorkerStats) -> u64| workers.iter().map(count).sum();
         EngineStats {
-            predictions: self.shared.predictions.load(Ordering::Relaxed),
-            updates: self.shared.updates.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
+            predictions: sum(|w| w.predictions),
+            updates: sum(|w| w.updates),
+            batches: sum(|w| w.batches),
             largest_batch: self.shared.largest_batch.load(Ordering::Relaxed),
         }
     }
@@ -1024,7 +1020,6 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             drop(gen);
             let idle_ns = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
             counters.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
-            obs.worker_idle_ns.add(idle_ns);
             continue;
         }
 
@@ -1091,13 +1086,10 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         let size = batch.jobs.len();
         // All batch-level accounting lands before any reply is sent, so a
         // client that read its reply sees this batch in `stats()`.
-        shared.batches.fetch_add(1, Ordering::Relaxed);
         counters.batches.fetch_add(1, Ordering::Relaxed);
         shared.largest_batch.fetch_max(size, Ordering::Relaxed);
-        obs.worker_batches.inc();
         if batch.stole {
             counters.steals.fetch_add(1, Ordering::Relaxed);
-            obs.worker_steals.inc();
         }
         // `enqueue` counts jobs in before it pushes them, so whatever this
         // worker drained has already been added.
@@ -1124,7 +1116,6 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             let (model, store) = (&shared.model, &shared.store);
             update_chunk(model, store, requests.clone(), &mut scratch, marks.as_mut());
             write_back_chunk(store, requests, &scratch, marks.as_mut());
-            shared.updates.fetch_add(size as u64, Ordering::Relaxed);
             counters.updates.fetch_add(size as u64, Ordering::Relaxed);
             for job in &batch.jobs {
                 if let JobKind::Update { reply, .. } = &job.kind {
@@ -1143,7 +1134,6 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                 &mut scratch,
                 marks.as_mut(),
             );
-            shared.predictions.fetch_add(size as u64, Ordering::Relaxed);
             counters
                 .predictions
                 .fetch_add(size as u64, Ordering::Relaxed);

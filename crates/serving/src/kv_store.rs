@@ -108,8 +108,8 @@ mod tests {
         found
     }
 
-    fn put(shard: &StateShard, user: UserId, state: &[f32]) -> u64 {
-        shard.put_run(&[user.0], state, state.len())
+    fn put(shard: &StateShard, user: UserId, state: &[f32]) {
+        shard.put_run(&[user.0], state, state.len());
     }
 
     #[test]
@@ -159,7 +159,7 @@ mod tests {
         put(&store, C, &[3.0]);
         // Touch A so B becomes the least recently used.
         assert!(get(&store, A).is_some());
-        assert_eq!(put(&store, D, &[4.0]), 1);
+        put(&store, D, &[4.0]);
         assert_eq!(store.len(), 3);
         assert!(get(&store, B).is_none(), "LRU state should be evicted");
         assert!(get(&store, A).is_some());

@@ -21,8 +21,9 @@
 //!   [`BatchServingEngine`] coalescing concurrent session starts into
 //!   batched forward passes (one matmul per batch instead of per user);
 //! * [`obs`] — cached `pp-obs` handles instrumenting the batch queue, the
-//!   per-stage serving latencies, and the hidden-state store traffic
-//!   (compiled to no-ops without the `obs` feature).
+//!   per-stage serving latencies and coalesce-hold wake-ups (compiled to
+//!   no-ops without the `obs` feature); counts live in the typed
+//!   `StoreStats`, `EngineStats` and `WorkerStats`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -37,11 +37,12 @@
 //! time. A read run probes every key first, so the run's index misses
 //! overlap, then touches each hit and copies it into the caller's row in
 //! row order. A write run copies each row over the one already there, one
-//! user after another. The process-wide `serving.store.*` counters move once
-//! per call. A single user is a run of one through the same locked read or
-//! write. Neither path builds a key, encodes a value or, once the resident
-//! set is warm, allocates: an evicting put copies the newcomer into its
-//! victim's row.
+//! user after another. Each shard counts its reads, hits, writes and
+//! evictions under the run's lock ([`ShardedStateStore::stats`] sums them).
+//! A single user is a run of one through the same locked read or write.
+//! Neither path builds a key, encodes a value or, once the resident set is
+//! warm, allocates: an evicting put copies the newcomer into its victim's
+//! row.
 
 use crate::kv_store::{EvictionPolicy, StoreStats};
 use parking_lot::Mutex;
@@ -352,14 +353,8 @@ impl ShardInner {
     }
 
     /// Stores `state`, rounded to bf16, for `user`, overwriting the previous
-    /// one in place; returns how many states a new user's arrival evicted.
-    fn put(
-        &mut self,
-        user: u64,
-        state: &[f32],
-        capacity: Option<usize>,
-        policy: EvictionPolicy,
-    ) -> u64 {
+    /// one in place; a new user's arrival may evict.
+    fn put(&mut self, user: u64, state: &[f32], capacity: Option<usize>, policy: EvictionPolicy) {
         let order = capacity.map(|_| policy);
         self.stats.writes += 1;
         self.stats.bytes_written += BF16_BYTES * state.len() as u64;
@@ -380,7 +375,6 @@ impl ShardInner {
         };
         narrow_row(self.rows.row_mut(at), state);
         self.rank(at, order, freq);
-        let mut evicted = 0;
         if let Some(capacity) = capacity {
             while self.len() > capacity {
                 let victim = self.victim(policy);
@@ -388,11 +382,9 @@ impl ShardInner {
                     .probe(self.slots[victim as usize].user)
                     .expect("a ranked slot is indexed");
                 self.release(victim, bucket, order);
-                evicted += 1;
+                self.stats.evictions += 1;
             }
-            self.stats.evictions += evicted;
         }
-        evicted
     }
 
     /// Appends a slot and a row for `state`. A bounded shard's first put
@@ -539,16 +531,13 @@ impl StateShard {
 
     /// Stores row `i` of `rows` (`width` values each), rounded to bf16, for
     /// `users[i]` under one lock, one user after another. A put can evict a
-    /// later user of the same run, so nothing is probed ahead. Returns how
-    /// many states the run's new users evicted.
-    pub(crate) fn put_run(&self, users: &[u64], rows: &[f32], width: usize) -> u64 {
+    /// later user of the same run, so nothing is probed ahead.
+    pub(crate) fn put_run(&self, users: &[u64], rows: &[f32], width: usize) {
         let mut inner = self.inner.lock();
-        let mut evicted = 0;
         for (row, &user) in users.iter().enumerate() {
             let state = &rows[row * width..][..width];
-            evicted += inner.put(user, state, self.capacity, self.policy);
+            inner.put(user, state, self.capacity, self.policy);
         }
-        evicted
     }
 
     /// Removes `user`'s state, returning it (widened) if present.
@@ -627,27 +616,6 @@ fn copy_row(out: &mut [f32], state: &[u16]) {
     );
     for (value, &code) in out.iter_mut().zip(state) {
         *value = from_bf16(code);
-    }
-}
-
-/// Moves the process-wide read counters once for a call that read `reads`
-/// users and found `hits` of them. Each is a locked add on a line both
-/// workers write, so a zero is not added.
-fn count_reads(reads: usize, hits: u64) {
-    let obs = crate::obs::ServingObs::global();
-    obs.store_reads.add(reads as u64);
-    if hits > 0 {
-        obs.store_hits.add(hits);
-    }
-}
-
-/// Moves the process-wide write counters once for a call that stored
-/// `writes` states and evicted `evicted`.
-fn count_writes(writes: usize, evicted: u64) {
-    let obs = crate::obs::ServingObs::global();
-    obs.store_writes.add(writes as u64);
-    if evicted > 0 {
-        obs.store_evictions.add(evicted);
     }
 }
 
@@ -777,12 +745,11 @@ impl ShardedStateStore {
     /// at most `RUN` long, handing `run` the shard, the run's first position
     /// in `users` and its ids. Runs are visited one after another, so a
     /// caller that locks the shard inside `run` never holds two shard locks.
-    /// Returns the number of users.
     fn for_each_run(
         &self,
         users: impl IntoIterator<Item = UserId>,
         mut run: impl FnMut(&StateShard, usize, &[u64]),
-    ) -> usize {
+    ) {
         let mut users = users
             .into_iter()
             .map(|user| (user.0, self.shard_index(user)))
@@ -802,7 +769,6 @@ impl ShardedStateStore {
             run(&self.shards[shard], first, &ids[..len]);
             first += len;
         }
-        first
     }
 
     /// Widens the stored hidden states of `users` into `rows` — row `i`,
@@ -833,12 +799,11 @@ impl ShardedStateStore {
             rows.len()
         );
         let mut hits = 0;
-        let reads = self.for_each_run(users, |shard, first, run| {
+        self.for_each_run(users, |shard, first, run| {
             hits += shard.read_run(run, |row, state| {
                 copy_row(&mut rows[(first + row) * width..][..width], state);
             });
         });
-        count_reads(reads, hits);
         hits as usize
     }
 
@@ -847,10 +812,8 @@ impl ShardedStateStore {
     /// [`Self::read_states_into`].
     pub fn get_state(&self, user: UserId) -> Option<Vec<f32>> {
         let mut found = None;
-        let hits = self
-            .shard_of(user)
+        self.shard_of(user)
             .read_run(&[user.0], |_, state| found = Some(widen(state)));
-        count_reads(1, hits);
         found
     }
 
@@ -863,11 +826,9 @@ impl ShardedStateStore {
     ///
     /// Panics if the stored state is not `out.len()` values long.
     pub fn read_state_into(&self, user: UserId, out: &mut [f32]) -> bool {
-        let hits = self
-            .shard_of(user)
-            .read_run(&[user.0], |_, state| copy_row(out, state));
-        count_reads(1, hits);
-        hits == 1
+        self.shard_of(user)
+            .read_run(&[user.0], |_, state| copy_row(out, state))
+            == 1
     }
 
     /// Stores row `i` of `rows`, rounded to bf16, for `users[i]`, replacing
@@ -898,11 +859,9 @@ impl ShardedStateStore {
         if count > 0 {
             self.check_width(width);
         }
-        let mut evicted = 0;
-        let writes = self.for_each_run(users, |shard, first, run| {
-            evicted += shard.put_run(run, &rows[first * width..], width);
+        self.for_each_run(users, |shard, first, run| {
+            shard.put_run(run, &rows[first * width..], width);
         });
-        count_writes(writes, evicted);
     }
 
     /// Stores a user's hidden state, rounded to bf16, replacing any previous
@@ -915,8 +874,7 @@ impl ShardedStateStore {
     /// Panics if the store holds states of another width.
     pub fn put_state(&self, user: UserId, state: &[f32]) {
         self.check_width(state.len());
-        let evicted = self.shard_of(user).put_run(&[user.0], state, state.len());
-        count_writes(1, evicted);
+        self.shard_of(user).put_run(&[user.0], state, state.len());
     }
 
     /// Removes a user's hidden state, returning it if present.

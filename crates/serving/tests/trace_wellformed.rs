@@ -4,9 +4,7 @@
 //! span, worker ids are real workers — and span counts must reconcile with
 //! the engine's own [`WorkerStats`] counters. Sampling is a seeded hash of
 //! the user id, so the expected sampled set (and therefore the exact span
-//! counts) is computable up front. The same spans must also survive the
-//! Chrome trace-event export: every lifecycle stage present as a complete
-//! event, and a request's `args.batch` naming an exported batch span.
+//! counts) is computable up front.
 //!
 //! This file owns the process-global [`pp_obs::Tracer`]: it is the only
 //! test here that records through it, and it sets the sampling knobs before
@@ -15,12 +13,11 @@
 
 use pp_data::schema::{Context, DatasetKind, Tab, UserId};
 use pp_obs::trace::trace_hash;
-use pp_obs::{chrome_trace_json, tail_report, Span, SpanId, Stage, Tracer, TracerConfig};
+use pp_obs::{tail_report, Span, SpanId, Stage, Tracer, TracerConfig};
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
 use pp_serving::{BatchServingEngine, PredictRequest, ShardedStateStore, UpdateRequest};
 use proptest::prelude::*;
-use serde::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -255,74 +252,6 @@ fn engine_spans_are_wellformed_and_reconcile_with_worker_stats() {
     }
     let report = tail_report(&spans, SAMPLE_EVERY, 0);
     assert_eq!(report.sampled_requests, expected_requests);
-
-    assert_chrome_export_is_complete(&spans);
-}
-
-fn field<'a>(object: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    object.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-/// What a trace viewer needs from [`chrome_trace_json`]: it parses, every
-/// event is a complete (`ph == "X"`) one with numeric `ts`/`dur`/`pid`/`tid`
-/// and an `args` object, every serving stage appears, and at least one
-/// request links (via `args.batch`) to an exported batch span.
-fn assert_chrome_export_is_complete(spans: &[Span]) {
-    let root: Value = serde_json::from_str(&chrome_trace_json(spans)).expect("valid JSON");
-    let events = root
-        .as_object()
-        .and_then(|o| field(o, "traceEvents"))
-        .and_then(Value::as_array)
-        .expect("a traceEvents array");
-    assert_eq!(events.len(), spans.len());
-
-    let mut stages: HashSet<&str> = HashSet::new();
-    let mut request_batches: HashSet<u64> = HashSet::new();
-    let mut batch_spans: HashSet<u64> = HashSet::new();
-    for event in events {
-        let event = event.as_object().expect("event is an object");
-        let name = field(event, "name")
-            .and_then(Value::as_str)
-            .expect("event has a name");
-        assert_eq!(field(event, "ph").and_then(Value::as_str), Some("X"));
-        for key in ["ts", "dur", "pid", "tid"] {
-            assert!(
-                field(event, key).and_then(Value::as_f64).is_some(),
-                "{name} event without a numeric {key}"
-            );
-        }
-        let args = field(event, "args")
-            .and_then(Value::as_object)
-            .unwrap_or_else(|| panic!("{name} event without args"));
-        let batch = field(args, "batch").and_then(Value::as_u64);
-        match name {
-            "request" => request_batches.extend(batch),
-            "batch" => batch_spans.extend(batch),
-            _ => {}
-        }
-        stages.insert(name);
-    }
-    // `state_write_back` is not required of an export (predict-only traffic
-    // never emits it).
-    for stage in [
-        Stage::Request,
-        Stage::QueueWait,
-        Stage::CoalesceHold,
-        Stage::BatchAssembly,
-        Stage::ForwardPass,
-        Stage::Reply,
-        Stage::Batch,
-    ] {
-        assert!(
-            stages.contains(stage.name()),
-            "no {} events in the export (found {stages:?})",
-            stage.name()
-        );
-    }
-    assert!(
-        !request_batches.is_disjoint(&batch_spans),
-        "no request event links to an exported batch span"
-    );
 }
 
 /// Builds one synthetic request tree from stage durations; returns the
