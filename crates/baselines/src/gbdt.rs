@@ -98,7 +98,7 @@ impl BinMapper {
 /// A node of a regression tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum TreeNode {
-    /// Internal split: go left when `features[feature] < threshold`.
+    /// Internal split: go left when `features[feature] <= threshold`.
     Split {
         feature: usize,
         threshold: f32,
@@ -128,7 +128,7 @@ impl Tree {
                     left,
                     right,
                 } => {
-                    idx = if features[*feature] < *threshold {
+                    idx = if features[*feature] <= *threshold {
                         *left
                     } else {
                         *right
@@ -409,7 +409,7 @@ fn build_node(
     );
     nodes[node_idx] = TreeNode::Split {
         feature: split.feature,
-        // "bin index <= b" corresponds to "value < edge(b)" because bins are
+        // "bin index <= b" corresponds to "value <= edge(b)" because bins are
         // defined by partition_point(edge < value).
         threshold: mapper.threshold(split.feature, split.bin),
         left,
@@ -485,6 +485,29 @@ mod tests {
             accuracy > 0.9,
             "GBDT should learn XOR, accuracy = {accuracy}"
         );
+    }
+
+    #[test]
+    fn rows_on_a_bin_edge_route_as_in_training() {
+        // A 4-valued count whose every value is a bin edge: the split
+        // "bin <= b" must send the row with value edge(b) left at
+        // prediction time too, or the trees learn the wrong side.
+        let data: Vec<LabeledExample> = (0..2_000)
+            .map(|i| example(vec![(i % 4) as f32], i % 4 == 0))
+            .collect();
+        let model = Gbdt::train(
+            &data,
+            GbdtConfig {
+                num_trees: 10,
+                max_depth: 2,
+                ..Default::default()
+            },
+        );
+        let labels: Vec<bool> = data.iter().map(|e| e.label).collect();
+        let loss = log_loss(&model.predict_batch(&data), &labels);
+        assert!(loss < 0.05, "train log loss {loss}");
+        let p_zero = model.predict(&[0.0]);
+        assert!(p_zero > 0.9, "p(c = 0) = {p_zero}");
     }
 
     #[test]

@@ -1,64 +1,29 @@
-//! The activity dimension of a shared precompute deployment.
+//! The activity a precompute decision is taken for.
 //!
-//! The paper's production setting serves several precompute *activities* out
-//! of one resource pool: the MobileTab prefetch that launched first (§9),
-//! the Timeshift data queries, and the MPU notification predictions. Each
-//! activity has its own traffic, its own model (and therefore its own
-//! per-prefetch cost profile), and its own precision operating point — but
-//! they all draw from the *same* budget. This module provides the small
-//! vocabulary the rest of `pp-precompute` is threaded with:
-//!
-//! * [`Activity`] — the three activities, mirroring
-//!   [`pp_data::schema::DatasetKind`];
-//! * [`ActivityMap`] — a dense, `Copy`-friendly map with exactly one slot
-//!   per activity (per-activity costs, floors, counters, policies…);
-//! * [`jain_index`] — Jain's fairness index, the scalar the mixed-traffic
-//!   benchmark reports for "how evenly did the shared budget serve the
-//!   activities".
+//! The paper's §9 launch activity is the MobileTab prefetch, and it is the
+//! one activity this crate's loop runs. [`Activity`] is the label a
+//! [`crate::Decision`] carries and the name the loop's events are recorded
+//! under.
 
-use pp_data::schema::DatasetKind;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// A precompute activity sharing the deployment's resource pool.
+/// A precompute activity.
 ///
 /// # Examples
 ///
 /// ```
 /// use pp_precompute::Activity;
 ///
-/// assert_eq!(Activity::ALL.len(), 3);
-/// assert_eq!(Activity::MobileTab.index(), 0);
-/// assert_eq!(Activity::from(pp_data::schema::DatasetKind::Mpu), Activity::Mpu);
-/// assert_eq!(Activity::Timeshift.to_string(), "Timeshift");
+/// assert_eq!(serde_json::to_string(&Activity::MobileTab).unwrap(), "\"MobileTab\"");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Activity {
     /// Mobile application tab prefetch (the paper's §9 launch activity).
     MobileTab,
-    /// Timeshifted data queries on website load.
-    Timeshift,
-    /// Mobile-phone-use notification precompute.
-    Mpu,
 }
 
 impl Activity {
-    /// Every activity, in index order — iterate this instead of matching.
-    pub const ALL: [Activity; 3] = [Activity::MobileTab, Activity::Timeshift, Activity::Mpu];
-
-    /// Number of activities (the fixed size of an [`ActivityMap`]).
-    pub const COUNT: usize = 3;
-
-    /// The dense index of this activity in `[0, Activity::COUNT)`.
-    pub fn index(self) -> usize {
-        match self {
-            Activity::MobileTab => 0,
-            Activity::Timeshift => 1,
-            Activity::Mpu => 2,
-        }
-    }
-
-    /// A lowercase identifier suitable for metric names and JSON keys.
+    /// A lowercase identifier suitable for event labels and JSON keys.
     ///
     /// # Examples
     ///
@@ -70,127 +35,8 @@ impl Activity {
     pub fn slug(self) -> &'static str {
         match self {
             Activity::MobileTab => "mobile_tab",
-            Activity::Timeshift => "timeshift",
-            Activity::Mpu => "mpu",
         }
     }
-}
-
-impl From<DatasetKind> for Activity {
-    fn from(kind: DatasetKind) -> Self {
-        match kind {
-            DatasetKind::MobileTab => Activity::MobileTab,
-            DatasetKind::Timeshift => Activity::Timeshift,
-            DatasetKind::Mpu => Activity::Mpu,
-        }
-    }
-}
-
-impl fmt::Display for Activity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Activity::MobileTab => write!(f, "MobileTab"),
-            Activity::Timeshift => write!(f, "Timeshift"),
-            Activity::Mpu => write!(f, "MPU"),
-        }
-    }
-}
-
-/// A dense map with exactly one `T` per [`Activity`].
-///
-/// This is the shape every per-activity quantity in the crate takes:
-/// cost profiles, guaranteed-share floors, spend counters, outcome buckets,
-/// threshold controllers. It is `Copy` whenever `T` is, so configurations
-/// built from it stay cheap to pass around.
-///
-/// # Examples
-///
-/// ```
-/// use pp_precompute::{Activity, ActivityMap};
-///
-/// let mut spend = ActivityMap::uniform(0.0f64);
-/// spend[Activity::Mpu] += 7.5;
-/// assert_eq!(spend[Activity::Mpu], 7.5);
-/// assert_eq!(spend[Activity::MobileTab], 0.0);
-///
-/// let costs = ActivityMap::from_fn(|a| 10.0 * (a.index() + 1) as f64);
-/// assert_eq!(costs.values().sum::<f64>(), 60.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ActivityMap<T>(pub(crate) [T; Activity::COUNT]);
-
-impl<T> ActivityMap<T> {
-    /// Builds a map by evaluating `f` once per activity, in index order.
-    pub fn from_fn(mut f: impl FnMut(Activity) -> T) -> Self {
-        ActivityMap([
-            f(Activity::MobileTab),
-            f(Activity::Timeshift),
-            f(Activity::Mpu),
-        ])
-    }
-
-    /// Builds a map holding a clone of `value` in every slot.
-    pub fn uniform(value: T) -> Self
-    where
-        T: Clone,
-    {
-        Self::from_fn(|_| value.clone())
-    }
-
-    /// Iterates `(activity, &value)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (Activity, &T)> {
-        Activity::ALL.iter().map(move |&a| (a, &self.0[a.index()]))
-    }
-
-    /// Iterates the values in index order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.0.iter()
-    }
-
-    /// Maps every slot through `f`, keeping the activity association.
-    pub fn map<U>(&self, mut f: impl FnMut(Activity, &T) -> U) -> ActivityMap<U> {
-        ActivityMap::from_fn(|a| f(a, &self.0[a.index()]))
-    }
-}
-
-impl<T> std::ops::Index<Activity> for ActivityMap<T> {
-    type Output = T;
-    fn index(&self, activity: Activity) -> &T {
-        &self.0[activity.index()]
-    }
-}
-
-impl<T> std::ops::IndexMut<Activity> for ActivityMap<T> {
-    fn index_mut(&mut self, activity: Activity) -> &mut T {
-        &mut self.0[activity.index()]
-    }
-}
-
-/// Jain's fairness index over non-negative allocations:
-/// `(Σx)² / (n · Σx²)`, in `(0, 1]` — `1.0` means perfectly even, `1/n`
-/// means one party took everything. An all-zero allocation is reported as
-/// `1.0` (nobody got anything; nobody was favoured).
-///
-/// # Examples
-///
-/// ```
-/// use pp_precompute::jain_index;
-///
-/// assert!((jain_index(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-/// assert!((jain_index(&[1.0, 0.0, 0.0]) - 1.0 / 3.0).abs() < 1e-12);
-/// assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-/// ```
-pub fn jain_index(values: &[f64]) -> f64 {
-    assert!(
-        values.iter().all(|v| *v >= 0.0 && v.is_finite()),
-        "jain_index takes non-negative finite allocations"
-    );
-    let sum: f64 = values.iter().sum();
-    let sum_sq: f64 = values.iter().map(|v| v * v).sum();
-    if sum_sq <= 0.0 || values.is_empty() {
-        return 1.0;
-    }
-    (sum * sum) / (values.len() as f64 * sum_sq)
 }
 
 #[cfg(test)]
@@ -198,49 +44,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn indices_round_trip_and_cover_all() {
-        for (i, &a) in Activity::ALL.iter().enumerate() {
-            assert_eq!(a.index(), i);
-        }
-        assert_eq!(Activity::ALL.len(), Activity::COUNT);
-        assert_eq!(Activity::from(DatasetKind::MobileTab), Activity::MobileTab);
-        assert_eq!(Activity::from(DatasetKind::Timeshift), Activity::Timeshift);
-        assert_eq!(Activity::from(DatasetKind::Mpu), Activity::Mpu);
-    }
-
-    #[test]
-    fn map_indexing_and_iteration() {
-        let mut m = ActivityMap::uniform(0u64);
-        m[Activity::Timeshift] = 5;
-        assert_eq!(m[Activity::Timeshift], 5);
-        assert_eq!(m[Activity::MobileTab], 0);
-        let doubled = m.map(|_, v| v * 2);
-        assert_eq!(doubled[Activity::Timeshift], 10);
-        let collected: Vec<(Activity, u64)> = m.iter().map(|(a, &v)| (a, v)).collect();
-        assert_eq!(collected.len(), 3);
-        assert_eq!(collected[1], (Activity::Timeshift, 5));
-        assert_eq!(m.values().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn jain_index_bounds() {
-        assert!((jain_index(&[3.0, 3.0, 3.0, 3.0]) - 1.0).abs() < 1e-12);
-        assert!((jain_index(&[4.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
-        let skewed = jain_index(&[10.0, 1.0, 1.0]);
-        assert!(skewed > 1.0 / 3.0 && skewed < 1.0);
-        assert_eq!(jain_index(&[]), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn jain_rejects_negative_allocations() {
-        let _ = jain_index(&[1.0, -0.5]);
-    }
-
-    #[test]
     fn activity_serde_round_trips() {
-        let json = serde_json::to_string(&Activity::Mpu).unwrap();
+        let json = serde_json::to_string(&Activity::MobileTab).unwrap();
         let back: Activity = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Activity::Mpu);
+        assert_eq!(back, Activity::MobileTab);
     }
 }

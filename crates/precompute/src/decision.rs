@@ -6,7 +6,7 @@
 //! (prefetch / skip) and the system downgrades a prefetch to
 //! [`Action::Denied`] when the budget refuses it.
 
-use crate::activity::{Activity, ActivityMap};
+use crate::activity::Activity;
 use pp_core::PrecomputePolicy;
 use pp_data::schema::UserId;
 use pp_serving::Prediction;
@@ -51,78 +51,49 @@ pub struct DecisionStats {
     pub skips: u64,
 }
 
-/// Applies per-activity [`PrecomputePolicy`]s to batched predictions.
-///
-/// The public calls are single-activity: [`DecisionEngine::decide`]
-/// decides on [`Activity::MobileTab`]. It is the N = 1 call of the
-/// crate-private per-activity form, through which
-/// [`crate::PrecomputeSystem`] gives each activity its own operating point.
+/// Applies a [`PrecomputePolicy`] to batched predictions.
 #[derive(Debug, Clone)]
 pub struct DecisionEngine {
-    policies: ActivityMap<PrecomputePolicy>,
-    by_activity: ActivityMap<DecisionStats>,
+    policy: PrecomputePolicy,
+    stats: DecisionStats,
 }
 
 impl DecisionEngine {
-    /// Creates an engine applying `policy` to every activity.
+    /// Creates an engine applying `policy`.
     pub fn new(policy: PrecomputePolicy) -> Self {
         Self {
-            policies: ActivityMap::uniform(policy),
-            by_activity: ActivityMap::uniform(DecisionStats::default()),
+            policy,
+            stats: DecisionStats::default(),
         }
     }
 
-    /// Replaces the policy in force for `activity` only — the per-activity
-    /// controller's entry point in a shared deployment.
-    pub(crate) fn set_policy_for(&mut self, activity: Activity, policy: PrecomputePolicy) {
-        self.policies[activity] = policy;
+    /// Replaces the policy in force — the adaptive controller's entry
+    /// point.
+    pub(crate) fn set_policy(&mut self, policy: PrecomputePolicy) {
+        self.policy = policy;
     }
 
-    /// Counters accumulated so far, summed across activities.
+    /// Counters accumulated so far.
     pub fn stats(&self) -> DecisionStats {
-        let mut total = DecisionStats::default();
-        for stats in self.by_activity.values() {
-            total.scored += stats.scored;
-            total.prefetch_intents += stats.prefetch_intents;
-            total.skips += stats.skips;
-        }
-        total
-    }
-
-    /// Counters accumulated for `activity`.
-    pub(crate) fn stats_for(&self, activity: Activity) -> DecisionStats {
-        self.by_activity[activity]
+        self.stats
     }
 
     /// Decides for a single prediction made at `timestamp`, under the
     /// policy in force.
     pub fn decide(&mut self, prediction: &Prediction, timestamp: i64) -> Decision {
-        self.decide_for(Activity::MobileTab, prediction, timestamp)
-    }
-
-    /// [`DecisionEngine::decide`] for an `activity` prediction, under that
-    /// activity's policy.
-    pub(crate) fn decide_for(
-        &mut self,
-        activity: Activity,
-        prediction: &Prediction,
-        timestamp: i64,
-    ) -> Decision {
-        let policy = self.policies[activity];
-        let stats = &mut self.by_activity[activity];
-        stats.scored += 1;
-        let prefetch = policy.should_precompute(prediction.probability);
+        self.stats.scored += 1;
+        let prefetch = self.policy.should_precompute(prediction.probability);
         if prefetch {
-            stats.prefetch_intents += 1;
+            self.stats.prefetch_intents += 1;
         } else {
-            stats.skips += 1;
+            self.stats.skips += 1;
         }
         Decision {
             user_id: prediction.user_id,
-            activity,
+            activity: Activity::MobileTab,
             timestamp,
             probability: prediction.probability,
-            threshold: policy.threshold(),
+            threshold: self.policy.threshold(),
             action: if prefetch {
                 Action::Prefetch
             } else {
@@ -165,28 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn per_activity_policies_decide_independently() {
-        let mut engine = DecisionEngine::new(PrecomputePolicy::with_threshold(0.5));
-        engine.set_policy_for(Activity::Mpu, PrecomputePolicy::with_threshold(0.9));
-        let p = prediction(1, 0.7);
-        let mobile = engine.decide_for(Activity::MobileTab, &p, 0);
-        let mpu = engine.decide_for(Activity::Mpu, &p, 0);
-        assert_eq!(mobile.action, Action::Prefetch);
-        assert_eq!(mobile.activity, Activity::MobileTab);
-        assert_eq!(mpu.action, Action::Skip);
-        assert_eq!(mpu.activity, Activity::Mpu);
-        assert!((mpu.threshold - 0.9).abs() < 1e-12);
-        // Per-activity stats split; the aggregate sums them.
-        assert_eq!(engine.stats_for(Activity::Mpu).skips, 1);
-        assert_eq!(engine.stats_for(Activity::MobileTab).prefetch_intents, 1);
-        assert_eq!(engine.stats().scored, 2);
-    }
-
-    #[test]
     fn set_policy_changes_future_decisions_only() {
         let mut engine = DecisionEngine::new(PrecomputePolicy::with_threshold(0.5));
         let before = engine.decide(&prediction(1, 0.55), 0);
-        engine.set_policy_for(Activity::MobileTab, PrecomputePolicy::with_threshold(0.7));
+        engine.set_policy(PrecomputePolicy::with_threshold(0.7));
         let after = engine.decide(&prediction(1, 0.55), 1);
         assert_eq!(before.action, Action::Prefetch);
         assert_eq!(after.action, Action::Skip);

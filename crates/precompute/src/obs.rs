@@ -1,14 +1,11 @@
 //! Cached `pp-obs` instrumentation handles for the precompute loop.
 //!
-//! Per-activity metrics are suffixed with [`Activity::slug`](crate::Activity::slug)
-//! (`precompute.threshold.mobile_tab`, …) so a snapshot stays greppable
-//! without labels. Counts the typed stats already keep (admissions and
-//! denials per activity, the cache's `CacheStats`) have no registry twin.
+//! Counts the typed stats already keep (the scheduler's admissions and
+//! denials, the cache's `CacheStats`) have no registry twin.
 //! Structured events (threshold moves, budget exhaustion, eviction storms,
 //! recalibration windows) go through the registry's [`pp_obs::EventLog`];
 //! see `docs/observability.md` for the catalogue.
 
-use crate::activity::ActivityMap;
 use pp_obs::{Gauge, Histogram, MetricsRegistry};
 use std::sync::{Arc, OnceLock};
 
@@ -25,28 +22,25 @@ pub struct PrecomputeObs {
     /// `precompute.cache_op_ns` — latency of individual cache operations
     /// (insert / take).
     pub cache_op_ns: Arc<Histogram>,
-    /// `precompute.window_precision.<slug>` — precision of the most recent
-    /// closed controller window per activity.
-    pub window_precision: ActivityMap<Arc<Gauge>>,
-    /// `precompute.threshold.<slug>` — current decision threshold per
-    /// activity (the trajectory the adaptive controller walks).
-    pub threshold: ActivityMap<Arc<Gauge>>,
+    /// `precompute.window_precision` — precision of the most recent closed
+    /// controller window.
+    pub window_precision: Arc<Gauge>,
+    /// `precompute.threshold` — current decision threshold (the trajectory
+    /// the adaptive controller walks).
+    pub threshold: Arc<Gauge>,
 }
 
 impl PrecomputeObs {
     /// Registers (or re-resolves) the precompute metrics on `registry`.
     #[must_use]
     pub fn register(registry: &MetricsRegistry) -> Self {
-        let per_activity_gauge = |prefix: &str| {
-            ActivityMap::from_fn(|a| registry.gauge(&format!("{prefix}.{}", a.slug())))
-        };
         Self {
             bucket_level_units: registry.gauge("precompute.bucket_level_units"),
             admission_ns: registry.histogram("precompute.admission_ns"),
             wave_size: registry.histogram("precompute.wave_size"),
             cache_op_ns: registry.histogram("precompute.cache_op_ns"),
-            window_precision: per_activity_gauge("precompute.window_precision"),
-            threshold: per_activity_gauge("precompute.threshold"),
+            window_precision: registry.gauge("precompute.window_precision"),
+            threshold: registry.gauge("precompute.threshold"),
         }
     }
 

@@ -8,7 +8,6 @@
 //! prefetches), recall (successful prefetches over all accesses) and the
 //! waste ratio.
 
-use crate::activity::{Activity, ActivityMap};
 use crate::decision::{Action, Decision};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -104,15 +103,6 @@ impl OutcomeCounts {
         (prefetches > 0).then(|| self.wasted_prefetches as f64 / prefetches as f64)
     }
 
-    /// Adds another bucket total into this one (aggregating activities).
-    pub fn accumulate(&mut self, other: &OutcomeCounts) {
-        self.hits += other.hits;
-        self.wasted_prefetches += other.wasted_prefetches;
-        self.expired_prefetches += other.expired_prefetches;
-        self.missed_accesses += other.missed_accesses;
-        self.correct_skips += other.correct_skips;
-    }
-
     fn bump(&mut self, outcome: Outcome) {
         match outcome {
             Outcome::Hit => self.hits += 1,
@@ -138,14 +128,13 @@ pub struct ResolvedSample {
     pub label: bool,
 }
 
-/// Most recent resolutions' (score, label) samples kept **per activity**
-/// for recalibration when nobody drains them (bounded so an un-drained
-/// tracker cannot grow forever). Anything waiting on a sample count must
-/// trigger at or below this bound — the count can never exceed it.
+/// Most recent resolutions' (score, label) samples kept for recalibration
+/// when nobody drains them (bounded so an un-drained tracker cannot grow
+/// forever). Anything waiting on a sample count must trigger at or below
+/// this bound — the count can never exceed it.
 pub const MAX_RETAINED_SAMPLES: usize = 8_192;
 
-/// Resolves decisions against observed session outcomes, bucketed per
-/// [`Activity`] (the aggregate view sums the buckets).
+/// Resolves decisions against observed session outcomes.
 ///
 /// # Examples
 ///
@@ -156,7 +145,7 @@ pub const MAX_RETAINED_SAMPLES: usize = 8_192;
 /// let mut tracker = OutcomeTracker::new();
 /// tracker.record(Decision {
 ///     user_id: UserId(7),
-///     activity: Activity::Timeshift,
+///     activity: Activity::MobileTab,
 ///     timestamp: 0,
 ///     probability: 0.8,
 ///     threshold: 0.5,
@@ -165,7 +154,6 @@ pub const MAX_RETAINED_SAMPLES: usize = 8_192;
 /// // The session accessed and the payload was served fresh: a hit.
 /// let outcome = tracker.resolve(UserId(7), true, true).unwrap();
 /// assert_eq!(outcome, Outcome::Hit);
-/// assert_eq!(tracker.counts_for(Activity::Timeshift).hits, 1);
 /// assert_eq!(tracker.counts().hits, 1);
 /// assert!(tracker.check_conservation().is_ok());
 /// ```
@@ -173,11 +161,10 @@ pub const MAX_RETAINED_SAMPLES: usize = 8_192;
 pub struct OutcomeTracker {
     /// The outstanding (unresolved) decision per user.
     pending: HashMap<u64, Decision>,
-    counts: ActivityMap<OutcomeCounts>,
+    counts: OutcomeCounts,
     recorded: u64,
-    /// (score, label) pairs of recent resolutions per activity, oldest
-    /// first.
-    samples: ActivityMap<VecDeque<ResolvedSample>>,
+    /// (score, label) pairs of recent resolutions, oldest first.
+    samples: VecDeque<ResolvedSample>,
 }
 
 impl OutcomeTracker {
@@ -237,32 +224,20 @@ impl OutcomeTracker {
                 }
             }
         };
-        self.counts[decision.activity].bump(outcome);
-        let samples = &mut self.samples[decision.activity];
-        samples.push_back(ResolvedSample {
+        self.counts.bump(outcome);
+        self.samples.push_back(ResolvedSample {
             score: decision.probability,
             label: accessed,
         });
-        if samples.len() > MAX_RETAINED_SAMPLES {
-            samples.pop_front();
+        if self.samples.len() > MAX_RETAINED_SAMPLES {
+            self.samples.pop_front();
         }
         Some(outcome)
     }
 
-    /// Outcome totals so far, summed across activities.
+    /// Outcome totals so far.
     pub fn counts(&self) -> OutcomeCounts {
-        let mut total = OutcomeCounts::default();
-        for counts in self.counts.values() {
-            total.accumulate(counts);
-        }
-        total
-    }
-
-    /// Outcome totals for one activity — the per-activity half of the
-    /// shared budget's spend/hit ledger (the spend half lives in
-    /// [`crate::scheduler::PrefetchScheduler::activity_stats`]).
-    pub fn counts_for(&self, activity: Activity) -> OutcomeCounts {
-        self.counts[activity]
+        self.counts
     }
 
     /// Decisions recorded so far (resolved or pending).
@@ -275,24 +250,23 @@ impl OutcomeTracker {
         self.pending.len()
     }
 
-    /// Number of `activity` (score, label) samples awaiting a drain.
-    pub(crate) fn samples_len_for(&self, activity: Activity) -> usize {
-        self.samples[activity].len()
+    /// Number of (score, label) samples awaiting a drain.
+    pub(crate) fn samples_len(&self) -> usize {
+        self.samples.len()
     }
 
-    /// Drains the (score, label) pairs of `activity`'s resolutions since
-    /// the last drain (bounded to the most recent [`MAX_RETAINED_SAMPLES`]),
-    /// oldest first — the window of labelled observations a
+    /// Drains the (score, label) pairs of the resolutions since the last
+    /// drain (bounded to the most recent [`MAX_RETAINED_SAMPLES`]), oldest
+    /// first — the window of labelled observations a
     /// [`pp_core::PrecomputePolicy::recalibrate`] step consumes.
-    pub(crate) fn drain_samples_for(&mut self, activity: Activity) -> Vec<ResolvedSample> {
-        self.samples[activity].drain(..).collect()
+    pub(crate) fn drain_samples(&mut self) -> Vec<ResolvedSample> {
+        self.samples.drain(..).collect()
     }
 
     /// Checks conservation: every recorded decision is either resolved into
-    /// exactly one bucket or still pending — and the per-activity buckets
-    /// sum to the aggregate by construction.
+    /// exactly one bucket or still pending.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let accounted = self.counts().resolved() + self.pending.len() as u64;
+        let accounted = self.counts.resolved() + self.pending.len() as u64;
         if accounted == self.recorded {
             Ok(())
         } else {
@@ -300,7 +274,7 @@ impl OutcomeTracker {
                 "conservation violated: {} recorded but {} accounted (resolved {} + pending {})",
                 self.recorded,
                 accounted,
-                self.counts().resolved(),
+                self.counts.resolved(),
                 self.pending.len()
             ))
         }
@@ -310,6 +284,7 @@ impl OutcomeTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activity::Activity;
     use pp_data::schema::UserId;
     use proptest::prelude::*;
 
@@ -395,13 +370,12 @@ mod tests {
             probability: 0.7,
             ..decision(3, Action::Denied)
         });
-        let mobile = Activity::MobileTab;
-        assert_eq!(t.samples_len_for(mobile), 0);
+        assert_eq!(t.samples_len(), 0);
         t.resolve(UserId(1), true, true);
         t.resolve(UserId(2), false, false);
         t.resolve(UserId(3), true, false);
-        assert_eq!(t.samples_len_for(mobile), 3);
-        let samples = t.drain_samples_for(mobile);
+        assert_eq!(t.samples_len(), 3);
+        let samples = t.drain_samples();
         // Every action kind contributes, in resolution order, carrying the
         // decision-time score and the ground-truth access label.
         assert_eq!(
@@ -421,41 +395,9 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(t.samples_len_for(mobile), 0);
-        assert!(t.drain_samples_for(mobile).is_empty());
+        assert_eq!(t.samples_len(), 0);
+        assert!(t.drain_samples().is_empty());
         assert!(t.check_conservation().is_ok());
-    }
-
-    #[test]
-    fn per_activity_buckets_split_and_sum_to_the_aggregate() {
-        let mut t = OutcomeTracker::new();
-        for (id, activity, action) in [
-            (1, Activity::MobileTab, Action::Prefetch),
-            (2, Activity::Timeshift, Action::Prefetch),
-            (3, Activity::Mpu, Action::Skip),
-            (4, Activity::Timeshift, Action::Skip),
-        ] {
-            t.record(Decision {
-                activity,
-                ..decision(id, action)
-            });
-        }
-        t.resolve(UserId(1), true, true); // MobileTab hit
-        t.resolve(UserId(2), false, false); // Timeshift waste
-        t.resolve(UserId(3), true, false); // MPU missed access
-        t.resolve(UserId(4), false, false); // Timeshift correct skip
-        assert_eq!(t.counts_for(Activity::MobileTab).hits, 1);
-        assert_eq!(t.counts_for(Activity::Timeshift).wasted_prefetches, 1);
-        assert_eq!(t.counts_for(Activity::Timeshift).correct_skips, 1);
-        assert_eq!(t.counts_for(Activity::Mpu).missed_accesses, 1);
-        assert_eq!(t.counts().resolved(), 4);
-        assert!(t.check_conservation().is_ok());
-        // Samples drain per activity, keeping calibration windows separate.
-        let samples_len = |t: &OutcomeTracker| Activity::ALL.map(|a| t.samples_len_for(a));
-        assert_eq!(samples_len(&t), [1, 2, 1]);
-        let timeshift = t.drain_samples_for(Activity::Timeshift);
-        assert_eq!(timeshift.len(), 2);
-        assert_eq!(samples_len(&t), [1, 0, 1]);
     }
 
     #[test]

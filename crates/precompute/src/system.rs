@@ -17,14 +17,13 @@
 //! point via [`PrecomputeSystem::check_invariants`]: outcome conservation
 //! and a never-overdrawn budget.
 
-use crate::activity::{Activity, ActivityMap};
+use crate::activity::Activity;
 use crate::adaptive::{AdaptiveThresholdController, ControllerConfig};
 use crate::cache::{CacheConfig, CacheStats, PrefetchCache};
 use crate::decision::{Action, Decision, DecisionEngine, DecisionStats};
 use crate::outcome::{Outcome, OutcomeCounts, OutcomeTracker};
 use crate::scheduler::{
-    ActivityBudgetStats, AdmissionOrder, AdmitResult, BudgetConfig, FairnessPolicy,
-    PrefetchScheduler, SchedulerBudgetStats,
+    AdmissionOrder, AdmitResult, BudgetConfig, PrefetchScheduler, SchedulerBudgetStats,
 };
 use bytes::Bytes;
 use pp_data::schema::UserId;
@@ -55,58 +54,11 @@ pub struct SystemConfig {
     /// When `true`, every closed controller window also drains the outcome
     /// tracker's (score, label) samples into
     /// [`pp_core::PrecomputePolicy::recalibrate`] and applies the refit
-    /// threshold — the learned feedback loop, per activity. Degenerate
-    /// windows (all one label) refuse to refit and the threshold holds.
+    /// threshold — the learned feedback loop. Degenerate windows (all one
+    /// label) refuse to refit and the threshold holds.
     pub recalibrate_from_outcomes: bool,
     /// Size of the payload materialized per prefetch.
     pub payload_bytes: usize,
-}
-
-/// The multi-activity dimension of a shared deployment, layered on top of a
-/// [`SystemConfig`] via [`PrecomputeSystem::new_multi`]: per-activity cost
-/// profiles, per-activity starting thresholds, and the fairness policy
-/// arbitrating the one shared budget bucket.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiActivityConfig {
-    /// Per-activity prefetch cost, in the budget's cost units (derive each
-    /// from that activity's serving profile via
-    /// [`crate::scheduler::prefetch_cost_units`]).
-    pub costs: ActivityMap<f64>,
-    /// Per-activity initial thresholds (each activity's offline-calibrated
-    /// operating point; single-activity construction uses
-    /// [`SystemConfig::initial_threshold`] for all three).
-    pub initial_thresholds: ActivityMap<f64>,
-    /// How the shared bucket arbitrates between activities.
-    pub fairness: FairnessPolicy,
-}
-
-/// One activity's slice of a shared deployment's ledger: what it decided,
-/// spent, and earned — the per-activity spend/hit accounting a fairness
-/// policy is judged by.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ActivityReport {
-    /// The activity this slice describes.
-    pub activity: Activity,
-    /// Decision-engine counters for this activity.
-    pub decisions: DecisionStats,
-    /// This activity's slice of the shared budget ledger.
-    pub budget: ActivityBudgetStats,
-    /// Outcome bucket totals for this activity.
-    pub outcomes: OutcomeCounts,
-    /// Live precision over this activity's executed prefetches.
-    pub precision: Option<f64>,
-    /// Live recall over this activity's observed accesses.
-    pub recall: Option<f64>,
-    /// Live waste ratio over this activity's executed prefetches.
-    pub waste_ratio: Option<f64>,
-    /// Threshold currently in force for this activity.
-    pub threshold: f64,
-    /// Adjustment windows this activity's controller has closed.
-    pub controller_windows: u64,
-    /// Closed windows that produced a recalibrated threshold.
-    pub recalibrations: u64,
-    /// Closed windows whose samples were degenerate, so the threshold held.
-    pub recalibration_holds: u64,
 }
 
 /// A point-in-time report of everything the subsystem measures.
@@ -185,11 +137,11 @@ pub struct PrecomputeSystem {
     scheduler: PrefetchScheduler,
     cache: PrefetchCache,
     tracker: OutcomeTracker,
-    controllers: ActivityMap<AdaptiveThresholdController>,
+    controller: AdaptiveThresholdController,
     admission: AdmissionOrder,
     recalibrate_from_outcomes: bool,
-    recalibrations: ActivityMap<u64>,
-    recalibration_holds: ActivityMap<u64>,
+    recalibrations: u64,
+    recalibration_holds: u64,
     payload_bytes: usize,
     /// Whether the last admission pass with candidates hit a budget denial
     /// — the edge into exhaustion emits one `BudgetExhausted` event.
@@ -200,78 +152,37 @@ pub struct PrecomputeSystem {
 }
 
 impl PrecomputeSystem {
-    /// Builds a single-activity subsystem from `config`: the N = 1 case of
-    /// [`PrecomputeSystem::new_multi`], where every activity shares one
-    /// cost, one threshold, and a greedy bucket — the classic flow, with
-    /// all traffic on [`Activity::MobileTab`] unless tagged waves say
-    /// otherwise.
+    /// Builds the subsystem from `config`.
     ///
     /// # Panics
     ///
     /// Panics when any component configuration is invalid (see the
     /// component constructors).
     pub fn new(config: SystemConfig) -> Self {
-        Self::new_multi(
-            config,
-            MultiActivityConfig {
-                costs: ActivityMap::uniform(config.budget.cost_per_prefetch_units),
-                initial_thresholds: ActivityMap::uniform(config.initial_threshold),
-                fairness: FairnessPolicy::Greedy,
-            },
-        )
-    }
-
-    /// Builds a **multi-activity** subsystem sharing one budget bucket:
-    /// per-activity costs and starting thresholds from `multi`, contention
-    /// arbitrated by `multi.fairness`, and a separate adaptive threshold
-    /// controller (and recalibration loop) per activity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any component configuration is invalid (see the
-    /// component constructors and [`FairnessPolicy`] validation).
-    pub fn new_multi(config: SystemConfig, multi: MultiActivityConfig) -> Self {
-        let controllers = ActivityMap::from_fn(|a| {
-            AdaptiveThresholdController::new(multi.initial_thresholds[a], config.controller)
-        });
-        let mut engine = DecisionEngine::new(controllers[Activity::MobileTab].policy());
-        for a in Activity::ALL {
-            engine.set_policy_for(a, controllers[a].policy());
-        }
+        let controller =
+            AdaptiveThresholdController::new(config.initial_threshold, config.controller);
         Self {
-            engine,
-            scheduler: PrefetchScheduler::shared(config.budget, multi.costs, multi.fairness),
+            engine: DecisionEngine::new(controller.policy()),
+            scheduler: PrefetchScheduler::new(config.budget),
             cache: PrefetchCache::new(config.cache),
             tracker: OutcomeTracker::new(),
-            controllers,
+            controller,
             admission: config.admission,
             recalibrate_from_outcomes: config.recalibrate_from_outcomes,
-            recalibrations: ActivityMap::uniform(0),
-            recalibration_holds: ActivityMap::uniform(0),
+            recalibrations: 0,
+            recalibration_holds: 0,
             payload_bytes: config.payload_bytes,
             budget_was_exhausted: false,
             clock: 0,
         }
     }
 
-    /// Handles one wave of batched predictions at traffic time `now`, all
-    /// on the default activity ([`Activity::MobileTab`]) — the
-    /// single-activity path. See [`PrecomputeSystem::handle_wave`].
-    pub fn handle_scores(&mut self, predictions: &[Prediction], now: i64) -> Vec<Decision> {
-        let tagged: Vec<(Activity, Prediction)> = predictions
-            .iter()
-            .map(|&p| (Activity::MobileTab, p))
-            .collect();
-        self.handle_wave(&tagged, now)
-    }
-
-    /// Handles one wave of batched, activity-tagged predictions at traffic
-    /// time `now`: decides per prediction under its activity's policy,
-    /// admits the wave's prefetch intents against the shared budget in the
-    /// configured [`AdmissionOrder`] (and the bucket's fairness policy),
-    /// executes admitted prefetches into the cache, and registers every
-    /// decision for outcome resolution. Returns the decisions in input
-    /// order.
+    /// Handles one wave of batched predictions at traffic time `now`:
+    /// decides per prediction under the policy in force, admits the wave's
+    /// prefetch intents against the budget in the configured
+    /// [`AdmissionOrder`], executes admitted prefetches into the cache, and
+    /// registers every decision for outcome resolution. Returns the
+    /// decisions in input order.
     ///
     /// A user whose previous session never resolved is resolved first as
     /// "ended without access" so decisions cannot leak. A wave containing
@@ -279,26 +190,11 @@ impl PrecomputeSystem {
     /// admitted and recorded first, so the repeat sweeps the user's earlier
     /// decision exactly as it would across waves (priority admission then
     /// ranks within each unique-user segment).
-    ///
-    /// **`UserId` is the session key, across activities**: the pending
-    /// ledger and the prefetch cache hold at most one live session per
-    /// `UserId`, so a wave entry for a user reuses — and first sweeps —
-    /// that user's outstanding session even when the two are on *different*
-    /// activities. A deployment where one user can be concurrently live on
-    /// several activities must represent each (user, activity) pair as a
-    /// distinct `UserId` (namespace the ids, as `mixed_events` in
-    /// `tests/traffic_scenarios.rs` does); otherwise a Timeshift session start
-    /// would force-resolve the same user's still-live MobileTab prefetch as
-    /// "ended without access".
-    pub fn handle_wave(
-        &mut self,
-        predictions: &[(Activity, Prediction)],
-        now: i64,
-    ) -> Vec<Decision> {
+    pub fn handle_scores(&mut self, predictions: &[Prediction], now: i64) -> Vec<Decision> {
         let mut decisions = Vec::with_capacity(predictions.len());
         let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut segment_start = 0usize;
-        for (i, (_, prediction)) in predictions.iter().enumerate() {
+        for (i, prediction) in predictions.iter().enumerate() {
             if !seen.insert(prediction.user_id.0) {
                 decisions.extend(self.handle_unique_wave(&predictions[segment_start..i], now));
                 seen.clear();
@@ -310,33 +206,28 @@ impl PrecomputeSystem {
         decisions
     }
 
-    /// [`PrecomputeSystem::handle_wave`] for a wave with unique users.
-    fn handle_unique_wave(
-        &mut self,
-        predictions: &[(Activity, Prediction)],
-        now: i64,
-    ) -> Vec<Decision> {
+    /// [`PrecomputeSystem::handle_scores`] for a wave with unique users.
+    fn handle_unique_wave(&mut self, predictions: &[Prediction], now: i64) -> Vec<Decision> {
         self.clock = self.clock.max(now);
         let mut decisions = Vec::with_capacity(predictions.len());
-        for (activity, prediction) in predictions {
+        for prediction in predictions {
             if self.tracker.pending_decision(prediction.user_id).is_some() {
                 let _ = self.resolve_session(prediction.user_id, now, false);
             }
-            decisions.push(self.engine.decide_for(*activity, prediction, now));
+            decisions.push(self.engine.decide(prediction, now));
         }
         // One admission pass over the wave's prefetch intents: under
         // priority order a low bucket is spent on the highest-probability
-        // candidates instead of whichever happened to arrive first, and the
-        // fairness policy arbitrates across activities.
+        // candidates instead of whichever happened to arrive first.
         let candidates: Vec<usize> = decisions
             .iter()
             .enumerate()
             .filter(|(_, d)| d.action == Action::Prefetch)
             .map(|(i, _)| i)
             .collect();
-        let tagged: Vec<(Activity, f64)> = candidates
+        let probabilities: Vec<f64> = candidates
             .iter()
-            .map(|&i| (decisions[i].activity, decisions[i].probability))
+            .map(|&i| decisions[i].probability)
             .collect();
         let obs = crate::obs::PrecomputeObs::global();
         // Trace the admission pass when the wave carries at least one
@@ -359,7 +250,7 @@ impl PrecomputeSystem {
         let admitting = pp_obs::Stopwatch::start();
         let admissions = self
             .scheduler
-            .admit_wave_tagged(now, &tagged, self.admission);
+            .admit_wave(now, &probabilities, self.admission);
         admitting.record(&obs.admission_ns);
         if let Some(builder) = admit_span {
             builder.finish(
@@ -431,10 +322,9 @@ impl PrecomputeSystem {
     pub fn resolve_session(&mut self, user: UserId, now: i64, accessed: bool) -> Option<Outcome> {
         self.clock = self.clock.max(now);
         let decision = self.tracker.pending_decision(user)?;
-        let activity = decision.activity;
         let payload_served = if decision.action == Action::Prefetch {
             let payload = self.cache.take(user, now);
-            self.scheduler.complete_one_for(activity);
+            self.scheduler.complete_one();
             payload.is_some()
         } else {
             false
@@ -443,35 +333,34 @@ impl PrecomputeSystem {
             .tracker
             .resolve(user, accessed, payload_served)
             .expect("pending decision just observed");
-        let controller = &mut self.controllers[activity];
-        if let Some(window) = controller.observe(outcome) {
-            self.engine.set_policy_for(activity, controller.policy());
+        if let Some(window) = self.controller.observe(outcome) {
+            self.engine.set_policy(self.controller.policy());
             let obs = crate::obs::PrecomputeObs::global();
-            obs.window_precision[activity].set(window.observed_precision);
-            obs.threshold[activity].set(window.threshold_after);
+            obs.window_precision.set(window.observed_precision);
+            obs.threshold.set(window.threshold_after);
             if pp_obs::is_enabled() {
                 let events = pp_obs::MetricsRegistry::global().events();
                 events.record(
                     now,
                     pp_obs::EventKind::WindowClosed,
-                    activity.slug(),
+                    Activity::MobileTab.slug(),
                     window.observed_precision,
                 );
                 if window.threshold_after != window.threshold_before {
                     events.record(
                         now,
                         pp_obs::EventKind::ThresholdMove,
-                        activity.slug(),
+                        Activity::MobileTab.slug(),
                         window.threshold_after,
                     );
                 }
             }
             if self.recalibrate_from_outcomes {
-                self.on_window_resolved(activity);
+                self.on_window_resolved();
             }
         } else if self.recalibrate_from_outcomes
-            && self.tracker.samples_len_for(activity)
-                >= (8 * controller.config().window).min(crate::outcome::MAX_RETAINED_SAMPLES)
+            && self.tracker.samples_len()
+                >= (8 * self.controller.config().window).min(crate::outcome::MAX_RETAINED_SAMPLES)
         {
             // The controller's window only advances on *prefetch* outcomes,
             // so a threshold stuck too high starves it and the loop would
@@ -479,45 +368,43 @@ impl PrecomputeSystem {
             // (score, label) pairs though — once enough pile up without a
             // window close, recalibrate from them anyway so a saturated
             // threshold can find its way back to a live operating point.
-            self.on_window_resolved(activity);
+            self.on_window_resolved();
         }
         Some(outcome)
     }
 
     /// The learned feedback loop, fired once per closed controller window
-    /// (and as a starvation fallback when samples pile up without one),
-    /// independently per activity: drains the outcome tracker's
-    /// (score, label) samples *for that activity* and re-fits its policy
-    /// threshold for the recorded precision target on them. A successful
-    /// fit moves that activity's operating point (clamped to the
+    /// (and as a starvation fallback when samples pile up without one):
+    /// drains the outcome tracker's (score, label) samples and re-fits the
+    /// policy threshold for the recorded precision target on them. A
+    /// successful fit moves the operating point (clamped to the
     /// controller's safe band); a degenerate window — all-positive,
     /// all-negative, or an infeasible target — refuses to refit and the
     /// threshold *holds* at whatever the proportional controller chose.
-    fn on_window_resolved(&mut self, activity: Activity) {
-        let samples = self.tracker.drain_samples_for(activity);
+    fn on_window_resolved(&mut self) {
+        let samples = self.tracker.drain_samples();
         let scores: Vec<f64> = samples.iter().map(|s| s.score).collect();
         let labels: Vec<bool> = samples.iter().map(|s| s.label).collect();
-        let controller = &mut self.controllers[activity];
-        match controller.policy().recalibrate(&scores, &labels) {
+        match self.controller.policy().recalibrate(&scores, &labels) {
             Some(refit) => {
-                controller.set_threshold(refit.threshold());
-                self.engine.set_policy_for(activity, controller.policy());
-                self.recalibrations[activity] += 1;
-                let threshold = controller.threshold();
-                crate::obs::PrecomputeObs::global().threshold[activity].set(threshold);
+                self.controller.set_threshold(refit.threshold());
+                self.engine.set_policy(self.controller.policy());
+                self.recalibrations += 1;
+                let threshold = self.controller.threshold();
+                crate::obs::PrecomputeObs::global().threshold.set(threshold);
                 pp_obs::MetricsRegistry::global().events().record(
                     self.clock,
                     pp_obs::EventKind::Recalibration,
-                    activity.slug(),
+                    Activity::MobileTab.slug(),
                     threshold,
                 );
             }
             None => {
-                self.recalibration_holds[activity] += 1;
+                self.recalibration_holds += 1;
                 pp_obs::MetricsRegistry::global().events().record(
                     self.clock,
                     pp_obs::EventKind::RecalibrationHold,
-                    activity.slug(),
+                    Activity::MobileTab.slug(),
                     scores.len() as f64,
                 );
             }
@@ -539,16 +426,12 @@ impl PrecomputeSystem {
         &self.tracker
     }
 
-    /// The adaptive controller of the default activity
-    /// ([`Activity::MobileTab`]) — the single-activity view.
+    /// The adaptive threshold controller.
     pub fn controller(&self) -> &AdaptiveThresholdController {
-        &self.controllers[Activity::MobileTab]
+        &self.controller
     }
 
-    /// Snapshot of every live metric, aggregated across activities.
-    /// `threshold` reports the default activity's operating point;
-    /// per-activity thresholds live in
-    /// [`PrecomputeSystem::activity_report`].
+    /// Snapshot of every live metric.
     pub fn report(&self) -> SystemReport {
         let counts = self.tracker.counts();
         let budget = self.scheduler.stats();
@@ -561,80 +444,10 @@ impl PrecomputeSystem {
             waste_ratio: counts.waste_ratio(),
             budget,
             cache: self.cache.stats(),
-            threshold: self.controllers[Activity::MobileTab].threshold(),
-            controller_windows: self
-                .controllers
-                .values()
-                .map(super::adaptive::AdaptiveThresholdController::windows_closed)
-                .sum(),
-            recalibrations: self.recalibrations.values().sum(),
-            recalibration_holds: self.recalibration_holds.values().sum(),
-        }
-    }
-
-    /// One activity's slice of the ledger: decisions, budget spend, outcome
-    /// buckets, live precision/recall, and its controller's state.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pp_precompute::{
-    ///     Activity, ActivityMap, AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig,
-    ///     FairnessPolicy, MultiActivityConfig, PrecomputeSystem, SystemConfig,
-    /// };
-    /// use pp_data::schema::UserId;
-    /// use pp_serving::Prediction;
-    ///
-    /// let mut system = PrecomputeSystem::new_multi(
-    ///     SystemConfig {
-    ///         initial_threshold: 0.5,
-    ///         budget: BudgetConfig {
-    ///             capacity_units: 100.0,
-    ///             refill_units_per_sec: 10.0,
-    ///             cost_per_prefetch_units: 10.0,
-    ///             max_inflight: 8,
-    ///         },
-    ///         cache: CacheConfig::default(),
-    ///         controller: ControllerConfig::default(),
-    ///         admission: AdmissionOrder::Priority,
-    ///         recalibrate_from_outcomes: false,
-    ///         payload_bytes: 64,
-    ///     },
-    ///     MultiActivityConfig {
-    ///         costs: ActivityMap::from_fn(|a| if a == Activity::Mpu { 40.0 } else { 10.0 }),
-    ///         initial_thresholds: ActivityMap::uniform(0.5),
-    ///         fairness: FairnessPolicy::GuaranteedShare {
-    ///             floors: ActivityMap::uniform(0.2),
-    ///         },
-    ///     },
-    /// );
-    /// let wave = [
-    ///     (Activity::MobileTab, Prediction { user_id: UserId(1), probability: 0.9 }),
-    ///     (Activity::Mpu, Prediction { user_id: UserId(2), probability: 0.8 }),
-    /// ];
-    /// system.handle_wave(&wave, 0);
-    /// system.resolve_session(UserId(1), 5, true);
-    /// system.resolve_session(UserId(2), 5, false);
-    /// let mpu = system.activity_report(Activity::Mpu);
-    /// assert_eq!(mpu.budget.units_spent, 40.0);
-    /// assert_eq!(mpu.outcomes.wasted_prefetches, 1);
-    /// assert_eq!(system.activity_report(Activity::MobileTab).outcomes.hits, 1);
-    /// system.check_invariants().unwrap();
-    /// ```
-    pub fn activity_report(&self, activity: Activity) -> ActivityReport {
-        let outcomes = self.tracker.counts_for(activity);
-        ActivityReport {
-            activity,
-            decisions: self.engine.stats_for(activity),
-            budget: self.scheduler.activity_stats(activity),
-            outcomes,
-            precision: outcomes.precision(),
-            recall: outcomes.recall(),
-            waste_ratio: outcomes.waste_ratio(),
-            threshold: self.controllers[activity].threshold(),
-            controller_windows: self.controllers[activity].windows_closed(),
-            recalibrations: self.recalibrations[activity],
-            recalibration_holds: self.recalibration_holds[activity],
+            threshold: self.controller.threshold(),
+            controller_windows: self.controller.windows_closed(),
+            recalibrations: self.recalibrations,
+            recalibration_holds: self.recalibration_holds,
         }
     }
 
@@ -872,143 +685,6 @@ mod tests {
         );
         fifo.check_invariants().unwrap();
         priority.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn greedy_sharing_starves_but_guaranteed_share_does_not() {
-        // One tight shared bucket; MobileTab floods every wave ahead of a
-        // single MPU candidate. Under greedy fairness MobileTab takes the
-        // whole bucket each wave; under guaranteed-share MPU's floor keeps
-        // it served. MPU prefetches cost 4× MobileTab's.
-        let costs = ActivityMap::from_fn(|a| if a == Activity::Mpu { 40.0 } else { 10.0 });
-        let run = |fairness: FairnessPolicy| {
-            let mut system = PrecomputeSystem::new_multi(
-                SystemConfig {
-                    initial_threshold: 0.5,
-                    budget: BudgetConfig {
-                        capacity_units: 100.0,
-                        refill_units_per_sec: 10.0,
-                        cost_per_prefetch_units: 40.0,
-                        max_inflight: 1_000,
-                    },
-                    ..config()
-                },
-                MultiActivityConfig {
-                    costs,
-                    initial_thresholds: ActivityMap::uniform(0.5),
-                    fairness,
-                },
-            );
-            let mut now = 0i64;
-            for wave_index in 0..50u64 {
-                now += 10;
-                let mut wave: Vec<(Activity, Prediction)> = (0..12)
-                    .map(|i| (Activity::MobileTab, prediction(wave_index * 100 + i, 0.9)))
-                    .collect();
-                wave.push((Activity::Mpu, prediction(wave_index * 100 + 50, 0.9)));
-                system.handle_wave(&wave, now);
-                for (_, p) in &wave {
-                    system.resolve_session(p.user_id, now + 2, true).unwrap();
-                }
-                system.check_invariants().unwrap();
-            }
-            system
-        };
-
-        let greedy = run(FairnessPolicy::Greedy);
-        assert_eq!(
-            greedy.activity_report(Activity::Mpu).outcomes.hits,
-            0,
-            "greedy sharing lets MobileTab starve MPU"
-        );
-
-        let floors = ActivityMap::from_fn(|a| if a == Activity::Mpu { 0.4 } else { 0.0 });
-        let fair = run(FairnessPolicy::GuaranteedShare { floors });
-        let mpu = fair.activity_report(Activity::Mpu);
-        assert!(
-            mpu.outcomes.hits >= 40,
-            "the floor guarantees MPU roughly one admission per wave, got {}",
-            mpu.outcomes.hits
-        );
-        // The ledger lines up: MPU's spend is exactly its admissions × cost,
-        // and every activity's spend sums to the bucket drain (also checked
-        // by the scheduler invariant).
-        assert!((mpu.budget.units_spent - mpu.budget.admitted as f64 * 40.0).abs() < 1e-6);
-        fair.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn per_activity_controllers_diverge_to_their_own_operating_points() {
-        // MobileTab scores are honest (P(access|s) = s); Timeshift scores
-        // over-promise (P(access|s) = s²). Holding the same 0.7 precision
-        // target therefore needs a higher Timeshift threshold — the two
-        // controllers must find different operating points from outcomes
-        // alone, and the recalibration loop must stay per-activity.
-        let mut system = PrecomputeSystem::new_multi(
-            SystemConfig {
-                initial_threshold: 0.3,
-                budget: BudgetConfig {
-                    capacity_units: 1e9,
-                    refill_units_per_sec: 1e6,
-                    cost_per_prefetch_units: 1.0,
-                    max_inflight: 1_000_000,
-                },
-                controller: ControllerConfig {
-                    target_precision: 0.7,
-                    window: 100,
-                    gain: 0.4,
-                    min_threshold: 0.01,
-                    max_threshold: 0.99,
-                },
-                recalibrate_from_outcomes: true,
-                ..config()
-            },
-            MultiActivityConfig {
-                costs: ActivityMap::uniform(1.0),
-                initial_thresholds: ActivityMap::uniform(0.3),
-                fairness: FairnessPolicy::Greedy,
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut now = 0i64;
-        for step in 0..60_000u64 {
-            now += 1;
-            let score: f64 = rng.gen();
-            let (activity, p_access) = if step % 2 == 0 {
-                (Activity::MobileTab, score)
-            } else {
-                (Activity::Timeshift, score * score)
-            };
-            let accessed = rng.gen::<f64>() < p_access;
-            system.handle_wave(&[(activity, prediction(step, score))], now);
-            system.resolve_session(UserId(step), now, accessed).unwrap();
-        }
-        system.check_invariants().unwrap();
-        let mobile = system.activity_report(Activity::MobileTab);
-        let timeshift = system.activity_report(Activity::Timeshift);
-        // Honest uniform scores need t ≈ 0.4 for 0.7 precision; squared
-        // (over-promising) scores need t ≈ 0.78.
-        assert!(
-            (mobile.threshold - 0.4).abs() < 0.15,
-            "MobileTab threshold {} should sit near 0.4",
-            mobile.threshold
-        );
-        assert!(
-            timeshift.threshold > mobile.threshold + 0.15,
-            "Timeshift threshold {} must sit well above MobileTab's {}",
-            timeshift.threshold,
-            mobile.threshold
-        );
-        assert!(mobile.recalibrations > 5, "MobileTab loop must recalibrate");
-        assert!(
-            timeshift.recalibrations > 5,
-            "Timeshift loop must recalibrate"
-        );
-        // MPU saw no traffic: its slice of the ledger stays empty.
-        let mpu = system.activity_report(Activity::Mpu);
-        assert_eq!(mpu.outcomes.resolved(), 0);
-        assert_eq!(mpu.budget.admitted, 0);
-        assert_eq!(mpu.controller_windows, 0);
     }
 
     #[test]

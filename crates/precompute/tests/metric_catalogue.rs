@@ -1,12 +1,11 @@
 //! The metric catalogue in `docs/observability.md` is the code's: the
 //! serving and precompute handles, registered on a fresh registry, produce
-//! exactly the names (and kinds) its catalogue tables list, with `<slug>`
-//! expanded over the activities. `ppbench` reads four serving histograms by
-//! name and reads a missing one as 0, so a rename here would zero four
-//! ledger lines without failing anything else.
+//! exactly the names (and kinds) its catalogue tables list. `ppbench`
+//! reads four serving histograms by name and reads a missing one as 0, so a
+//! rename here would zero four ledger lines without failing anything else.
 
 use pp_obs::MetricsRegistry;
-use pp_precompute::{Activity, PrecomputeObs};
+use pp_precompute::PrecomputeObs;
 use pp_serving::ServingObs;
 use std::collections::BTreeSet;
 
@@ -30,15 +29,7 @@ fn documented() -> BTreeSet<(String, String)> {
     let mut rows = BTreeSet::new();
     for line in section.lines().filter(|l| l.starts_with("| `")) {
         let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-        let name = cells[1].trim_matches('`');
-        let kind = cells[2].to_string();
-        if name.contains("<slug>") {
-            for activity in Activity::ALL {
-                rows.insert((name.replace("<slug>", activity.slug()), kind.clone()));
-            }
-        } else {
-            rows.insert((name.to_string(), kind));
-        }
+        rows.insert((cells[1].trim_matches('`').to_string(), cells[2].to_string()));
     }
     rows
 }

@@ -1,7 +1,7 @@
 //! The precompute loop's half of the sampled trace: a real
-//! [`PrecomputeSystem::handle_wave`] must emit one `wave_admission` span per
-//! traced wave and one `cache_insert` span per admitted prefetch, every span
-//! closed, each insert linked to its wave through the shared `batch`
+//! [`PrecomputeSystem::handle_scores`] must emit one `wave_admission` span
+//! per traced wave and one `cache_insert` span per admitted prefetch, every
+//! span closed, each insert linked to its wave through the shared `batch`
 //! sequence number, and no span of another stage.
 //!
 //! This file owns its process's global [`Tracer`]: it holds exactly one
@@ -11,8 +11,7 @@
 use pp_data::schema::UserId;
 use pp_obs::{Stage, Tracer};
 use pp_precompute::{
-    Activity, AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig, PrecomputeSystem,
-    SystemConfig,
+    AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig, PrecomputeSystem, SystemConfig,
 };
 use pp_serving::Prediction;
 use std::collections::HashSet;
@@ -21,7 +20,7 @@ const WAVES: i64 = 20;
 const USERS_PER_WAVE: u64 = 16;
 
 #[test]
-fn handle_wave_emits_closed_linked_spans() {
+fn handle_scores_emits_closed_linked_spans() {
     std::env::set_var("PP_TRACE_SAMPLE", "1");
     std::env::set_var("PP_TRACE_SEED", "17");
 
@@ -41,16 +40,13 @@ fn handle_wave_emits_closed_linked_spans() {
     });
     for wave in 0..WAVES {
         let now = wave * 60;
-        let tagged: Vec<(Activity, Prediction)> = (0..USERS_PER_WAVE)
-            .map(|u| {
-                let prediction = Prediction {
-                    user_id: UserId(u),
-                    probability: if (u as i64 + wave) % 2 == 0 { 0.9 } else { 0.2 },
-                };
-                (Activity::ALL[u as usize % Activity::COUNT], prediction)
+        let predictions: Vec<Prediction> = (0..USERS_PER_WAVE)
+            .map(|u| Prediction {
+                user_id: UserId(u),
+                probability: if (u as i64 + wave) % 2 == 0 { 0.9 } else { 0.2 },
             })
             .collect();
-        system.handle_wave(&tagged, now);
+        system.handle_scores(&predictions, now);
         for u in 0..USERS_PER_WAVE {
             system
                 .resolve_session(UserId(u), now + 10, u % 3 == 0)

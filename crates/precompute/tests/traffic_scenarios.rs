@@ -1,6 +1,5 @@
 //! Traffic-scenario gates for the whole precompute loop, pinned to one
-//! seeded configuration: MobileTab 300 users × 20 days, seed 17 (mixed
-//! traffic adds Timeshift and MPU on seeds derived from it). Seeded
+//! seeded configuration: MobileTab 300 users × 20 days, seed 17. Seeded
 //! synthetic sessions are cut into waves, scored by a noisy oracle
 //! (logistic noise around the ground-truth label, so precision genuinely
 //! depends on the threshold), pushed through a fresh [`PrecomputeSystem`]
@@ -22,13 +21,6 @@
 //!   all-seeds property**: 0.632 / 0.638 / 0.646 at seed 17, but at seed 3
 //!   `diurnal` reads 0.493 (the threshold saturates at 0.99 after 5
 //!   windows) and misses the same tolerance.
-//! * **mixed_traffic** — MobileTab + Timeshift + MPU on a common clock under
-//!   one tight shared budget with per-activity costs: guaranteed-share
-//!   floors starve no activity, and the shared bucket earns at least as
-//!   many hits as the best static per-activity split of the same budget
-//!   (6,130 vs 6,046 at the pin; 5,972 / 5,774, 5,969 / 5,936 and
-//!   6,365 / 6,280 at seeds 3, 99, 5). The per-activity hits under every
-//!   fairness policy and under the best static split are pinned exactly.
 //!
 //! FIFO-vs-priority admission is deliberately *not* pinned here. On oracle
 //! scores at a tight budget (16 prefetches of burst, 15 % of the bursty
@@ -39,18 +31,14 @@
 //! 660 from 1,171. The mechanism is unit-tested in `system.rs`
 //! (`priority_admission_turns_a_tight_budget_into_more_hits`).
 //!
-//! Every replay also asserts the hard invariants: outcome conservation, a
-//! never-overdrawn budget, and per-activity spends summing to the drain.
+//! Every replay also asserts the hard invariants: outcome conservation and
+//! a never-overdrawn budget.
 
-use pp_data::schema::{hour_of_day, Dataset, DatasetKind, UserId};
-use pp_data::synth::{
-    MobileTabConfig, MobileTabGenerator, MpuConfig, MpuGenerator, SyntheticGenerator,
-    TimeshiftConfig, TimeshiftGenerator,
-};
+use pp_data::schema::{hour_of_day, DatasetKind, UserId};
+use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
 use pp_precompute::{
-    prefetch_cost_units, Activity, ActivityMap, AdmissionOrder, BudgetConfig, CacheConfig,
-    ControllerConfig, FairnessPolicy, MultiActivityConfig, OutcomeCounts, PrecomputeSystem,
-    SystemConfig,
+    prefetch_cost_units, AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig,
+    OutcomeCounts, PrecomputeSystem, SystemConfig,
 };
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
 use pp_serving::{rnn_profile, CostWeights, Prediction};
@@ -71,16 +59,21 @@ struct Event {
     timestamp: i64,
     user: UserId,
     accessed: bool,
-    activity: Activity,
 }
 
 fn by_time_then_user(events: &mut [Event]) {
     events.sort_by_key(|e| (e.timestamp, e.user.0));
 }
 
-/// Flattens every user's history into one time-ordered stream.
-fn events_of_users(dataset: &Dataset) -> Vec<Event> {
-    let activity = Activity::from(dataset.kind);
+/// The seeded MobileTab users' sessions as one time-ordered stream.
+fn mobiletab_events() -> Vec<Event> {
+    let dataset = MobileTabGenerator::new(MobileTabConfig {
+        num_users: USERS,
+        num_days: DAYS,
+        seed: SEED,
+        ..MobileTabConfig::default()
+    })
+    .generate();
     let mut events: Vec<Event> = dataset
         .users
         .iter()
@@ -89,29 +82,6 @@ fn events_of_users(dataset: &Dataset) -> Vec<Event> {
                 timestamp: s.timestamp,
                 user: user.user_id,
                 accessed: s.accessed,
-                activity,
-            })
-        })
-        .collect();
-    by_time_then_user(&mut events);
-    events
-}
-
-/// Interleaves several activities' datasets on a common clock: each is
-/// rebased to start at t = 0 (the generators use different, midnight-aligned
-/// epochs) and user ids are namespaced per activity, because `UserId` is the
-/// session key across activities — MobileTab user 0 and Timeshift user 0
-/// must stay distinct or one's session start sweeps the other's prefetch.
-fn mixed_events(datasets: &[Dataset]) -> Vec<Event> {
-    let mut events: Vec<Event> = datasets
-        .iter()
-        .enumerate()
-        .flat_map(|(i, dataset)| {
-            let offset = (i as u64 + 1) << 40;
-            events_of_users(dataset).into_iter().map(move |e| Event {
-                timestamp: e.timestamp - dataset.start_timestamp,
-                user: UserId(e.user.0 + offset),
-                ..e
             })
         })
         .collect();
@@ -144,12 +114,12 @@ fn diurnalize(events: &[Event]) -> Vec<Event> {
 
 /// Seeded noisy oracle: a logistic-noise score centered above the threshold
 /// band for accessed sessions and below it otherwise.
-fn oracle_score_scaled(rng: &mut StdRng, accessed: bool, noise_scale: f64) -> f64 {
+fn oracle_score(rng: &mut StdRng, accessed: bool) -> f64 {
     let mu = if accessed { 0.9 } else { -0.9 };
     // Logistic noise via inverse-CDF of a uniform draw.
     let u: f64 = rng.gen_range(1e-9..1.0 - 1e-9);
     let noise = (u / (1.0 - u)).ln();
-    1.0 / (1.0 + (-(mu + noise_scale * noise)).exp())
+    1.0 / (1.0 + (-(mu + 0.9 * noise)).exp())
 }
 
 fn events_per_sec(events: &[Event]) -> f64 {
@@ -157,24 +127,9 @@ fn events_per_sec(events: &[Event]) -> f64 {
     events.len() as f64 / span_secs as f64
 }
 
-/// Cost of one prefetch, in the §9 cost model's units, for an activity
-/// served by a GRU of the given width.
-fn cost_of(kind: DatasetKind, task: TaskKind, hidden: usize) -> f64 {
-    let config = RnnModelConfig {
-        hidden_dim: hidden,
-        mlp_width: hidden,
-        ..RnnModelConfig::default()
-    };
-    let model = RnnModel::new(kind, task, config, SEED);
-    prefetch_cost_units(&rnn_profile(&model), &CostWeights::default())
-}
-
-fn system_config(
-    budget: BudgetConfig,
-    admission: AdmissionOrder,
-    recalibrate_from_outcomes: bool,
-) -> SystemConfig {
-    SystemConfig {
+/// A FIFO system with no outcome recalibration under `budget`.
+fn system(budget: BudgetConfig) -> PrecomputeSystem {
+    PrecomputeSystem::new(SystemConfig {
         initial_threshold: INITIAL_THRESHOLD,
         budget,
         cache: CacheConfig {
@@ -189,16 +144,23 @@ fn system_config(
             min_threshold: 0.01,
             max_threshold: 0.99,
         },
-        admission,
-        recalibrate_from_outcomes,
+        admission: AdmissionOrder::Fifo,
+        recalibrate_from_outcomes: false,
         payload_bytes: 512,
-    }
+    })
 }
 
-/// A single-activity budget holding `burst` prefetches and refilling
-/// `prefetches_per_sec` of them.
+/// A budget holding `burst` prefetches and refilling `prefetches_per_sec`
+/// of them, each costing one prediction of an H = 16 MobileTab GRU in the
+/// §9 cost model's units.
 fn mobiletab_budget(burst: f64, prefetches_per_sec: f64) -> BudgetConfig {
-    let cost = cost_of(DatasetKind::MobileTab, TaskKind::PerSession, 16);
+    let config = RnnModelConfig {
+        hidden_dim: 16,
+        mlp_width: 16,
+        ..RnnModelConfig::default()
+    };
+    let model = RnnModel::new(DatasetKind::MobileTab, TaskKind::PerSession, config, SEED);
+    let cost = prefetch_cost_units(&rnn_profile(&model), &CostWeights::default());
     BudgetConfig {
         capacity_units: burst * cost,
         refill_units_per_sec: prefetches_per_sec * cost,
@@ -222,7 +184,7 @@ fn replay(
     let mut i = 0;
     while i < events.len() {
         let bucket = events[i].timestamp / 60;
-        let mut wave: Vec<(Activity, Prediction)> = Vec::new();
+        let mut wave: Vec<Prediction> = Vec::new();
         let mut users = HashSet::new();
         let first = i;
         while i < events.len()
@@ -230,15 +192,14 @@ fn replay(
             && wave.len() < 256
             && users.insert(events[i].user.0)
         {
-            let prediction = Prediction {
+            wave.push(Prediction {
                 user_id: events[i].user,
                 probability: score(&events[i]),
-            };
-            wave.push((events[i].activity, prediction));
+            });
             i += 1;
         }
         let now = bucket * 60;
-        system.handle_wave(&wave, now);
+        system.handle_scores(&wave, now);
         for event in &events[first..i] {
             let dwell = if event.accessed { 10 } else { 45 };
             system
@@ -250,8 +211,7 @@ fn replay(
         }
     }
 
-    // Conservation, never-overdrawn, per-activity spends == bucket drain,
-    // admitted == cache insertions.
+    // Conservation, never-overdrawn, admitted == cache insertions.
     system.check_invariants().expect("subsystem invariants");
     assert_eq!(system.tracker().pending_len(), 0);
     assert_eq!(
@@ -262,20 +222,6 @@ fn replay(
     (system, halfway.expect("a non-empty stream has a midpoint"))
 }
 
-fn mobiletab_dataset() -> Dataset {
-    let config = MobileTabConfig {
-        num_users: USERS,
-        num_days: DAYS,
-        seed: SEED,
-        ..MobileTabConfig::default()
-    };
-    MobileTabGenerator::new(config).generate()
-}
-
-fn mobiletab_events() -> Vec<Event> {
-    events_of_users(&mobiletab_dataset())
-}
-
 /// Second-half hits and resolved prefetches of one oracle-scored replay of
 /// `events` through a fresh FIFO system with no outcome recalibration,
 /// under a budget that holds 128 prefetches and sustains half the *raw*
@@ -283,10 +229,9 @@ fn mobiletab_events() -> Vec<Event> {
 /// synchronized bursts.
 fn second_half(events: &[Event], raw_events_per_sec: f64) -> (u64, u64) {
     let budget = mobiletab_budget(128.0, 0.5 * raw_events_per_sec);
-    let system = PrecomputeSystem::new(system_config(budget, AdmissionOrder::Fifo, false));
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x5c0_7e5);
-    let (system, halfway) = replay(events, system, |e| {
-        oracle_score_scaled(&mut rng, e.accessed, 0.9)
+    let (system, halfway) = replay(events, system(budget), |e| {
+        oracle_score(&mut rng, e.accessed)
     });
     let total = system.report().outcomes;
     (
@@ -338,182 +283,4 @@ fn diurnal_holds_the_precision_target() {
     let events = mobiletab_events();
     let figures = second_half(&diurnalize(&events), events_per_sec(&events));
     assert_holds_target("diurnal", figures, (250, 387));
-}
-
-/// Hits earned per activity by one replay, in `Activity::ALL` order.
-fn hits_by_activity(system: &PrecomputeSystem) -> ActivityMap<u64> {
-    ActivityMap::from_fn(|a| system.activity_report(a).outcomes.hits)
-}
-
-/// An [`ActivityMap`] as a plain array, in `Activity::ALL` order.
-fn per_activity(map: ActivityMap<u64>) -> [u64; Activity::COUNT] {
-    Activity::ALL.map(|a| map[a])
-}
-
-#[test]
-fn mixed_traffic_guaranteed_share_starves_nobody_and_beats_the_best_static_split() {
-    let timeshift = TimeshiftConfig {
-        num_users: USERS,
-        num_days: DAYS,
-        seed: SEED ^ 0x7e5,
-        ..TimeshiftConfig::default()
-    };
-    let mpu = MpuConfig {
-        num_users: 80,
-        num_days: DAYS,
-        median_notifications_per_day: 20.0,
-        seed: SEED ^ 0x3a7,
-        ..MpuConfig::default()
-    };
-    let events = mixed_events(&[
-        mobiletab_dataset(),
-        TimeshiftGenerator::new(timeshift).generate(),
-        MpuGenerator::new(mpu).generate(),
-    ]);
-
-    // Each activity serves its own model (the §9 launch activity runs the
-    // paper-size GRU, the others smaller ones), so a prefetch costs
-    // genuinely different unit amounts per activity.
-    let costs = ActivityMap::from_fn(|a| match a {
-        Activity::MobileTab => cost_of(DatasetKind::MobileTab, TaskKind::PerSession, 128),
-        Activity::Timeshift => cost_of(DatasetKind::Timeshift, TaskKind::Timeshifted, 64),
-        Activity::Mpu => cost_of(DatasetKind::Mpu, TaskKind::PerSession, 16),
-    });
-    // The activities' scores are deliberately not equally informative, so
-    // each activity's controller must find its own threshold.
-    let noise = ActivityMap::from_fn(|a| match a {
-        Activity::MobileTab => 0.9,
-        Activity::Timeshift => 1.1,
-        Activity::Mpu => 0.7,
-    });
-    // Every run replays the identical per-activity score streams.
-    let run = |events: &[Event], system: PrecomputeSystem| {
-        let mut rngs = ActivityMap::from_fn(|a| {
-            StdRng::seed_from_u64(SEED ^ (0x5c0_7e5 + 7919 * a.index() as u64))
-        });
-        let (system, _) = replay(events, system, |e| {
-            oracle_score_scaled(&mut rngs[e.activity], e.accessed, noise[e.activity])
-        });
-        system
-    };
-
-    let mut event_count = ActivityMap::uniform(0usize);
-    let mut access_count = ActivityMap::uniform(0usize);
-    for e in &events {
-        event_count[e.activity] += 1;
-        access_count[e.activity] += usize::from(e.accessed);
-    }
-    let accesses: usize = access_count.values().sum();
-    let demand_share = access_count.map(|_, &n| n as f64 / accesses as f64);
-
-    // One tight shared budget, denominated against the traffic-weighted
-    // mean cost: 24 prefetches of burst, and a refill that covers 12 % of
-    // the event rate, so the fairness policy decides who gets served.
-    let mean_cost: f64 = costs
-        .iter()
-        .map(|(a, &c)| c * event_count[a] as f64 / events.len() as f64)
-        .sum();
-    let capacity_units = 24.0 * mean_cost;
-    let refill_units_per_sec = 0.12 * events_per_sec(&events) * mean_cost;
-    let shared = system_config(
-        BudgetConfig {
-            capacity_units,
-            refill_units_per_sec,
-            cost_per_prefetch_units: costs.values().fold(0.0, |m: f64, &c| m.max(c)),
-            max_inflight: MAX_INFLIGHT,
-        },
-        AdmissionOrder::Priority,
-        true,
-    );
-
-    // Static baselines: partition the same budget into three independent
-    // buckets and replay each activity alone. An idle activity's refill
-    // serving a busy one is exactly what a static split gives up.
-    let own_events: ActivityMap<Vec<Event>> =
-        ActivityMap::from_fn(|a| events.iter().filter(|e| e.activity == a).copied().collect());
-    let units_demand = demand_share.map(|a, &s| s * costs[a]);
-    let units_total: f64 = units_demand.values().sum();
-    let splits = [
-        ("equal", ActivityMap::uniform(1.0 / 3.0)),
-        ("demand_proportional", demand_share),
-        (
-            "cost_weighted_demand",
-            units_demand.map(|_, &u| u / units_total),
-        ),
-    ];
-    let (best_split, best_static) = splits
-        .iter()
-        .map(|(name, shares)| {
-            let hits = ActivityMap::from_fn(|a| {
-                let budget = BudgetConfig {
-                    // The scheduler needs room for two prefetches.
-                    capacity_units: (shares[a] * capacity_units).max(2.0 * costs[a]),
-                    refill_units_per_sec: shares[a] * refill_units_per_sec,
-                    cost_per_prefetch_units: costs[a],
-                    max_inflight: MAX_INFLIGHT,
-                };
-                let system = PrecomputeSystem::new(SystemConfig { budget, ..shared });
-                run(&own_events[a], system).report().outcomes.hits
-            });
-            (*name, hits)
-        })
-        .max_by_key(|(_, hits)| hits.values().sum::<u64>())
-        .expect("three splits");
-    let best_static_total: u64 = best_static.values().sum();
-
-    // Half the bucket is floored, half stays a contested common pool. The
-    // floors blend demand-proportional with equal shares 50/50: pure
-    // demand-proportional floors leave a small activity's reserve too thin
-    // to matter against an aggressor, pure equal floors lock so much
-    // budget onto low-demand activities that total hits fall below a
-    // static split.
-    let floors = demand_share.map(|_, &s| 0.5 * (0.5 * s + 0.5 / 3.0));
-    let weights = demand_share.map(|_, &s| s.max(1e-3));
-    let run_policy = |fairness| {
-        let multi = MultiActivityConfig {
-            costs,
-            initial_thresholds: ActivityMap::uniform(INITIAL_THRESHOLD),
-            fairness,
-        };
-        hits_by_activity(&run(&events, PrecomputeSystem::new_multi(shared, multi)))
-    };
-    let greedy = run_policy(FairnessPolicy::Greedy);
-    let round_robin = run_policy(FairnessPolicy::DeficitRoundRobin { weights });
-    let guaranteed = run_policy(FairnessPolicy::GuaranteedShare { floors });
-    let guaranteed_total: u64 = guaranteed.values().sum();
-
-    // Every policy's per-activity hits, and the best static split's, pinned
-    // exactly: a moved admission under any policy shows up here.
-    assert_eq!(per_activity(greedy), [44, 29, 6_546], "greedy");
-    assert_eq!(
-        per_activity(round_robin),
-        [33, 21, 6_533],
-        "deficit round-robin"
-    );
-    assert_eq!(
-        per_activity(guaranteed),
-        [290, 51, 5_789],
-        "guaranteed share"
-    );
-    assert_eq!(
-        (best_split, per_activity(best_static)),
-        ("demand_proportional", [228, 35, 5_783]),
-        "best static split"
-    );
-
-    // Starvation is measured against the hit share an activity earns with
-    // a dedicated budget and nobody to compete with: an activity with
-    // inherently noisy scores earns a low share even then.
-    for a in Activity::ALL {
-        let hit_share = guaranteed[a] as f64 / guaranteed_total as f64;
-        let floor = 0.25 * best_static[a] as f64 / best_static_total as f64;
-        assert!(
-            hit_share >= floor,
-            "{a} starved under guaranteed-share: hit share {hit_share:.4} < {floor:.4}"
-        );
-    }
-    assert!(
-        guaranteed_total >= best_static_total,
-        "shared bucket earned {guaranteed_total} hits, static split {best_split} {best_static_total}"
-    );
 }
