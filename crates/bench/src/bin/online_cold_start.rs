@@ -5,6 +5,7 @@
 use pp_baselines::Gbdt;
 use pp_bench::{section, Scale};
 use pp_core::experiments::OfflineExperimentConfig;
+use pp_core::online::run_online_comparison;
 use pp_data::schema::DatasetKind;
 use pp_data::split::UserSplit;
 use pp_data::synth::{MobileTabGenerator, SyntheticGenerator};
@@ -12,7 +13,6 @@ use pp_features::baseline::{
     build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
 };
 use pp_rnn::{RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
-use pp_serving::run_online_comparison;
 
 fn main() {
     let scale = Scale::from_env();

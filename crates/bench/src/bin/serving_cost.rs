@@ -7,6 +7,7 @@
 
 use pp_baselines::Gbdt;
 use pp_bench::{section, Scale};
+use pp_core::cost::{baseline_profile, compare};
 use pp_data::schema::{DatasetKind, UserId};
 use pp_data::split::UserSplit;
 use pp_data::synth::{MobileTabGenerator, SyntheticGenerator};
@@ -14,7 +15,7 @@ use pp_features::baseline::{
     build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
 };
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
-use pp_serving::{baseline_profile, compare, rnn_profile, CostWeights, ShardedStateStore};
+use pp_serving::{rnn_profile, CostWeights, ShardedStateStore};
 
 fn main() {
     let scale = Scale::from_env();
@@ -39,25 +40,25 @@ fn main() {
 
     section("Per-prediction serving profile");
     println!(
-        "{:<28}{:>16}{:>16}",
+        "{:<28}{:>20}{:>20}",
         "", "GBDT+aggregations", "RNN hidden state"
     );
     println!(
-        "{:<28}{:>16.1}{:>16.1}",
+        "{:<28}{:>20.1}{:>20.1}",
         "KV lookups / prediction", base.lookups_per_prediction, rnn_prof.lookups_per_prediction
     );
     println!(
-        "{:<28}{:>16.0}{:>16.0}",
+        "{:<28}{:>20.0}{:>20.0}",
         "bytes fetched / prediction", base.bytes_per_prediction, rnn_prof.bytes_per_prediction
     );
     println!(
-        "{:<28}{:>16.0}{:>16.0}",
+        "{:<28}{:>20.0}{:>20.0}",
         "model FLOPs / prediction",
         base.model_flops_per_prediction,
         rnn_prof.model_flops_per_prediction
     );
     println!(
-        "{:<28}{:>16.1}{:>16.1}",
+        "{:<28}{:>20.1}{:>20.1}",
         "storage keys / user", base.storage_keys_per_user, rnn_prof.storage_keys_per_user
     );
 

@@ -9,12 +9,20 @@
 //! * [`experiments`] — the §8 offline evaluation protocol: 90/10 user
 //!   splits, last-7-days evaluation, k-fold cross-validation for MPU, and
 //!   the Table 5 feature ablation;
+//! * [`cost`] — the §9 serving-cost comparison: profiles the GBDT's
+//!   aggregation-feature path (≈ 20 lookups, thousands of keys per user)
+//!   and weighs it against the RNN's hidden-state path (one 512-byte
+//!   lookup, `pp-serving`'s `rnn_profile`), reproducing the ≈ 10× overall
+//!   cost reduction;
+//! * [`online`] — the day-by-day online comparison of RNN vs GBDT on
+//!   cold-start users (Figure 7) and the successful-prefetch lift at a
+//!   target precision;
 //! * [`policy`] — threshold selection for a target precision, the operating
 //!   point used by the production deployment in §9. `pp-precompute` keeps
-//!   one [`PrecomputePolicy`] per activity and re-fits each through
-//!   [`PrecomputePolicy::recalibrate`] on that activity's resolved
-//!   (score, label) windows — see `ARCHITECTURE.md` at the repository root
-//!   for the full loop.
+//!   one [`PrecomputePolicy`] and re-fits it through
+//!   [`PrecomputePolicy::recalibrate`] on its resolved (score, label)
+//!   windows — see `ARCHITECTURE.md` at the repository root for the full
+//!   loop.
 //!
 //! # Examples
 //!
@@ -43,7 +51,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cost;
 pub mod experiments;
+pub mod online;
 pub mod policy;
 
 pub use experiments::{

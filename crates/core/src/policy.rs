@@ -73,25 +73,6 @@ impl PrecomputePolicy {
         self.threshold
     }
 
-    /// Returns a copy of this policy with its threshold moved to
-    /// `threshold`, *keeping* the recorded precision target. This is the
-    /// hook an online controller uses to nudge the operating point while
-    /// the target it is defending stays on record.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= threshold <= 1`.
-    pub fn with_adjusted_threshold(&self, threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be a probability"
-        );
-        Self {
-            threshold,
-            target_precision: self.target_precision,
-        }
-    }
-
     /// Re-fits the threshold for this policy's recorded precision target on
     /// a fresh held-out sample — the periodic recalibration step of a
     /// production deployment as traffic drifts. Returns `None` when the
@@ -125,20 +106,6 @@ impl PrecomputePolicy {
     pub fn should_precompute(&self, probability: f64) -> bool {
         probability >= self.threshold
     }
-
-    /// Fraction of the given scores that would trigger a precompute —
-    /// a direct proxy for the precompute traffic the policy generates.
-    pub fn trigger_rate(&self, scores: &[f64]) -> f64 {
-        if scores.is_empty() {
-            0.0
-        } else {
-            scores
-                .iter()
-                .filter(|&&s| self.should_precompute(s))
-                .count() as f64
-                / scores.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,8 +119,6 @@ mod tests {
         assert!(p.should_precompute(0.9));
         assert!(!p.should_precompute(0.59));
         assert_eq!(p.target_precision(), None);
-        assert!((p.trigger_rate(&[0.1, 0.7, 0.9]) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(p.trigger_rate(&[]), 0.0);
     }
 
     #[test]
@@ -204,16 +169,6 @@ mod tests {
     #[should_panic(expected = "target precision must be a probability")]
     fn invalid_target_panics() {
         let _ = PrecomputePolicy::with_threshold_for_target(0.5, 1.2);
-    }
-
-    #[test]
-    fn adjusted_threshold_keeps_target_on_record() {
-        let scores = [0.9, 0.8, 0.7, 0.1];
-        let labels = [true, false, true, false];
-        let policy = PrecomputePolicy::for_target_precision(&scores, &labels, 0.6).unwrap();
-        let nudged = policy.with_adjusted_threshold(0.42);
-        assert!((nudged.threshold() - 0.42).abs() < 1e-12);
-        assert_eq!(nudged.target_precision(), Some(0.6));
     }
 
     #[test]

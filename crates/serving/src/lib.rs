@@ -1,18 +1,15 @@
 //! # pp-serving
 //!
 //! Serving-layer simulation for predictive precompute, reproducing the
-//! production architecture and measurements of §9 of the paper:
+//! production architecture of §9 of the paper: the hidden-state store and
+//! the engine that scores sessions against it:
 //!
 //! * [`kv_store`] — what a hidden-state store is measured and configured
 //!   by ([`StoreStats`], [`EvictionPolicy`]) and the f32 wire encoding of a
 //!   state;
-//! * [`cost`] — the serving cost model comparing the aggregation-feature
-//!   path (≈ 20 lookups, thousands of keys per user) against the
-//!   hidden-state path (one 512-byte lookup), reproducing the ≈ 10× overall
-//!   cost reduction;
-//! * [`online`] — the day-by-day online comparison of RNN vs GBDT on
-//!   cold-start users (Figure 7) and the successful-prefetch lift at a
-//!   target precision;
+//! * [`cost`] — the per-prediction serving profile of a model path and the
+//!   cost formula that weighs its lookups, bytes and FLOPs into one unit:
+//!   what the precompute budget charges for a prefetch;
 //! * [`sharded`] — the hidden-state store (the paper's Redis-like store,
 //!   in process): a [`ShardedStateStore`] of N independent typed
 //!   [`StateShard`]s keyed by user-id hash, states kept as bf16 rows (read
@@ -32,17 +29,13 @@ pub mod batch;
 pub mod cost;
 pub mod kv_store;
 pub mod obs;
-pub mod online;
 pub mod sharded;
 
 pub use batch::{
     BatchScheduler, BatchServingEngine, EngineStats, PredictRequest, Prediction, UpdateRequest,
     WorkerStats,
 };
-pub use cost::{
-    baseline_profile, compare, rnn_profile, CostComparison, CostWeights, ServingProfile,
-};
+pub use cost::{rnn_profile, CostWeights, ServingProfile};
 pub use kv_store::{decode_state_f32, encode_state_f32, EvictionPolicy, StoreStats};
 pub use obs::ServingObs;
-pub use online::{run_online_comparison, DailyMetric, OnlineComparison};
 pub use sharded::{ShardedStateStore, StateShard};

@@ -467,12 +467,6 @@ impl StateShard {
         self.capacity
     }
 
-    /// The eviction policy a bounded shard applies (unbounded shards never
-    /// evict, so the policy is irrelevant there).
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
     /// Number of states currently stored.
     pub fn len(&self) -> usize {
         self.inner.lock().len()
@@ -486,10 +480,6 @@ impl StateShard {
     /// Snapshot of the running counters.
     pub fn stats(&self) -> StoreStats {
         self.inner.lock().stats
-    }
-
-    pub(crate) fn reset_stats(&self) {
-        self.inner.lock().stats = StoreStats::default();
     }
 
     /// Total bytes of the states currently stored.
@@ -918,18 +908,6 @@ impl ShardedStateStore {
             total.evictions += s.evictions;
         }
         total
-    }
-
-    /// Per-shard traffic counters (index = shard index).
-    pub fn shard_stats(&self) -> Vec<StoreStats> {
-        self.shards.iter().map(StateShard::stats).collect()
-    }
-
-    /// Resets the traffic counters of every shard (stored data is kept).
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.reset_stats();
-        }
     }
 }
 
@@ -1418,9 +1396,6 @@ mod tests {
         assert_eq!(stats.reads, 2);
         assert_eq!(stats.hits, 1);
         assert_eq!(store.stored_bytes(), 2 * 8 * 2);
-        assert_eq!(store.shard_stats().len(), 4);
-        store.reset_stats();
-        assert_eq!(store.stats().reads, 0);
         assert_eq!(store.len(), 2);
     }
 
@@ -1471,8 +1446,8 @@ mod tests {
         assert_eq!(store.capacity(), Some(10));
         for s in 0..store.num_shards() {
             assert_eq!(
-                store.shard(s).eviction_policy(),
-                EvictionPolicy::FrequencyWeighted
+                store.shard(s).order(),
+                Some(EvictionPolicy::FrequencyWeighted)
             );
         }
     }

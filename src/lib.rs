@@ -16,9 +16,9 @@
 //! | [`baselines`] | `pp-baselines` | percentage model, logistic regression, GBDT |
 //! | [`rnn`] | `pp-rnn` | the paper's GRU model, update-lag sequences, trainer |
 //! | [`metrics`] | `pp-metrics` | PR curves, PR-AUC, recall@precision, log loss |
-//! | [`serving`] | `pp-serving` | hidden-state store, batch scheduler and serving engine, cost model |
+//! | [`serving`] | `pp-serving` | hidden-state store, batch scheduler and serving engine, per-prediction cost units |
 //! | [`precompute`] | `pp-precompute` | decision engine, budgeted prefetch scheduler/cache, outcome accounting, adaptive thresholds |
-//! | [`core`] | `pp-core` | experiment drivers (Tables 3–5, Figures 1–7), policies |
+//! | [`core`] | `pp-core` | experiment drivers (Tables 3–5, Figures 1–7), §9 cost comparison, Figure 7 online replay, policies |
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! `crates/bench` for the binaries that regenerate every table and figure

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: full pipelines from synthetic data through
 //! feature engineering, model training, evaluation, and serving.
 
+use predictive_precompute::core::online::run_online_comparison;
 use predictive_precompute::core::{
     run_feature_ablation, run_kfold_experiment, run_offline_experiment, ModelKind,
     OfflineExperimentConfig, PrecomputePolicy,
@@ -19,7 +20,7 @@ use predictive_precompute::rnn::{
     scores_and_labels, RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig,
 };
 use predictive_precompute::serving::{
-    run_online_comparison, BatchScheduler, PredictRequest, ShardedStateStore, UpdateRequest,
+    BatchScheduler, PredictRequest, ShardedStateStore, UpdateRequest,
 };
 use std::collections::HashMap;
 
