@@ -127,12 +127,6 @@ impl Default for LintConfig {
                     path_contains: Some("crates/obs/src/registry.rs"),
                 },
                 LockClassEntry {
-                    class: "obs-lane",
-                    rank: 30,
-                    ident: "sink",
-                    path_contains: Some("crates/bench/"),
-                },
-                LockClassEntry {
                     class: "wakeup",
                     rank: 40,
                     ident: "work_gen",

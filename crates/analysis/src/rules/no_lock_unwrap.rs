@@ -11,7 +11,7 @@
 //!   mutexes): escalate with context naming the lock, because continuing
 //!   on torn queue state could violate per-user ordering;
 //! * `lock_recover` — observability-only state (metric lanes, event
-//!   rings, report sinks): recover the guard, because a torn counter is
+//!   rings): recover the guard, because a torn counter is
 //!   strictly better than taking the engine down with the instrumentation.
 //!
 //! (Both on `pp_obs::sync::LockPolicy`.) The same applies to

@@ -9,17 +9,114 @@
 //! for the baseline quality (Table 5 shows the metrics collapse without it)
 //! and for the serving-cost comparison (§9: ~20 feature lookups per
 //! prediction and potentially thousands of keys per user).
+//!
+//! The same module also defines the *context dimensions* used to condition
+//! aggregation features ("accesses with the same active tab", etc.).
 
-use crate::context::ContextSubset;
 use pp_data::schema::{Context, DatasetKind};
+use pp_features::encoding::unread_bucket;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// A context *dimension* used to condition aggregation features, e.g. "only
+/// count past sessions whose active tab matches the current one"
+/// (paper §5.2, "filter past accesses to those whose contexts match the
+/// current session context").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum ContextDimension {
+    /// MobileTab: the bucketized unread badge count.
+    UnreadBucket,
+    /// MobileTab: the active tab at startup.
+    ActiveTab,
+    /// Timeshift: the peak-hours flag.
+    PeakFlag,
+    /// MPU: the screen state.
+    Screen,
+    /// MPU: the application that posted the notification.
+    AppId,
+    /// MPU: the previously opened application.
+    LastAppId,
+}
+
+impl ContextDimension {
+    /// The dimensions available for a dataset family, in a fixed order.
+    pub fn for_kind(kind: DatasetKind) -> &'static [ContextDimension] {
+        match kind {
+            DatasetKind::MobileTab => {
+                &[ContextDimension::UnreadBucket, ContextDimension::ActiveTab]
+            }
+            DatasetKind::Timeshift => &[ContextDimension::PeakFlag],
+            DatasetKind::Mpu => &[
+                ContextDimension::Screen,
+                ContextDimension::AppId,
+                ContextDimension::LastAppId,
+            ],
+        }
+    }
+
+    /// Extracts the categorical value of this dimension from a context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimension does not apply to the context's dataset.
+    pub fn value(&self, context: &Context) -> u64 {
+        match (self, context) {
+            (ContextDimension::UnreadBucket, Context::MobileTab { unread_count, .. }) => {
+                unread_bucket(*unread_count) as u64
+            }
+            (ContextDimension::ActiveTab, Context::MobileTab { active_tab, .. }) => {
+                active_tab.index() as u64
+            }
+            (ContextDimension::PeakFlag, Context::Timeshift { is_peak }) => *is_peak as u64,
+            (ContextDimension::Screen, Context::Mpu { screen, .. }) => screen.index() as u64,
+            (ContextDimension::AppId, Context::Mpu { app_id, .. }) => *app_id as u64,
+            (ContextDimension::LastAppId, Context::Mpu { last_app_id, .. }) => *last_app_id as u64,
+            _ => panic!("context dimension {self:?} does not apply to {context:?}"),
+        }
+    }
+}
+
+/// A *subset* of context dimensions, encoded as a bitmask over
+/// [`ContextDimension::for_kind`]. Subset 0 is the empty subset (global
+/// aggregations). The paper conditions aggregations on "all (time window) ×
+/// (matching subset of context) combinations".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct ContextSubset {
+    /// Dataset family the subset applies to.
+    pub kind: DatasetKind,
+    /// Bitmask over the dataset's dimensions.
+    pub mask: u8,
+}
+
+impl ContextSubset {
+    /// Enumerates every subset (including the empty one) for a dataset.
+    pub fn enumerate(kind: DatasetKind) -> Vec<ContextSubset> {
+        let n = ContextDimension::for_kind(kind).len();
+        (0..(1u8 << n))
+            .map(|mask| ContextSubset { kind, mask })
+            .collect()
+    }
+
+    /// Computes a compact key identifying the values of the subset's
+    /// dimensions within `context`. Two sessions "match" on this subset iff
+    /// their keys are equal. The empty subset always returns 0.
+    pub fn key(&self, context: &Context) -> u64 {
+        let dims = ContextDimension::for_kind(self.kind);
+        let mut key: u64 = 0;
+        for (i, dim) in dims.iter().enumerate() {
+            if self.mask & (1 << i) != 0 {
+                // 10 bits per dimension is plenty (max cardinality here is 97).
+                key = (key << 10) | (dim.value(context) & 0x3FF);
+            } else {
+                key <<= 10;
+            }
+        }
+        key
+    }
+}
+
 /// The aggregation time windows used by the paper, in seconds.
 pub const WINDOWS_SECS: [i64; 4] = [28 * 86_400, 7 * 86_400, 86_400, 3_600];
-
-/// Human-readable names of [`WINDOWS_SECS`].
-pub const WINDOW_NAMES: [&str; 4] = ["28d", "7d", "1d", "1h"];
 
 /// Append-only per-key event log supporting "count since" queries in
 /// `O(log n)` via binary search over the sorted timestamps.
@@ -207,27 +304,12 @@ impl AggregationState {
             })
             .collect()
     }
-
-    /// Convenience: the global (empty-subset) access percentage over all
-    /// recorded sessions, smoothed with a prior `alpha` as in the paper's
-    /// percentage-based baseline (§5.1).
-    pub fn smoothed_access_percentage(&self, alpha: f64) -> f64 {
-        let global = self.logs.get(&(0, 0));
-        let (sessions, accesses) = match global {
-            Some(l) => (
-                l.timestamps.len(),
-                l.cumulative_accesses.last().copied().unwrap_or(0) as usize,
-            ),
-            None => (0, 0),
-        };
-        (alpha + accesses as f64) / (sessions as f64 + 1.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_data::schema::Tab;
+    use pp_data::schema::{ScreenState, Tab};
 
     fn ctx(unread: u8, tab: Tab) -> Context {
         Context::MobileTab {
@@ -326,22 +408,75 @@ mod tests {
     }
 
     #[test]
-    fn smoothed_access_percentage_matches_formula() {
-        let mut state = AggregationState::new(DatasetKind::Timeshift);
-        let c = Context::Timeshift { is_peak: false };
-        // No history: alpha / 1.
-        assert!((state.smoothed_access_percentage(0.1) - 0.1).abs() < 1e-12);
-        state.record(10, &c, true);
-        state.record(20, &c, false);
-        state.record(30, &c, true);
-        // (0.1 + 2) / 4
-        assert!((state.smoothed_access_percentage(0.1) - 2.1 / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "context kind mismatch")]
     fn wrong_kind_panics() {
         let mut state = AggregationState::new(DatasetKind::Timeshift);
         state.record(0, &ctx(0, Tab::Home), true);
+    }
+
+    #[test]
+    fn subsets_enumeration_counts() {
+        assert_eq!(ContextSubset::enumerate(DatasetKind::MobileTab).len(), 4);
+        assert_eq!(ContextSubset::enumerate(DatasetKind::Timeshift).len(), 2);
+        assert_eq!(ContextSubset::enumerate(DatasetKind::Mpu).len(), 8);
+    }
+
+    #[test]
+    fn subset_keys_match_iff_dimensions_match() {
+        let subsets = ContextSubset::enumerate(DatasetKind::MobileTab);
+        let a = Context::MobileTab {
+            unread_count: 5,
+            active_tab: Tab::Home,
+        };
+        let b = Context::MobileTab {
+            unread_count: 5,
+            active_tab: Tab::Messages,
+        };
+        let c = Context::MobileTab {
+            unread_count: 0,
+            active_tab: Tab::Home,
+        };
+        // Empty subset: everything matches.
+        assert_eq!(subsets[0].key(&a), subsets[0].key(&b));
+        // Unread-only subset (bit 0): a and b match (same unread bucket), a and c don't.
+        let unread_only = ContextSubset {
+            kind: DatasetKind::MobileTab,
+            mask: 0b01,
+        };
+        assert_eq!(unread_only.key(&a), unread_only.key(&b));
+        assert_ne!(unread_only.key(&a), unread_only.key(&c));
+        // Tab-only subset (bit 1): a and c match, a and b don't.
+        let tab_only = ContextSubset {
+            kind: DatasetKind::MobileTab,
+            mask: 0b10,
+        };
+        assert_eq!(tab_only.key(&a), tab_only.key(&c));
+        assert_ne!(tab_only.key(&a), tab_only.key(&b));
+        // Full subset: only exact matches.
+        let full = ContextSubset {
+            kind: DatasetKind::MobileTab,
+            mask: 0b11,
+        };
+        assert_ne!(full.key(&a), full.key(&b));
+        assert_ne!(full.key(&a), full.key(&c));
+    }
+
+    #[test]
+    fn mpu_dimension_values() {
+        let ctx = Context::Mpu {
+            screen: ScreenState::Unlocked,
+            app_id: 7,
+            last_app_id: 3,
+        };
+        assert_eq!(ContextDimension::Screen.value(&ctx), 2);
+        assert_eq!(ContextDimension::AppId.value(&ctx), 7);
+        assert_eq!(ContextDimension::LastAppId.value(&ctx), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not apply")]
+    fn wrong_dimension_panics() {
+        let ctx = Context::Timeshift { is_peak: true };
+        let _ = ContextDimension::ActiveTab.value(&ctx);
     }
 }

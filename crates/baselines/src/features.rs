@@ -2,11 +2,11 @@
 //! logistic regression and GBDT (paper §5.2–5.4), including the feature-set
 //! ablation axis of Table 5 (C, E+C, A+E+C).
 
-use crate::aggregation::{AggregationState, WINDOWS_SECS};
-use crate::context::ContextFeaturizer;
-use crate::encoding::{log_elapsed_normalized, push_one_hot, time_bucket, TIME_BUCKETS};
+use crate::aggregation::{AggregationState, ContextSubset, WINDOWS_SECS};
 use pp_data::schema::{Context, Dataset, DatasetKind, SECONDS_PER_DAY};
 use pp_data::synth::{build_peak_window_examples, peak_window_start};
+use pp_features::context::ContextFeaturizer;
+use pp_features::encoding::{push_one_hot, time_bucket, TIME_BUCKETS};
 use serde::{Deserialize, Serialize};
 
 /// Which groups of engineered features to include (the ablation axis of
@@ -58,6 +58,15 @@ pub enum ElapsedEncoding {
     Scalar,
 }
 
+/// Continuous form of the elapsed-time transform used where a scalar is more
+/// convenient than a one-hot (e.g. GBDT inputs): `ln(1 + t)` normalized by
+/// `ln(1 + 30 days)` so the output lies in `[0, ~1]`.
+pub fn log_elapsed_normalized(elapsed_secs: i64) -> f32 {
+    let t = elapsed_secs.max(0) as f64;
+    let max = (30.0 * 86_400.0_f64 + 1.0).ln();
+    ((t + 1.0).ln() / max) as f32
+}
+
 /// Featurizer producing fixed-length vectors for the baseline models.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BaselineFeaturizer {
@@ -93,7 +102,7 @@ impl BaselineFeaturizer {
     }
 
     fn num_subsets(&self) -> usize {
-        crate::context::ContextSubset::enumerate(self.kind).len()
+        ContextSubset::enumerate(self.kind).len()
     }
 
     fn elapsed_dims_per_value(&self) -> usize {
@@ -305,6 +314,13 @@ mod tests {
             ..Default::default()
         })
         .generate()
+    }
+
+    #[test]
+    fn log_elapsed_normalized_range() {
+        assert_eq!(log_elapsed_normalized(0), 0.0);
+        assert!(log_elapsed_normalized(30 * 86_400) <= 1.001);
+        assert!(log_elapsed_normalized(60) < log_elapsed_normalized(3_600));
     }
 
     #[test]

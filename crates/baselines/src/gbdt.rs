@@ -5,7 +5,7 @@
 //! split finding with L2 leaf regularisation, and the exhaustive tree-depth
 //! search over `[1, 10]` on a held-out validation set.
 
-use pp_features::baseline::LabeledExample;
+use crate::features::LabeledExample;
 use pp_metrics::classification::log_loss;
 use serde::{Deserialize, Serialize};
 

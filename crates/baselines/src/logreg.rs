@@ -6,7 +6,7 @@
 //! implementation uses a simple Adam loop, which needs no external
 //! dependencies and handles the large sparse-ish one-hot vectors fine.
 
-use pp_features::baseline::LabeledExample;
+use crate::features::LabeledExample;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

@@ -5,10 +5,10 @@
 //! traditional serving path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pp_baselines::aggregation::AggregationState;
+use pp_baselines::features::{BaselineFeaturizer, ElapsedEncoding, FeatureSet};
 use pp_data::schema::{Context, DatasetKind, Tab};
 use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
-use pp_features::aggregation::AggregationState;
-use pp_features::baseline::{BaselineFeaturizer, ElapsedEncoding, FeatureSet};
 use pp_features::rnn_input::RnnFeaturizer;
 use std::hint::black_box;
 

@@ -3,12 +3,12 @@
 //! hidden-state store round-trips.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pp_baselines::features::{
+    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
+};
 use pp_baselines::{Gbdt, GbdtConfig, LogRegConfig, LogisticRegression, PercentageModel};
 use pp_data::schema::{DatasetKind, UserId};
 use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
-use pp_features::baseline::{
-    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
-};
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
 use pp_serving::{decode_state_f32, encode_state_f32, ShardedStateStore};
 use std::collections::HashMap;

@@ -4,12 +4,12 @@
 //! and GBDT training for comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pp_baselines::features::{
+    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
+};
 use pp_baselines::{Gbdt, GbdtConfig};
 use pp_data::schema::DatasetKind;
 use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
-use pp_features::baseline::{
-    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
-};
 use pp_rnn::{RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
 use std::hint::black_box;
 

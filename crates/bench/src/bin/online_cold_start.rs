@@ -2,6 +2,9 @@
 //! for RNN vs GBDT on cold-start users) and the §9 successful-prefetch
 //! comparison at the production precision target of 60%.
 
+use pp_baselines::features::{
+    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
+};
 use pp_baselines::Gbdt;
 use pp_bench::{section, Scale};
 use pp_core::experiments::OfflineExperimentConfig;
@@ -9,9 +12,6 @@ use pp_core::online::run_online_comparison;
 use pp_data::schema::DatasetKind;
 use pp_data::split::UserSplit;
 use pp_data::synth::{MobileTabGenerator, SyntheticGenerator};
-use pp_features::baseline::{
-    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
-};
 use pp_rnn::{RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
 
 fn main() {

@@ -5,15 +5,15 @@
 //! the RNN). Also reports what the state store keeps of a hidden state: its
 //! bf16 rounding, at two bytes a value.
 
+use pp_baselines::features::{
+    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
+};
 use pp_baselines::Gbdt;
 use pp_bench::{section, Scale};
 use pp_core::cost::{baseline_profile, compare};
 use pp_data::schema::{DatasetKind, UserId};
 use pp_data::split::UserSplit;
 use pp_data::synth::{MobileTabGenerator, SyntheticGenerator};
-use pp_features::baseline::{
-    build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
-};
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
 use pp_serving::{rnn_profile, CostWeights, ShardedStateStore};
 

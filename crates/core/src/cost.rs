@@ -16,10 +16,10 @@
 //! precompute budget prices a prefetch with them; this module adds the GBDT
 //! side, which only the offline comparison needs.
 
+use pp_baselines::aggregation::AggregationState;
+use pp_baselines::features::BaselineFeaturizer;
 use pp_baselines::Gbdt;
 use pp_data::schema::Dataset;
-use pp_features::aggregation::AggregationState;
-use pp_features::baseline::BaselineFeaturizer;
 use pp_serving::{CostWeights, ServingProfile};
 use serde::{Deserialize, Serialize};
 
@@ -103,10 +103,10 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_baselines::features::{build_session_examples, ElapsedEncoding, FeatureSet};
     use pp_baselines::GbdtConfig;
     use pp_data::schema::DatasetKind;
     use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
-    use pp_features::baseline::{build_session_examples, ElapsedEncoding, FeatureSet};
     use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
     use pp_serving::rnn_profile;
 

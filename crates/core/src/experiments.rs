@@ -7,14 +7,14 @@
 //! These drivers are what the benchmark binaries in `crates/bench` and the
 //! runnable examples call into.
 
+use pp_baselines::features::{
+    build_session_examples, build_timeshift_examples, BaselineFeaturizer, ElapsedEncoding,
+    FeatureSet,
+};
 use pp_baselines::{Gbdt, GbdtConfig, LogRegConfig, LogisticRegression, PercentageModel};
 use pp_data::schema::{Dataset, DatasetKind, SECONDS_PER_DAY};
 use pp_data::split::{KFoldSplit, UserSplit};
 use pp_data::synth::build_peak_window_examples;
-use pp_features::baseline::{
-    build_session_examples, build_timeshift_examples, BaselineFeaturizer, ElapsedEncoding,
-    FeatureSet,
-};
 use pp_metrics::pr::PrCurve;
 use pp_metrics::report::EvalReport;
 use pp_rnn::{RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
@@ -220,7 +220,7 @@ fn baseline_examples(
     featurizer: &BaselineFeaturizer,
     last_days: u32,
     lead_time_secs: i64,
-) -> Vec<pp_features::baseline::LabeledExample> {
+) -> Vec<pp_baselines::features::LabeledExample> {
     match dataset.kind {
         DatasetKind::Timeshift => {
             build_timeshift_examples(dataset, users, featurizer, lead_time_secs, Some(last_days))

@@ -2,9 +2,9 @@
 //!
 //! The umbrella crate of the *Predictive Precompute with Recurrent Neural
 //! Networks* reproduction: end-to-end experiment drivers tying together the
-//! dataset generators (`pp-data`), feature engineering (`pp-features`), the
-//! baseline models (`pp-baselines`), the recurrent model (`pp-rnn`), the
-//! metrics (`pp-metrics`) and the serving simulation (`pp-serving`).
+//! dataset generators (`pp-data`), the baseline models and their
+//! engineered features (`pp-baselines`), the recurrent model (`pp-rnn`), the
+//! metrics (`pp-metrics`) and the serving cost units (`pp-serving`).
 //!
 //! * [`experiments`] — the §8 offline evaluation protocol: 90/10 user
 //!   splits, last-7-days evaluation, k-fold cross-validation for MPU, and
@@ -16,13 +16,10 @@
 //!   cost reduction;
 //! * [`online`] — the day-by-day online comparison of RNN vs GBDT on
 //!   cold-start users (Figure 7) and the successful-prefetch lift at a
-//!   target precision;
-//! * [`policy`] — threshold selection for a target precision, the operating
-//!   point used by the production deployment in §9. `pp-precompute` keeps
-//!   one [`PrecomputePolicy`] and re-fits it through
-//!   [`PrecomputePolicy::recalibrate`] on its resolved (score, label)
-//!   windows — see `ARCHITECTURE.md` at the repository root for the full
-//!   loop.
+//!   target precision.
+//!
+//! The threshold policy for a target precision lives in `pp-precompute`,
+//! next to the decision engine and the adaptive controller that use it.
 //!
 //! # Examples
 //!
@@ -54,10 +51,13 @@
 pub mod cost;
 pub mod experiments;
 pub mod online;
-pub mod policy;
 
 pub use experiments::{
     evaluate_model_on_split, run_feature_ablation, run_kfold_experiment, run_offline_experiment,
     ModelEvaluation, ModelKind, OfflineExperimentConfig,
 };
-pub use policy::PrecomputePolicy;
+/// `pp_precompute::PrecomputePolicy`, re-exported only because
+/// `benchmark/src/micro.rs` and `benchmark/src/workloads/precompute_loop.rs`
+/// still import it from here. Import it from `pp_precompute`; this line and
+/// `pp-core`'s dependency on `pp-precompute` go once the benchmark does.
+pub use pp_precompute::PrecomputePolicy;

@@ -10,9 +10,9 @@
 //! built strictly from the sessions before each prediction, and metrics are
 //! sliced by day since the start of the experiment.
 
+use pp_baselines::features::{build_session_examples, BaselineFeaturizer};
 use pp_baselines::Gbdt;
 use pp_data::schema::Dataset;
-use pp_features::baseline::{build_session_examples, BaselineFeaturizer};
 use pp_metrics::pr::PrCurve;
 use pp_rnn::{RnnModel, RnnTrainer, ScoredPrediction, TrainerConfig};
 use serde::{Deserialize, Serialize};
@@ -135,9 +135,9 @@ pub fn run_online_comparison(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_baselines::features::{ElapsedEncoding, FeatureSet};
     use pp_data::schema::DatasetKind;
     use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
-    use pp_features::baseline::{ElapsedEncoding, FeatureSet};
     use pp_rnn::{RnnModelConfig, TaskKind};
 
     #[test]

@@ -1,14 +1,10 @@
 //! Low-level encoding primitives shared by all featurizers: one-hot
-//! encoding, categorical hashing, and the paper's log-bucketing transform
-//! for elapsed times.
+//! encoding, the unread-count buckets, and the paper's log-bucketing
+//! transform for elapsed times.
 
 /// Number of buckets used by the elapsed-time transform (paper §5.3:
 /// "bucketize time elapsed features into 50 buckets").
 pub const TIME_BUCKETS: usize = 50;
-
-/// Modulus used when hashing high-cardinality categorical values
-/// (paper §5.2: "hashing and taking the remainder modulo 97").
-pub const HASH_MODULUS: usize = 97;
 
 /// Appends a one-hot encoding of `index` over `size` categories to `out`.
 ///
@@ -22,17 +18,6 @@ pub fn push_one_hot(out: &mut Vec<f32>, index: usize, size: usize) {
     out[start + index] = 1.0;
 }
 
-/// One-hot encodes `index` over `size` categories into a fresh vector.
-///
-/// # Panics
-///
-/// Panics if `index >= size`.
-pub fn one_hot(index: usize, size: usize) -> Vec<f32> {
-    let mut v = Vec::with_capacity(size);
-    push_one_hot(&mut v, index, size);
-    v
-}
-
 /// The paper's elapsed-time bucketing transform: `⌊(50/15)·ln(t)⌋`, clamped
 /// to `[0, TIME_BUCKETS)`. `t` is a duration in seconds; non-positive
 /// durations map to bucket 0. The largest representable duration (30 days ≈
@@ -43,27 +28,6 @@ pub fn time_bucket(elapsed_secs: i64) -> usize {
     }
     let b = (50.0 / 15.0 * (elapsed_secs as f64).ln()).floor();
     (b.max(0.0) as usize).min(TIME_BUCKETS - 1)
-}
-
-/// Continuous form of the elapsed-time transform used where a scalar is more
-/// convenient than a one-hot (e.g. GBDT inputs): `ln(1 + t)` normalized by
-/// `ln(1 + 30 days)` so the output lies in `[0, ~1]`.
-pub fn log_elapsed_normalized(elapsed_secs: i64) -> f32 {
-    let t = elapsed_secs.max(0) as f64;
-    let max = (30.0 * 86_400.0_f64 + 1.0).ln();
-    ((t + 1.0).ln() / max) as f32
-}
-
-/// Hashes an arbitrary string-like categorical value into `[0, HASH_MODULUS)`
-/// with a stable FNV-1a hash, mirroring the paper's "hash then mod 97" step
-/// for high-cardinality categoricals (tab names, application names).
-pub fn hash_category(value: &str) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in value.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    (hash % HASH_MODULUS as u64) as usize
 }
 
 /// Buckets an unread/notification badge count (0–99) into a small number of
@@ -82,7 +46,7 @@ pub fn unread_bucket(count: u8) -> usize {
 }
 
 /// Number of buckets produced by [`unread_bucket`].
-pub const UNREAD_BUCKETS: usize = 8;
+pub(crate) const UNREAD_BUCKETS: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -90,8 +54,12 @@ mod tests {
 
     #[test]
     fn one_hot_basics() {
-        assert_eq!(one_hot(0, 3), vec![1.0, 0.0, 0.0]);
-        assert_eq!(one_hot(2, 3), vec![0.0, 0.0, 1.0]);
+        let mut v = Vec::new();
+        push_one_hot(&mut v, 0, 3);
+        assert_eq!(v, vec![1.0, 0.0, 0.0]);
+        let mut v = Vec::new();
+        push_one_hot(&mut v, 2, 3);
+        assert_eq!(v, vec![0.0, 0.0, 1.0]);
         let mut v = vec![9.0];
         push_one_hot(&mut v, 1, 2);
         assert_eq!(v, vec![9.0, 0.0, 1.0]);
@@ -100,7 +68,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn one_hot_out_of_range_panics() {
-        let _ = one_hot(3, 3);
+        push_one_hot(&mut Vec::new(), 3, 3);
     }
 
     #[test]
@@ -129,21 +97,6 @@ mod tests {
         assert_eq!(time_bucket(3_600), 27);
         // One day: ⌊(50/15)·ln(86400)⌋ = ⌊37.9⌋ = 37.
         assert_eq!(time_bucket(86_400), 37);
-    }
-
-    #[test]
-    fn log_elapsed_normalized_range() {
-        assert_eq!(log_elapsed_normalized(0), 0.0);
-        assert!(log_elapsed_normalized(30 * 86_400) <= 1.001);
-        assert!(log_elapsed_normalized(60) < log_elapsed_normalized(3_600));
-    }
-
-    #[test]
-    fn hash_category_stable_and_in_range() {
-        let a = hash_category("Home");
-        assert_eq!(a, hash_category("Home"));
-        assert!(a < HASH_MODULUS);
-        assert_ne!(hash_category("Home"), hash_category("Messages"));
     }
 
     #[test]

@@ -1,54 +1,35 @@
 //! # pp-features
 //!
-//! Feature engineering for predictive precompute, reproducing §5.2 and §6.1
-//! of the paper:
+//! The step featurization every model shares, reproducing §5.2 and §6.1 of
+//! the paper:
 //!
-//! * [`encoding`] — one-hot encoding, categorical hashing (mod 97), and the
+//! * [`encoding`] — one-hot encoding, the unread-count buckets and the
 //!   `⌊(50/15)·ln t⌋` elapsed-time bucketing transform;
 //! * [`context`] — context featurization (hour/day one-hots plus the
-//!   dataset-specific categorical variables) and context-subset keys;
-//! * [`aggregation`] — incremental (time window × context subset)
-//!   aggregations and elapsed-time tracking, with the storage/lookup
-//!   accounting needed by the serving cost model;
-//! * [`baseline`] — the full engineered feature vectors consumed by logistic
-//!   regression and GBDT, including the Table 5 ablation levels and the
-//!   example builders for both the per-session and the timeshifted task;
-//! * [`rnn_input`] — the much smaller step features consumed by the RNN
-//!   (`[f_i ; A_i ; T(Δt_i)]` and `[f_i ; T(t_i − t_k)]`).
+//!   dataset-specific categorical variables);
+//! * [`rnn_input`] — the step features consumed by the RNN
+//!   (`[f_i ; T(Δt_i) ; A_i]` and `[f_i ; T(t_i − t_k)]`).
+//!
+//! The time-window aggregations and the engineered feature vectors of the
+//! GBDT and logistic-regression baselines live in `pp-baselines`, next to
+//! the only models that read them.
 //!
 //! # Examples
 //!
 //! ```
-//! use pp_features::baseline::{BaselineFeaturizer, ElapsedEncoding, FeatureSet};
-//! use pp_features::aggregation::AggregationState;
+//! use pp_features::rnn_input::RnnFeaturizer;
 //! use pp_data::schema::{Context, DatasetKind, Tab};
 //!
-//! let featurizer = BaselineFeaturizer::new(
-//!     DatasetKind::MobileTab,
-//!     FeatureSet::Full,
-//!     ElapsedEncoding::Scalar,
-//! );
-//! let mut state = AggregationState::new(DatasetKind::MobileTab);
+//! let featurizer = RnnFeaturizer::new(DatasetKind::MobileTab);
 //! let ctx = Context::MobileTab { unread_count: 3, active_tab: Tab::Home };
-//! state.record(1_000, &ctx, true);
-//! let features = featurizer.extract(&state, 2_000, &ctx);
-//! assert_eq!(features.len(), featurizer.dims());
+//! let input = featurizer.update_input(2_000, &ctx, 1_000, true);
+//! assert_eq!(input.len(), featurizer.update_input_dims());
+//! assert_eq!(input.last(), Some(&1.0)); // the access flag A_i
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod aggregation;
-pub mod baseline;
 pub mod context;
 pub mod encoding;
 pub mod rnn_input;
-
-pub use aggregation::{AggregationState, ElapsedTimes, WindowCounts, WINDOWS_SECS, WINDOW_NAMES};
-pub use baseline::{
-    build_session_examples, build_timeshift_examples, BaselineFeaturizer, ElapsedEncoding,
-    FeatureSet, LabeledExample,
-};
-pub use context::{ContextDimension, ContextFeaturizer, ContextSubset};
-pub use encoding::{hash_category, one_hot, time_bucket, HASH_MODULUS, TIME_BUCKETS};
-pub use rnn_input::RnnFeaturizer;

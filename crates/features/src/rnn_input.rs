@@ -27,14 +27,9 @@ impl RnnFeaturizer {
         }
     }
 
-    /// Dataset family.
-    pub fn kind(&self) -> DatasetKind {
-        self.context.kind()
-    }
-
     /// Dimensionality of `[f_i ; T(·)]`, the shared prefix of both the
     /// update input (which appends `A_i`) and the prediction input.
-    pub fn feature_dims(&self) -> usize {
+    fn feature_dims(&self) -> usize {
         self.context.dims() + TIME_BUCKETS
     }
 
@@ -57,7 +52,7 @@ impl RnnFeaturizer {
     /// `Δt_i` for update inputs or `t_i − t_k` for prediction inputs; pass 0
     /// when there is no previous event (the paper sets `Δt_1 = 0` and
     /// `t_i − t_k = 0` when `k = 0`).
-    pub fn features(&self, timestamp: i64, context: &Context, elapsed_secs: i64) -> Vec<f32> {
+    fn features(&self, timestamp: i64, context: &Context, elapsed_secs: i64) -> Vec<f32> {
         let mut out = vec![0.0; self.feature_dims()];
         self.features_into(timestamp, context, elapsed_secs, |index, value| {
             out[index] = value;
@@ -68,7 +63,7 @@ impl RnnFeaturizer {
     /// [`RnnFeaturizer::features`] without the zeros: emits the entries
     /// that can be non-zero as `(index, value)` in ascending index order,
     /// so a batch assembler can write them straight into its input row.
-    pub fn features_into(
+    fn features_into(
         &self,
         timestamp: i64,
         context: &Context,
@@ -101,8 +96,9 @@ impl RnnFeaturizer {
         out
     }
 
-    /// [`RnnFeaturizer::update_input`] as `(index, value)` entries (see
-    /// [`RnnFeaturizer::features_into`]).
+    /// [`RnnFeaturizer::update_input`] without the zeros: emits the entries
+    /// that can be non-zero as `(index, value)` in ascending index order,
+    /// so a batch assembler can write them straight into its input row.
     pub fn update_input_into(
         &self,
         timestamp: i64,
@@ -126,7 +122,7 @@ impl RnnFeaturizer {
     }
 
     /// [`RnnFeaturizer::predict_input`] as `(index, value)` entries (see
-    /// [`RnnFeaturizer::features_into`]).
+    /// [`RnnFeaturizer::update_input_into`]).
     pub fn predict_input_into(
         &self,
         timestamp: i64,

@@ -12,7 +12,7 @@
 //!   pass evaluates, with stated error bounds,
 //! * [`layers`]: `Linear`, `GruCell`, `LstmCell`, `TanhCell`, `Dropout`,
 //!   with fused batch steps (and, for the GRU, a fused backward),
-//! * [`optim`]: Adam and SGD,
+//! * [`optim`]: the Adam optimizer,
 //! * [`params`]: shared named parameter storage, and the gradient stores
 //!   both training paths add into.
 //!
@@ -28,7 +28,7 @@
 //! ```
 //! use pp_nn::graph::Graph;
 //! use pp_nn::layers::Linear;
-//! use pp_nn::optim::{Adam, AdamConfig, Optimizer};
+//! use pp_nn::optim::{Adam, AdamConfig};
 //! use pp_nn::params::ParamStore;
 //! use pp_nn::tensor::Tensor;
 //! use rand::rngs::StdRng;
@@ -68,6 +68,6 @@ pub mod tensor;
 pub use graph::{Graph, NodeId};
 pub use kernel::{gather_acc, gemm_acc, SparseRows};
 pub use layers::{CellKind, CellScratch, Dropout, GruCell, Linear, LstmCell, TanhCell};
-pub use optim::{Adam, AdamConfig, Optimizer, Sgd, SgdConfig};
+pub use optim::{Adam, AdamConfig};
 pub use params::{GradStore, ParamId, ParamStore};
 pub use tensor::Tensor;

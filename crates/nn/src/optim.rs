@@ -1,21 +1,9 @@
-//! Optimizers: Adam (the paper's choice, lr = 1e-3) and plain SGD with
-//! optional momentum, both with optional decoupled weight decay.
+//! The Adam optimizer (the paper's choice, lr = 1e-3) with optional
+//! decoupled weight decay.
 
 use crate::params::{GradStore, ParamStore};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
-
-/// Common interface for optimizers.
-pub trait Optimizer {
-    /// Applies one update step given accumulated gradients.
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (e.g. for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
 
 /// Configuration for [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,10 +65,14 @@ impl Adam {
     pub fn config(&self) -> AdamConfig {
         self.config
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
+    /// Applies one update step given accumulated gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` or `grads` has a different layout from the store
+    /// the optimizer was created for.
+    pub fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
         assert_eq!(
             params.len(),
             self.m.len(),
@@ -120,98 +112,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.config.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
-}
-
-/// Configuration for [`Sgd`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SgdConfig {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-    /// L2 weight decay added to the gradient.
-    pub weight_decay: f32,
-}
-
-impl Default for SgdConfig {
-    fn default() -> Self {
-        Self {
-            lr: 0.1,
-            momentum: 0.0,
-            weight_decay: 0.0,
-        }
-    }
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    config: SgdConfig,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer for the given parameter store.
-    pub fn new(params: &ParamStore, config: SgdConfig) -> Self {
-        let velocity = params
-            .iter()
-            .map(|(_, p)| Tensor::zeros(p.value().rows(), p.value().cols()))
-            .collect();
-        Self { config, velocity }
-    }
-
-    /// Optimizer configuration.
-    pub fn config(&self) -> SgdConfig {
-        self.config
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
-        assert_eq!(params.len(), self.velocity.len(), "param layout mismatch");
-        assert_eq!(params.len(), grads.len(), "grad layout mismatch");
-        let ids: Vec<_> = params.iter().map(|(id, _)| id).collect();
-        for id in ids {
-            let g = grads.get(id);
-            let vel = &mut self.velocity[id.index()];
-            let p = params.get_mut(id);
-            let (lr, mom, wd) = (
-                self.config.lr,
-                self.config.momentum,
-                self.config.weight_decay,
-            );
-            for i in 0..p.len() {
-                let mut gi = g.as_slice()[i];
-                if wd > 0.0 {
-                    gi += wd * p.as_slice()[i];
-                }
-                let v = if mom > 0.0 {
-                    let v = mom * vel.as_slice()[i] + gi;
-                    vel.as_mut_slice()[i] = v;
-                    v
-                } else {
-                    gi
-                };
-                p.as_mut_slice()[i] -= lr * v;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.config.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +121,7 @@ mod tests {
     use crate::params::ParamStore;
 
     /// Minimizes f(w) = (w - 3)^2 and checks convergence.
-    fn minimize_quadratic<O: Optimizer>(mut opt: O, store: &mut ParamStore, steps: usize) -> f32 {
+    fn minimize_quadratic(mut opt: Adam, store: &mut ParamStore, steps: usize) -> f32 {
         let w = store.find("w").unwrap();
         for _ in 0..steps {
             let mut g = Graph::new();
@@ -254,30 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::from_row(&[0.0]));
-        let sgd = Sgd::new(
-            &store,
-            SgdConfig {
-                lr: 0.1,
-                momentum: 0.9,
-                ..Default::default()
-            },
-        );
-        let w = minimize_quadratic(sgd, &mut store, 200);
-        assert!((w - 3.0).abs() < 0.05, "sgd did not converge: w = {w}");
-    }
-
-    #[test]
     fn adam_step_counter_and_lr() {
         let mut store = ParamStore::new();
         store.add("w", Tensor::from_row(&[1.0]));
         let mut adam = Adam::new(&store, AdamConfig::default());
         assert_eq!(adam.steps_taken(), 0);
-        assert!((adam.learning_rate() - 1e-3).abs() < 1e-9);
-        adam.set_learning_rate(5e-4);
-        assert!((adam.learning_rate() - 5e-4).abs() < 1e-9);
+        assert!((adam.config().lr - 1e-3).abs() < 1e-9);
         let grads = store.zero_grads();
         adam.step(&mut store, &grads);
         assert_eq!(adam.steps_taken(), 1);

@@ -10,7 +10,7 @@
 //! monotonically to the threshold.
 
 use crate::outcome::Outcome;
-use pp_core::PrecomputePolicy;
+use crate::policy::PrecomputePolicy;
 use serde::{Deserialize, Serialize};
 
 /// Controller tuning.

@@ -7,7 +7,7 @@
 //! [`Action::Denied`] when the budget refuses it.
 
 use crate::activity::Activity;
-use pp_core::PrecomputePolicy;
+use crate::policy::PrecomputePolicy;
 use pp_data::schema::UserId;
 use pp_serving::Prediction;
 use serde::{Deserialize, Serialize};

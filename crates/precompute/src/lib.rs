@@ -11,8 +11,12 @@
 //!
 //! * [`activity`] — the [`Activity`] label a [`Decision`] carries: the
 //!   MobileTab prefetch, the one activity the loop runs;
+//! * [`policy`] — the [`PrecomputePolicy`]: a probability threshold chosen
+//!   on held-out scores to meet a target precision (§8: constrain
+//!   precision, maximize recall; §9: 60% for the MobileTab launch), and
+//!   re-fit on fresh (score, label) windows;
 //! * [`decision`] — the [`DecisionEngine`]: applies a
-//!   [`pp_core::PrecomputePolicy`] to batched [`pp_serving::Prediction`]s
+//!   [`PrecomputePolicy`] to batched [`pp_serving::Prediction`]s
 //!   (a wave scored by a [`pp_serving::BatchScheduler`] or harvested from
 //!   a [`pp_serving::BatchServingEngine`]'s `submit_many` receivers) and
 //!   emits per-request [`Decision`]s;
@@ -41,7 +45,7 @@
 //!   two calls: `handle_scores` at session start, `resolve_session` when
 //!   the ground truth lands — with one adaptive controller and one learned
 //!   feedback loop: every closed controller window drains the (score,
-//!   label) samples into [`pp_core::PrecomputePolicy::recalibrate`] and
+//!   label) samples into [`PrecomputePolicy::recalibrate`] and
 //!   applies the refit threshold, with a starvation fallback so a
 //!   saturated threshold recovers from resolved skips instead of
 //!   deadlocking.
@@ -55,6 +59,7 @@ pub mod cache;
 pub mod decision;
 pub mod obs;
 pub mod outcome;
+pub mod policy;
 pub mod scheduler;
 pub mod system;
 
@@ -64,6 +69,7 @@ pub use cache::{CacheConfig, CacheStats, PrefetchCache};
 pub use decision::{Action, Decision, DecisionEngine, DecisionStats};
 pub use obs::PrecomputeObs;
 pub use outcome::{Outcome, OutcomeCounts, OutcomeTracker, ResolvedSample, MAX_RETAINED_SAMPLES};
+pub use policy::PrecomputePolicy;
 pub use scheduler::{
     prefetch_cost_units, AdmissionOrder, AdmitResult, BudgetConfig, PrefetchScheduler,
     SchedulerBudgetStats,

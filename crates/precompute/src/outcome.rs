@@ -258,7 +258,7 @@ impl OutcomeTracker {
     /// Drains the (score, label) pairs of the resolutions since the last
     /// drain (bounded to the most recent [`MAX_RETAINED_SAMPLES`]), oldest
     /// first — the window of labelled observations a
-    /// [`pp_core::PrecomputePolicy::recalibrate`] step consumes.
+    /// [`crate::PrecomputePolicy::recalibrate`] step consumes.
     pub(crate) fn drain_samples(&mut self) -> Vec<ResolvedSample> {
         self.samples.drain(..).collect()
     }

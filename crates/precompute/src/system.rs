@@ -53,7 +53,7 @@ pub struct SystemConfig {
     pub admission: AdmissionOrder,
     /// When `true`, every closed controller window also drains the outcome
     /// tracker's (score, label) samples into
-    /// [`pp_core::PrecomputePolicy::recalibrate`] and applies the refit
+    /// [`crate::PrecomputePolicy::recalibrate`] and applies the refit
     /// threshold — the learned feedback loop. Degenerate windows (all one
     /// label) refuse to refit and the threshold holds.
     pub recalibrate_from_outcomes: bool,

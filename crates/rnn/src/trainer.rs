@@ -36,7 +36,7 @@ use pp_nn::activation::sigmoid;
 use pp_nn::graph::{Graph, NodeId};
 use pp_nn::kernel::SparseRows;
 use pp_nn::layers::CellScratch;
-use pp_nn::optim::{Adam, AdamConfig, Optimizer};
+use pp_nn::optim::{Adam, AdamConfig};
 use pp_nn::params::GradStore;
 use pp_nn::tensor::Tensor;
 use rand::rngs::StdRng;

@@ -14,10 +14,10 @@
 //! cargo run --release --example mobile_tab_serving
 //! ```
 
-use predictive_precompute::core::PrecomputePolicy;
 use predictive_precompute::data::schema::{DatasetKind, Session, UserId};
 use predictive_precompute::data::split::UserSplit;
 use predictive_precompute::data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
+use predictive_precompute::precompute::PrecomputePolicy;
 use predictive_precompute::precompute::{
     AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig, PrecomputeSystem, SystemConfig,
 };

@@ -12,12 +12,11 @@
 //! cargo run --release --example timeshift_capacity
 //! ```
 
-use predictive_precompute::core::{
-    run_offline_experiment, ModelKind, OfflineExperimentConfig, PrecomputePolicy,
-};
+use predictive_precompute::core::{run_offline_experiment, ModelKind, OfflineExperimentConfig};
 use predictive_precompute::data::synth::{
     SyntheticGenerator, TimeshiftConfig, TimeshiftGenerator, PEAK_END_HOUR, PEAK_START_HOUR,
 };
+use predictive_precompute::precompute::PrecomputePolicy;
 use predictive_precompute::rnn::{RnnModelConfig, TrainerConfig};
 
 fn main() {

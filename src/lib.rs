@@ -12,13 +12,13 @@
 //! |---|---|---|
 //! | [`nn`] | `pp-nn` | tensor, autograd, GRU/LSTM/tanh cells, Adam |
 //! | [`data`] | `pp-data` | dataset schema + MobileTab/Timeshift/MPU generators |
-//! | [`features`] | `pp-features` | one-hot/context/aggregation/elapsed features |
-//! | [`baselines`] | `pp-baselines` | percentage model, logistic regression, GBDT |
+//! | [`features`] | `pp-features` | one-hot, context and elapsed-time step features every model shares |
+//! | [`baselines`] | `pp-baselines` | percentage model, logistic regression, GBDT, their aggregation features |
 //! | [`rnn`] | `pp-rnn` | the paper's GRU model, update-lag sequences, trainer |
 //! | [`metrics`] | `pp-metrics` | PR curves, PR-AUC, recall@precision, log loss |
 //! | [`serving`] | `pp-serving` | hidden-state store, batch scheduler and serving engine, per-prediction cost units |
-//! | [`precompute`] | `pp-precompute` | decision engine, budgeted prefetch scheduler/cache, outcome accounting, adaptive thresholds |
-//! | [`core`] | `pp-core` | experiment drivers (Tables 3–5, Figures 1–7), §9 cost comparison, Figure 7 online replay, policies |
+//! | [`precompute`] | `pp-precompute` | precision-target policy, decision engine, budgeted prefetch scheduler/cache, outcome accounting, adaptive thresholds |
+//! | [`core`] | `pp-core` | experiment drivers (Tables 3–5, Figures 1–7), §9 cost comparison, Figure 7 online replay |
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! `crates/bench` for the binaries that regenerate every table and figure
@@ -55,7 +55,7 @@ pub use pp_baselines as baselines;
 pub use pp_core as core;
 /// Re-export of the dataset crate (`pp-data`).
 pub use pp_data as data;
-/// Re-export of the feature-engineering crate (`pp-features`).
+/// Re-export of the shared step-featurization crate (`pp-features`).
 pub use pp_features as features;
 /// Re-export of the metrics crate (`pp-metrics`).
 pub use pp_metrics as metrics;

@@ -4,7 +4,7 @@
 use predictive_precompute::core::online::run_online_comparison;
 use predictive_precompute::core::{
     run_feature_ablation, run_kfold_experiment, run_offline_experiment, ModelKind,
-    OfflineExperimentConfig, PrecomputePolicy,
+    OfflineExperimentConfig,
 };
 use predictive_precompute::data::schema::{Session, UserId};
 use predictive_precompute::data::split::UserSplit;
@@ -14,7 +14,8 @@ use predictive_precompute::data::synth::{
 };
 use predictive_precompute::data::DatasetKind;
 use predictive_precompute::precompute::{
-    AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig, PrecomputeSystem, SystemConfig,
+    AdmissionOrder, BudgetConfig, CacheConfig, ControllerConfig, PrecomputePolicy,
+    PrecomputeSystem, SystemConfig,
 };
 use predictive_precompute::rnn::{
     scores_and_labels, RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig,
@@ -248,10 +249,10 @@ fn rnn_training_plus_serving_pipeline_round_trip() {
 
 #[test]
 fn online_comparison_runs_end_to_end() {
-    use predictive_precompute::baselines::{Gbdt, GbdtConfig};
-    use predictive_precompute::features::baseline::{
+    use predictive_precompute::baselines::features::{
         build_session_examples, BaselineFeaturizer, ElapsedEncoding, FeatureSet,
     };
+    use predictive_precompute::baselines::{Gbdt, GbdtConfig};
 
     let dataset = MobileTabGenerator::new(MobileTabConfig {
         num_users: 40,

@@ -1,8 +1,8 @@
 //! Property-based tests on cross-crate invariants.
 
+use predictive_precompute::baselines::aggregation::AggregationState;
 use predictive_precompute::data::schema::{Context, Session, Tab, UserHistory, UserId};
 use predictive_precompute::data::DatasetKind;
-use predictive_precompute::features::aggregation::AggregationState;
 use predictive_precompute::features::encoding::{time_bucket, TIME_BUCKETS};
 use predictive_precompute::features::rnn_input::RnnFeaturizer;
 use predictive_precompute::metrics::classification::{log_loss, roc_auc};

@@ -34,10 +34,10 @@
 //! --nocapture`. Seed 23 reads, in that order: max |Δp| 3.6e-4 and 1.3e-3,
 //! 2 and 12 decisions flipped.
 
-use predictive_precompute::core::PrecomputePolicy;
 use predictive_precompute::data::schema::{Session, UserId};
 use predictive_precompute::data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
 use predictive_precompute::data::{Dataset, DatasetKind};
+use predictive_precompute::precompute::PrecomputePolicy;
 use predictive_precompute::rnn::{
     scores_and_labels, RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig,
 };
