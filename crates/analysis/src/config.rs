@@ -54,11 +54,11 @@ impl Default for LintConfig {
             //   shard job queue (10) → store shard (20) → store stats (25,
             //     the prefetch cache's; a state shard keeps its counters
             //     under its own lock) → obs lanes/rings (30) → wakeup
-            //     mutexes (40).
-            // The wakeup mutexes (work generation, per-worker hold signal)
-            // are innermost: nothing may be acquired while holding them,
-            // which is exactly the discipline the two-channel wakeup
-            // protocol in pp-serving::batch relies on to stay deadlock-free.
+            //     mutex (40).
+            // The wakeup mutex (`work_gen`, which guards pp-serving::batch's
+            // work generation and every holder's room) is innermost:
+            // nothing may be acquired while holding it, which is what keeps
+            // the one-lock wakeup protocol deadlock-free.
             lock_classes: vec![
                 LockClassEntry {
                     class: "queue",
@@ -130,12 +130,6 @@ impl Default for LintConfig {
                     class: "wakeup",
                     rank: 40,
                     ident: "work_gen",
-                    path_contains: Some("crates/serving/"),
-                },
-                LockClassEntry {
-                    class: "wakeup",
-                    rank: 40,
-                    ident: "hold",
                     path_contains: Some("crates/serving/"),
                 },
             ],

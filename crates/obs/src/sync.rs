@@ -8,8 +8,8 @@
 //! sites say *which* one they mean and `pp-lint`'s `no-lock-unwrap` rule
 //! can hold the line:
 //!
-//! * [`LockPolicy::lock_or_panic`] — engine-critical state (work
-//!   generation counters, shard job queues, worker signal sequencing).
+//! * [`LockPolicy::lock_or_panic`] — engine-critical state (the work
+//!   generation and the holders' rooms, shard job queues).
 //!   Poison means a worker died mid-protocol; the protocol state may be
 //!   torn (a bumped generation whose payload never landed), so propagating
 //!   the panic with context beats limping on.

@@ -28,7 +28,8 @@
 //!   batches of up to `max_batch`, reply over per-request channels. A
 //!   submission wakes a worker only if that worker can do something with
 //!   it: a worker holding a partial batch open is woken when the batch can
-//!   fill, the idle workers when no open batch has room for the jobs.
+//!   fill, the idle workers when no open batch has room for the jobs, and
+//!   every fact those wake-ups read sits under one mutex.
 
 use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Context, UserId};
@@ -355,50 +356,41 @@ struct ShardQueue {
     claimed: AtomicBool,
 }
 
-/// What a [`WorkerSignal`] guards.
-#[derive(Debug, Default)]
-struct Hold {
-    /// Enqueue passes so far. A worker reads it before it scans and again
-    /// before it parks: a pass in between may have queued jobs the scan
-    /// missed, so the worker scans again instead of parking.
-    seq: u64,
-    /// Rows the worker's open batch can still take, less the jobs enqueued
-    /// since it parked. Non-zero only while the worker is inside its hold's
-    /// timed wait — it is set under the guard that wait takes and zeroed
-    /// under the guard it returns — so a worker that is executing, idle or
-    /// dead never looks as if it were absorbing arrivals.
-    room: usize,
+/// Every fact the engine's wake-ups depend on, under one mutex
+/// ([`EngineShared::work_gen`]).
+#[derive(Debug)]
+struct Wake {
+    /// Moved by every enqueue pass and every claim release. A worker reads
+    /// it before it scans and parks (idle or in a hold) only while it is
+    /// unchanged: a move in between may have queued or released jobs the
+    /// scan missed, so the worker scans again instead of parking.
+    gen: u64,
+    /// Per worker: rows its open batch can still take, less the jobs
+    /// enqueued since it parked. Non-zero only while the worker is inside
+    /// its hold's timed wait — set under the guard that wait takes and
+    /// zeroed under the guard it returns — so a worker that is executing,
+    /// idle or dead never looks as if it were absorbing arrivals.
+    room: Vec<usize>,
 }
 
-/// A worker's private wake-up channel, used only while it holds a partial
-/// batch open (idle workers park on [`EngineShared::idle`]). The worker
-/// sleeps to its batch's deadline, where it scans every shard anyway; an
-/// enqueue pass wakes it earlier only when the jobs enqueued since it
-/// parked could fill the batch.
-#[derive(Debug, Default)]
-struct WorkerSignal {
-    hold: Mutex<Hold>,
-    cv: Condvar,
-}
-
-impl WorkerSignal {
-    /// Counts one enqueue pass of `arrived` jobs against the worker's
-    /// published room and wakes the worker if that uses the room up.
-    /// Returns whether the worker is holding a batch with room for all of
-    /// them: they can join that batch, at its deadline at the latest.
-    fn arrive(&self, arrived: usize) -> bool {
-        let mut hold = self.hold.lock_or_panic("worker signal");
-        hold.seq += 1;
-        if hold.room == 0 {
-            return false;
+impl Wake {
+    /// Counts one enqueue pass of `arrived` jobs: moves the generation,
+    /// charges every published room and wakes each holder whose room that
+    /// uses up (`holds[w]` has one waiter at most: worker `w`). Returns
+    /// whether some holder had room for all of them: they can join its
+    /// batch, at its deadline at the latest.
+    fn arrive(&mut self, arrived: usize, holds: &[Condvar]) -> bool {
+        self.gen += 1;
+        let mut absorbed = false;
+        let rooms = self.room.iter_mut().zip(holds);
+        for (room, hold) in rooms.filter(|(room, _)| **room > 0) {
+            absorbed |= *room >= arrived;
+            *room = room.saturating_sub(arrived);
+            if *room == 0 {
+                hold.notify_one();
+            }
         }
-        let absorbs = hold.room >= arrived;
-        hold.room = hold.room.saturating_sub(arrived);
-        if hold.room == 0 {
-            // One waiter at most: the worker itself.
-            self.cv.notify_one();
-        }
-        absorbs
+        absorbed
     }
 }
 
@@ -449,16 +441,16 @@ struct EngineShared {
     coalesce_wait: Option<std::time::Duration>,
     /// One queue per state-store shard (`queues.len() == store.num_shards()`).
     queues: Vec<ShardQueue>,
-    /// One private wakeup channel per worker.
-    signals: Vec<WorkerSignal>,
     worker_counters: Vec<WorkerCounters>,
-    /// Generation counter for idle workers: moved under its mutex whenever
-    /// work appears or a claimed shard is released. Idle workers re-scan
-    /// whenever the generation moves, so no submission can be lost between
-    /// a scan and a park; `idle.notify_all` wakes the parked ones, and is
-    /// skipped only for arrivals a holding worker absorbs (see `enqueue`).
-    work_gen: Mutex<u64>,
+    /// The work generation and the holders' rooms: the engine's one
+    /// wake-up lock. Nothing else is acquired while it is held.
+    work_gen: Mutex<Wake>,
+    /// Where idle workers park. `notify_all` wakes them on every claim
+    /// release and on every enqueue pass no holder absorbs (see `enqueue`).
     idle: Condvar,
+    /// Where each worker waits out its coalesce hold, woken early only when
+    /// the jobs enqueued since it parked could fill its batch.
+    holds: Vec<Condvar>,
     /// Jobs currently queued across all shards (for the queue-depth gauge).
     queued: AtomicUsize,
     shutdown: AtomicBool,
@@ -485,10 +477,13 @@ impl EngineShared {
             max_batch,
             coalesce_wait,
             queues: (0..num_shards).map(|_| ShardQueue::default()).collect(),
-            signals: (0..workers).map(|_| WorkerSignal::default()).collect(),
             worker_counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
-            work_gen: Mutex::new(0),
+            work_gen: Mutex::new(Wake {
+                gen: 0,
+                room: vec![0; workers],
+            }),
             idle: Condvar::new(),
+            holds: (0..workers).map(|_| Condvar::new()).collect(),
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             alive: AtomicUsize::new(workers),
@@ -497,18 +492,7 @@ impl EngineShared {
     }
 
     fn num_workers(&self) -> usize {
-        self.signals.len()
-    }
-
-    /// Moves the work generation, so that a worker between its scan and its
-    /// park scans again, and wakes the parked idle workers if `wake_idle`.
-    fn bump_work_gen(&self, wake_idle: bool) {
-        let mut gen = self.work_gen.lock_or_panic("work generation");
-        *gen += 1;
-        drop(gen);
-        if wake_idle {
-            self.idle.notify_all();
-        }
+        self.holds.len()
     }
 
     /// The worker that owns `user`'s home shard (and therefore serves the
@@ -520,27 +504,27 @@ impl EngineShared {
     }
 
     /// Routes jobs to their home-shard queues, then wakes only the workers
-    /// the jobs need. Every worker's signal counts the pass: a worker
-    /// holding a partial batch open is woken once the jobs enqueued since it
-    /// parked could fill the batch, and otherwise sleeps on to its deadline.
-    /// The work generation always moves, but the parked idle workers are
-    /// woken (`notify_all`, so a busy peer cannot consume the only wake-up)
-    /// only when no holder has room for the whole pass: jobs a holder can
-    /// absorb join its batch at its *earlier* deadline instead of opening a
+    /// the jobs need ([`Wake::arrive`]): a worker holding a partial batch
+    /// open is woken once the jobs enqueued since it parked could fill the
+    /// batch, and otherwise sleeps on to its deadline. The work generation
+    /// always moves, but the parked idle workers are woken (`notify_all`,
+    /// so a busy peer cannot consume the only wake-up) only when no holder
+    /// has room for the whole pass. Returns whether one had: then the jobs
+    /// join its batch at its *earlier* deadline instead of opening a
     /// second hold with a later one. An engine started without a coalesce
     /// wait never has a holder, so every pass wakes its idle workers.
-    fn enqueue(&self, jobs: Vec<Job>) {
+    fn enqueue(&self, jobs: Vec<Job>) -> bool {
         if jobs.is_empty() {
-            return;
+            return false;
         }
         let arrived = jobs.len();
+        let queue_depth = &crate::obs::ServingObs::global().queue_depth;
         // Count the jobs in BEFORE any becomes visible in a queue: an
         // already-awake worker may drain them at once, and its `fetch_sub`
         // must never see less than it takes.
         let depth = self.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
-        crate::obs::ServingObs::global()
-            .queue_depth
-            .set(depth as f64);
+        queue_depth.set(depth as f64);
+        let mut refused = 0;
         for job in jobs {
             let queue = &self.queues[self.store.shard_index(job.kind.user_id())];
             let mut q = queue.jobs.lock_or_panic("shard queue");
@@ -548,25 +532,32 @@ impl EngineShared {
             // after it zeroes the count: a job queued here is either seen
             // by that worker's sweep or refused now.
             if self.alive.load(Ordering::SeqCst) == 0 {
-                drop(q);
-                self.queued.fetch_sub(1, Ordering::Relaxed);
+                refused += 1;
                 continue;
             }
             q.push_back(job);
             queue.len.store(q.len(), Ordering::Release);
         }
-        // Every job is queued before any signal is read: a holder whose room
+        // Every job is queued before any room is read: a holder whose room
         // counts them either is still parked — its deadline's scan comes
         // later — or zeroed its room before this pass read it, and the pass
         // then wakes the idle workers as if nobody were holding. What a
         // holder absorbs but cannot take (another kind, a user already in
         // its update batch, a shard a peer has claimed) is announced when
         // its batch's claims drop, no later than the holder's deadline.
-        let mut absorbed = false;
-        for signal in &self.signals {
-            absorbed |= signal.arrive(arrived);
+        let mut wake = self.work_gen.lock_or_panic("work generation");
+        if refused > 0 {
+            // Under the wake-up lock, as the last worker's sweep sets it:
+            // whichever writes the gauge last has seen the other's count.
+            let depth = self.queued.fetch_sub(refused, Ordering::Relaxed) - refused;
+            queue_depth.set(depth as f64);
         }
-        self.bump_work_gen(!absorbed);
+        let absorbed = wake.arrive(arrived, &self.holds);
+        drop(wake);
+        if !absorbed {
+            self.idle.notify_all();
+        }
+        absorbed
     }
 }
 
@@ -742,12 +733,13 @@ impl BatchServingEngine {
 
 impl Drop for BatchServingEngine {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.bump_work_gen(true);
-        for signal in &self.shared.signals {
-            // More than any room: ends a hold whatever it has room for.
-            signal.arrive(usize::MAX);
-        }
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::SeqCst);
+        // More than any room: zeroes every room, so it ends every hold.
+        let mut wake = shared.work_gen.lock_or_panic("work generation");
+        wake.arrive(usize::MAX, &shared.holds);
+        drop(wake);
+        shared.idle.notify_all();
         // Workers drain every queued job before exiting, so in-flight
         // receivers still get their replies.
         for worker in self.workers.drain(..) {
@@ -856,11 +848,12 @@ impl Drop for Claims<'_> {
                 .claimed
                 .store(false, Ordering::Release);
         }
-        // Lets idle workers pick up what remains queued. This may run while
-        // a panic unwinds, where a second panic would abort the process: a
-        // generation counter is valid whatever state a panic left it in,
-        // so recover a poisoned lock rather than escalate.
-        *self.shared.work_gen.lock_recover() += 1;
+        // Lets idle workers, and a holder between its scan and its park,
+        // pick up what remains queued. This may run while a panic unwinds,
+        // where a second panic would abort the process: a generation
+        // counter is valid whatever state a panic left it in, so recover a
+        // poisoned lock rather than escalate.
+        self.shared.work_gen.lock_recover().gen += 1;
         self.shared.idle.notify_all();
     }
 }
@@ -877,12 +870,17 @@ impl Drop for WorkerExit<'_> {
         if shared.alive.fetch_sub(1, Ordering::SeqCst) > 1 {
             return;
         }
+        let mut dropped = 0;
         for queue in &shared.queues {
             // Emptying is valid from any state and a drop must not panic.
-            let unserved = std::mem::take(&mut *queue.jobs.lock_recover());
+            dropped += std::mem::take(&mut *queue.jobs.lock_recover()).len();
             queue.len.store(0, Ordering::Release);
-            shared.queued.fetch_sub(unserved.len(), Ordering::Relaxed);
         }
+        let queue_depth = &crate::obs::ServingObs::global().queue_depth;
+        // Under the wake-up lock, as `enqueue` sets it after a refusal.
+        let _wake = shared.work_gen.lock_recover();
+        let depth = shared.queued.fetch_sub(dropped, Ordering::Relaxed) - dropped;
+        queue_depth.set(depth as f64);
     }
 }
 
@@ -999,7 +997,7 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // Snapshot the work generation BEFORE scanning: an enqueue racing
         // with the scan moves the generation, so the park below falls
         // through instead of sleeping on work it never saw.
-        let gen_before = *shared.work_gen.lock_or_panic("work generation");
+        let gen_before = shared.work_gen.lock_or_panic("work generation").gen;
         let mut batch = GatheredBatch::new(shared);
         let mut seen_users = HashSet::new();
         gather(shared, worker, &mut batch, &mut seen_users);
@@ -1009,15 +1007,15 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                 return;
             }
             let parked = std::time::Instant::now();
-            let mut gen = shared.work_gen.lock_or_panic("work generation");
+            let mut wake = shared.work_gen.lock_or_panic("work generation");
             #[cfg(test)]
             counters.parked_on.store(gen_before + 1, Ordering::SeqCst);
-            while *gen == gen_before && !shared.shutdown.load(Ordering::SeqCst) {
-                gen = shared.idle.wait(gen).expect("idle wait");
+            while wake.gen == gen_before && !shared.shutdown.load(Ordering::SeqCst) {
+                wake = shared.idle.wait(wake).expect("idle wait");
             }
             #[cfg(test)]
             counters.parked_on.store(0, Ordering::SeqCst);
-            drop(gen);
+            drop(wake);
             let idle_ns = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
             counters.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
             continue;
@@ -1038,7 +1036,7 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                     .min()
                     .expect("non-empty batch");
                 let deadline = oldest + wait;
-                let signal = &shared.signals[worker];
+                let hold = &shared.holds[worker];
                 while batch.jobs.len() < shared.max_batch && !shared.shutdown.load(Ordering::SeqCst)
                 {
                     let now = std::time::Instant::now();
@@ -1048,33 +1046,32 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                     if remaining.is_zero() {
                         break;
                     }
-                    // Read the pass count before re-gathering: a pass after
-                    // the read moves it and skips the wait; the jobs of a
-                    // pass before it are all queued, and the gather sees
-                    // them. So the room published below counts every job
-                    // that could still join: nothing that could fill the
-                    // batch is slept on.
-                    let seq_before = signal.hold.lock_or_panic("worker signal").seq;
+                    // Read the generation before re-gathering: a pass (or a
+                    // peer's claim release) after the read moves it and
+                    // skips the wait; the jobs of a pass before it are all
+                    // queued, and the gather sees them. So the room
+                    // published below counts every job that could still
+                    // join: nothing that could fill the batch is slept on.
+                    let gen_before = shared.work_gen.lock_or_panic("work generation").gen;
                     gather(shared, worker, &mut batch, &mut seen_users);
                     if batch.jobs.len() >= shared.max_batch {
                         break;
                     }
-                    let mut hold = signal.hold.lock_or_panic("worker signal");
-                    if hold.seq == seq_before {
-                        hold.room = shared.max_batch - batch.jobs.len();
+                    let mut wake = shared.work_gen.lock_or_panic("work generation");
+                    if wake.gen == gen_before {
+                        wake.room[worker] = shared.max_batch - batch.jobs.len();
                         // Sleeps through the passes the room absorbs; woken
                         // when one uses it up, at shutdown, or by the
                         // deadline. `shutdown` is re-read under the guard
-                        // because it may have been set, and the signal
-                        // already bumped, since the loop last looked.
-                        let (mut hold, _) = signal
-                            .cv
-                            .wait_timeout_while(hold, remaining, |hold| {
-                                hold.room > 0 && !shared.shutdown.load(Ordering::SeqCst)
+                        // because it may have been set, and the rooms
+                        // already zeroed, since the loop last looked.
+                        let (mut wake, _) = hold
+                            .wait_timeout_while(wake, remaining, |wake| {
+                                wake.room[worker] > 0 && !shared.shutdown.load(Ordering::SeqCst)
                             })
                             .expect("coalesce wait");
-                        hold.room = 0;
-                        drop(hold);
+                        wake.room[worker] = 0;
+                        drop(wake);
                         obs.worker_hold_wakes.inc();
                     }
                 }
@@ -1555,10 +1552,9 @@ mod tests {
 
     /// The worker inside its hold's timed wait and the room it publishes.
     fn parked_holder(engine: &BatchServingEngine) -> Option<(usize, usize)> {
-        let signals = engine.shared.signals.iter().enumerate();
-        signals
-            .map(|(worker, signal)| (worker, signal.hold.lock().unwrap().room))
-            .find(|&(_, room)| room > 0)
+        let wake = engine.shared.work_gen.lock().unwrap();
+        let mut rooms = wake.room.iter().copied().enumerate();
+        rooms.find(|&(_, room)| room > 0)
     }
 
     /// `n` distinct users (never user 0) whose home worker is `worker`.
@@ -1609,11 +1605,11 @@ mod tests {
         // between its scan and its park, would scan again on the next pass
         // and take jobs the test expects the holder to absorb.
         wait_for("the peer never parked", || {
-            let gen = engine.shared.work_gen.lock().unwrap();
+            let wake = engine.shared.work_gen.lock().unwrap();
             let parked_on = engine.shared.worker_counters[peer]
                 .parked_on
                 .load(Ordering::SeqCst);
-            (parked_on == *gen + 1).then_some(())
+            (parked_on == wake.gen + 1).then_some(())
         });
         Held {
             model,
@@ -1786,7 +1782,7 @@ mod tests {
         wait_for("the dead worker never counted itself out", || {
             (shared.alive.load(Ordering::SeqCst) == 1).then_some(())
         });
-        assert_eq!(shared.signals[held.holder].hold.lock().unwrap().room, 0);
+        assert_eq!(shared.work_gen.lock().unwrap().room[held.holder], 0);
         // Homed on the dead worker: only the survivor's steal serves them,
         // at their own deadline.
         let submitted = std::time::Instant::now();
@@ -1834,9 +1830,10 @@ mod tests {
         EngineShared::new(Arc::new(model()), store, 2, 8, None)
     }
 
-    /// Queues one predict for each of `n` users homed on `worker`. Nobody
-    /// will reply, so the receivers are dropped at once.
-    fn queue_homed_on(shared: &EngineShared, worker: usize, n: usize) {
+    /// Queues one predict for each of `n` users homed on `worker` in one
+    /// enqueue pass, returning whether a holder absorbed it. Nobody will
+    /// reply, so the receivers are dropped at once.
+    fn queue_homed_on(shared: &EngineShared, worker: usize, n: usize) -> bool {
         let now = std::time::Instant::now();
         let jobs = users_homed_on(shared, worker, n)
             .into_iter()
@@ -1847,7 +1844,55 @@ mod tests {
                 Job::new(JobKind::Predict { request, reply }, now)
             })
             .collect();
-        shared.enqueue(jobs);
+        shared.enqueue(jobs)
+    }
+
+    /// Publishes `rooms` as if the workers were parked in their holds,
+    /// runs one enqueue pass of `jobs` jobs, and returns the rooms it left,
+    /// how far the generation moved and whether the pass was absorbed.
+    fn pass_against(rooms: [usize; 2], jobs: usize) -> ([usize; 2], u64, bool) {
+        let shared = unstarted();
+        shared.work_gen.lock().unwrap().room = rooms.to_vec();
+        let absorbed = queue_homed_on(&shared, 0, jobs);
+        let wake = shared.work_gen.lock().unwrap();
+        ([wake.room[0], wake.room[1]], wake.gen, absorbed)
+    }
+
+    #[test]
+    fn a_pass_smaller_than_a_room_shrinks_it_and_is_absorbed() {
+        assert_eq!(pass_against([5, 0], 2), ([3, 0], 1, true));
+    }
+
+    #[test]
+    fn a_pass_that_fills_a_room_uses_it_up_and_is_absorbed() {
+        // The holder is woken and the idle workers are not.
+        assert_eq!(pass_against([0, 3], 3), ([0, 0], 1, true));
+    }
+
+    #[test]
+    fn a_pass_larger_than_every_room_uses_them_all_up_and_is_not_absorbed() {
+        assert_eq!(pass_against([2, 1], 3), ([0, 0], 1, false));
+    }
+
+    #[test]
+    fn a_pass_with_no_holder_moves_only_the_generation() {
+        assert_eq!(pass_against([0, 0], 2), ([0, 0], 1, false));
+    }
+
+    #[test]
+    fn shutdown_zeroes_every_room_and_later_passes_are_not_absorbed() {
+        let shared = Arc::new(unstarted());
+        shared.work_gen.lock().unwrap().room = vec![3, 7];
+        drop(BatchServingEngine {
+            shared: shared.clone(),
+            workers: Vec::new(),
+        });
+        assert!(shared.shutdown.load(Ordering::SeqCst));
+        let wake = shared.work_gen.lock().unwrap();
+        assert_eq!((wake.room.as_slice(), wake.gen), ([0, 0].as_slice(), 1));
+        drop(wake);
+        assert!(!queue_homed_on(&shared, 1, 1));
+        assert_eq!(shared.work_gen.lock().unwrap().gen, 2);
     }
 
     /// Worker 0's gather into `batch`, returning the shards it has claimed.
