@@ -51,10 +51,10 @@ impl Default for LintConfig {
     fn default() -> Self {
         Self {
             // The workspace lock hierarchy, outermost first:
-            //   shard job queue (10) → store shard (20) → store stats (25,
-            //     the prefetch cache's; a state shard keeps its counters
-            //     under its own lock) → obs lanes/rings (30) → wakeup
-            //     mutex (40).
+            //   shard job queue (10) → store shard (20; a state shard and
+            //     a prefetch-cache shard each keep their counters under
+            //     their own lock) → obs lanes/rings (30) → wakeup mutex
+            //     (40).
             // The wakeup mutex (`work_gen`, which guards pp-serving::batch's
             // work generation and every holder's room) is innermost:
             // nothing may be acquired while holding it, which is what keeps
@@ -82,12 +82,6 @@ impl Default for LintConfig {
                     class: "store-shard",
                     rank: 20,
                     ident: "shards",
-                    path_contains: Some("crates/precompute/src/cache.rs"),
-                },
-                LockClassEntry {
-                    class: "store-stats",
-                    rank: 25,
-                    ident: "stats",
                     path_contains: Some("crates/precompute/src/cache.rs"),
                 },
                 LockClassEntry {

@@ -5,10 +5,9 @@
 //! reads and write-backs while other threads take store-shard and
 //! observability locks; one out-of-order nested acquisition is all a
 //! deadlock needs. The hierarchy (see [`LintConfig::lock_classes`]) says:
-//! shard job queue → store shard → store stats → obs lanes → wakeup
-//! mutexes. Acquiring a lock whose rank is ≤ the rank of any lock already
-//! held is a violation — including same-rank nesting, which is an
-//! *undeclared* ordering.
+//! shard job queue → store shard → obs lanes → wakeup mutexes. Acquiring a
+//! lock whose rank is ≤ the rank of any lock already held is a violation —
+//! including same-rank nesting, which is an *undeclared* ordering.
 //!
 //! ## How held locks are tracked (and the limits of a token scanner)
 //!
@@ -56,7 +55,7 @@ impl Rule for LockOrder {
 
     fn description(&self) -> &'static str {
         "nested lock acquisitions must follow the declared hierarchy \
-         (queue -> store shard -> store stats -> obs lane -> wakeup)"
+         (queue -> store shard -> obs lane -> wakeup)"
     }
 
     fn check(&self, file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {

@@ -8,8 +8,10 @@
 //! in `pp_obs::sync`:
 //!
 //! * `lock_or_panic` — engine-critical state (shard queues, wakeup
-//!   mutexes): escalate with context naming the lock, because continuing
-//!   on torn queue state could violate per-user ordering;
+//!   mutexes) and stored state (store and prefetch-cache shards):
+//!   escalate with context naming the lock, because continuing on torn
+//!   queue state could violate per-user ordering and on a torn shard
+//!   could serve a state its index no longer describes;
 //! * `lock_recover` — observability-only state (metric lanes, event
 //!   rings): recover the guard, because a torn counter is
 //!   strictly better than taking the engine down with the instrumentation.

@@ -96,19 +96,18 @@ impl Adam {
                 self.config.lr,
                 self.config.weight_decay,
             );
-            for i in 0..p.len() {
-                let gi = g.as_slice()[i];
-                let mi = b1 * m.as_slice()[i] + (1.0 - b1) * gi;
-                let vi = b2 * v.as_slice()[i] + (1.0 - b2) * gi * gi;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let m_hat = mi / bias1;
-                let v_hat = vi / bias2;
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            let elements = p.as_mut_slice().iter_mut().zip(moments).zip(g.as_slice());
+            for ((p, (m, v)), &g) in elements {
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
                 let mut update = lr * m_hat / (v_hat.sqrt() + eps);
                 if wd > 0.0 {
-                    update += lr * wd * p.as_slice()[i];
+                    update += lr * wd * *p;
                 }
-                p.as_mut_slice()[i] -= update;
+                *p -= update;
             }
         }
     }

@@ -9,10 +9,12 @@
 //! can hold the line:
 //!
 //! * [`LockPolicy::lock_or_panic`] — engine-critical state (the work
-//!   generation and the holders' rooms, shard job queues).
-//!   Poison means a worker died mid-protocol; the protocol state may be
-//!   torn (a bumped generation whose payload never landed), so propagating
-//!   the panic with context beats limping on.
+//!   generation and the holders' rooms, shard job queues) and stored
+//!   state (hidden-state store shards, prefetch-cache shards).
+//!   Poison means a thread died mid-update; the protocol state may be
+//!   torn (a bumped generation whose payload never landed), a shard's
+//!   index may disagree with its rows, so propagating the panic with
+//!   context beats limping on.
 //! * [`LockPolicy::lock_recover`] — observability state (metric lanes,
 //!   event rings, span buffers). Instrumentation must never take the
 //!   engine down: a poisoned lane holds at worst a half-recorded sample,

@@ -8,10 +8,12 @@
 //! matching the one-decision-per-session-start flow.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use pp_data::schema::UserId;
+use pp_obs::sync::LockPolicy;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Every time cumulative LRU evictions cross another multiple of this
 /// stride, one `EvictionStorm` event is emitted — a bounded-rate signal
@@ -79,23 +81,19 @@ struct Shard {
     /// tick → user id, oldest-touched first.
     lru: BTreeMap<u64, u64>,
     next_tick: u64,
-}
-
-/// What one `Shard::insert` did, for the stats ledger.
-#[derive(Debug, Default)]
-struct InsertEffects {
-    replaced: bool,
-    /// Still-fresh payloads displaced by the capacity bound.
-    lru_evicted: u64,
-    /// Already-expired payloads dropped while making room: these were dead
-    /// before the bound hit them, so they count as expirations, not
-    /// evictions — otherwise the eviction counter blames memory pressure
-    /// for staleness and the expired/evicted split stops matching the
-    /// outcome accounting.
-    expired: u64,
+    /// This shard's share of [`PrefetchCache::stats`], counted under its
+    /// lock.
+    stats: CacheStats,
 }
 
 impl Shard {
+    /// Stores `payload` for `user`, then drops the least recently touched
+    /// payloads until the shard is back within `capacity`. Returns how many
+    /// still-fresh payloads that displaced. An already-expired payload
+    /// dropped while making room counts as an expiration, not an eviction:
+    /// it was dead before the bound hit it, and counting it as an eviction
+    /// would blame memory pressure for staleness and stop the
+    /// expired/evicted split matching the outcome accounting.
     fn insert(
         &mut self,
         user: u64,
@@ -103,49 +101,60 @@ impl Shard {
         expires_at: i64,
         capacity: usize,
         now: i64,
-    ) -> InsertEffects {
+    ) -> u64 {
         let tick = self.next_tick;
         self.next_tick += 1;
-        let replaced = match self.map.insert(
-            user,
-            Entry {
-                payload,
-                expires_at,
-                tick,
-            },
-        ) {
-            Some(old) => {
-                self.lru.remove(&old.tick);
-                true
-            }
-            None => false,
+        self.stats.insertions += 1;
+        let entry = Entry {
+            payload,
+            expires_at,
+            tick,
         };
+        if let Some(old) = self.map.insert(user, entry) {
+            self.lru.remove(&old.tick);
+            self.stats.replacements += 1;
+        }
         self.lru.insert(tick, user);
-        let mut effects = InsertEffects {
-            replaced,
-            ..InsertEffects::default()
-        };
+        let mut lru_evicted = 0;
         while self.map.len() > capacity {
             let (&oldest, _) = self.lru.iter().next().expect("lru tracks map");
             let victim = self.lru.remove(&oldest).expect("tick present");
             let entry = self.map.remove(&victim).expect("lru entry backed by map");
             if entry.expires_at <= now {
-                effects.expired += 1;
+                self.stats.expirations += 1;
             } else {
-                effects.lru_evicted += 1;
+                lru_evicted += 1;
             }
         }
-        effects
+        self.stats.lru_evictions += lru_evicted;
+        lru_evicted
     }
 
-    fn take(&mut self, user: u64) -> Option<Entry> {
-        let entry = self.map.remove(&user)?;
+    /// Consumes `user`'s payload if it is still fresh at `now`; an expired
+    /// one is dropped.
+    fn take(&mut self, user: u64, now: i64) -> Option<Bytes> {
+        let Some(entry) = self.map.remove(&user) else {
+            self.stats.misses += 1;
+            return None;
+        };
         self.lru.remove(&entry.tick);
-        Some(entry)
+        if entry.expires_at > now {
+            self.stats.hits += 1;
+            Some(entry.payload)
+        } else {
+            self.stats.expirations += 1;
+            None
+        }
     }
 }
 
 /// A sharded, TTL + LRU bounded store of precomputed payloads.
+///
+/// Each shard is one mutex around its payloads, their LRU order and its
+/// share of the counters, so an insert or a take takes one lock. A panic
+/// under a shard's lock poisons it: every later call that locks it panics
+/// with "prefetch cache shard: lock poisoned" rather than act on a map and
+/// an LRU order that may disagree.
 ///
 /// # Examples
 ///
@@ -171,7 +180,9 @@ impl Shard {
 pub struct PrefetchCache {
     shards: Vec<Mutex<Shard>>,
     config: CacheConfig,
-    stats: Mutex<CacheStats>,
+    /// Cumulative LRU evictions over every shard, for the eviction-storm
+    /// event's stride crossings.
+    lru_evictions: AtomicU64,
 }
 
 impl PrefetchCache {
@@ -193,7 +204,7 @@ impl PrefetchCache {
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             config,
-            stats: Mutex::new(CacheStats::default()),
+            lru_evictions: AtomicU64::new(0),
         }
     }
 
@@ -221,36 +232,30 @@ impl PrefetchCache {
         let obs = crate::obs::PrecomputeObs::global();
         let op = pp_obs::Stopwatch::start();
         let shard = &self.shards[self.shard_index(user)];
-        let effects = shard.lock().insert(
+        let evicted = shard.lock_or_panic("prefetch cache shard").insert(
             user.0,
             payload,
             now + self.config.ttl_secs,
             self.config.capacity_per_shard,
             now,
         );
-        let mut stats = self.stats.lock();
-        stats.insertions += 1;
-        if effects.replaced {
-            stats.replacements += 1;
+        if evicted > 0 {
+            let before = self.lru_evictions.fetch_add(evicted, Ordering::Relaxed);
+            let total = before + evicted;
+            // An eviction storm: cumulative LRU evictions crossed another
+            // multiple of the storm stride — inserts are displacing live
+            // payloads faster than sessions consume them.
+            if pp_obs::is_enabled()
+                && total / EVICTION_STORM_STRIDE > before / EVICTION_STORM_STRIDE
+            {
+                pp_obs::MetricsRegistry::global().events().record(
+                    now,
+                    pp_obs::EventKind::EvictionStorm,
+                    "prefetch_cache",
+                    total as f64,
+                );
+            }
         }
-        let evictions_before = stats.lru_evictions;
-        stats.lru_evictions += effects.lru_evicted;
-        stats.expirations += effects.expired;
-        // An eviction storm: cumulative LRU evictions crossed another
-        // multiple of the storm stride — inserts are displacing live
-        // payloads faster than sessions consume them.
-        if pp_obs::is_enabled()
-            && stats.lru_evictions / EVICTION_STORM_STRIDE
-                > evictions_before / EVICTION_STORM_STRIDE
-        {
-            pp_obs::MetricsRegistry::global().events().record(
-                now,
-                pp_obs::EventKind::EvictionStorm,
-                "prefetch_cache",
-                stats.lru_evictions as f64,
-            );
-        }
-        drop(stats);
         op.record(&obs.cache_op_ns);
     }
 
@@ -261,23 +266,9 @@ impl PrefetchCache {
         let obs = crate::obs::PrecomputeObs::global();
         let op = pp_obs::Stopwatch::start();
         let shard = &self.shards[self.shard_index(user)];
-        let entry = shard.lock().take(user.0);
-        let mut stats = self.stats.lock();
-        let payload = match entry {
-            Some(entry) if entry.expires_at > now => {
-                stats.hits += 1;
-                Some(entry.payload)
-            }
-            Some(_) => {
-                stats.expirations += 1;
-                None
-            }
-            None => {
-                stats.misses += 1;
-                None
-            }
-        };
-        drop(stats);
+        let payload = shard
+            .lock_or_panic("prefetch cache shard")
+            .take(user.0, now);
         op.record(&obs.cache_op_ns);
         payload
     }
@@ -285,7 +276,10 @@ impl PrefetchCache {
     /// Number of payloads currently held (fresh, or expired but not yet
     /// taken or displaced).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock_or_panic("prefetch cache shard").map.len())
+            .sum()
     }
 
     /// Returns `true` when no payload is held.
@@ -298,7 +292,7 @@ impl PrefetchCache {
         self.shards
             .iter()
             .map(|s| {
-                s.lock()
+                s.lock_or_panic("prefetch cache shard")
                     .map
                     .values()
                     .map(|e| e.payload.len() as u64)
@@ -307,15 +301,26 @@ impl PrefetchCache {
             .sum()
     }
 
-    /// Snapshot of the running counters.
+    /// Running counters, summed over the shards.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        let mut total = CacheStats::default();
+        for shard in &self.shards {
+            let s = shard.lock_or_panic("prefetch cache shard").stats;
+            total.insertions += s.insertions;
+            total.replacements += s.replacements;
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.expirations += s.expirations;
+            total.lru_evictions += s.lru_evictions;
+        }
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn cache(capacity: usize, ttl: i64) -> PrefetchCache {
         PrefetchCache::new(CacheConfig {
@@ -407,6 +412,57 @@ mod tests {
                 "shard {shard} holds {count} of 800 users"
             );
         }
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn an_eviction_storm_is_recorded_each_time_lru_evictions_cross_the_stride() {
+        // One slot: every insert after the first evicts a fresh payload.
+        let c = cache(1, 1_000);
+        let at = 7_777_777; // no other test records an event at this time
+        for id in 0..=2 * EVICTION_STORM_STRIDE {
+            c.insert(UserId(id), Bytes::from_static(b"p"), at);
+        }
+        assert_eq!(c.stats().lru_evictions, 2 * EVICTION_STORM_STRIDE);
+        let events = pp_obs::MetricsRegistry::global().events().drain();
+        let storms: Vec<f64> = events
+            .iter()
+            .filter(|e| e.kind == pp_obs::EventKind::EvictionStorm && e.at == at)
+            .map(|e| e.value)
+            .collect();
+        assert_eq!(storms, [64.0, 128.0]);
+    }
+
+    /// The message a caught panic carries.
+    fn panic_message(caught: Box<dyn std::any::Any + Send>) -> String {
+        *caught
+            .downcast::<String>()
+            .expect("a formatted panic message")
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_fails_every_later_call_on_that_shard() {
+        // A lock that forgot the panic would serve user 1's payload below
+        // as if the shard were whole.
+        let c = cache(16, 100);
+        c.insert(UserId(1), Bytes::from_static(b"payload"), 0);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = c.shards[0].lock();
+                panic!("a holder dies mid-update");
+            });
+            assert!(holder.join().is_err());
+        });
+        let poisoned = "prefetch cache shard: lock poisoned";
+        let take = catch_unwind(AssertUnwindSafe(|| c.take(UserId(1), 50)));
+        assert!(panic_message(take.unwrap_err()).contains(poisoned));
+        let insert = catch_unwind(AssertUnwindSafe(|| {
+            c.insert(UserId(2), Bytes::from_static(b"new"), 50);
+        }));
+        assert!(panic_message(insert.unwrap_err()).contains(poisoned));
+        let shard = c.shards[0].lock().unwrap_err().into_inner();
+        assert_eq!(shard.map.len(), 1, "a poisoned shard was written");
+        assert_eq!(shard.stats.hits, 0, "a poisoned shard served a payload");
     }
 
     #[test]

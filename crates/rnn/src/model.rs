@@ -701,12 +701,14 @@ impl RnnModel {
         d_hidden.clear();
         d_hidden.resize(rows * width, 0.0);
         gemm_bt_acc(d_hidden, d_logits, w_out, 1);
-        // Through the ReLU, then the mask.
-        for (i, d) in d_hidden.iter_mut().enumerate() {
-            if dropped[i] <= 0.0 {
-                *d = 0.0;
-            } else if !masks.is_empty() {
-                *d *= masks[i];
+        // Through the ReLU, then the mask: a select per value, no branch.
+        if masks.is_empty() {
+            for (d, &v) in d_hidden.iter_mut().zip(dropped.iter()) {
+                *d = if v <= 0.0 { 0.0 } else { *d };
+            }
+        } else {
+            for ((d, &v), &m) in d_hidden.iter_mut().zip(dropped.iter()).zip(masks.iter()) {
+                *d = if v <= 0.0 { 0.0 } else { *d * m };
             }
         }
         let (w_id, b_id) = self.mlp_hidden.params();

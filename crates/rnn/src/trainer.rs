@@ -1099,6 +1099,33 @@ mod tests {
         }
     }
 
+    /// Pins the trained parameters bit for bit: an FNV-1a hash over every
+    /// parameter's `f32::to_bits`, in store order, after the tiny GRU's one
+    /// epoch on ten users. `training_gives_the_same_bits_twice` only checks
+    /// determinism; this checks that a kernel or optimizer rewrite which
+    /// claims bit-identity kept it. The value was recorded before Adam's
+    /// step and the head's ReLU backward became zip passes, and they left
+    /// it unchanged.
+    #[test]
+    fn training_gives_the_pinned_bits() {
+        let ds = tiny_dataset(10);
+        let idx: Vec<usize> = (0..ds.users.len()).collect();
+        let mut model = tiny_model();
+        tiny_trainer(false).train(&mut model, &ds, &idx);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (_, param) in model.params().iter() {
+            for value in param.value().as_slice() {
+                for byte in value.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0xad89_7d6a_65ec_301b,
+            "the trained bits moved: {hash:#018x}"
+        );
+    }
+
     #[test]
     fn parallel_and_sequential_training_agree() {
         // `parallel` only applies to the graph-trained cells.

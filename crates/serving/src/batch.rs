@@ -1569,8 +1569,8 @@ mod tests {
     }
 
     /// The state every wake-up rule starts from: a two-worker coalescing
-    /// engine with one worker parked in its hold over a lone predict for
-    /// user 0 and its peer parked idle.
+    /// engine with one worker parked in its hold over `lone`, a predict for
+    /// user 0, and its peer parked idle.
     struct Held {
         model: Arc<RnnModel>,
         store: Arc<ShardedStateStore>,
@@ -1583,7 +1583,7 @@ mod tests {
         peer: usize,
     }
 
-    fn hold_one(max_batch: usize, wait: std::time::Duration) -> Held {
+    fn hold_one(lone: PredictRequest, max_batch: usize, wait: std::time::Duration) -> Held {
         let model = Arc::new(model());
         let store = Arc::new(ShardedStateStore::new(4));
         let engine = BatchServingEngine::start_with_coalesce(
@@ -1593,8 +1593,9 @@ mod tests {
             max_batch,
             Some(wait),
         );
+        assert_eq!(lone.user_id, UserId(0));
         let submitted = std::time::Instant::now();
-        let first = engine.submit(request(0, 1));
+        let first = engine.submit(lone);
         let (holder, room) = wait_for("no worker parked over the lone job", || {
             parked_holder(&engine)
         });
@@ -1649,7 +1650,7 @@ mod tests {
             first,
             peer,
             ..
-        } = hold_one(2, wait);
+        } = hold_one(request(0, 1), 2, wait);
         // Two distinct users sharing a single shard homed on the idle peer:
         // the pattern that lost a wakeup in the old engine.
         let second = users_homed_on(&engine.shared, peer, 1)[0];
@@ -1690,7 +1691,7 @@ mod tests {
         // submits wakes the idle peer, which claims it and opens a second
         // hold with a later deadline.
         let wait = std::time::Duration::from_secs(2);
-        let held = hold_one(8, wait);
+        let held = hold_one(request(0, 1), 8, wait);
         for reply in three_more_homed_on_the_peer(&held) {
             reply
                 .recv_timeout(HANG)
@@ -1708,7 +1709,7 @@ mod tests {
     fn a_held_batch_is_served_as_soon_as_single_submits_fill_it() {
         // Fails on the parent by time-out: the peer takes the submits homed
         // on it into a second hold and neither batch ever fills.
-        let held = hold_one(4, std::time::Duration::from_secs(10));
+        let held = hold_one(request(0, 1), 4, std::time::Duration::from_secs(10));
         let mut replies = three_more_homed_on_the_peer(&held);
         replies.push(held.first);
         for reply in replies {
@@ -1728,7 +1729,7 @@ mod tests {
         // that batch's claims drop, and wait no longer than its own window
         // (a second window on top would read ~4 s) plus that one batch.
         let wait = std::time::Duration::from_secs(2);
-        let held = hold_one(8, wait);
+        let held = hold_one(request(0, 1), 8, wait);
         let m = &held.model;
         let update_submitted = std::time::Instant::now();
         let close = update(0, 2);
@@ -1771,8 +1772,7 @@ mod tests {
         // were still absorbing: later submits would move the generation,
         // wake nobody and wait for ever.
         let wait = std::time::Duration::from_secs(1);
-        let held = hold_one(8, wait);
-        poison(&held.store, UserId(0));
+        let held = hold_one(poisonous(0, 1), 8, wait);
         assert_eq!(
             held.first.recv_timeout(HANG),
             Err(mpsc::RecvTimeoutError::Disconnected),
@@ -1804,7 +1804,7 @@ mod tests {
         // Passes on the parent; pins the shutdown wake-up, which now has to
         // get past a holder that sleeps through ordinary arrivals. A missed
         // one shows as a thirty-second drop.
-        let held = hold_one(8, std::time::Duration::from_secs(30));
+        let held = hold_one(request(0, 1), 8, std::time::Duration::from_secs(30));
         let started = std::time::Instant::now();
         drop(held.engine);
         assert!(started.elapsed() < HANG, "drop waited out the hold");
@@ -1813,14 +1813,26 @@ mod tests {
             .expect("workers serve what they hold before they exit");
     }
 
-    /// Stores a state of the wrong length for `user`: `read_states_into`
-    /// panics on it by contract, which kills the worker that serves `user`.
-    /// The put fixes the store's width at 3, so it must be the store's
-    /// first: into a store that already holds model-width states it would
-    /// panic here, on the test thread, and kill no worker.
-    fn poison(store: &ShardedStateStore, user: UserId) {
+    /// A predict for user `id` whose context is not the model's kind: the
+    /// featurizer panics on it by contract, before the batch takes any
+    /// store lock, which kills the worker that serves it and leaves the
+    /// store whole.
+    fn poisonous(id: u64, i: i64) -> PredictRequest {
+        PredictRequest {
+            context: Context::Timeshift { is_peak: false },
+            ..request(id, i)
+        }
+    }
+
+    /// Stores a state of the wrong length for `user` and reads it on the
+    /// test thread: the read panics under the state's shard lock, which
+    /// poisons that shard. The put fixes the store's width at 3, so it must
+    /// be the store's first.
+    fn poison_shard_of(store: &ShardedStateStore, user: UserId) {
         assert!(store.is_empty(), "poison must be the store's first put");
         store.put_state(user, &[0.0; 3]);
+        let read = std::panic::catch_unwind(|| store.read_state_into(user, &mut [0.0; 4]));
+        assert!(read.is_err(), "a read of the wrong width must panic");
     }
 
     /// Engine state with no worker running, so a test drives `gather` by
@@ -1974,14 +1986,13 @@ mod tests {
         let store = Arc::new(ShardedStateStore::new(4));
         let engine = BatchServingEngine::start(m, store.clone(), 2, 8);
         let poisoned = UserId(0);
-        poison(&store, poisoned);
         // Same shard as the poisoned user: behind the dead worker's claim.
         let follower = (1..256)
             .map(UserId)
             .find(|&u| store.shard_index(u) == store.shard_index(poisoned))
             .expect("a second user in the poisoned shard exists");
 
-        let first = engine.submit(request(poisoned.0, 1));
+        let first = engine.submit(poisonous(poisoned.0, 1));
         assert_eq!(
             first.recv_timeout(HANG),
             Err(mpsc::RecvTimeoutError::Disconnected),
@@ -1999,10 +2010,9 @@ mod tests {
     fn an_engine_with_no_worker_left_refuses_jobs_instead_of_hanging_them() {
         let m = Arc::new(model());
         let store = Arc::new(ShardedStateStore::new(4));
-        let engine = BatchServingEngine::start(m, store.clone(), 1, 8);
-        poison(&store, UserId(0));
+        let engine = BatchServingEngine::start(m, store, 1, 8);
         let disconnected = Err(mpsc::RecvTimeoutError::Disconnected);
-        let first = engine.submit(request(0, 1));
+        let first = engine.submit(poisonous(0, 1));
         assert_eq!(first.recv_timeout(HANG), disconnected);
         // The only worker is dead or unwinding: a later job is either
         // dropped by its last sweep or refused on arrival.
@@ -2012,6 +2022,30 @@ mod tests {
             engine.submit_updates(&[update(2, 3)])[0].recv_timeout(HANG),
             Err(mpsc::RecvTimeoutError::Disconnected)
         );
+        drop(engine);
+    }
+
+    #[test]
+    fn a_poisoned_store_shard_fails_every_batch_that_touches_it() {
+        // A lock that forgot the panic would serve all three from the
+        // poisoned shard as if it were whole.
+        let m = Arc::new(model());
+        let store = Arc::new(ShardedStateStore::new(4));
+        poison_shard_of(&store, UserId(0));
+        let users = (1..256)
+            .map(UserId)
+            .filter(|&u| store.shard_index(u) == store.shard_index(UserId(0)));
+        let users: Vec<UserId> = users.take(3).collect();
+        let engine = BatchServingEngine::start(m, store, 2, 8);
+        // The first two batches each kill the worker that serves them; the
+        // third finds no worker left and is refused.
+        for (user, i) in users.iter().zip(1..) {
+            assert_eq!(
+                engine.submit(request(user.0, i)).recv_timeout(HANG),
+                Err(mpsc::RecvTimeoutError::Disconnected),
+                "a batch over the poisoned shard served {user:?}"
+            );
+        }
         drop(engine);
     }
 

@@ -45,10 +45,10 @@
 //! row.
 
 use crate::kv_store::{EvictionPolicy, StoreStats};
-use parking_lot::Mutex;
 use pp_data::schema::UserId;
+use pp_obs::sync::LockPolicy;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// "No slot": the end of the recency list, and an empty index bucket.
 const NIL: u32 = u32::MAX;
@@ -429,6 +429,11 @@ impl ShardInner {
 /// the minimum `(rank, tick)` — rank 0 under [`EvictionPolicy::Lru`], the
 /// touch count under [`EvictionPolicy::FrequencyWeighted`], so a newcomer
 /// can be its own victim there — until it is back within its bound.
+///
+/// A panic under the shard's lock (a state of the wrong width, say) may
+/// leave its index, slots and rows disagreeing, so it poisons the shard:
+/// every later call that locks it panics with "store shard: lock
+/// poisoned" before it reads or writes anything.
 #[derive(Debug)]
 pub struct StateShard {
     inner: Mutex<ShardInner>,
@@ -469,7 +474,7 @@ impl StateShard {
 
     /// Number of states currently stored.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock_or_panic("store shard").len()
     }
 
     /// Returns `true` when the shard holds no state.
@@ -479,12 +484,12 @@ impl StateShard {
 
     /// Snapshot of the running counters.
     pub fn stats(&self) -> StoreStats {
-        self.inner.lock().stats
+        self.inner.lock_or_panic("store shard").stats
     }
 
     /// Total bytes of the states currently stored.
     pub(crate) fn stored_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock_or_panic("store shard");
         BF16_BYTES * (inner.rows.width * inner.len()) as u64
     }
 
@@ -503,7 +508,7 @@ impl StateShard {
         let order = self.order();
         let mut probes = [NIL; RUN];
         let probes = &mut probes[..users.len()];
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock_or_panic("store shard");
         let inner = &mut *guard;
         for (at, user) in probes.iter_mut().zip(users) {
             *at = inner.slot_of(*user);
@@ -523,7 +528,7 @@ impl StateShard {
     /// `users[i]` under one lock, one user after another. A put can evict a
     /// later user of the same run, so nothing is probed ahead.
     pub(crate) fn put_run(&self, users: &[u64], rows: &[f32], width: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock_or_panic("store shard");
         for (row, &user) in users.iter().enumerate() {
             let state = &rows[row * width..][..width];
             inner.put(user, state, self.capacity, self.policy);
@@ -532,7 +537,7 @@ impl StateShard {
 
     /// Removes `user`'s state, returning it (widened) if present.
     pub(crate) fn remove(&self, user: UserId) -> Option<Vec<f32>> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock_or_panic("store shard");
         let inner = &mut *guard;
         let bucket = inner.probe(user.0).ok()?;
         let at = inner.index[bucket];
@@ -542,7 +547,10 @@ impl StateShard {
 
     /// Whether `user`'s state is stored; neither counted nor a touch.
     pub(crate) fn contains(&self, user: UserId) -> bool {
-        self.inner.lock().probe(user.0).is_ok()
+        self.inner
+            .lock_or_panic("store shard")
+            .probe(user.0)
+            .is_ok()
     }
 }
 
@@ -915,6 +923,7 @@ impl ShardedStateStore {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
 
     /// The value of a bf16 by its definition, in `f64`: sign, 8-bit
@@ -1132,7 +1141,7 @@ mod tests {
             };
             assert_eq!(store.get_state(UserId(id)).unwrap(), expected, "user {id}");
         }
-        let inner = store.shard(0).inner.lock();
+        let inner = store.shard(0).inner.lock().unwrap();
         assert_eq!(inner.slots.len(), users as usize);
         assert_eq!(inner.rows.chunks.len(), 4);
         assert_eq!(inner.rows.width, 2);
@@ -1148,7 +1157,7 @@ mod tests {
         for id in 35..40u64 {
             assert_eq!(store.get_state(UserId(id)).unwrap(), [id as f32; 3]);
         }
-        let inner = store.shard(0).inner.lock();
+        let inner = store.shard(0).inner.lock().unwrap();
         // Capacity + 1 rows: the newcomer and its victim, briefly together.
         assert_eq!(inner.slots.len(), 6);
         assert_eq!(inner.rows.chunks.len(), 1);
@@ -1170,7 +1179,7 @@ mod tests {
     /// slot and reads back its value, each `absent` user misses, and the
     /// index holds exactly the reference's users, at most half full.
     fn check_index(shard: &StateShard, reference: &HashMap<u64, f32>, absent: &[u64]) {
-        let inner = shard.inner.lock();
+        let inner = shard.inner.lock().unwrap();
         for (&user, &value) in reference {
             let at = inner.slot_of(user);
             assert_ne!(at, NIL, "user {user} is not found");
@@ -1203,7 +1212,7 @@ mod tests {
         };
         let keys = [14, 15, 14, 1, 0, 14].map(&mut key_at_home);
         let layout = |shard: &StateShard, buckets: &[usize]| -> Vec<Option<u64>> {
-            let inner = shard.inner.lock();
+            let inner = shard.inner.lock().unwrap();
             let user = |&bucket: &usize| match inner.index[bucket] {
                 NIL => None,
                 at => Some(inner.slots[at as usize].user),
@@ -1263,7 +1272,7 @@ mod tests {
                 put_one(&shard, user, value);
                 reference.insert(user, value);
             }
-            let buckets = shard.inner.lock().index.len();
+            let buckets = shard.inner.lock().unwrap().index.len();
             if sizes.last() != Some(&buckets) {
                 sizes.push(buckets);
             }
@@ -1298,7 +1307,7 @@ mod tests {
         }
         let (mut bytes, mut probes, mut longest) = (0, 0, 0);
         for shard in &store.shards {
-            let inner = shard.inner.lock();
+            let inner = shard.inner.lock().unwrap();
             bytes += 4 * inner.index.capacity()
                 + std::mem::size_of::<Slot>() * inner.slots.capacity()
                 + 4 * inner.free.capacity()
@@ -1332,6 +1341,34 @@ mod tests {
         let store = ShardedStateStore::new(4);
         store.put_state(UserId(9), &[0.0; 3]);
         store.read_state_into(UserId(9), &mut [0.0; 128]);
+    }
+
+    /// The message a caught panic carries.
+    fn panic_message(caught: Box<dyn std::any::Any + Send>) -> String {
+        *caught
+            .downcast::<String>()
+            .expect("a formatted panic message")
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_fails_every_later_read_of_that_shard() {
+        // A lock that forgot the panic would serve user 1's state below as
+        // if the shard were whole.
+        let store = ShardedStateStore::new(1);
+        store.put_state(UserId(1), &[1.0, 2.0]);
+        let wrong_width = catch_unwind(AssertUnwindSafe(|| {
+            store.read_state_into(UserId(1), &mut [0.0; 3])
+        }));
+        assert!(panic_message(wrong_width.unwrap_err()).contains("stored state holds 2 values"));
+        let poisoned = "store shard: lock poisoned";
+        let got = catch_unwind(AssertUnwindSafe(|| store.get_state(UserId(1))));
+        assert!(panic_message(got.unwrap_err()).contains(poisoned));
+        let mut rows = [9.0f32; 2];
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            store.read_states_into([UserId(1)], &mut rows, 2)
+        }));
+        assert!(panic_message(read.unwrap_err()).contains(poisoned));
+        assert_eq!(rows, [9.0; 2], "a poisoned shard copied a state out");
     }
 
     #[test]
