@@ -133,6 +133,8 @@ impl Default for LintConfig {
             // without locking, so Relaxed there is a real bug. `alive` is
             // the engine's count of running workers: the last one out and
             // every enqueue decide on it whether a job can still be served.
+            // The engine has no `shutdown` atomic (it is a field under its
+            // wake-up lock); the name stays because the lint fixtures use it.
             protocol_atomics: vec!["shutdown", "stop", "claimed", "len", "alive"],
             skip_paths: vec!["/target/", "shims/", "crates/analysis/tests/fixtures/"],
             obs_gating_exempt_paths: vec!["crates/obs/"],

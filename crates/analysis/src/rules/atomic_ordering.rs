@@ -2,8 +2,9 @@
 //! *protocol* atomics.
 //!
 //! The serving engine's wakeup protocol hinges on a handful of atomics
-//! (`shutdown`, the shard-queue `claimed` flag, the
-//! lock-free `len` emptiness hint, bench `stop` flags): their stores
+//! (the shard-queue `claimed` flag, the lock-free `len` emptiness hint,
+//! the `alive` worker count, bench `stop` flags; the engine's shutdown is a
+//! field under its wake-up lock, not an atomic): their stores
 //! publish state a *different* thread's load must observe before acting,
 //! so they need at least Release/Acquire pairing. Plain stat counters
 //! (predictions, steals, idle_ns, histogram buckets, …) are intentionally

@@ -1,13 +1,14 @@
 //! `no-bare-thread-spawn` — worker threads must keep their `JoinHandle`.
 //!
-//! The engine's shutdown story (drop → shutdown flag → wake everyone →
-//! join every worker) only works because every spawned thread's handle is
-//! retained and joined; a discarded handle is a thread that outlives the
-//! engine, keeps Arcs alive, and races teardown — the exact failure mode
-//! the drop-barrier in `BatchServingEngine` exists to prevent. The rule
-//! flags `thread::spawn` calls in statement position (result discarded)
-//! and `let _ = thread::spawn(…)` (explicitly discarded) outside test
-//! code. Spawns whose handle is bound, pushed, or collected pass.
+//! The engine's shutdown story (drop → shutdown flag under the wake-up
+//! lock → wake everyone → join every worker) only works because every
+//! spawned thread's handle is retained and joined; a discarded handle is a
+//! thread that outlives the engine, keeps Arcs alive, and races teardown —
+//! the exact failure mode the drop-barrier in `BatchServingEngine` exists
+//! to prevent. The rule flags `thread::spawn` calls in statement position
+//! (result discarded) and `let _ = thread::spawn(…)` (explicitly
+//! discarded) outside test code. Spawns whose handle is bound, pushed, or
+//! collected pass.
 
 use super::{skip_balanced, Rule};
 use crate::config::LintConfig;

@@ -30,8 +30,8 @@ impl fmt::Display for UserId {
 
 /// The application tab that was active at session start (MobileTab dataset).
 ///
-/// The paper hashes tab names modulo 97; we model a small closed set of tabs
-/// and expose a stable [`Tab::hash_bucket`] to mirror that step.
+/// The paper hashes tab names modulo 97; we model a small closed set of tabs,
+/// each with a stable [`Tab::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Tab {
     /// The default feed.
@@ -71,19 +71,6 @@ impl Tab {
             .iter()
             .position(|&t| t == self)
             .expect("tab in ALL")
-    }
-
-    /// Hash bucket in `[0, 97)` as used by the paper's feature engineering
-    /// (hash the categorical name, take the remainder modulo 97).
-    pub fn hash_bucket(self) -> usize {
-        // A tiny FNV-1a over the debug name keeps this stable across runs.
-        let name = format!("{self:?}");
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-        (hash % 97) as usize
     }
 }
 
@@ -364,15 +351,10 @@ mod tests {
     }
 
     #[test]
-    fn tab_index_and_hash_bucket_stable() {
+    fn tab_index_is_its_position_in_all() {
         for (i, tab) in Tab::ALL.iter().enumerate() {
             assert_eq!(tab.index(), i);
-            assert!(tab.hash_bucket() < 97);
         }
-        // Distinct tabs should mostly land in distinct buckets.
-        let buckets: std::collections::HashSet<_> =
-            Tab::ALL.iter().map(|t| t.hash_bucket()).collect();
-        assert!(buckets.len() >= 6);
     }
 
     #[test]

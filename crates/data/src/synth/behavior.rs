@@ -12,17 +12,6 @@ use crate::schema::{hour_of_day, SECONDS_PER_DAY, SECONDS_PER_HOUR};
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Normal};
 
-/// Coarse activity tier of a user, mainly used for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ActivityLevel {
-    /// Opens the app less than once a day on average.
-    Light,
-    /// A few sessions per day.
-    Regular,
-    /// Heavy, many sessions per day.
-    Heavy,
-}
-
 /// Latent behavioural traits of a single simulated user.
 #[derive(Debug, Clone)]
 pub struct UserBehavior {
@@ -51,19 +40,6 @@ pub struct UserBehavior {
     pub recency_strength: f64,
     /// Decay constant (seconds) of the recency effect.
     pub recency_tau_secs: f64,
-}
-
-impl UserBehavior {
-    /// Coarse activity tier.
-    pub fn activity_level(&self) -> ActivityLevel {
-        if self.sessions_per_day < 1.0 {
-            ActivityLevel::Light
-        } else if self.sessions_per_day < 5.0 {
-            ActivityLevel::Regular
-        } else {
-            ActivityLevel::Heavy
-        }
-    }
 }
 
 /// Rolling per-user state consumed by the access decision: recent access
@@ -437,17 +413,5 @@ mod tests {
         assert!(sigmoid(50.0) > 1.0 - 1e-6);
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
         assert!(sigmoid(1.0) > sigmoid(0.5));
-    }
-
-    #[test]
-    fn activity_levels() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut user = engine().sample_user(&mut rng);
-        user.sessions_per_day = 0.5;
-        assert_eq!(user.activity_level(), ActivityLevel::Light);
-        user.sessions_per_day = 3.0;
-        assert_eq!(user.activity_level(), ActivityLevel::Regular);
-        user.sessions_per_day = 10.0;
-        assert_eq!(user.activity_level(), ActivityLevel::Heavy);
     }
 }

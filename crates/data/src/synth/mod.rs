@@ -24,7 +24,7 @@ mod mobile_tab;
 mod mpu;
 mod timeshift;
 
-pub use behavior::{ActivityLevel, BehaviorEngine, UserBehavior};
+pub use behavior::{BehaviorEngine, UserBehavior};
 pub use mobile_tab::{MobileTabConfig, MobileTabGenerator};
 pub use mpu::NUM_APPS;
 pub use mpu::{MpuConfig, MpuGenerator};

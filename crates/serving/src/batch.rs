@@ -350,7 +350,7 @@ impl Job {
 struct ShardQueue {
     jobs: Mutex<VecDeque<Job>>,
     /// Lock-free emptiness hint so gathering workers skip idle shards
-    /// without taking the queue lock.
+    /// without taking the queue lock; the queue-depth gauge sums them.
     len: AtomicUsize,
     /// Exclusively held by one worker from drain to state write-back.
     claimed: AtomicBool,
@@ -360,10 +360,10 @@ struct ShardQueue {
 /// ([`EngineShared::work_gen`]).
 #[derive(Debug)]
 struct Wake {
-    /// Moved by every enqueue pass and every claim release. A worker reads
-    /// it before it scans and parks (idle or in a hold) only while it is
-    /// unchanged: a move in between may have queued or released jobs the
-    /// scan missed, so the worker scans again instead of parking.
+    /// Moved by every enqueue pass, every claim release and the shutdown.
+    /// A worker reads it before it scans and parks (idle or in a hold) only
+    /// while it is unchanged: a move in between may have queued or released
+    /// jobs the scan missed, so the worker scans again instead of parking.
     gen: u64,
     /// Per worker: rows its open batch can still take, less the jobs
     /// enqueued since it parked. Non-zero only while the worker is inside
@@ -371,6 +371,9 @@ struct Wake {
     /// zeroed under the guard it returns — so a worker that is executing,
     /// idle or dead never looks as if it were absorbing arrivals.
     room: Vec<usize>,
+    /// Set by the engine's drop, with a room charge that ends every hold;
+    /// read by a worker about to park idle and by a hold's generation read.
+    shutdown: bool,
 }
 
 impl Wake {
@@ -401,6 +404,9 @@ struct WorkerCounters {
     updates: AtomicU64,
     steals: AtomicU64,
     idle_ns: AtomicU64,
+    /// Largest batch this worker served; [`BatchServingEngine::stats`]
+    /// takes the max over workers.
+    largest_batch: AtomicUsize,
     /// While the worker is inside `idle.wait`: the generation it waits to
     /// see move, plus one (0 = not parked). Written under `work_gen`, so a
     /// test holding that lock can tell a peer parked on the current
@@ -442,8 +448,8 @@ struct EngineShared {
     /// One queue per state-store shard (`queues.len() == store.num_shards()`).
     queues: Vec<ShardQueue>,
     worker_counters: Vec<WorkerCounters>,
-    /// The work generation and the holders' rooms: the engine's one
-    /// wake-up lock. Nothing else is acquired while it is held.
+    /// The work generation, the holders' rooms and the shutdown flag: the
+    /// engine's one wake-up lock. Nothing else is acquired while it is held.
     work_gen: Mutex<Wake>,
     /// Where idle workers park. `notify_all` wakes them on every claim
     /// release and on every enqueue pass no holder absorbs (see `enqueue`).
@@ -451,13 +457,9 @@ struct EngineShared {
     /// Where each worker waits out its coalesce hold, woken early only when
     /// the jobs enqueued since it parked could fill its batch.
     holds: Vec<Condvar>,
-    /// Jobs currently queued across all shards (for the queue-depth gauge).
-    queued: AtomicUsize,
-    shutdown: AtomicBool,
     /// Worker threads still running. The one that takes it to zero closes
     /// the engine (see [`WorkerExit`]).
     alive: AtomicUsize,
-    largest_batch: AtomicUsize,
 }
 
 impl EngineShared {
@@ -481,18 +483,33 @@ impl EngineShared {
             work_gen: Mutex::new(Wake {
                 gen: 0,
                 room: vec![0; workers],
+                shutdown: false,
             }),
             idle: Condvar::new(),
             holds: (0..workers).map(|_| Condvar::new()).collect(),
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
             alive: AtomicUsize::new(workers),
-            largest_batch: AtomicUsize::new(0),
         }
     }
 
     fn num_workers(&self) -> usize {
         self.holds.len()
+    }
+
+    /// Jobs queued across all shards: the sum of the queues' `len` hints.
+    fn queued(&self) -> usize {
+        self.queues
+            .iter()
+            .map(|q| q.len.load(Ordering::Acquire))
+            .sum()
+    }
+
+    /// Sets `serving.queue_depth` to [`queued`](Self::queued), summed only
+    /// when observability is compiled in.
+    fn publish_queue_depth(&self) {
+        if pp_obs::is_enabled() {
+            let queue_depth = &crate::obs::ServingObs::global().queue_depth;
+            queue_depth.set(self.queued() as f64);
+        }
     }
 
     /// The worker that owns `user`'s home shard (and therefore serves the
@@ -518,13 +535,6 @@ impl EngineShared {
             return false;
         }
         let arrived = jobs.len();
-        let queue_depth = &crate::obs::ServingObs::global().queue_depth;
-        // Count the jobs in BEFORE any becomes visible in a queue: an
-        // already-awake worker may drain them at once, and its `fetch_sub`
-        // must never see less than it takes.
-        let depth = self.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
-        queue_depth.set(depth as f64);
-        let mut refused = 0;
         for job in jobs {
             let queue = &self.queues[self.store.shard_index(job.kind.user_id())];
             let mut q = queue.jobs.lock_or_panic("shard queue");
@@ -532,7 +542,6 @@ impl EngineShared {
             // after it zeroes the count: a job queued here is either seen
             // by that worker's sweep or refused now.
             if self.alive.load(Ordering::SeqCst) == 0 {
-                refused += 1;
                 continue;
             }
             q.push_back(job);
@@ -546,12 +555,6 @@ impl EngineShared {
         // its update batch, a shard a peer has claimed) is announced when
         // its batch's claims drop, no later than the holder's deadline.
         let mut wake = self.work_gen.lock_or_panic("work generation");
-        if refused > 0 {
-            // Under the wake-up lock, as the last worker's sweep sets it:
-            // whichever writes the gauge last has seen the other's count.
-            let depth = self.queued.fetch_sub(refused, Ordering::Relaxed) - refused;
-            queue_depth.set(depth as f64);
-        }
         let absorbed = wake.arrive(arrived, &self.holds);
         drop(wake);
         if !absorbed {
@@ -701,15 +704,20 @@ impl BatchServingEngine {
         })
     }
 
-    /// Counters accumulated so far: the per-worker counters summed.
+    /// Counters accumulated so far: the per-worker counters summed, and
+    /// the largest of their largest batches.
     pub fn stats(&self) -> EngineStats {
         let workers = self.worker_stats();
         let sum = |count: fn(&WorkerStats) -> u64| workers.iter().map(count).sum();
+        let counters = self.shared.worker_counters.iter();
         EngineStats {
             predictions: sum(|w| w.predictions),
             updates: sum(|w| w.updates),
             batches: sum(|w| w.batches),
-            largest_batch: self.shared.largest_batch.load(Ordering::Relaxed),
+            largest_batch: counters
+                .map(|c| c.largest_batch.load(Ordering::Relaxed))
+                .max()
+                .unwrap_or(0),
         }
     }
 
@@ -734,9 +742,10 @@ impl BatchServingEngine {
 impl Drop for BatchServingEngine {
     fn drop(&mut self) {
         let shared = &self.shared;
-        shared.shutdown.store(true, Ordering::SeqCst);
-        // More than any room: zeroes every room, so it ends every hold.
         let mut wake = shared.work_gen.lock_or_panic("work generation");
+        wake.shutdown = true;
+        // More than any room: zeroes every room, so it ends every hold, and
+        // moves the generation past every worker's last read of it.
         wake.arrive(usize::MAX, &shared.holds);
         drop(wake);
         shared.idle.notify_all();
@@ -861,7 +870,9 @@ impl Drop for Claims<'_> {
 /// Dropped when a worker thread ends, by return or by a panic. The last
 /// worker out closes the engine: it drops whatever is still queued, and
 /// `enqueue` refuses what arrives later, so callers see a disconnected
-/// reply channel instead of waiting on an engine nobody serves.
+/// reply channel instead of waiting on an engine nobody serves. Its sweep
+/// sets the queue-depth gauge last: every peer has exited, and nothing can
+/// be queued after it.
 struct WorkerExit<'a>(&'a EngineShared);
 
 impl Drop for WorkerExit<'_> {
@@ -870,17 +881,12 @@ impl Drop for WorkerExit<'_> {
         if shared.alive.fetch_sub(1, Ordering::SeqCst) > 1 {
             return;
         }
-        let mut dropped = 0;
         for queue in &shared.queues {
             // Emptying is valid from any state and a drop must not panic.
-            dropped += std::mem::take(&mut *queue.jobs.lock_recover()).len();
+            queue.jobs.lock_recover().clear();
             queue.len.store(0, Ordering::Release);
         }
-        let queue_depth = &crate::obs::ServingObs::global().queue_depth;
-        // Under the wake-up lock, as `enqueue` sets it after a refusal.
-        let _wake = shared.work_gen.lock_recover();
-        let depth = shared.queued.fetch_sub(dropped, Ordering::Relaxed) - dropped;
-        queue_depth.set(depth as f64);
+        shared.publish_queue_depth();
     }
 }
 
@@ -1003,14 +1009,18 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         gather(shared, worker, &mut batch, &mut seen_users);
 
         if batch.jobs.is_empty() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
             let parked = std::time::Instant::now();
             let mut wake = shared.work_gen.lock_or_panic("work generation");
             #[cfg(test)]
             counters.parked_on.store(gen_before + 1, Ordering::SeqCst);
-            while wake.gen == gen_before && !shared.shutdown.load(Ordering::SeqCst) {
+            while wake.gen == gen_before {
+                // The shutdown moved the generation, so seeing it here
+                // means the gather above started after it and found every
+                // job queued before it taken: by this worker, or by a peer
+                // that serves its batch before it exits.
+                if wake.shutdown {
+                    return;
+                }
                 wake = shared.idle.wait(wake).expect("idle wait");
             }
             #[cfg(test)]
@@ -1027,7 +1037,7 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // timed wait below ends at that deadline plus wake latency only,
         // because `spawn_worker` took the OS's timer slack off this thread.
         if let Some(wait) = shared.coalesce_wait {
-            if batch.jobs.len() < shared.max_batch && !shared.shutdown.load(Ordering::SeqCst) {
+            if batch.jobs.len() < shared.max_batch {
                 let held = pp_obs::Stopwatch::start();
                 let oldest = batch
                     .jobs
@@ -1037,8 +1047,7 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                     .expect("non-empty batch");
                 let deadline = oldest + wait;
                 let hold = &shared.holds[worker];
-                while batch.jobs.len() < shared.max_batch && !shared.shutdown.load(Ordering::SeqCst)
-                {
+                while batch.jobs.len() < shared.max_batch {
                     let now = std::time::Instant::now();
                     let Some(remaining) = deadline.checked_duration_since(now) else {
                         break;
@@ -1047,12 +1056,18 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                         break;
                     }
                     // Read the generation before re-gathering: a pass (or a
-                    // peer's claim release) after the read moves it and
-                    // skips the wait; the jobs of a pass before it are all
-                    // queued, and the gather sees them. So the room
-                    // published below counts every job that could still
-                    // join: nothing that could fill the batch is slept on.
-                    let gen_before = shared.work_gen.lock_or_panic("work generation").gen;
+                    // peer's claim release, or the shutdown) after the read
+                    // moves it and skips the wait; the jobs of a pass before
+                    // it are all queued, and the gather sees them. So the
+                    // room published below counts every job that could
+                    // still join: nothing that could fill the batch is
+                    // slept on.
+                    let wake = shared.work_gen.lock_or_panic("work generation");
+                    let (gen_before, shutdown) = (wake.gen, wake.shutdown);
+                    drop(wake);
+                    if shutdown {
+                        break;
+                    }
                     gather(shared, worker, &mut batch, &mut seen_users);
                     if batch.jobs.len() >= shared.max_batch {
                         break;
@@ -1061,14 +1076,10 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                     if wake.gen == gen_before {
                         wake.room[worker] = shared.max_batch - batch.jobs.len();
                         // Sleeps through the passes the room absorbs; woken
-                        // when one uses it up, at shutdown, or by the
-                        // deadline. `shutdown` is re-read under the guard
-                        // because it may have been set, and the rooms
-                        // already zeroed, since the loop last looked.
+                        // when one uses it up, at shutdown (whose charge
+                        // uses up every room), or by the deadline.
                         let (mut wake, _) = hold
-                            .wait_timeout_while(wake, remaining, |wake| {
-                                wake.room[worker] > 0 && !shared.shutdown.load(Ordering::SeqCst)
-                            })
+                            .wait_timeout_while(wake, remaining, |wake| wake.room[worker] > 0)
                             .expect("coalesce wait");
                         wake.room[worker] = 0;
                         drop(wake);
@@ -1084,18 +1095,11 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // All batch-level accounting lands before any reply is sent, so a
         // client that read its reply sees this batch in `stats()`.
         counters.batches.fetch_add(1, Ordering::Relaxed);
-        shared.largest_batch.fetch_max(size, Ordering::Relaxed);
+        counters.largest_batch.fetch_max(size, Ordering::Relaxed);
         if batch.stole {
             counters.steals.fetch_add(1, Ordering::Relaxed);
         }
-        // `enqueue` counts jobs in before it pushes them, so whatever this
-        // worker drained has already been added.
-        let queued_before = shared.queued.fetch_sub(size, Ordering::Relaxed);
-        debug_assert!(
-            queued_before >= size,
-            "queue depth underflow: {queued_before} queued, {size} taken"
-        );
-        obs.queue_depth.set((queued_before - size) as f64);
+        shared.publish_queue_depth();
         // Traced batches (any sampled member) get stage marks; everyone
         // else skips every clock read below.
         let tracer = pp_obs::Tracer::global();
@@ -1899,12 +1903,26 @@ mod tests {
             shared: shared.clone(),
             workers: Vec::new(),
         });
-        assert!(shared.shutdown.load(Ordering::SeqCst));
         let wake = shared.work_gen.lock().unwrap();
+        assert!(wake.shutdown);
         assert_eq!((wake.room.as_slice(), wake.gen), ([0, 0].as_slice(), 1));
         drop(wake);
         assert!(!queue_homed_on(&shared, 1, 1));
         assert_eq!(shared.work_gen.lock().unwrap().gen, 2);
+    }
+
+    #[test]
+    fn queue_depth_is_the_sum_of_the_shard_queues() {
+        let shared = unstarted();
+        queue_homed_on(&shared, 1, 3);
+        assert_eq!(shared.queued(), 3);
+        let mut batch = GatheredBatch::new(&shared);
+        gather_by_worker_0(&shared, &mut batch);
+        assert_eq!((batch.jobs.len(), shared.queued()), (3, 0));
+        // A closed engine refuses the pass: nothing is queued.
+        shared.alive.store(0, Ordering::SeqCst);
+        queue_homed_on(&shared, 1, 2);
+        assert_eq!(shared.queued(), 0);
     }
 
     /// Worker 0's gather into `batch`, returning the shards it has claimed.

@@ -1,9 +1,8 @@
-//! Regression test for the `queued` accounting race (ROADMAP Open item 1):
-//! `enqueue` used to push jobs into the shard queues *before* adding them to
-//! the `queued` counter, so an already-awake worker could drain and subtract
-//! them first. Debug builds then panicked the worker on the underflow
-//! (stranding every later reply); release builds wrapped and published a
-//! `serving.queue_depth` of ~1.8e19.
+//! Pins `serving.queue_depth`'s range under concurrent `submit_many`. It was
+//! written for a race on the engine's old `queued` counter (ROADMAP Open
+//! item 1), which a worker could drain below zero: debug builds panicked
+//! the worker, release builds published ~1.8e19. That race can no longer
+//! happen, since the gauge is now the sum of the shard queues' lengths.
 //!
 //! Alone in its file, so no other test's engine writes the global gauge.
 
