@@ -289,15 +289,19 @@ pub fn predict_chunk<'a>(
 }
 
 /// One queued unit of work: serve a prediction or apply a state update.
+///
+/// Each reply is a one-slot channel that carries exactly one message, so a
+/// worker's send never blocks and never allocates: the channel and its
+/// slot were allocated on the caller's thread at submission.
 #[derive(Debug)]
 enum JobKind {
     Predict {
         request: PredictRequest,
-        reply: mpsc::Sender<Prediction>,
+        reply: mpsc::SyncSender<Prediction>,
     },
     Update {
         request: UpdateRequest,
-        reply: mpsc::Sender<()>,
+        reply: mpsc::SyncSender<()>,
     },
 }
 
@@ -530,12 +534,14 @@ impl EngineShared {
     /// join its batch at its *earlier* deadline instead of opening a
     /// second hold with a later one. An engine started without a coalesce
     /// wait never has a holder, so every pass wakes its idle workers.
-    fn enqueue(&self, jobs: Vec<Job>) -> bool {
+    ///
+    /// Drains `jobs`, leaving its buffer for the caller's next pass.
+    fn enqueue(&self, jobs: &mut Vec<Job>) -> bool {
         if jobs.is_empty() {
             return false;
         }
         let arrived = jobs.len();
-        for job in jobs {
+        for job in jobs.drain(..) {
             let queue = &self.queues[self.store.shard_index(job.kind.user_id())];
             let mut q = queue.jobs.lock_or_panic("shard queue");
             // Read under the queue lock, which the last worker out takes
@@ -650,25 +656,33 @@ impl BatchServingEngine {
         Self { shared, workers }
     }
 
-    /// One enqueue pass for a wave of requests of one kind, all stamped
-    /// with the same arrival time; `kind` wraps a request and its reply
+    /// Queues a wave of requests of one kind, every job stamped with the
+    /// wave's one arrival time, so a coalesce deadline does not depend on
+    /// which pass queued the job; `kind` wraps a request and its reply
     /// sender into the job to queue.
+    ///
+    /// The wave goes in passes of `max_batch × workers` jobs (one batch per
+    /// worker), each one [`EngineShared::enqueue`] call: the workers start
+    /// on the first pass while this thread builds the next, and a large
+    /// wave never holds all its jobs in a buffer while the shard queues
+    /// hold them too. A wave of at most one pass is one enqueue pass.
     fn submit_wave<R: Copy, T>(
         &self,
         requests: &[R],
-        kind: impl Fn(R, mpsc::Sender<T>) -> JobKind,
+        kind: impl Fn(R, mpsc::SyncSender<T>) -> JobKind,
     ) -> Vec<mpsc::Receiver<T>> {
         let arrived = std::time::Instant::now();
+        let pass = self.shared.max_batch * self.shared.num_workers();
         let mut receivers = Vec::with_capacity(requests.len());
-        let jobs = requests
-            .iter()
-            .map(|&request| {
-                let (reply, receiver) = mpsc::channel();
+        let mut jobs = Vec::with_capacity(requests.len().min(pass));
+        for requests in requests.chunks(pass) {
+            jobs.extend(requests.iter().map(|&request| {
+                let (reply, receiver) = mpsc::sync_channel(1);
                 receivers.push(receiver);
                 Job::new(kind(request, reply), arrived)
-            })
-            .collect();
-        self.shared.enqueue(jobs);
+            }));
+            self.shared.enqueue(&mut jobs);
+        }
         receivers
     }
 
@@ -681,10 +695,12 @@ impl BatchServingEngine {
             .expect("one receiver per request")
     }
 
-    /// Submits a burst of requests in one enqueue pass — the natural entry
-    /// point for front-ends that already hold several concurrent session
-    /// starts, and what lets workers coalesce full batches instead of
-    /// draining a trickle.
+    /// Submits a burst of requests — the natural entry point for front-ends
+    /// that already hold several concurrent session starts, and what lets
+    /// workers coalesce full batches instead of draining a trickle. The
+    /// burst shares one arrival stamp and is queued in passes of
+    /// `max_batch × workers` requests, so a burst of at most that size is
+    /// one enqueue pass. Receivers are in request order.
     pub fn submit_many(&self, requests: &[PredictRequest]) -> Vec<mpsc::Receiver<Prediction>> {
         self.submit_wave(requests, |request, reply| JobKind::Predict {
             request,
@@ -692,11 +708,14 @@ impl BatchServingEngine {
         })
     }
 
-    /// Submits a burst of session-close hidden-state updates in one enqueue
-    /// pass; each returned receiver yields `()` once its state has been
-    /// advanced and re-stored, and disconnects if the worker applying it
-    /// died. Updates and predictions for the same user are applied in
-    /// submission order (they share the user's home-shard queue).
+    /// Submits a burst of session-close hidden-state updates, sharing one
+    /// arrival stamp and queued in passes of `max_batch × workers` (one
+    /// enqueue pass for a burst of at most that size); each returned
+    /// receiver yields `()` once its state has been advanced and
+    /// re-stored, and disconnects if the worker applying it died. Updates
+    /// and predictions for the same user are applied in submission order
+    /// (they share the user's home-shard queue, and the passes go in
+    /// order).
     pub fn submit_updates(&self, requests: &[UpdateRequest]) -> Vec<mpsc::Receiver<()>> {
         self.submit_wave(requests, |request, reply| JobKind::Update {
             request,
@@ -818,6 +837,9 @@ pub fn write_back_chunk<'a>(
 struct GatheredBatch<'a> {
     /// Declared first so that it drops first: peers get the shards back
     /// before this worker spends time dropping the jobs' reply senders.
+    /// A sent reply sits in its one-slot channel, which the caller's
+    /// receiver frees, so a drop only marks the channel disconnected (and
+    /// frees it only if the caller already gave up its receiver).
     claims: Claims<'a>,
     jobs: Vec<Job>,
     stole: bool,
@@ -1851,16 +1873,16 @@ mod tests {
     /// reply, so the receivers are dropped at once.
     fn queue_homed_on(shared: &EngineShared, worker: usize, n: usize) -> bool {
         let now = std::time::Instant::now();
-        let jobs = users_homed_on(shared, worker, n)
+        let mut jobs: Vec<Job> = users_homed_on(shared, worker, n)
             .into_iter()
             .zip(0..)
             .map(|(user, i)| {
-                let (reply, _) = mpsc::channel();
+                let (reply, _) = mpsc::sync_channel(1);
                 let request = request(user.0, i);
                 Job::new(JobKind::Predict { request, reply }, now)
             })
             .collect();
-        shared.enqueue(jobs)
+        shared.enqueue(&mut jobs)
     }
 
     /// Publishes `rooms` as if the workers were parked in their holds,
@@ -2033,13 +2055,23 @@ mod tests {
         let first = engine.submit(poisonous(0, 1));
         assert_eq!(first.recv_timeout(HANG), disconnected);
         // The only worker is dead or unwinding: a later job is either
-        // dropped by its last sweep or refused on arrival.
+        // dropped by its last sweep or refused on arrival, a lone one and
+        // every job of a wave of three passes and five jobs (one worker,
+        // `max_batch` 8: passes of 8) alike.
         let second = engine.submit(request(1, 2));
         assert_eq!(second.recv_timeout(HANG), disconnected);
-        assert_eq!(
-            engine.submit_updates(&[update(2, 3)])[0].recv_timeout(HANG),
-            Err(mpsc::RecvTimeoutError::Disconnected)
-        );
+        let wave = 0..3 * 8 + 5;
+        let requests: Vec<PredictRequest> = wave.clone().map(|i| request(i as u64, i)).collect();
+        for receiver in engine.submit_many(&requests) {
+            assert_eq!(receiver.recv_timeout(HANG), disconnected);
+        }
+        let updates: Vec<UpdateRequest> = wave.map(|i| update(i as u64, i)).collect();
+        for receiver in engine.submit_updates(&updates) {
+            assert_eq!(
+                receiver.recv_timeout(HANG),
+                Err(mpsc::RecvTimeoutError::Disconnected)
+            );
+        }
         drop(engine);
     }
 
@@ -2102,19 +2134,77 @@ mod tests {
         assert_eq!(worker_updates, 6);
     }
 
+    /// Workers and `max_batch` of the multi-pass tests' engine, and the
+    /// pass they give: `submit_wave` queues `PASS` jobs per enqueue pass.
+    const PASS_WORKERS: usize = 2;
+    const PASS_BATCH: usize = 8;
+    const PASS: usize = PASS_WORKERS * PASS_BATCH;
+
+    fn pass_engine(store: Arc<ShardedStateStore>) -> (Arc<RnnModel>, BatchServingEngine) {
+        let m = Arc::new(model());
+        let engine = BatchServingEngine::start(m.clone(), store, PASS_WORKERS, PASS_BATCH);
+        (m, engine)
+    }
+
     #[test]
     fn submit_many_returns_in_request_order() {
-        let m = Arc::new(model());
+        // Three passes and five jobs: the receivers of every pass line up
+        // with their requests, each answer equal to the scheduler's.
+        let requests: Vec<PredictRequest> = (0..3 * PASS as i64 + 5)
+            .map(|i| request(i as u64, i))
+            .collect();
         let store = Arc::new(ShardedStateStore::new(4));
-        let engine = BatchServingEngine::start(m.clone(), store.clone(), 2, 16);
-        let requests: Vec<PredictRequest> = (0..20).map(|i| request(i as u64, i)).collect();
+        let (m, engine) = pass_engine(store.clone());
         let receivers = engine.submit_many(&requests);
-        assert_eq!(receivers.len(), 20);
-        for (request, receiver) in requests.iter().zip(receivers) {
-            let prediction = receiver
+        let reference = BatchScheduler::new(&m, &store, PASS_BATCH).run(requests.iter().copied());
+        assert_eq!(receivers.len(), requests.len());
+        for (receiver, expected) in receivers.into_iter().zip(reference) {
+            let served = receiver
                 .recv_timeout(HANG)
                 .expect("every request is answered");
-            assert_eq!(request.user_id, prediction.user_id);
+            assert_eq!(served, expected);
+        }
+    }
+
+    #[test]
+    fn a_multi_pass_update_wave_matches_the_scheduler_bit_for_bit() {
+        // Seven users over 53 updates: each user repeats inside a pass and
+        // across every pass boundary, so per-user order must hold between
+        // passes as well as inside one.
+        let updates: Vec<UpdateRequest> = (0..3 * PASS as i64 + 5)
+            .map(|i| update(i as u64 % 7, i))
+            .collect();
+        let store = Arc::new(ShardedStateStore::new(4));
+        let (m, engine) = pass_engine(store.clone());
+        for applied in engine.submit_updates(&updates) {
+            applied.recv_timeout(HANG).expect("every update is applied");
+        }
+        let reference = ShardedStateStore::new(4);
+        BatchScheduler::new(&m, &reference, PASS_BATCH).apply_updates(&updates);
+        for user in (0..7).map(UserId) {
+            let (served, applied) = (store.get_state(user), reference.get_state(user));
+            assert!(served.is_some(), "{user:?} has no stored state");
+            assert_eq!(served, applied, "{user:?}");
+        }
+        assert_eq!(engine.stats().updates, updates.len() as u64);
+    }
+
+    #[test]
+    fn a_multi_pass_wave_is_served_while_nobody_reads_its_replies() {
+        // Every reply must go into its channel without waiting for a
+        // reader: a send that blocked would stop its worker after its first
+        // batch, and this wait would run into its bound instead of hanging.
+        let requests: Vec<PredictRequest> = (0..10 * PASS as i64)
+            .map(|i| request(i as u64 % 97, i))
+            .collect();
+        let (_, engine) = pass_engine(Arc::new(ShardedStateStore::new(4)));
+        let receivers = engine.submit_many(&requests);
+        wait_for("a worker stopped at a reply nobody read", || {
+            (engine.stats().predictions == requests.len() as u64).then_some(())
+        });
+        for (receiver, request) in receivers.iter().zip(&requests) {
+            let served = receiver.recv_timeout(HANG).expect("every reply was sent");
+            assert_eq!(served.user_id, request.user_id);
         }
     }
 

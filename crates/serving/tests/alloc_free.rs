@@ -11,7 +11,8 @@
 //!
 //! Outside the brackets, and listed here because they do allocate:
 //! * turning [`BatchScratch::probabilities`] into `Prediction`s for callers
-//!   that want a `Vec` (`BatchScheduler::run`, the reply channel sends);
+//!   that want a `Vec` (`BatchScheduler::run`; the engine's reply sends
+//!   write into slots allocated at submission, so they allocate nothing);
 //! * a shard's first put, which allocates its row arena, slab and slot
 //!   index (a bounded shard sizes all three for its capacity there, and
 //!   never grows them);
@@ -19,8 +20,10 @@
 //!   growing and slot index doubling, as new users arrive;
 //! * a bounded shard's first eviction, which starts its free list (the
 //!   index deletes without tombstones, so evictions never make it grow);
-//! * the engine's per-request `mpsc` channel, per-batch job vectors and
-//!   per-batch set of update users.
+//! * the engine's per-request reply channel, a one-slot
+//!   `mpsc::sync_channel(1)` (664 B in two blocks) allocated on the
+//!   caller's thread at submission, a wave's pass buffer, and the
+//!   per-batch job vectors and set of update users.
 //!
 //! Alone in its file: the counting allocator is process-wide, so no other
 //! test may run beside this one.
