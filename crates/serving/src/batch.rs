@@ -1002,6 +1002,13 @@ fn drain_shard(
             batch.jobs.push(job);
             drained += 1;
         }
+        // A backlog's slots are not kept: an emptied queue gives back all
+        // but one batch's worth, so the ring a steady load cycles through
+        // does not depend on how deep an earlier burst got, or on how far
+        // the workers had fallen behind a multi-pass wave when it did.
+        if q.is_empty() && q.capacity() > shared.max_batch {
+            q.shrink_to(shared.max_batch);
+        }
         queue.len.store(q.len(), Ordering::Release);
     }
     if already_claimed {
@@ -1977,6 +1984,32 @@ mod tests {
             .map(|q| q.jobs.lock().unwrap().len())
             .sum();
         assert_eq!(left, 2, "worker 1's jobs stay queued for worker 1");
+    }
+
+    #[test]
+    fn an_emptied_queue_keeps_one_batch_of_slots() {
+        // Forty jobs over worker 0's two shards grow a ring past a batch;
+        // once drained, no queue keeps more than `max_batch` slots.
+        let shared = unstarted();
+        queue_homed_on(&shared, 0, 40);
+        let grown = shared
+            .queues
+            .iter()
+            .map(|q| q.jobs.lock().unwrap().capacity());
+        assert!(grown.max().unwrap() > shared.max_batch);
+        while shared
+            .queues
+            .iter()
+            .any(|q| q.len.load(Ordering::SeqCst) > 0)
+        {
+            let mut batch = GatheredBatch::new(&shared);
+            gather_by_worker_0(&shared, &mut batch);
+            assert!(!batch.jobs.is_empty(), "a queued job was not gathered");
+        }
+        for queue in &shared.queues {
+            let capacity = queue.jobs.lock().unwrap().capacity();
+            assert!(capacity <= shared.max_batch, "kept {capacity} slots");
+        }
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!   index deletes without tombstones, so evictions never make it grow);
 //! * the engine's per-request reply channel, a one-slot
 //!   `mpsc::sync_channel(1)` (664 B in two blocks) allocated on the
-//!   caller's thread at submission, a wave's pass buffer, and the
-//!   per-batch job vectors and set of update users.
+//!   caller's thread at submission, a wave's pass buffer, the per-batch
+//!   job vectors and set of update users, and a shard queue growing past
+//!   `max_batch` jobs under a backlog (a drain that empties it shrinks it
+//!   back).
 //!
 //! Alone in its file: the counting allocator is process-wide, so no other
 //! test may run beside this one.
