@@ -11,7 +11,7 @@
 //! The same construction applies to the timeshifted task with peak windows
 //! in place of sessions.
 
-use pp_data::schema::{Dataset, UserHistory};
+use pp_data::schema::UserHistory;
 use serde::{Deserialize, Serialize};
 
 /// The percentage-based model: a single smoothing prior learned from
@@ -66,11 +66,6 @@ impl PercentageModel {
             (positive as f64 / total as f64).clamp(1e-3, 1.0 - 1e-3)
         };
         Self { alpha }
-    }
-
-    /// Fits `α` over every session of a dataset.
-    pub fn fit_dataset(dataset: &Dataset) -> Self {
-        Self::fit_sessions(dataset.users.iter())
     }
 
     /// The smoothing prior.

@@ -32,7 +32,6 @@ use crate::model::{BatchScratch, HeadBatch, RnnModel, TaskKind};
 use crate::sequence::{plan_per_session, plan_timeshift, LagConfig, UserSequencePlan};
 use pp_data::schema::{Dataset, UserHistory};
 use pp_data::synth::build_peak_window_examples;
-use pp_nn::activation::sigmoid;
 use pp_nn::graph::{Graph, NodeId};
 use pp_nn::kernel::SparseRows;
 use pp_nn::layers::CellScratch;
@@ -709,11 +708,6 @@ pub fn scores_and_labels(predictions: &[ScoredPrediction]) -> (Vec<f64>, Vec<boo
         predictions.iter().map(|p| p.score).collect(),
         predictions.iter().map(|p| p.label).collect(),
     )
-}
-
-/// Convenience for tests and docs: `sigmoid` of a logit.
-pub fn logit_to_probability(logit: f32) -> f64 {
-    sigmoid(logit) as f64
 }
 
 #[cfg(test)]

@@ -26,7 +26,9 @@
 //! * [`BatchServingEngine`] — worker threads around the same logic: clients
 //!   submit requests from any thread, workers drain the per-shard queues in
 //!   batches of up to `max_batch`, reply over per-request channels. A
-//!   submission wakes a worker only if that worker can do something with
+//!   worker runs one loop of passes: each reads the wake-up state once,
+//!   gathers once, then serves, parks idle or waits in its coalesce hold.
+//!   A submission wakes a worker only if that worker can do something with
 //!   it: a worker holding a partial batch open is woken when the batch can
 //!   fill, the idle workers when no open batch has room for the jobs, and
 //!   every fact those wake-ups read sits under one mutex.
@@ -365,9 +367,10 @@ struct ShardQueue {
 #[derive(Debug)]
 struct Wake {
     /// Moved by every enqueue pass, every claim release and the shutdown.
-    /// A worker reads it before it scans and parks (idle or in a hold) only
-    /// while it is unchanged: a move in between may have queued or released
-    /// jobs the scan missed, so the worker scans again instead of parking.
+    /// A worker reads it once per pass, before it gathers, and parks (idle
+    /// or in a hold) only while it is unchanged: a move in between may have
+    /// queued or released jobs the gather missed, so the worker starts
+    /// another pass instead of parking.
     gen: u64,
     /// Per worker: rows its open batch can still take, less the jobs
     /// enqueued since it parked. Non-zero only while the worker is inside
@@ -375,8 +378,10 @@ struct Wake {
     /// zeroed under the guard it returns — so a worker that is executing,
     /// idle or dead never looks as if it were absorbing arrivals.
     room: Vec<usize>,
-    /// Set by the engine's drop, with a room charge that ends every hold;
-    /// read by a worker about to park idle and by a hold's generation read.
+    /// Set by the engine's drop, with a room charge that ends every hold.
+    /// Read with the generation at the start of every pass, where a holder
+    /// serves what it holds, and inside an idle park's re-check, where the
+    /// worker exits.
     shutdown: bool,
 }
 
@@ -433,9 +438,9 @@ pub struct WorkerStats {
     /// State updates this worker applied.
     pub updates: u64,
     /// Batches that drained at least one job from a shard this worker does
-    /// not own. A batch steals only when the worker's own shards gave it
-    /// nothing, when a coalesce hold re-gathers into it, or while a peer
-    /// has exited.
+    /// not own. Without a coalesce wait a batch steals only when the
+    /// worker's own shards gave it nothing or while a peer has exited; a
+    /// coalescing engine's gathers take every shard's jobs.
     pub steals: u64,
     /// Nanoseconds spent parked waiting for work.
     pub idle_ns: u64,
@@ -577,12 +582,13 @@ impl EngineShared {
 /// Each worker **owns** the shards `s` of the engine's
 /// [`ShardedStateStore`] with `s % workers == worker`, so a user's jobs
 /// have a home worker; a shard claim held from drain to write-back
-/// preserves per-user predict/update ordering without a global lock. A
-/// worker **steals** (claims a peer's shard queue) only when its own shards
-/// gave its new batch nothing, so skewed traffic still saturates every core
-/// while an owner with work of its own is never locked out of its shards.
-/// Two exceptions steal greedily: a coalesce hold's re-gathers fill the
-/// held batch from every shard, and while any worker has exited the
+/// preserves per-user predict/update ordering without a global lock.
+/// Without a coalesce wait a worker **steals** (claims a peer's shard
+/// queue) only when its own shards gave its new batch nothing, so skewed
+/// traffic still saturates every core while an owner with work of its own
+/// is never locked out of its shards. A coalescing engine's gathers fill a
+/// batch from every shard, since a batch they do not fill is held and the
+/// hold's room counts every arrival; and while any worker has exited the
 /// survivors drain its shards beside their own.
 ///
 /// Who is woken by a submission: a worker holding a partial batch open
@@ -842,7 +848,12 @@ struct GatheredBatch<'a> {
     /// frees it only if the caller already gave up its receiver).
     claims: Claims<'a>,
     jobs: Vec<Job>,
+    /// The users already in the batch, kept for update batches only.
+    users: HashSet<UserId>,
     stole: bool,
+    /// Set when a coalesce hold opens: the deadline (the oldest job's
+    /// arrival plus the coalesce wait) and the hold's stopwatch.
+    hold: Option<(std::time::Instant, pp_obs::Stopwatch)>,
 }
 
 impl<'a> GatheredBatch<'a> {
@@ -853,7 +864,9 @@ impl<'a> GatheredBatch<'a> {
                 shards: Vec::new(),
             },
             jobs: Vec::new(),
+            users: HashSet::new(),
             stole: false,
+            hold: None,
         }
     }
 }
@@ -918,42 +931,37 @@ impl Drop for WorkerExit<'_> {
 /// kind change or (for updates) a user already in the batch, so per-user
 /// ordering and same-user-once-per-update-batch both hold.
 ///
-/// The gather that opens a batch steals only if the worker's own shards
-/// gave it nothing: a claim is held to write-back, so a foreign shard taken
-/// into a batch that already had work would lock its owner out of it for
-/// no gain. Two cases still steal greedily. A re-gather into a held batch
-/// (`batch` non-empty on entry) fills it from every shard, as the coalesce
-/// hold's room counts every arrival. While a worker has exited, the
-/// survivors drain its shards even when their own never run dry.
-fn gather(
-    shared: &EngineShared,
-    worker: usize,
-    batch: &mut GatheredBatch<'_>,
-    seen_users: &mut HashSet<UserId>,
-) {
+/// On an engine without a coalesce wait, which serves a batch as soon as
+/// it is gathered, the gather that opens a batch steals only if the
+/// worker's own shards gave it nothing: a claim is held to write-back, so a
+/// foreign shard taken into a batch that already had work would lock its
+/// owner out of it for no gain. Every other gather fills the batch from
+/// every shard. On a coalescing engine that is every gather: a batch it
+/// does not fill is held, and a hold's room counts every arrival. A
+/// re-gather into a non-empty batch does the same, and while a worker has
+/// exited, the survivors drain its shards even when their own never run
+/// dry.
+fn gather(shared: &EngineShared, worker: usize, batch: &mut GatheredBatch<'_>) {
     let num_shards = shared.queues.len();
     let workers = shared.num_workers();
-    let own_first = batch.jobs.is_empty() && shared.alive.load(Ordering::SeqCst) == workers;
+    let own_first = shared.coalesce_wait.is_none()
+        && batch.jobs.is_empty()
+        && shared.alive.load(Ordering::SeqCst) == workers;
     for shard in (worker..num_shards).step_by(workers) {
-        drain_shard(shared, shard, batch, seen_users);
+        drain_shard(shared, shard, batch);
     }
     if own_first && !batch.jobs.is_empty() {
         return;
     }
     for shard in (0..num_shards).filter(|s| s % workers != worker) {
-        batch.stole |= drain_shard(shared, shard, batch, seen_users);
+        batch.stole |= drain_shard(shared, shard, batch);
     }
 }
 
 /// Drains a FIFO prefix of `shard`'s queue into `batch`, claiming the queue
 /// first unless the batch already holds it. Returns whether this call
 /// claimed it: a claim that drained nothing is released at once.
-fn drain_shard(
-    shared: &EngineShared,
-    shard: usize,
-    batch: &mut GatheredBatch<'_>,
-    seen_users: &mut HashSet<UserId>,
-) -> bool {
+fn drain_shard(shared: &EngineShared, shard: usize, batch: &mut GatheredBatch<'_>) -> bool {
     if batch.jobs.len() >= shared.max_batch {
         return false;
     }
@@ -989,7 +997,7 @@ fn drain_shard(
                 }
             }
             if matches!(front.kind, JobKind::Update { .. })
-                && !seen_users.insert(front.kind.user_id())
+                && !batch.users.insert(front.kind.user_id())
             {
                 // A second update for the same user waits for the next
                 // batch so it reads the state the first one writes.
@@ -1028,21 +1036,22 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
     let counters = &shared.worker_counters[worker];
     // This worker's arena, reused by every batch it serves; never shared.
     let mut scratch = BatchScratch::new();
+    let mut open = GatheredBatch::new(shared);
     loop {
-        // Snapshot the work generation BEFORE scanning: an enqueue racing
-        // with the scan moves the generation, so the park below falls
-        // through instead of sleeping on work it never saw.
-        let gen_before = shared.work_gen.lock_or_panic("work generation").gen;
-        let mut batch = GatheredBatch::new(shared);
-        let mut seen_users = HashSet::new();
-        gather(shared, worker, &mut batch, &mut seen_users);
+        // One pass: read the generation BEFORE gathering. An enqueue pass,
+        // a peer's claim release or the shutdown after the read moves it,
+        // so neither park below sleeps on work the gather never saw.
+        let wake = shared.work_gen.lock_or_panic("work generation");
+        let (seen, shutdown) = (wake.gen, wake.shutdown);
+        drop(wake);
+        gather(shared, worker, &mut open);
 
-        if batch.jobs.is_empty() {
+        if open.jobs.is_empty() {
             let parked = std::time::Instant::now();
             let mut wake = shared.work_gen.lock_or_panic("work generation");
             #[cfg(test)]
-            counters.parked_on.store(gen_before + 1, Ordering::SeqCst);
-            while wake.gen == gen_before {
+            counters.parked_on.store(seen + 1, Ordering::SeqCst);
+            while wake.gen == seen {
                 // The shutdown moved the generation, so seeing it here
                 // means the gather above started after it and found every
                 // job queued before it taken: by this worker, or by a peer
@@ -1065,61 +1074,44 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // residence while workers were busy counts against the budget. The
         // timed wait below ends at that deadline plus wake latency only,
         // because `spawn_worker` took the OS's timer slack off this thread.
+        // Each pass of a hold gathers once more; the batch is served once
+        // it is full, at its deadline, or at the shutdown.
         if let Some(wait) = shared.coalesce_wait {
-            if batch.jobs.len() < shared.max_batch {
-                let held = pp_obs::Stopwatch::start();
-                let oldest = batch
-                    .jobs
-                    .iter()
-                    .map(|j| j.arrived)
-                    .min()
-                    .expect("non-empty batch");
-                let deadline = oldest + wait;
-                let hold = &shared.holds[worker];
-                while batch.jobs.len() < shared.max_batch {
-                    let now = std::time::Instant::now();
-                    let Some(remaining) = deadline.checked_duration_since(now) else {
-                        break;
-                    };
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    // Read the generation before re-gathering: a pass (or a
-                    // peer's claim release, or the shutdown) after the read
-                    // moves it and skips the wait; the jobs of a pass before
-                    // it are all queued, and the gather sees them. So the
-                    // room published below counts every job that could
-                    // still join: nothing that could fill the batch is
-                    // slept on.
-                    let wake = shared.work_gen.lock_or_panic("work generation");
-                    let (gen_before, shutdown) = (wake.gen, wake.shutdown);
-                    drop(wake);
-                    if shutdown {
-                        break;
-                    }
-                    gather(shared, worker, &mut batch, &mut seen_users);
-                    if batch.jobs.len() >= shared.max_batch {
-                        break;
-                    }
+            if open.jobs.len() < shared.max_batch {
+                let (deadline, _) = open.hold.get_or_insert_with(|| {
+                    let held = pp_obs::Stopwatch::start();
+                    let oldest = open.jobs.iter().map(|j| j.arrived).min();
+                    (oldest.expect("non-empty batch") + wait, held)
+                });
+                let deadline = *deadline;
+                let now = std::time::Instant::now();
+                if !shutdown && now < deadline {
+                    // The room counts every job that could still join: the
+                    // jobs of a pass before the read are all queued, and
+                    // the gather saw them.
                     let mut wake = shared.work_gen.lock_or_panic("work generation");
-                    if wake.gen == gen_before {
-                        wake.room[worker] = shared.max_batch - batch.jobs.len();
+                    if wake.gen == seen {
+                        wake.room[worker] = shared.max_batch - open.jobs.len();
                         // Sleeps through the passes the room absorbs; woken
                         // when one uses it up, at shutdown (whose charge
                         // uses up every room), or by the deadline.
+                        let hold = &shared.holds[worker];
                         let (mut wake, _) = hold
-                            .wait_timeout_while(wake, remaining, |wake| wake.room[worker] > 0)
+                            .wait_timeout_while(wake, deadline - now, |wake| wake.room[worker] > 0)
                             .expect("coalesce wait");
                         wake.room[worker] = 0;
                         drop(wake);
                         obs.worker_hold_wakes.inc();
                     }
+                    continue;
                 }
-                gather(shared, worker, &mut batch, &mut seen_users);
-                held.record(&obs.coalesce_wait_ns);
             }
         }
 
+        if let Some((_, held)) = open.hold.take() {
+            held.record(&obs.coalesce_wait_ns);
+        }
+        let batch = std::mem::replace(&mut open, GatheredBatch::new(shared));
         let size = batch.jobs.len();
         // All batch-level accounting lands before any reply is sent, so a
         // client that read its reply sees this batch in `stats()`.
@@ -1959,7 +1951,7 @@ mod tests {
         shared: &'a EngineShared,
         batch: &mut GatheredBatch<'a>,
     ) -> Vec<usize> {
-        gather(shared, 0, batch, &mut HashSet::new());
+        gather(shared, 0, batch);
         batch.claims.shards.clone()
     }
 
@@ -1984,6 +1976,23 @@ mod tests {
             .map(|q| q.jobs.lock().unwrap().len())
             .sum();
         assert_eq!(left, 2, "worker 1's jobs stay queued for worker 1");
+    }
+
+    #[test]
+    fn a_coalescing_worker_fills_the_batch_it_will_hold_from_every_shard() {
+        // A batch gathered from its own shards alone would be held while
+        // the peer opened a second batch over its shards, with a later
+        // deadline.
+        let store = Arc::new(ShardedStateStore::new(4));
+        let wait = Some(std::time::Duration::from_micros(200));
+        let shared = EngineShared::new(Arc::new(model()), store, 2, 8, wait);
+        queue_homed_on(&shared, 0, 2);
+        queue_homed_on(&shared, 1, 2);
+        let mut batch = GatheredBatch::new(&shared);
+        let claimed = gather_by_worker_0(&shared, &mut batch);
+        assert_eq!(batch.jobs.len(), 4);
+        assert!(claimed.iter().any(|s| s % 2 == 1), "claimed {claimed:?}");
+        assert!(batch.stole);
     }
 
     #[test]

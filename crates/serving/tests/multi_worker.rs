@@ -1,8 +1,8 @@
 //! Multi-worker stress: four client threads drive four engine workers with
 //! interleaved predictions and updates, and every result must match the
 //! single-threaded sequential reference to 1e-6 — shard claims, work
-//! stealing and per-shard FIFO draining may reorder work *across* users,
-//! but never within one.
+//! stealing, coalesce holds and per-shard FIFO draining may reorder work
+//! *across* users, but never within one.
 
 use pp_data::schema::{Context, DatasetKind, Tab, UserId};
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
@@ -57,13 +57,22 @@ fn update_request(client: usize, user: u64, round: i64) -> UpdateRequest {
 
 #[test]
 fn concurrent_clients_match_the_sequential_reference() {
+    // An engine that serves each batch as soon as it is gathered, and one
+    // that holds partial batches open for `predict_open`'s window.
+    for coalesce_wait in [None, Some(Duration::from_micros(200))] {
+        serve_and_check(coalesce_wait);
+    }
+}
+
+fn serve_and_check(coalesce_wait: Option<Duration>) {
     let m = Arc::new(model());
     let store = Arc::new(ShardedStateStore::new(8));
-    let engine = Arc::new(BatchServingEngine::start(
+    let engine = Arc::new(BatchServingEngine::start_with_coalesce(
         m.clone(),
         store.clone(),
         WORKERS,
         8,
+        coalesce_wait,
     ));
 
     // Each client owns a disjoint user range and submits, per round, one
@@ -117,7 +126,8 @@ fn concurrent_clients_match_the_sequential_reference() {
                 let got = probabilities[(round * USERS_PER_CLIENT as i64 + user as i64) as usize];
                 assert!(
                     (got - expected).abs() < 1e-6,
-                    "client {client} user {user} round {round}: engine {got} vs reference {expected}"
+                    "{coalesce_wait:?}: client {client} user {user} round {round}: \
+                     engine {got} vs reference {expected}"
                 );
                 let u = update_request(client, user, round);
                 let next = m.advance_state(
