@@ -127,14 +127,15 @@ impl Default for LintConfig {
                     path_contains: Some("crates/serving/"),
                 },
             ],
-            // The wakeup / claim / shutdown protocol atomics. `len` is the
-            // shard queues' lock-free emptiness hint — its Release store /
-            // Acquire load pairing is what lets gather() skip idle shards
-            // without locking, so Relaxed there is a real bug. `alive` is
-            // the engine's count of running workers: the last one out and
-            // every enqueue decide on it whether a job can still be served.
-            // The engine has no `shutdown` atomic (it is a field under its
-            // wake-up lock); the name stays because the lint fixtures use it.
+            // The wakeup / claim / shutdown protocol atomics. The engine's
+            // one protocol atomic is `len`, the shard queues' lock-free
+            // emptiness hint — its Release store / Acquire load pairing is
+            // what lets gather() skip idle shards without locking, so
+            // Relaxed there is a real bug. `claimed`, `alive` and
+            // `shutdown` are fields under locks in the engine (the shard
+            // queue's and the wake-up lock); the names stay so that an
+            // atomic reintroduced under one of them is still checked, and
+            // because the lint fixtures use them.
             protocol_atomics: vec!["shutdown", "stop", "claimed", "len", "alive"],
             skip_paths: vec!["/target/", "shims/", "crates/analysis/tests/fixtures/"],
             obs_gating_exempt_paths: vec!["crates/obs/"],

@@ -1,12 +1,13 @@
 //! `atomic-ordering` — `Ordering::Relaxed` is forbidden on cross-thread
 //! *protocol* atomics.
 //!
-//! The serving engine's wakeup protocol hinges on a handful of atomics
-//! (the shard-queue `claimed` flag, the lock-free `len` emptiness hint,
-//! the `alive` worker count, bench `stop` flags; the engine's shutdown is a
-//! field under its wake-up lock, not an atomic): their stores
-//! publish state a *different* thread's load must observe before acting,
-//! so they need at least Release/Acquire pairing. Plain stat counters
+//! Protocol atomics (the serving engine's one, the shard queues' lock-free
+//! `len` emptiness hint, and bench `stop` flags) publish state with their
+//! stores that a *different* thread's load must observe before acting, so
+//! they need at least Release/Acquire pairing. The engine's shard claim
+//! (`claimed`), worker count (`alive`) and `shutdown` are fields under
+//! locks, not atomics; their names stay in the table, so an atomic
+//! reintroduced under one of them is still checked. Plain stat counters
 //! (predictions, steals, idle_ns, histogram buckets, …) are intentionally
 //! Relaxed and are not in the protocol table.
 //!

@@ -32,6 +32,12 @@
 //!   it: a worker holding a partial batch open is woken when the batch can
 //!   fill, the idle workers when no open batch has room for the jobs, and
 //!   every fact those wake-ups read sits under one mutex.
+//!
+//! Every fact of the engine's protocol is a field under a lock: a shard's
+//! claim and its closed flag under that shard queue's mutex, the work
+//! generation, the holders' rooms, the shutdown and the count of running
+//! workers under the wake-up mutex. The one lock-free datum is each queue's
+//! `len`, an emptiness hint that lets a gather skip idle shards unlocked.
 
 use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Context, UserId};
@@ -39,7 +45,7 @@ use pp_obs::sync::LockPolicy;
 use pp_rnn::{BatchScratch, RnnModel};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -327,10 +333,10 @@ struct Job {
     /// Whether this job's user is in the tracer's sampled subset
     /// (decided once, at submission — workers never re-hash).
     traced: bool,
-    /// When a worker claimed the job out of its shard queue (stamped in
-    /// `gather`, traced jobs only) — the queue-wait / coalesce-hold
+    /// When a worker drained the job out of its shard queue (stamped in
+    /// `drain_shard`, traced jobs only) — the queue-wait / coalesce-hold
     /// boundary in the job's span tree.
-    claimed: Option<std::time::Instant>,
+    claimed_at: Option<std::time::Instant>,
 }
 
 impl Job {
@@ -341,25 +347,35 @@ impl Job {
             kind,
             arrived,
             traced,
-            claimed: None,
+            claimed_at: None,
         }
     }
 }
 
 /// One shard's job queue. A user's jobs always land in the queue of the
 /// shard their hidden state lives in, and the queue is drained FIFO by at
-/// most one worker at a time (the `claimed` flag is held from drain until
-/// the batch's state reads/writes complete) — so per-user predict/update
-/// ordering survives both multi-worker draining and work stealing without
-/// any global lock.
+/// most one batch at a time (its `claimed` flag, under the queue's own
+/// lock, is held from drain until the batch's state reads/writes complete)
+/// — so per-user predict/update ordering survives both multi-worker
+/// draining and work stealing without any global lock.
 #[derive(Debug, Default)]
 struct ShardQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    jobs: Mutex<Queued>,
     /// Lock-free emptiness hint so gathering workers skip idle shards
     /// without taking the queue lock; the queue-depth gauge sums them.
+    /// Stored under the lock after every change to the jobs.
     len: AtomicUsize,
-    /// Exclusively held by one worker from drain to state write-back.
-    claimed: AtomicBool,
+}
+
+/// What a shard queue's mutex guards.
+#[derive(Debug, Default)]
+struct Queued {
+    jobs: VecDeque<Job>,
+    /// Held by one batch from the drain that first took jobs out of this
+    /// queue to the batch's state write-back (see [`Claims`]).
+    claimed: bool,
+    /// Set by the last worker out ([`WorkerExit`]): `enqueue` refuses jobs.
+    closed: bool,
 }
 
 /// Every fact the engine's wake-ups depend on, under one mutex
@@ -383,6 +399,10 @@ struct Wake {
     /// serves what it holds, and inside an idle park's re-check, where the
     /// worker exits.
     shutdown: bool,
+    /// Worker threads still running, read with the generation at the start
+    /// of every pass (see `gather`). The one that takes it to zero closes
+    /// the engine (see [`WorkerExit`]).
+    alive: usize,
 }
 
 impl Wake {
@@ -457,8 +477,9 @@ struct EngineShared {
     /// One queue per state-store shard (`queues.len() == store.num_shards()`).
     queues: Vec<ShardQueue>,
     worker_counters: Vec<WorkerCounters>,
-    /// The work generation, the holders' rooms and the shutdown flag: the
-    /// engine's one wake-up lock. Nothing else is acquired while it is held.
+    /// The work generation, the holders' rooms, the shutdown flag and the
+    /// running workers: the engine's one wake-up lock. Nothing else is
+    /// acquired while it is held.
     work_gen: Mutex<Wake>,
     /// Where idle workers park. `notify_all` wakes them on every claim
     /// release and on every enqueue pass no holder absorbs (see `enqueue`).
@@ -466,9 +487,6 @@ struct EngineShared {
     /// Where each worker waits out its coalesce hold, woken early only when
     /// the jobs enqueued since it parked could fill its batch.
     holds: Vec<Condvar>,
-    /// Worker threads still running. The one that takes it to zero closes
-    /// the engine (see [`WorkerExit`]).
-    alive: AtomicUsize,
 }
 
 impl EngineShared {
@@ -493,10 +511,10 @@ impl EngineShared {
                 gen: 0,
                 room: vec![0; workers],
                 shutdown: false,
+                alive: workers,
             }),
             idle: Condvar::new(),
             holds: (0..workers).map(|_| Condvar::new()).collect(),
-            alive: AtomicUsize::new(workers),
         }
     }
 
@@ -549,14 +567,13 @@ impl EngineShared {
         for job in jobs.drain(..) {
             let queue = &self.queues[self.store.shard_index(job.kind.user_id())];
             let mut q = queue.jobs.lock_or_panic("shard queue");
-            // Read under the queue lock, which the last worker out takes
-            // after it zeroes the count: a job queued here is either seen
-            // by that worker's sweep or refused now.
-            if self.alive.load(Ordering::SeqCst) == 0 {
+            // Set under the queue lock by the last worker's sweep: a job
+            // queued here is either dropped by that sweep or refused now.
+            if q.closed {
                 continue;
             }
-            q.push_back(job);
-            queue.len.store(q.len(), Ordering::Release);
+            q.jobs.push_back(job);
+            queue.len.store(q.jobs.len(), Ordering::Release);
         }
         // Every job is queued before any room is read: a holder whose room
         // counts them either is still parked — its deadline's scan comes
@@ -887,23 +904,24 @@ impl Drop for Claims<'_> {
         if self.shards.is_empty() {
             return; // nothing gathered: the worker is about to park
         }
+        // This may run while a panic unwinds, where a second panic would
+        // abort the process: a flag and a generation counter are valid
+        // whatever state a panic left their locks in, so recover a poisoned
+        // lock rather than escalate. Each lock is released before the next
+        // is taken.
         for &shard in &self.shards {
-            self.shared.queues[shard]
-                .claimed
-                .store(false, Ordering::Release);
+            self.shared.queues[shard].jobs.lock_recover().claimed = false;
         }
         // Lets idle workers, and a holder between its scan and its park,
-        // pick up what remains queued. This may run while a panic unwinds,
-        // where a second panic would abort the process: a generation
-        // counter is valid whatever state a panic left it in, so recover a
-        // poisoned lock rather than escalate.
+        // pick up what remains queued.
         self.shared.work_gen.lock_recover().gen += 1;
         self.shared.idle.notify_all();
     }
 }
 
-/// Dropped when a worker thread ends, by return or by a panic. The last
-/// worker out closes the engine: it drops whatever is still queued, and
+/// Dropped when a worker thread ends, by return or by a panic. It counts
+/// the worker out under the wake-up lock; the last worker out then closes
+/// every queue under its lock: it drops whatever is still queued, and
 /// `enqueue` refuses what arrives later, so callers see a disconnected
 /// reply channel instead of waiting on an engine nobody serves. Its sweep
 /// sets the queue-depth gauge last: every peer has exited, and nothing can
@@ -913,12 +931,19 @@ struct WorkerExit<'a>(&'a EngineShared);
 impl Drop for WorkerExit<'_> {
     fn drop(&mut self) {
         let shared = self.0;
-        if shared.alive.fetch_sub(1, Ordering::SeqCst) > 1 {
+        // Counting, emptying and closing are valid from any state, and a
+        // drop must not panic.
+        let mut wake = shared.work_gen.lock_recover();
+        wake.alive -= 1;
+        let last = wake.alive == 0;
+        drop(wake);
+        if !last {
             return;
         }
         for queue in &shared.queues {
-            // Emptying is valid from any state and a drop must not panic.
-            queue.jobs.lock_recover().clear();
+            let mut q = queue.jobs.lock_recover();
+            q.jobs.clear();
+            q.closed = true;
             queue.len.store(0, Ordering::Release);
         }
         shared.publish_queue_depth();
@@ -926,10 +951,10 @@ impl Drop for WorkerExit<'_> {
 }
 
 /// Scans shard queues — the worker's own shards first, then everyone
-/// else's (work stealing) — claiming each non-empty unclaimed queue and
-/// draining a FIFO prefix into `batch`. A queue's prefix stops at a
-/// kind change or (for updates) a user already in the batch, so per-user
-/// ordering and same-user-once-per-update-batch both hold.
+/// else's (work stealing) — draining a FIFO prefix of each non-empty queue
+/// no other batch holds into `batch`, which claims it. A queue's prefix
+/// stops at a kind change or (for updates) a user already in the batch, so
+/// per-user ordering and same-user-once-per-update-batch both hold.
 ///
 /// On an engine without a coalesce wait, which serves a batch as soon as
 /// it is gathered, the gather that opens a batch steals only if the
@@ -939,14 +964,13 @@ impl Drop for WorkerExit<'_> {
 /// every shard. On a coalescing engine that is every gather: a batch it
 /// does not fill is held, and a hold's room counts every arrival. A
 /// re-gather into a non-empty batch does the same, and while a worker has
-/// exited, the survivors drain its shards even when their own never run
-/// dry.
-fn gather(shared: &EngineShared, worker: usize, batch: &mut GatheredBatch<'_>) {
+/// exited (`alive`, the running workers the pass read with its generation,
+/// is below the worker count), the survivors drain its shards even when
+/// their own never run dry.
+fn gather(shared: &EngineShared, worker: usize, alive: usize, batch: &mut GatheredBatch<'_>) {
     let num_shards = shared.queues.len();
     let workers = shared.num_workers();
-    let own_first = shared.coalesce_wait.is_none()
-        && batch.jobs.is_empty()
-        && shared.alive.load(Ordering::SeqCst) == workers;
+    let own_first = shared.coalesce_wait.is_none() && batch.jobs.is_empty() && alive == workers;
     for shard in (worker..num_shards).step_by(workers) {
         drain_shard(shared, shard, batch);
     }
@@ -958,76 +982,62 @@ fn gather(shared: &EngineShared, worker: usize, batch: &mut GatheredBatch<'_>) {
     }
 }
 
-/// Drains a FIFO prefix of `shard`'s queue into `batch`, claiming the queue
-/// first unless the batch already holds it. Returns whether this call
-/// claimed it: a claim that drained nothing is released at once.
+/// Drains a FIFO prefix of `shard`'s queue into `batch` unless another
+/// batch holds the queue. Returns whether this call claimed it: only a
+/// drain that took jobs into a batch not yet holding the queue does.
 fn drain_shard(shared: &EngineShared, shard: usize, batch: &mut GatheredBatch<'_>) -> bool {
     if batch.jobs.len() >= shared.max_batch {
         return false;
     }
     let queue = &shared.queues[shard];
-    let already_claimed = batch.claims.shards.contains(&shard);
-    if !already_claimed {
-        if queue.len.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        // Acquire on failure too: the loser reads the queue state the
-        // winner's claim protects (len) right after this — a Relaxed
-        // failure load would let those reads be satisfied from before
-        // the winner's Release.
-        if queue
-            .claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
+    let held = batch.claims.shards.contains(&shard);
+    if !held && queue.len.load(Ordering::Acquire) == 0 {
+        return false;
     }
-    let mut drained = 0usize;
-    {
-        // One lazy clock read per drained queue, shared by every traced
-        // job claimed from it (untraced batches never read the clock).
-        let mut claim_now: Option<std::time::Instant> = None;
-        let mut q = queue.jobs.lock_or_panic("shard queue");
-        while batch.jobs.len() < shared.max_batch {
-            let Some(front) = q.front() else { break };
-            if let Some(first) = batch.jobs.first() {
-                if std::mem::discriminant(&first.kind) != std::mem::discriminant(&front.kind) {
-                    break;
-                }
-            }
-            if matches!(front.kind, JobKind::Update { .. })
-                && !batch.users.insert(front.kind.user_id())
-            {
-                // A second update for the same user waits for the next
-                // batch so it reads the state the first one writes.
+    let mut q = queue.jobs.lock_or_panic("shard queue");
+    if q.claimed && !held {
+        return false;
+    }
+    // One lazy clock read per drained queue, shared by every traced job
+    // drained from it (untraced batches never read the clock).
+    let mut claim_now: Option<std::time::Instant> = None;
+    let before = batch.jobs.len();
+    while batch.jobs.len() < shared.max_batch {
+        let Some(front) = q.jobs.front() else { break };
+        if let Some(first) = batch.jobs.first() {
+            if std::mem::discriminant(&first.kind) != std::mem::discriminant(&front.kind) {
                 break;
             }
-            let mut job = q.pop_front().expect("front exists");
-            if job.traced {
-                job.claimed = Some(*claim_now.get_or_insert_with(std::time::Instant::now));
-            }
-            batch.jobs.push(job);
-            drained += 1;
         }
-        // A backlog's slots are not kept: an emptied queue gives back all
-        // but one batch's worth, so the ring a steady load cycles through
-        // does not depend on how deep an earlier burst got, or on how far
-        // the workers had fallen behind a multi-pass wave when it did.
-        if q.is_empty() && q.capacity() > shared.max_batch {
-            q.shrink_to(shared.max_batch);
+        if matches!(front.kind, JobKind::Update { .. }) && !batch.users.insert(front.kind.user_id())
+        {
+            // A second update for the same user waits for the next
+            // batch so it reads the state the first one writes.
+            break;
         }
-        queue.len.store(q.len(), Ordering::Release);
+        let mut job = q.jobs.pop_front().expect("front exists");
+        if job.traced {
+            job.claimed_at = Some(*claim_now.get_or_insert_with(std::time::Instant::now));
+        }
+        batch.jobs.push(job);
     }
-    if already_claimed {
-        return false;
+    // A backlog's slots are not kept: an emptied queue gives back all but
+    // one batch's worth, so the ring a steady load cycles through does not
+    // depend on how deep an earlier burst got, or on how far the workers
+    // had fallen behind a multi-pass wave when it did.
+    if q.jobs.is_empty() && q.jobs.capacity() > shared.max_batch {
+        q.jobs.shrink_to(shared.max_batch);
     }
-    if drained == 0 {
-        queue.claimed.store(false, Ordering::Release);
-        return false;
+    queue.len.store(q.jobs.len(), Ordering::Release);
+    // Only a drain that took jobs claims the queue: an empty one leaves it
+    // as it found it.
+    let claims = !held && batch.jobs.len() > before;
+    if claims {
+        q.claimed = true;
+        drop(q);
+        batch.claims.shards.push(shard);
     }
-    batch.claims.shards.push(shard);
-    true
+    claims
 }
 
 fn worker_loop(shared: &EngineShared, worker: usize) {
@@ -1042,9 +1052,9 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // a peer's claim release or the shutdown after the read moves it,
         // so neither park below sleeps on work the gather never saw.
         let wake = shared.work_gen.lock_or_panic("work generation");
-        let (seen, shutdown) = (wake.gen, wake.shutdown);
+        let (seen, shutdown, alive) = (wake.gen, wake.shutdown, wake.alive);
         drop(wake);
-        gather(shared, worker, &mut open);
+        gather(shared, worker, alive, &mut open);
 
         if open.jobs.is_empty() {
             let parked = std::time::Instant::now();
@@ -1209,7 +1219,7 @@ fn emit_batch_spans(
         let user = job.kind.user_id().0;
         let trace = tracer.trace_for(user);
         let arrived_ns = tracer.clock_ns(job.arrived);
-        let claimed_ns = tracer.clock_ns(job.claimed.unwrap_or(marks.exec_start));
+        let claimed_ns = tracer.clock_ns(job.claimed_at.unwrap_or(marks.exec_start));
         batch_start_ns = batch_start_ns.min(claimed_ns);
         let root = tracer.next_span_id();
         tracer.record(Span {
@@ -1805,7 +1815,7 @@ mod tests {
         );
         let shared = &held.engine.shared;
         wait_for("the dead worker never counted itself out", || {
-            (shared.alive.load(Ordering::SeqCst) == 1).then_some(())
+            (shared.work_gen.lock().unwrap().alive == 1).then_some(())
         });
         assert_eq!(shared.work_gen.lock().unwrap().room[held.holder], 0);
         // Homed on the dead worker: only the survivor's steal serves them,
@@ -1941,9 +1951,32 @@ mod tests {
         gather_by_worker_0(&shared, &mut batch);
         assert_eq!((batch.jobs.len(), shared.queued()), (3, 0));
         // A closed engine refuses the pass: nothing is queued.
-        shared.alive.store(0, Ordering::SeqCst);
+        drop(WorkerExit(&shared));
+        drop(WorkerExit(&shared));
         queue_homed_on(&shared, 1, 2);
         assert_eq!(shared.queued(), 0);
+    }
+
+    #[test]
+    fn the_last_worker_out_closes_every_queue() {
+        let shared = unstarted();
+        queue_homed_on(&shared, 0, 2);
+        queue_homed_on(&shared, 1, 2);
+        drop(WorkerExit(&shared));
+        assert_eq!(shared.queued(), 4, "a survivor still serves the queues");
+        drop(WorkerExit(&shared));
+        assert_eq!(
+            shared.queued(),
+            0,
+            "the last worker out leaves nothing queued"
+        );
+        for queue in &shared.queues {
+            let q = queue.jobs.lock().unwrap();
+            assert!(q.closed && q.jobs.is_empty());
+        }
+        queue_homed_on(&shared, 0, 1);
+        queue_homed_on(&shared, 1, 1);
+        assert_eq!(shared.queued(), 0, "a closed queue refuses jobs");
     }
 
     /// Worker 0's gather into `batch`, returning the shards it has claimed.
@@ -1951,8 +1984,34 @@ mod tests {
         shared: &'a EngineShared,
         batch: &mut GatheredBatch<'a>,
     ) -> Vec<usize> {
-        gather(shared, 0, batch);
+        let alive = shared.work_gen.lock().unwrap().alive;
+        gather(shared, 0, alive, batch);
         batch.claims.shards.clone()
+    }
+
+    #[test]
+    fn a_queue_a_peer_batch_holds_is_skipped_until_its_claims_drop() {
+        let shared = unstarted();
+        queue_homed_on(&shared, 1, 4);
+        let mut held = GatheredBatch::new(&shared);
+        gather(&shared, 1, shared.num_workers(), &mut held);
+        let mut claimed = held.claims.shards.clone();
+        claimed.sort_unstable();
+        assert_eq!((held.jobs.len(), claimed), (4, vec![1, 3]));
+        // Queued behind worker 1's open batch: worker 0, with no work of
+        // its own, would steal them, but not from a queue a batch holds.
+        queue_homed_on(&shared, 1, 3);
+        let mut batch = GatheredBatch::new(&shared);
+        assert_eq!(gather_by_worker_0(&shared, &mut batch), Vec::<usize>::new());
+        assert_eq!((batch.jobs.len(), shared.queued()), (0, 3));
+        let gen = shared.work_gen.lock().unwrap().gen;
+        drop(held);
+        assert_eq!(shared.work_gen.lock().unwrap().gen, gen + 1);
+        for queue in &shared.queues {
+            assert!(!queue.jobs.lock().unwrap().claimed);
+        }
+        gather_by_worker_0(&shared, &mut batch);
+        assert_eq!((batch.jobs.len(), shared.queued()), (3, 0));
     }
 
     #[test]
@@ -1968,12 +2027,12 @@ mod tests {
         assert!(claimed.iter().all(|s| s % 2 == 0), "claimed {claimed:?}");
         assert!(!batch.stole);
         for queue in [&shared.queues[1], &shared.queues[3]] {
-            assert!(!queue.claimed.load(Ordering::SeqCst));
+            assert!(!queue.jobs.lock().unwrap().claimed);
         }
         let left: usize = shared
             .queues
             .iter()
-            .map(|q| q.jobs.lock().unwrap().len())
+            .map(|q| q.jobs.lock().unwrap().jobs.len())
             .sum();
         assert_eq!(left, 2, "worker 1's jobs stay queued for worker 1");
     }
@@ -2004,7 +2063,7 @@ mod tests {
         let grown = shared
             .queues
             .iter()
-            .map(|q| q.jobs.lock().unwrap().capacity());
+            .map(|q| q.jobs.lock().unwrap().jobs.capacity());
         assert!(grown.max().unwrap() > shared.max_batch);
         while shared
             .queues
@@ -2016,7 +2075,7 @@ mod tests {
             assert!(!batch.jobs.is_empty(), "a queued job was not gathered");
         }
         for queue in &shared.queues {
-            let capacity = queue.jobs.lock().unwrap().capacity();
+            let capacity = queue.jobs.lock().unwrap().jobs.capacity();
             assert!(capacity <= shared.max_batch, "kept {capacity} slots");
         }
     }
@@ -2052,7 +2111,7 @@ mod tests {
         // A survivor whose own shards never run dry would otherwise leave
         // the dead worker's shards queued for ever.
         let shared = unstarted();
-        shared.alive.fetch_sub(1, Ordering::SeqCst);
+        shared.work_gen.lock().unwrap().alive -= 1;
         queue_homed_on(&shared, 0, 2);
         queue_homed_on(&shared, 1, 2);
         let mut batch = GatheredBatch::new(&shared);
