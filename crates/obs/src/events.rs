@@ -1,11 +1,11 @@
 //! The bounded structured-event log: a mutex-guarded ring buffer of
 //! typed, serializable events.
 //!
-//! Events capture the *dynamics* the cumulative metric counters flatten
-//! away — when a threshold moved, when the budget bucket first ran dry,
-//! when a cache insert storm started evicting. The ring is bounded:
-//! under sustained pressure the oldest events are dropped (and counted),
-//! never the newest.
+//! Events capture the *dynamics* the owners' cumulative counts and
+//! current levels flatten away — when a threshold moved, when the budget
+//! bucket first ran dry, when a cache insert storm started evicting. The
+//! ring is bounded: under sustained pressure the oldest events are dropped
+//! (and counted), never the newest.
 
 use crate::sync::LockPolicy;
 use serde::{Deserialize, Serialize};

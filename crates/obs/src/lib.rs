@@ -6,15 +6,17 @@
 //! the measuring instrument. No `tracing`, no `prometheus` — just atomics,
 //! a mutex-guarded ring, and the workspace serde shim:
 //!
-//! * [`metrics`] — [`Counter`], [`Gauge`], and the log-bucketed latency
-//!   [`Histogram`] (exact counts, interpolated p50/p90/p99, merge-able
-//!   across threads), plus the zero-alloc [`Stopwatch`] for hot-path
-//!   timing;
+//! * [`metrics`] — the log-bucketed latency [`Histogram`] (exact counts,
+//!   interpolated p50/p90/p99, merge-able across threads), plus the
+//!   zero-alloc [`Stopwatch`] for hot-path timing. The registry keeps
+//!   distributions only: a count or a level has one owner, which is read
+//!   for it (an engine's `queued()`, a scheduler's `tokens()`), and the
+//!   events carry its trajectory;
 //! * [`events`] — the bounded ring-buffer [`EventLog`] of structured,
 //!   serializable [`Event`]s (threshold moves, budget exhaustion, eviction
 //!   storms, recalibration windows);
 //! * [`registry`] — the global-or-injected [`MetricsRegistry`] handing out
-//!   named metric handles, and its serializable [`Snapshot`];
+//!   named histograms, and its serializable [`Snapshot`];
 //! * [`sync`] — the [`LockPolicy`] extension trait naming the workspace's
 //!   mutex poison policies (`lock_or_panic` for engine-critical state,
 //!   `lock_recover` for observability state), and
@@ -42,8 +44,8 @@ pub mod sync;
 pub mod trace;
 
 pub use events::{Event, EventKind, EventLog};
-pub use metrics::{Counter, Gauge, Histogram, Stopwatch};
-pub use registry::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsRegistry, Snapshot};
+pub use metrics::{Histogram, Stopwatch};
+pub use registry::{HistogramSnapshot, MetricsRegistry, Snapshot};
 pub use sync::LockPolicy;
 pub use trace::{
     tail_report, Span, SpanBuilder, SpanId, Stage, StageTail, TailReport, TraceId, Tracer,

@@ -1,5 +1,5 @@
-//! Atomic metric primitives: counters, gauges, log-bucketed latency
-//! histograms, and the stopwatch that feeds them.
+//! Atomic metric primitives: the log-bucketed latency histogram and the
+//! stopwatch that feeds it.
 //!
 //! Everything here is lock-free and shareable across threads behind an
 //! `Arc`. Recording is wait-free (a handful of relaxed atomic RMWs); in
@@ -8,92 +8,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A monotonically increasing atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if crate::is_enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins gauge holding an `f64` (stored as raw bits in an
-/// atomic, so readers never see a torn value).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Creates a gauge at `0.0`.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(0), // 0.0f64.to_bits()
-        }
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if crate::is_enabled() {
-            self.bits.store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `delta` (compare-and-swap loop; gauges are low-frequency).
-    pub fn add(&self, delta: f64) {
-        if crate::is_enabled() {
-            let mut current = self.bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(current) + delta).to_bits();
-                match self.bits.compare_exchange_weak(
-                    current,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(observed) => current = observed,
-                }
-            }
-        }
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
 
 /// Sub-buckets per octave: values ≥ 16 land in buckets of relative width
 /// 1/16, so an interpolated quantile is within 6.25% of the exact sample.
@@ -396,39 +310,7 @@ mod tests {
         assert!(histogram.max() > 0, "elapsed time must be non-zero");
     }
 
-    #[test]
-    fn gauge_set_add_roundtrip() {
-        let gauge = Gauge::new();
-        assert_eq!(gauge.get(), 0.0);
-        gauge.set(42.5);
-        assert_eq!(gauge.get(), 42.5);
-        gauge.add(-2.5);
-        assert_eq!(gauge.get(), 40.0);
-    }
-
     proptest! {
-        #[test]
-        fn concurrent_counter_increments_conserve_totals(
-            per_thread in proptest::collection::vec(1u64..2_000, 2..6),
-        ) {
-            let counter = Arc::new(Counter::new());
-            let handles: Vec<_> = per_thread
-                .iter()
-                .map(|&n| {
-                    let counter = Arc::clone(&counter);
-                    std::thread::spawn(move || {
-                        for _ in 0..n {
-                            counter.inc();
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            prop_assert_eq!(counter.get(), per_thread.iter().sum::<u64>());
-        }
-
         #[test]
         fn concurrent_histogram_records_conserve_counts(
             values in proptest::collection::vec(0u64..1_000_000, 64..256),

@@ -1,12 +1,12 @@
-//! The metrics registry: named metric handles and point-in-time
-//! snapshots.
+//! The metrics registry: named histograms, the event ring, and
+//! point-in-time snapshots.
 //!
 //! Consumers look a handle up **once** (typically into an
 //! `OnceLock`-cached struct of `Arc`s) and record through the atomics
 //! thereafter — the registry's own locks are never on a hot path.
 
 use crate::events::{EventLog, DEFAULT_EVENT_CAPACITY};
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::Histogram;
 use crate::sync::LockPolicy;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -17,8 +17,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// tests.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     events: EventLog,
 }
@@ -45,8 +43,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn with_event_capacity(event_capacity: usize) -> Self {
         Self {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
             events: EventLog::new(event_capacity),
         }
@@ -57,28 +53,6 @@ impl MetricsRegistry {
     pub fn global() -> &'static MetricsRegistry {
         static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
         GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
-    /// The counter named `name`, created on first use.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut counters = self.counters.lock_recover();
-        Arc::clone(
-            counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
-    }
-
-    /// The gauge named `name`, created on first use.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut gauges = self.gauges.lock_recover();
-        Arc::clone(
-            gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
     }
 
     /// The histogram named `name`, created on first use.
@@ -101,24 +75,6 @@ impl MetricsRegistry {
     /// A point-in-time snapshot of every registered metric, name-sorted.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .lock_recover()
-            .iter()
-            .map(|(name, c)| CounterSnapshot {
-                name: name.clone(),
-                value: c.get(),
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .lock_recover()
-            .iter()
-            .map(|(name, g)| GaugeSnapshot {
-                name: name.clone(),
-                value: g.get(),
-            })
-            .collect();
         let histograms = self
             .histograms
             .lock_recover()
@@ -136,32 +92,12 @@ impl MetricsRegistry {
             .collect();
         Snapshot {
             enabled: crate::is_enabled(),
-            counters,
-            gauges,
             histograms,
             events_buffered: self.events.len() as u64,
             events_dropped: self.events.dropped(),
             events_recorded: self.events.recorded(),
         }
     }
-}
-
-/// One counter's snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CounterSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Value at snapshot time.
-    pub value: u64,
-}
-
-/// One gauge's snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct GaugeSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Value at snapshot time.
-    pub value: f64,
 }
 
 /// One histogram's snapshot: exact count/sum/max plus interpolated
@@ -192,10 +128,6 @@ pub struct HistogramSnapshot {
 pub struct Snapshot {
     /// Whether instrumentation was compiled in when this was taken.
     pub enabled: bool,
-    /// All counters, name-sorted.
-    pub counters: Vec<CounterSnapshot>,
-    /// All gauges, name-sorted.
-    pub gauges: Vec<GaugeSnapshot>,
     /// All histograms, name-sorted.
     pub histograms: Vec<HistogramSnapshot>,
     /// Events sitting in the ring at snapshot time.
@@ -208,18 +140,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The counter named `name`, if present.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Option<&CounterSnapshot> {
-        self.counters.iter().find(|c| c.name == name)
-    }
-
-    /// The gauge named `name`, if present.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<&GaugeSnapshot> {
-        self.gauges.iter().find(|g| g.name == name)
-    }
-
     /// The histogram named `name`, if present.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
@@ -235,18 +155,17 @@ mod tests {
     #[test]
     fn handles_are_shared_and_snapshot_is_name_sorted() {
         let registry = MetricsRegistry::new();
-        registry.counter("b.second").add(2);
-        registry.counter("a.first").inc();
-        // The same name returns the same underlying atomic.
-        registry.counter("b.second").add(3);
-        registry.gauge("g.level").set(7.5);
-        registry.histogram("h.lat_ns").record(1_000);
+        registry.histogram("b.second_ns").record(2);
+        registry.histogram("a.first_ns").record(1_000);
+        // The same name returns the same underlying histogram.
+        registry.histogram("b.second_ns").record(3);
         let snapshot = registry.snapshot();
-        let names: Vec<&str> = snapshot.counters.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["a.first", "b.second"]);
-        assert_eq!(snapshot.counter("b.second").unwrap().value, 5);
-        assert_eq!(snapshot.gauge("g.level").unwrap().value, 7.5);
-        let h = snapshot.histogram("h.lat_ns").unwrap();
+        let histograms = snapshot.histograms.iter();
+        let names: Vec<&str> = histograms.map(|h| h.name.as_str()).collect();
+        assert_eq!(names, ["a.first_ns", "b.second_ns"]);
+        let second = snapshot.histogram("b.second_ns").unwrap();
+        assert_eq!((second.count, second.sum), (2, 5));
+        let h = snapshot.histogram("a.first_ns").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 1_000);
         assert!(h.p50 >= 937.5 && h.p50 <= 1_062.5, "p50 {} off", h.p50);
@@ -255,12 +174,13 @@ mod tests {
     #[test]
     fn snapshot_serializes_via_the_shim() {
         let registry = MetricsRegistry::new();
-        registry.counter("serving.predictions").add(10);
+        registry.histogram("serving.batch_size").record(10);
         registry
             .events()
             .record(1, EventKind::BudgetExhausted, "", 0.0);
         let json = serde_json::to_string(&registry.snapshot()).unwrap();
-        assert!(json.contains("\"serving.predictions\""));
+        assert!(json.contains("\"serving.batch_size\""));
+        assert!(json.contains("\"sum\":10"));
         assert!(json.contains("\"events_buffered\":1"));
         assert!(json.contains("\"enabled\":true"));
     }

@@ -1,20 +1,19 @@
 //! Cached `pp-obs` instrumentation handles for the precompute loop.
 //!
-//! Counts the typed stats already keep (the scheduler's admissions and
-//! denials, the cache's `CacheStats`) have no registry twin.
-//! Structured events (threshold moves, budget exhaustion, eviction storms,
-//! recalibration windows) go through the registry's [`pp_obs::EventLog`];
-//! see `docs/observability.md` for the catalogue.
+//! Only distributions are registered. A count or a level is read from its
+//! owner: the scheduler's admissions, denials and `tokens()`, the cache's
+//! `CacheStats`, the controller's `last_snapshot()` and the report's
+//! `threshold`. Structured events (threshold moves, budget exhaustion,
+//! eviction storms, recalibration windows) carry their trajectories
+//! through the registry's [`pp_obs::EventLog`]; see
+//! `docs/observability.md` for the catalogue.
 
-use pp_obs::{Gauge, Histogram, MetricsRegistry};
+use pp_obs::{Histogram, MetricsRegistry};
 use std::sync::{Arc, OnceLock};
 
 /// The precompute layer's metric handles.
 #[derive(Debug, Clone)]
 pub struct PrecomputeObs {
-    /// `precompute.bucket_level_units` — token-bucket level after the most
-    /// recent wave, in cost units.
-    pub bucket_level_units: Arc<Gauge>,
     /// `precompute.admission_ns` — time spent admitting one wave.
     pub admission_ns: Arc<Histogram>,
     /// `precompute.wave_size` — prefetch candidates per admitted wave.
@@ -22,12 +21,6 @@ pub struct PrecomputeObs {
     /// `precompute.cache_op_ns` — latency of individual cache operations
     /// (insert / take).
     pub cache_op_ns: Arc<Histogram>,
-    /// `precompute.window_precision` — precision of the most recent closed
-    /// controller window.
-    pub window_precision: Arc<Gauge>,
-    /// `precompute.threshold` — current decision threshold (the trajectory
-    /// the adaptive controller walks).
-    pub threshold: Arc<Gauge>,
 }
 
 impl PrecomputeObs {
@@ -35,12 +28,9 @@ impl PrecomputeObs {
     #[must_use]
     pub fn register(registry: &MetricsRegistry) -> Self {
         Self {
-            bucket_level_units: registry.gauge("precompute.bucket_level_units"),
             admission_ns: registry.histogram("precompute.admission_ns"),
             wave_size: registry.histogram("precompute.wave_size"),
             cache_op_ns: registry.histogram("precompute.cache_op_ns"),
-            window_precision: registry.gauge("precompute.window_precision"),
-            threshold: registry.gauge("precompute.threshold"),
         }
     }
 

@@ -296,7 +296,6 @@ impl PrecomputeSystem {
                 }
             }
         }
-        obs.bucket_level_units.set(self.scheduler.tokens());
         if !candidates.is_empty() {
             if denied_budget && !self.budget_was_exhausted {
                 pp_obs::MetricsRegistry::global().events().record(
@@ -335,9 +334,6 @@ impl PrecomputeSystem {
             .expect("pending decision just observed");
         if let Some(window) = self.controller.observe(outcome) {
             self.engine.set_policy(self.controller.policy());
-            let obs = crate::obs::PrecomputeObs::global();
-            obs.window_precision.set(window.observed_precision);
-            obs.threshold.set(window.threshold_after);
             if pp_obs::is_enabled() {
                 let events = pp_obs::MetricsRegistry::global().events();
                 events.record(
@@ -391,7 +387,6 @@ impl PrecomputeSystem {
                 self.engine.set_policy(self.controller.policy());
                 self.recalibrations += 1;
                 let threshold = self.controller.threshold();
-                crate::obs::PrecomputeObs::global().threshold.set(threshold);
                 pp_obs::MetricsRegistry::global().events().record(
                     self.clock,
                     pp_obs::EventKind::Recalibration,

@@ -362,8 +362,8 @@ impl Job {
 struct ShardQueue {
     jobs: Mutex<Queued>,
     /// Lock-free emptiness hint so gathering workers skip idle shards
-    /// without taking the queue lock; the queue-depth gauge sums them.
-    /// Stored under the lock after every change to the jobs.
+    /// without taking the queue lock; [`BatchServingEngine::queued`] sums
+    /// them. Stored under the lock after every change to the jobs.
     len: AtomicUsize,
 }
 
@@ -433,6 +433,9 @@ struct WorkerCounters {
     updates: AtomicU64,
     steals: AtomicU64,
     idle_ns: AtomicU64,
+    /// Returns from this worker's coalesce hold waits; summed by
+    /// [`BatchServingEngine::hold_wakes`].
+    hold_wakes: AtomicU64,
     /// Largest batch this worker served; [`BatchServingEngine::stats`]
     /// takes the max over workers.
     largest_batch: AtomicUsize,
@@ -528,15 +531,6 @@ impl EngineShared {
             .iter()
             .map(|q| q.len.load(Ordering::Acquire))
             .sum()
-    }
-
-    /// Sets `serving.queue_depth` to [`queued`](Self::queued), summed only
-    /// when observability is compiled in.
-    fn publish_queue_depth(&self) {
-        if pp_obs::is_enabled() {
-            let queue_depth = &crate::obs::ServingObs::global().queue_depth;
-            queue_depth.set(self.queued() as f64);
-        }
     }
 
     /// The worker that owns `user`'s home shard (and therefore serves the
@@ -763,6 +757,23 @@ impl BatchServingEngine {
         }
     }
 
+    /// Jobs queued in this engine's shard queues and not yet gathered into
+    /// a batch: the sum of the queues' lengths, taken when asked. 0 once
+    /// the last worker has exited.
+    pub fn queued(&self) -> usize {
+        self.shared.queued()
+    }
+
+    /// Returns from the coalesce holds' timed waits, summed over this
+    /// engine's workers: a batch that could fill, the shutdown or the
+    /// deadline ended the wait. Divided by [`EngineStats::batches`] it is
+    /// the wake-ups one batch costs; 0 on an engine without a coalesce
+    /// wait.
+    pub fn hold_wakes(&self) -> u64 {
+        let counters = self.shared.worker_counters.iter();
+        counters.map(|c| c.hold_wakes.load(Ordering::Relaxed)).sum()
+    }
+
     /// Per-worker counters accumulated so far, indexed by worker.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
         self.shared
@@ -923,9 +934,9 @@ impl Drop for Claims<'_> {
 /// the worker out under the wake-up lock; the last worker out then closes
 /// every queue under its lock: it drops whatever is still queued, and
 /// `enqueue` refuses what arrives later, so callers see a disconnected
-/// reply channel instead of waiting on an engine nobody serves. Its sweep
-/// sets the queue-depth gauge last: every peer has exited, and nothing can
-/// be queued after it.
+/// reply channel instead of waiting on an engine nobody serves. After its
+/// sweep [`BatchServingEngine::queued`] reads 0 for good: every peer has
+/// exited, and nothing can be queued after it.
 struct WorkerExit<'a>(&'a EngineShared);
 
 impl Drop for WorkerExit<'_> {
@@ -946,7 +957,6 @@ impl Drop for WorkerExit<'_> {
             q.closed = true;
             queue.len.store(0, Ordering::Release);
         }
-        shared.publish_queue_depth();
     }
 }
 
@@ -1111,7 +1121,7 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
                             .expect("coalesce wait");
                         wake.room[worker] = 0;
                         drop(wake);
-                        obs.worker_hold_wakes.inc();
+                        counters.hold_wakes.fetch_add(1, Ordering::Relaxed);
                     }
                     continue;
                 }
@@ -1130,7 +1140,6 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         if batch.stole {
             counters.steals.fetch_add(1, Ordering::Relaxed);
         }
-        shared.publish_queue_depth();
         // Traced batches (any sampled member) get stage marks; everyone
         // else skips every clock read below.
         let tracer = pp_obs::Tracer::global();
@@ -1733,8 +1742,10 @@ mod tests {
                 .expect("absorbed by the holder, served at its deadline");
         }
         held.first.recv_timeout(HANG).expect("the lone job");
-        // All four at the first job's deadline, in the one batch.
+        // All four at the first job's deadline, after the one wake-up a
+        // held batch costs (the deadline's), in the one batch.
         assert!(held.submitted.elapsed() >= wait);
+        assert_eq!(held.engine.hold_wakes(), 1);
         let stats = held.engine.stats();
         assert_eq!((stats.batches, stats.largest_batch), (1, 4));
         assert_eq!(held.engine.worker_stats()[held.peer].batches, 0);
@@ -1752,6 +1763,8 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(5))
                 .expect("the fourth submit fills the batch: no window is waited out");
         }
+        // One wake-up, by the submit that used the room up.
+        assert_eq!(held.engine.hold_wakes(), 1);
         let stats = held.engine.stats();
         assert_eq!((stats.batches, stats.largest_batch), (1, 4));
     }
@@ -1877,6 +1890,14 @@ mod tests {
         EngineShared::new(Arc::new(model()), store, 2, 8, None)
     }
 
+    /// An engine over [`unstarted`] state, read through its public API.
+    fn unstarted_engine() -> BatchServingEngine {
+        BatchServingEngine {
+            shared: Arc::new(unstarted()),
+            workers: Vec::new(),
+        }
+    }
+
     /// Queues one predict for each of `n` users homed on `worker` in one
     /// enqueue pass, returning whether a holder absorbed it. Nobody will
     /// reply, so the receivers are dropped at once.
@@ -1944,17 +1965,31 @@ mod tests {
 
     #[test]
     fn queue_depth_is_the_sum_of_the_shard_queues() {
-        let shared = unstarted();
-        queue_homed_on(&shared, 1, 3);
-        assert_eq!(shared.queued(), 3);
-        let mut batch = GatheredBatch::new(&shared);
-        gather_by_worker_0(&shared, &mut batch);
-        assert_eq!((batch.jobs.len(), shared.queued()), (3, 0));
+        let engine = unstarted_engine();
+        let shared = &engine.shared;
+        queue_homed_on(shared, 1, 3);
+        assert_eq!(engine.queued(), 3);
+        let mut batch = GatheredBatch::new(shared);
+        gather_by_worker_0(shared, &mut batch);
+        assert_eq!((batch.jobs.len(), engine.queued()), (3, 0));
         // A closed engine refuses the pass: nothing is queued.
-        drop(WorkerExit(&shared));
-        drop(WorkerExit(&shared));
-        queue_homed_on(&shared, 1, 2);
-        assert_eq!(shared.queued(), 0);
+        drop(WorkerExit(shared));
+        drop(WorkerExit(shared));
+        queue_homed_on(shared, 1, 2);
+        assert_eq!(engine.queued(), 0);
+    }
+
+    #[test]
+    fn two_engines_in_one_process_each_report_their_own_queue_depth() {
+        let (a, b) = (unstarted_engine(), unstarted_engine());
+        queue_homed_on(&a.shared, 0, 2);
+        queue_homed_on(&b.shared, 1, 5);
+        assert_eq!((a.queued(), b.queued()), (2, 5));
+        // A drain in one engine leaves the other's depth where it was.
+        let mut batch = GatheredBatch::new(&b.shared);
+        gather_by_worker_0(&b.shared, &mut batch);
+        assert_eq!(batch.jobs.len(), 5);
+        assert_eq!((a.queued(), b.queued()), (2, 0));
     }
 
     #[test]
