@@ -105,18 +105,6 @@ impl Default for LintConfig {
                 LockClassEntry {
                     class: "obs-lane",
                     rank: 30,
-                    ident: "counters",
-                    path_contains: Some("crates/obs/src/registry.rs"),
-                },
-                LockClassEntry {
-                    class: "obs-lane",
-                    rank: 30,
-                    ident: "gauges",
-                    path_contains: Some("crates/obs/src/registry.rs"),
-                },
-                LockClassEntry {
-                    class: "obs-lane",
-                    rank: 30,
                     ident: "histograms",
                     path_contains: Some("crates/obs/src/registry.rs"),
                 },

@@ -15,14 +15,13 @@
 
 use pp_data::schema::{Context, DatasetKind};
 use pp_features::encoding::unread_bucket;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A context *dimension* used to condition aggregation features, e.g. "only
 /// count past sessions whose active tab matches the current one"
 /// (paper §5.2, "filter past accesses to those whose contexts match the
 /// current session context").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContextDimension {
     /// MobileTab: the bucketized unread badge count.
     UnreadBucket,
@@ -80,7 +79,7 @@ impl ContextDimension {
 /// [`ContextDimension::for_kind`]. Subset 0 is the empty subset (global
 /// aggregations). The paper conditions aggregations on "all (time window) ×
 /// (matching subset of context) combinations".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContextSubset {
     /// Dataset family the subset applies to.
     pub kind: DatasetKind,
@@ -120,7 +119,7 @@ pub const WINDOWS_SECS: [i64; 4] = [28 * 86_400, 7 * 86_400, 86_400, 3_600];
 
 /// Append-only per-key event log supporting "count since" queries in
 /// `O(log n)` via binary search over the sorted timestamps.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct KeyedLog {
     timestamps: Vec<i64>,
     cumulative_accesses: Vec<u32>,
@@ -163,7 +162,7 @@ impl KeyedLog {
 }
 
 /// Elapsed-time observations for one context subset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElapsedTimes {
     /// Seconds since the most recent *access* whose context matches the
     /// subset, or `None` if there has been none.
@@ -174,7 +173,7 @@ pub struct ElapsedTimes {
 }
 
 /// Aggregated counts for one (context subset × time window) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowCounts {
     /// Number of sessions inside the window with a matching context.
     pub sessions: usize,
@@ -201,7 +200,7 @@ impl WindowCounts {
 /// the *current* context. The struct also tracks the bookkeeping the serving
 /// cost model needs: how many distinct keys exist for this user and how many
 /// key lookups one prediction requires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregationState {
     kind: DatasetKind,
     subsets: Vec<ContextSubset>,

@@ -7,12 +7,11 @@ use pp_data::schema::{Context, Dataset, DatasetKind, SECONDS_PER_DAY};
 use pp_data::synth::{build_peak_window_examples, peak_window_start};
 use pp_features::context::ContextFeaturizer;
 use pp_features::encoding::{push_one_hot, time_bucket, TIME_BUCKETS};
-use serde::{Deserialize, Serialize};
 
 /// Which groups of engineered features to include (the ablation axis of
 /// Table 5). `A` = time-based aggregations, `E` = time-elapsed features,
 /// `C` = contextual features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureSet {
     /// Contextual features only (Table 5 row "C").
     Contextual,
@@ -50,7 +49,7 @@ impl std::fmt::Display for FeatureSet {
 /// The paper one-hot encodes the 50 log-buckets for logistic regression but
 /// feeds raw (log-transformed) values to GBDT ("we skip the one-hot encoding
 /// step for time-elapsed features").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElapsedEncoding {
     /// One-hot over the 50 log-buckets plus a "never" indicator (for LR).
     OneHotBuckets,
@@ -68,7 +67,7 @@ pub fn log_elapsed_normalized(elapsed_secs: i64) -> f32 {
 }
 
 /// Featurizer producing fixed-length vectors for the baseline models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineFeaturizer {
     context: ContextFeaturizer,
     feature_set: FeatureSet,
@@ -185,7 +184,7 @@ impl BaselineFeaturizer {
 }
 
 /// A labeled training or evaluation example for the baseline models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledExample {
     /// Dense feature vector.
     pub features: Vec<f32>,

@@ -7,10 +7,9 @@
 
 use crate::features::LabeledExample;
 use pp_metrics::classification::log_loss;
-use serde::{Deserialize, Serialize};
 
 /// Training configuration for [`Gbdt`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GbdtConfig {
     /// Number of boosting rounds (trees).
     pub num_trees: usize,
@@ -44,7 +43,7 @@ impl Default for GbdtConfig {
 }
 
 /// Per-feature quantile binning used for histogram split finding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct BinMapper {
     /// For each feature, the sorted upper edges of its bins (length ≤
     /// `num_bins - 1`); values greater than every edge fall in the last bin.
@@ -96,7 +95,7 @@ impl BinMapper {
 }
 
 /// A node of a regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum TreeNode {
     /// Internal split: go left when `features[feature] <= threshold`.
     Split {
@@ -110,7 +109,7 @@ enum TreeNode {
 }
 
 /// A single regression tree of the boosted ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tree {
     nodes: Vec<TreeNode>,
 }
@@ -158,7 +157,7 @@ impl Tree {
 }
 
 /// A trained gradient-boosted decision tree ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gbdt {
     trees: Vec<Tree>,
     base_score: f64,
@@ -636,25 +635,5 @@ mod tests {
     #[should_panic(expected = "empty example set")]
     fn empty_training_panics() {
         let _ = Gbdt::train(&[], GbdtConfig::default());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let data = xor_data(200, 9);
-        let model = Gbdt::train(
-            &data,
-            GbdtConfig {
-                num_trees: 3,
-                ..Default::default()
-            },
-        );
-        let json = serde_json::to_string(&model).unwrap();
-        let back: Gbdt = serde_json::from_str(&json).unwrap();
-        assert_eq!(model.trees().len(), back.trees().len());
-        // JSON float parsing may lose the last ULP; predictions must agree
-        // to high precision regardless.
-        for e in &data {
-            assert!((model.predict(&e.features) - back.predict(&e.features)).abs() < 1e-9);
-        }
     }
 }

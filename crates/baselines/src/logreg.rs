@@ -10,10 +10,9 @@ use crate::features::LabeledExample;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Training configuration for [`LogisticRegression`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogRegConfig {
     /// Number of passes over the training data.
     pub epochs: usize,
@@ -40,7 +39,7 @@ impl Default for LogRegConfig {
 }
 
 /// A trained logistic-regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,
@@ -278,19 +277,5 @@ mod tests {
         let data = linear_data(50);
         let model = LogisticRegression::train(&data, LogRegConfig::default());
         let _ = model.predict(&[1.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let data = linear_data(100);
-        let model = LogisticRegression::train(&data, LogRegConfig::default());
-        let json = serde_json::to_string(&model).unwrap();
-        let back: LogisticRegression = serde_json::from_str(&json).unwrap();
-        assert_eq!(model.dims(), back.dims());
-        // JSON float parsing may lose the last ULP; predictions must agree
-        // to high precision regardless.
-        for e in &data {
-            assert!((model.predict(&e.features) - back.predict(&e.features)).abs() < 1e-9);
-        }
     }
 }

@@ -12,12 +12,11 @@
 //! in place of sessions.
 
 use pp_data::schema::UserHistory;
-use serde::{Deserialize, Serialize};
 
 /// The percentage-based model: a single smoothing prior learned from
 /// training data plus a per-user running access percentage at prediction
 /// time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PercentageModel {
     alpha: f64,
 }

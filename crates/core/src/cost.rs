@@ -21,10 +21,9 @@ use pp_baselines::features::BaselineFeaturizer;
 use pp_baselines::Gbdt;
 use pp_data::schema::Dataset;
 use pp_serving::{CostWeights, ServingProfile};
-use serde::{Deserialize, Serialize};
 
 /// Relative cost of two serving paths under a simple cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostComparison {
     /// The aggregation-feature (baseline) path.
     pub baseline: ServingProfile,

@@ -18,10 +18,9 @@ use pp_data::synth::build_peak_window_examples;
 use pp_metrics::pr::PrCurve;
 use pp_metrics::report::EvalReport;
 use pp_rnn::{RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
-use serde::{Deserialize, Serialize};
 
 /// The model families compared throughout the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// The smoothed per-user access percentage (§5.1).
     PercentageBased,
@@ -55,7 +54,7 @@ impl std::fmt::Display for ModelKind {
 }
 
 /// Configuration of an offline experiment on one dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfflineExperimentConfig {
     /// Fraction of users held out as the test set (paper: 0.10).
     pub test_fraction: f64,
@@ -125,7 +124,7 @@ impl OfflineExperimentConfig {
 }
 
 /// The scored evaluation of one model on one dataset slice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelEvaluation {
     /// Which model produced the scores.
     pub model: ModelKind,

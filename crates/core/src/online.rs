@@ -15,10 +15,9 @@ use pp_baselines::Gbdt;
 use pp_data::schema::Dataset;
 use pp_metrics::pr::PrCurve;
 use pp_rnn::{RnnModel, RnnTrainer, ScoredPrediction, TrainerConfig};
-use serde::{Deserialize, Serialize};
 
 /// Daily metrics of one model during the online replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DailyMetric {
     /// Day since the start of the experiment (0-based).
     pub day: u32,
@@ -31,7 +30,7 @@ pub struct DailyMetric {
 }
 
 /// Result of the online comparison between the RNN and the GBDT.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineComparison {
     /// Daily PR-AUC of the RNN model (Figure 7, "RNN" series).
     pub rnn_daily: Vec<DailyMetric>,

@@ -10,7 +10,7 @@
 //!   both as training data and as the online history that predictions
 //!   condition on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Seconds in one hour.
@@ -19,7 +19,7 @@ pub const SECONDS_PER_HOUR: i64 = 3_600;
 pub const SECONDS_PER_DAY: i64 = 86_400;
 
 /// Unique user identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct UserId(pub u64);
 
 impl fmt::Display for UserId {
@@ -32,7 +32,7 @@ impl fmt::Display for UserId {
 ///
 /// The paper hashes tab names modulo 97; we model a small closed set of tabs,
 /// each with a stable [`Tab::index`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Tab {
     /// The default feed.
     Home,
@@ -81,7 +81,7 @@ impl fmt::Display for Tab {
 }
 
 /// Screen state at notification arrival (MPU dataset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ScreenState {
     /// Screen off.
     Off,
@@ -107,7 +107,7 @@ impl ScreenState {
 /// Session context: the information available at the *start* of a session,
 /// i.e. at prediction time (paper §3.1). The timestamp lives on the
 /// [`Session`] itself; the context carries the dataset-specific fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Context {
     /// Facebook mobile application startup (MobileTab dataset).
     MobileTab {
@@ -145,7 +145,7 @@ impl Context {
 }
 
 /// One recorded application session (or notification event for MPU).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Session {
     /// UNIX timestamp (seconds) of the session start.
     pub timestamp: i64,
@@ -185,7 +185,7 @@ pub fn day_of_week(timestamp: i64) -> u8 {
 }
 
 /// The complete, chronologically sorted access log of a single user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserHistory {
     /// User identifier.
     pub user_id: UserId,
@@ -242,7 +242,7 @@ impl UserHistory {
 }
 
 /// Which of the paper's three datasets a [`Dataset`] instance models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Mobile tab access prediction (§4.1).
     MobileTab,
@@ -263,7 +263,7 @@ impl fmt::Display for DatasetKind {
 }
 
 /// A full dataset: a set of user access logs spanning a fixed number of days.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Which dataset family this is.
     pub kind: DatasetKind,
@@ -446,30 +446,6 @@ mod tests {
             )],
         };
         assert!(ds2.validate().is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let ds = Dataset {
-            kind: DatasetKind::Mpu,
-            start_timestamp: 0,
-            num_days: 28,
-            users: vec![UserHistory::new(
-                UserId(7),
-                vec![Session {
-                    timestamp: 123,
-                    context: Context::Mpu {
-                        screen: ScreenState::Unlocked,
-                        app_id: 3,
-                        last_app_id: 5,
-                    },
-                    accessed: true,
-                }],
-            )],
-        };
-        let json = serde_json::to_string(&ds).unwrap();
-        let back: Dataset = serde_json::from_str(&json).unwrap();
-        assert_eq!(ds, back);
     }
 
     #[test]

@@ -9,10 +9,9 @@ use crate::schema::{Dataset, UserHistory};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A user-level train/test split of a dataset (views by index).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserSplit {
     /// Indices into `dataset.users` forming the training set.
     pub train: Vec<usize>,
@@ -76,7 +75,7 @@ impl UserSplit {
 }
 
 /// A k-fold cross-validation split by user (used for MPU with k = 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KFoldSplit {
     folds: Vec<Vec<usize>>,
     /// Seed used to shuffle users.

@@ -2,10 +2,9 @@
 //! paper.
 
 use crate::schema::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a dataset (paper Table 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSummary {
     /// Dataset name.
     pub name: String,
@@ -53,7 +52,7 @@ impl DatasetSummary {
 /// An empirical cumulative distribution function over `[0, 1]` values,
 /// evaluated on a fixed grid. Used for the per-user access-rate CDF of
 /// Figure 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalCdf {
     /// Grid of x values (access rates).
     pub xs: Vec<f64>,
@@ -110,7 +109,7 @@ pub fn access_rate_cdf(dataset: &Dataset, num_points: usize) -> EmpiricalCdf {
 
 /// Histogram of per-user session counts (Figure 5), with counts above
 /// `cap` clamped into the final bucket (the paper caps at 20,000).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionCountHistogram {
     /// Inclusive lower edge of each bucket.
     pub bucket_edges: Vec<usize>,
@@ -153,7 +152,7 @@ impl SessionCountHistogram {
 /// Distribution of inter-session gaps (Δt) in seconds, summarised by
 /// percentiles. The paper notes Δt is power-law distributed, which motivates
 /// the log-bucketing transform `T(Δt)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaTSummary {
     /// 10th/50th/90th/99th percentile of Δt in seconds.
     pub p10: i64,

@@ -10,10 +10,9 @@ use super::SyntheticGenerator;
 use crate::schema::{Context, Dataset, DatasetKind, Session, Tab, UserHistory, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the MobileTab generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobileTabConfig {
     /// Number of simulated users (paper: 10^6; default here is scaled down).
     pub num_users: usize,

@@ -17,13 +17,12 @@ use crate::schema::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 /// Number of distinct applications that post notifications.
 pub const NUM_APPS: u16 = 32;
 
 /// Configuration of the MPU generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpuConfig {
     /// Number of simulated users (paper: 279).
     pub num_users: usize,

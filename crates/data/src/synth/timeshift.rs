@@ -15,7 +15,6 @@ use crate::schema::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// First hour (inclusive, UTC) of the peak window.
 pub const PEAK_START_HOUR: u8 = 17;
@@ -40,7 +39,7 @@ pub fn peak_window_end(day_index: i64) -> i64 {
 }
 
 /// Configuration of the Timeshift generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeshiftConfig {
     /// Number of simulated users.
     pub num_users: usize,
@@ -167,7 +166,7 @@ impl SyntheticGenerator for TimeshiftGenerator {
 /// A timeshifted-precompute training/evaluation example: one user × one peak
 /// window (paper §3.2.1 — "each training example corresponds to one user ×
 /// peak window pair").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeakWindowExample {
     /// The user.
     pub user_id: UserId,

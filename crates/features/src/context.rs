@@ -6,7 +6,6 @@
 use crate::encoding::{unread_bucket, UNREAD_BUCKETS};
 use pp_data::schema::{day_of_week, hour_of_day, Context, DatasetKind, ScreenState, Tab};
 use pp_data::synth::NUM_APPS;
-use serde::{Deserialize, Serialize};
 
 /// Number of hour-of-day categories.
 const HOURS: usize = 24;
@@ -16,7 +15,7 @@ const DAYS: usize = 7;
 /// Featurizer that maps `(timestamp, context)` to a dense vector for a given
 /// dataset family. The layout is fixed per dataset kind so that feature
 /// indices are stable across sessions and users.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContextFeaturizer {
     kind: DatasetKind,
 }

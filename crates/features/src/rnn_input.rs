@@ -10,11 +10,10 @@
 use crate::context::ContextFeaturizer;
 use crate::encoding::{push_one_hot, time_bucket, TIME_BUCKETS};
 use pp_data::schema::{Context, DatasetKind};
-use serde::{Deserialize, Serialize};
 
 /// Featurizer producing GRU-update and prediction inputs for one dataset
 /// family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RnnFeaturizer {
     context: ContextFeaturizer,
 }

@@ -1,8 +1,6 @@
 //! Scalar classification metrics: log loss (the paper's training objective),
 //! Brier score, ROC-AUC, and calibration summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean binary log loss (cross-entropy) between probabilities and labels,
 /// with probabilities clamped away from 0/1 for numerical stability.
 ///
@@ -95,7 +93,7 @@ pub fn roc_auc(scores: &[f64], labels: &[bool]) -> f64 {
 }
 
 /// A reliability-diagram bucket: predictions grouped by score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationBin {
     /// Lower edge of the score bucket.
     pub lower: f64,
@@ -110,7 +108,7 @@ pub struct CalibrationBin {
 }
 
 /// Calibration summary of a set of probabilistic predictions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Equal-width buckets over `[0, 1]` (empty buckets are omitted).
     pub bins: Vec<CalibrationBin>,

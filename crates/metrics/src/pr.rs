@@ -2,11 +2,9 @@
 //! fixed precision — the paper's headline offline metrics (§8, Tables 3–4,
 //! Figure 6).
 
-use serde::{Deserialize, Serialize};
-
 /// A single point on a precision-recall curve, together with the score
 /// threshold that produces it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrPoint {
     /// Decision threshold: predict positive when `score >= threshold`.
     pub threshold: f64,
@@ -17,7 +15,7 @@ pub struct PrPoint {
 }
 
 /// A full precision-recall curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrCurve {
     points: Vec<PrPoint>,
     num_positives: usize,

@@ -4,10 +4,9 @@
 
 use crate::classification::{log_loss, roc_auc};
 use crate::pr::PrCurve;
-use serde::{Deserialize, Serialize};
 
 /// Evaluation summary of one model on one dataset slice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Model name (e.g. "GBDT", "RNN").
     pub model: String,

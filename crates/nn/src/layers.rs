@@ -17,11 +17,10 @@ use crate::kernel::{column_sums_acc, gather_acc, gemm_acc, gemm_at_acc, scatter_
 use crate::params::{GradStore, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 
 /// A fully-connected affine layer `y = x · W + b` with `W: in × out`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: ParamId,
     bias: ParamId,
@@ -181,7 +180,7 @@ fn infer_via_step(
 }
 
 /// The recurrent cell family evaluated in §6.2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Basic `tanh` recurrent unit.
     Tanh,
@@ -211,7 +210,7 @@ impl std::fmt::Display for CellKind {
 /// n = tanh(x·W_in + b_in + r ⊙ (h·W_hn + b_hn))
 /// h' = (1 - z) ⊙ n + z ⊙ h
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GruCell {
     w_ir: ParamId,
     w_iz: ParamId,
@@ -628,7 +627,7 @@ impl GruBackward<'_> {
 }
 
 /// A basic `tanh` recurrent cell: `h' = tanh(x·W_ih + b + h·W_hh)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TanhCell {
     w_ih: ParamId,
     w_hh: ParamId,
@@ -735,7 +734,7 @@ impl TanhCell {
 /// concatenated as `[h ; c]` (a `1 × 2·hidden_dim` node) so that the
 /// sequence-level code can treat every cell kind uniformly as "state in,
 /// state out".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmCell {
     w_ii: ParamId,
     w_if: ParamId,
@@ -944,7 +943,7 @@ impl LstmCell {
 /// Inverted dropout: during training each element is zeroed with probability
 /// `p` and survivors are scaled by `1 / (1 - p)`; at evaluation time the
 /// layer is the identity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dropout {
     p: f32,
 }

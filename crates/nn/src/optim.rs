@@ -3,10 +3,9 @@
 
 use crate::params::{GradStore, ParamStore};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`Adam`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate (paper: `1e-3`).
     pub lr: f32,
@@ -33,7 +32,7 @@ impl Default for AdamConfig {
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias correction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     config: AdamConfig,
     step: u64,

@@ -10,10 +10,9 @@
 //! gradients straight into one [`GradStore`] instead.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Handle to a parameter tensor inside a [`ParamStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
@@ -24,7 +23,7 @@ impl ParamId {
 }
 
 /// A named parameter tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamEntry {
     name: String,
     value: Tensor,
@@ -55,7 +54,7 @@ impl ParamEntry {
 /// assert_eq!(store.get(w).shape(), (2, 2));
 /// assert_eq!(store.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParamStore {
     params: Vec<ParamEntry>,
 }
@@ -138,7 +137,7 @@ impl ParamStore {
 }
 
 /// Per-parameter gradient accumulator, shaped like a [`ParamStore`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradStore {
     grads: Vec<Tensor>,
 }
@@ -287,14 +286,5 @@ mod tests {
         // A second clip with a large bound is a no-op.
         let pre2 = g.clip_global_norm(100.0);
         assert!((pre2 - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn param_store_serde_roundtrip() {
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::ones(2, 2));
-        let json = serde_json::to_string(&store).unwrap();
-        let back: ParamStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(store, back);
     }
 }

@@ -8,8 +8,6 @@
 //!
 //! Shapes are `(rows, cols)`. A "row vector" is a `1 × n` tensor; batches are
 //! represented by stacking examples as rows.
-
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error produced by tensor operations with incompatible shapes or invalid
@@ -48,7 +46,7 @@ impl std::error::Error for ShapeError {}
 /// let c = a.matmul(&b);
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -605,14 +603,6 @@ mod tests {
         assert!(!a.has_non_finite());
         a.set(0, 1, f32::NAN);
         assert!(a.has_non_finite());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 
     #[test]

@@ -5,18 +5,8 @@
 //! [`crate::Decision`] carries and the name the loop's events are recorded
 //! under.
 
-use serde::{Deserialize, Serialize};
-
 /// A precompute activity.
-///
-/// # Examples
-///
-/// ```
-/// use pp_precompute::Activity;
-///
-/// assert_eq!(serde_json::to_string(&Activity::MobileTab).unwrap(), "\"MobileTab\"");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Mobile application tab prefetch (the paper's §9 launch activity).
     MobileTab,
@@ -36,17 +26,5 @@ impl Activity {
         match self {
             Activity::MobileTab => "mobile_tab",
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn activity_serde_round_trips() {
-        let json = serde_json::to_string(&Activity::MobileTab).unwrap();
-        let back: Activity = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Activity::MobileTab);
     }
 }

@@ -11,10 +11,9 @@
 
 use crate::outcome::Outcome;
 use crate::policy::PrecomputePolicy;
-use serde::{Deserialize, Serialize};
 
 /// Controller tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// The precision the controller defends.
     pub target_precision: f64,
@@ -41,7 +40,7 @@ impl Default for ControllerConfig {
 }
 
 /// One closed adjustment window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSnapshot {
     /// Precision observed over the window's resolved prefetches.
     pub observed_precision: f64,

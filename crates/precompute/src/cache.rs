@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use pp_data::schema::UserId;
 use pp_obs::sync::LockPolicy;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -31,7 +31,7 @@ const EVICTION_STORM_STRIDE: u64 = 64;
 /// assert!(config.ttl_secs > 0);
 /// assert_eq!(CacheConfig::default().shards, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of independent shards.
     pub shards: usize,
@@ -52,7 +52,7 @@ impl Default for CacheConfig {
 }
 
 /// Running counters of the cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Payloads inserted.
     pub insertions: u64,

@@ -10,10 +10,10 @@ use crate::activity::Activity;
 use crate::policy::PrecomputePolicy;
 use pp_data::schema::UserId;
 use pp_serving::Prediction;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What the subsystem did (or declined to do) for one scored session start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// The policy fired and the prefetch was admitted and executed.
     Prefetch,
@@ -24,7 +24,7 @@ pub enum Action {
 }
 
 /// One precompute decision for one session start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// The user the session belongs to.
     pub user_id: UserId,
@@ -41,7 +41,7 @@ pub struct Decision {
 }
 
 /// Counters describing decision-engine behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DecisionStats {
     /// Predictions scored against the policy.
     pub scored: u64,

@@ -9,11 +9,10 @@
 //! waste ratio.
 
 use crate::decision::{Action, Decision};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// How one resolved decision turned out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Prefetched, the user accessed, and the payload was served fresh.
     Hit,
@@ -49,7 +48,7 @@ pub enum Outcome {
 /// assert_eq!(counts.recall(), Some(6.0 / 9.0));
 /// assert_eq!(counts.waste_ratio(), Some(0.3));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// Successful prefetches.
     pub hits: u64,
@@ -120,7 +119,7 @@ impl OutcomeCounts {
 /// action kind contribute — skips and denials label the below-threshold
 /// score range, which is exactly what a recalibration fit must see to place
 /// the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolvedSample {
     /// Predicted access probability at decision time.
     pub score: f64,

@@ -6,10 +6,9 @@
 //! precision, maximize recall; §9: 60% precision for the MobileTab launch).
 
 use pp_metrics::pr::PrCurve;
-use serde::{Deserialize, Serialize};
 
 /// A thresholded precompute policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecomputePolicy {
     threshold: f64,
     target_precision: Option<f64>,

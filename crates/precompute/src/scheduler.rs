@@ -13,7 +13,7 @@
 //! balance: units offered equal units spent plus tokens in the bucket.
 
 use pp_serving::{CostWeights, ServingProfile};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 /// Cost of executing one prefetch described by `profile`, in the abstract
 /// FLOP-equivalent units of [`CostWeights`] — exactly
 /// [`ServingProfile::cost_units`], so the budget and the §9 comparison can
@@ -56,7 +56,7 @@ pub fn prefetch_cost_units(profile: &ServingProfile, weights: &CostWeights) -> f
 /// };
 /// assert!(config.cost_per_prefetch_units <= config.capacity_units);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetConfig {
     /// Bucket size: the largest burst of cost units spendable at once.
     pub capacity_units: f64,
@@ -108,7 +108,7 @@ impl BudgetConfig {
 }
 
 /// In what order a wave of prefetch candidates is offered to the bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionOrder {
     /// Candidates are admitted in arrival order — the first over-budget
     /// candidate and everything after it is denied regardless of score.
@@ -120,7 +120,7 @@ pub enum AdmissionOrder {
 }
 
 /// Why an admission attempt succeeded or failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitResult {
     /// The prefetch was admitted; its cost was deducted and one inflight
     /// slot taken.
@@ -132,7 +132,7 @@ pub enum AdmitResult {
 }
 
 /// Running counters of the scheduler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SchedulerBudgetStats {
     /// Prefetches admitted.
     pub admitted: u64,

@@ -28,7 +28,6 @@ use crate::scheduler::{
 use bytes::Bytes;
 use pp_data::schema::UserId;
 use pp_serving::Prediction;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the assembled subsystem.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// denominated against that clock. A deployment on a finer clock must
 /// convert before calling in; refill is computed from whole elapsed
 /// seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Threshold the decision engine starts from (the offline-calibrated
     /// operating point).
@@ -62,7 +61,7 @@ pub struct SystemConfig {
 }
 
 /// A point-in-time report of everything the subsystem measures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemReport {
     /// Decision-engine counters.
     pub decisions: DecisionStats,

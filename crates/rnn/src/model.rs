@@ -21,11 +21,10 @@ use pp_nn::params::{GradStore, ParamStore};
 use pp_nn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which prediction task the model is built for. The update path is
 /// identical; the prediction input differs (§3.2.1 / Eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Predict an access within the session that is starting now
     /// (MobileTab, MPU).
@@ -36,7 +35,7 @@ pub enum TaskKind {
 }
 
 /// Hyper-parameters of the recurrent model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RnnModelConfig {
     /// Recurrent cell type (§6.2 evaluates tanh, GRU, LSTM; GRU wins).
     pub cell: CellKind,
@@ -75,7 +74,7 @@ impl RnnModelConfig {
 }
 
 /// Internal enum holding the chosen recurrent cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Cell {
     Tanh(TanhCell),
     Gru(GruCell),
@@ -237,7 +236,7 @@ impl HeadBatch {
 ///
 /// The model owns its [`ParamStore`]; training code reads and writes the
 /// store through [`RnnModel::params`] / [`RnnModel::params_mut`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RnnModel {
     params: ParamStore,
     cell: Cell,
@@ -1121,16 +1120,5 @@ mod tests {
         let h = m.initial_state();
         let p = f.predict_input(1_000, &ctx(), 100);
         let _ = m.predict_proba_batch(&[h.clone(), h], &[p]);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_predictions() {
-        let m = model(CellKind::Gru);
-        let f = m.featurizer();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: RnnModel = serde_json::from_str(&json).unwrap();
-        let h = m.initial_state();
-        let input = f.predict_input(2_000, &ctx(), 500);
-        assert!((m.predict_proba(&h, &input) - back.predict_proba(&h, &input)).abs() < 1e-6);
     }
 }

@@ -12,10 +12,9 @@
 use pp_data::schema::{Dataset, DatasetKind, UserHistory, SECONDS_PER_DAY};
 use pp_data::synth::{build_peak_window_examples, PeakWindowExample};
 use pp_features::rnn_input::RnnFeaturizer;
-use serde::{Deserialize, Serialize};
 
 /// Update-lag configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LagConfig {
     /// Fixed session length in seconds (paper: 20 minutes for MobileTab and
     /// Timeshift, 10 minutes for MPU).
@@ -46,7 +45,7 @@ impl LagConfig {
 }
 
 /// One hidden-state update (one session, in chronological order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateStep {
     /// Index of the session within the user's history.
     pub session_index: usize,
@@ -55,7 +54,7 @@ pub struct UpdateStep {
 }
 
 /// One prediction to be made (and scored) for a user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionStep {
     /// Number of hidden-state updates available to this prediction: the
     /// prediction reads `h_k`, where `h_0` is the all-zero initial state.
@@ -73,7 +72,7 @@ pub struct PredictionStep {
 
 /// The full training/evaluation plan for one user: hidden updates in order,
 /// plus the predictions that read them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserSequencePlan {
     /// Hidden-state updates, one per session, chronological.
     pub updates: Vec<UpdateStep>,

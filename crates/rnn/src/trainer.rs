@@ -41,12 +41,11 @@ use pp_nn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::time::Instant;
 
 /// Training configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// Number of passes over the training users (paper: 1 for the large
     /// datasets, 8 for MPU).
@@ -110,7 +109,7 @@ impl TrainerConfig {
 }
 
 /// One point of the training-loss curve (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossTracePoint {
     /// Total number of sessions processed so far (across epochs).
     pub sessions_processed: u64,
@@ -121,7 +120,7 @@ pub struct LossTracePoint {
 }
 
 /// Summary of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingReport {
     /// Minibatch-level loss curve (Figure 4).
     pub loss_trace: Vec<LossTracePoint>,
@@ -137,7 +136,7 @@ pub struct TrainingReport {
 
 /// A single scored prediction produced by evaluation, with enough metadata
 /// to slice metrics by day (Figure 7) or by user.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredPrediction {
     /// Index of the user in the dataset.
     pub user_index: usize,

@@ -43,14 +43,14 @@ use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Context, UserId};
 use pp_obs::sync::LockPolicy;
 use pp_rnn::{BatchScratch, RnnModel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A session-start prediction request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PredictRequest {
     /// The user starting a session.
     pub user_id: UserId,
@@ -63,7 +63,7 @@ pub struct PredictRequest {
 }
 
 /// A session-close hidden-state update request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateRequest {
     /// The user whose session closed.
     pub user_id: UserId,
@@ -78,7 +78,7 @@ pub struct UpdateRequest {
 }
 
 /// A served prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// The user the prediction is for.
     pub user_id: UserId,
@@ -87,7 +87,7 @@ pub struct Prediction {
 }
 
 /// Batching counters of a [`BatchScheduler`] or a [`BatchServingEngine`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct EngineStats {
     /// Predictions served.
     pub predictions: u64,
@@ -449,7 +449,7 @@ struct WorkerCounters {
 
 /// Per-worker counters of a [`BatchServingEngine`]
 /// ([`BatchServingEngine::worker_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct WorkerStats {
     /// Worker index (also the owner of shards `s` with
     /// `s % workers == worker`).
@@ -1284,7 +1284,7 @@ fn emit_batch_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_data::schema::{DatasetKind, Tab};
+    use pp_data::schema::{DatasetKind, ScreenState, Tab};
     use pp_rnn::{RnnModelConfig, TaskKind};
 
     fn model() -> RnnModel {
@@ -1314,6 +1314,57 @@ mod tests {
             },
             elapsed_secs: 300 + i,
         }
+    }
+
+    /// A request is written as JSON only by the benchmark, whose
+    /// same-seed test compares request streams byte for byte; this pins
+    /// those bytes for each context kind.
+    #[test]
+    fn predict_request_json_is_pinned_for_every_context_kind() {
+        let cases = [
+            (
+                PredictRequest {
+                    user_id: UserId(7),
+                    timestamp: 1_700_000_000,
+                    context: Context::MobileTab {
+                        unread_count: 99,
+                        active_tab: Tab::Marketplace,
+                    },
+                    elapsed_secs: 3_600,
+                },
+                r#"{"user_id":7,"timestamp":1700000000,"context":{"MobileTab":{"unread_count":99,"active_tab":"Marketplace"}},"elapsed_secs":3600}"#,
+            ),
+            (
+                PredictRequest {
+                    user_id: UserId(u64::MAX),
+                    timestamp: -1,
+                    context: Context::Timeshift { is_peak: true },
+                    elapsed_secs: 0,
+                },
+                r#"{"user_id":18446744073709551615,"timestamp":-1,"context":{"Timeshift":{"is_peak":true}},"elapsed_secs":0}"#,
+            ),
+            (
+                PredictRequest {
+                    user_id: UserId(0),
+                    timestamp: 86_400,
+                    context: Context::Mpu {
+                        screen: ScreenState::Unlocked,
+                        app_id: 412,
+                        last_app_id: u16::MAX,
+                    },
+                    elapsed_secs: 59,
+                },
+                r#"{"user_id":0,"timestamp":86400,"context":{"Mpu":{"screen":"Unlocked","app_id":412,"last_app_id":65535}},"elapsed_secs":59}"#,
+            ),
+        ];
+        for (request, json) in cases {
+            assert_eq!(serde_json::to_string(&request).unwrap(), json);
+        }
+        let [(a, a_json), (b, b_json), _] = cases;
+        assert_eq!(
+            serde_json::to_string(&vec![a, b]).unwrap(),
+            format!("[{a_json},{b_json}]")
+        );
     }
 
     #[test]

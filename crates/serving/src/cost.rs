@@ -6,10 +6,9 @@
 //! aggregation-feature path and compares it with the RNN's [`rnn_profile`].
 
 use pp_rnn::RnnModel;
-use serde::{Deserialize, Serialize};
 
 /// Per-prediction serving profile of one model path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingProfile {
     /// Key-value lookups needed to serve one prediction.
     pub lookups_per_prediction: f64,
@@ -29,7 +28,7 @@ pub struct ServingProfile {
 /// features "requires about two orders of magnitude more compute than the
 /// model computation itself": a remote key-value lookup is vastly more
 /// expensive than an arithmetic operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Cost of one key-value lookup, in FLOP-equivalents.
     pub flops_per_lookup: f64,

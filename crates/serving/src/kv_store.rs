@@ -13,10 +13,10 @@
 //!   format of a state, for a store that does live across a network.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Running counters for one store (or one shard of it).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StoreStats {
     /// Number of reads (hits and misses).
     pub reads: u64,
@@ -44,7 +44,7 @@ impl StoreStats {
 }
 
 /// Which entry a bounded store sacrifices when it is full.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Evict the least-recently-touched entry (classic LRU).
     #[default]
@@ -56,7 +56,7 @@ pub enum EvictionPolicy {
     FrequencyWeighted,
 }
 
-/// Serializes an `f32` hidden state into bytes (little-endian).
+/// Encodes an `f32` hidden state as bytes (little-endian).
 pub fn encode_state_f32(state: &[f32]) -> Bytes {
     let mut out = Vec::with_capacity(state.len() * 4);
     for v in state {
@@ -65,7 +65,7 @@ pub fn encode_state_f32(state: &[f32]) -> Bytes {
     Bytes::from(out)
 }
 
-/// Deserializes an `f32` hidden state from bytes produced by
+/// Decodes an `f32` hidden state from bytes produced by
 /// [`encode_state_f32`].
 ///
 /// # Panics

@@ -2,32 +2,27 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors a
 //! deliberately small serialization framework with serde's *spelling*: a
-//! [`Serialize`] / [`Deserialize`] trait pair plus `#[derive(Serialize,
-//! Deserialize)]` macros (from the sibling `serde_derive` shim). Instead of
-//! serde's generic `Serializer`/`Deserializer` visitors, both traits go
-//! through one concrete intermediate [`Value`] tree which `serde_json`
-//! renders to and parses from JSON text.
+//! [`Serialize`] trait plus `#[derive(Serialize)]` (from the sibling
+//! `serde_derive` shim). Instead of serde's generic `Serializer` visitor,
+//! the trait renders into one concrete intermediate [`Value`] tree, which
+//! `serde_json` prints as JSON text and parses JSON text back into. Nothing
+//! deserializes a typed value: JSON read back is walked as a [`Value`].
 //!
-//! Representation choices (stable, and relied on by round-trip tests):
+//! Representation choices (stable; pp-serving's tests pin the bytes of a
+//! `PredictRequest` for each context kind):
 //!
 //! * structs with named fields → JSON objects;
 //! * newtype structs → the inner value, transparently;
 //! * tuple structs → JSON arrays;
 //! * unit enum variants → `"VariantName"`;
 //! * data-carrying variants → `{"VariantName": <payload>}` (serde's
-//!   externally-tagged default);
-//! * maps → arrays of `[key, value]` pairs, so non-string keys (e.g. the
-//!   `(u8, u64)` aggregation keys) round-trip without a string encoding.
+//!   externally-tagged default).
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
-use std::hash::Hash;
+pub use serde_derive::Serialize;
 
-pub use serde_derive::{Deserialize, Serialize};
-
-/// The intermediate tree every (de)serialization goes through.
+/// The intermediate tree every serialization goes through.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -107,67 +102,12 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Borrows the boolean if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
-
-/// Error raised when a [`Value`] does not match the expected shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    message: String,
-}
-
-impl Error {
-    /// Creates an error with an arbitrary message.
-    pub fn custom(message: impl fmt::Display) -> Self {
-        Self {
-            message: message.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "deserialization error: {}", self.message)
-    }
-}
-
-impl std::error::Error for Error {}
 
 /// Types that can render themselves into a [`Value`].
 pub trait Serialize {
     /// Converts `self` to the intermediate tree.
     fn to_value(&self) -> Value;
-}
-
-/// Types that can be rebuilt from a [`Value`].
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from the intermediate tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the tree does not match the expected shape.
-    fn from_value(value: &Value) -> Result<Self, Error>;
-}
-
-// A `Value` (de)serializes as itself, so callers can parse arbitrary JSON
-// into the tree and walk it with the `as_*` accessors.
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -179,16 +119,6 @@ macro_rules! impl_unsigned {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Number(Number::PosInt(*self as u64))
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let raw = value
-                    .as_u64()
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(raw)
-                    .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t))))
             }
         }
     )*};
@@ -204,16 +134,6 @@ macro_rules! impl_signed {
                 } else {
                     Value::Number(Number::NegInt(v))
                 }
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let raw = value
-                    .as_i64()
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(raw)
-                    .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t))))
             }
         }
     )*};
@@ -235,18 +155,6 @@ macro_rules! impl_float {
                 }
             }
         }
-
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                match value {
-                    Value::Null => Ok(<$t>::NAN),
-                    _ => value
-                        .as_f64()
-                        .map(|v| v as $t)
-                        .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t)))),
-                }
-            }
-        }
     )*};
 }
 
@@ -258,51 +166,9 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::custom("expected bool"))
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::custom("expected string"))
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| Error::custom("expected char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom("expected single-character string")),
-        }
     }
 }
 
@@ -310,181 +176,9 @@ impl Deserialize for char {
 // Container impls
 // ---------------------------------------------------------------------------
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(Box::new)
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Deserialize::from_value(value)?;
-        items
-            .try_into()
-            .map_err(|_| Error::custom(format!("expected array of length {N}")))
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($idx:tt $name:ident),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let items = value
-                    .as_array()
-                    .ok_or_else(|| Error::custom("expected tuple array"))?;
-                let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(Error::custom(format!(
-                        "expected tuple of length {expected}, got {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-}
-
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        map_pairs(value)?.collect()
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        map_pairs(value)?.collect()
-    }
-}
-
-fn map_pairs<'a, K: Deserialize, V: Deserialize>(
-    value: &'a Value,
-) -> Result<impl Iterator<Item = Result<(K, V), Error>> + 'a, Error> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| Error::custom("expected map encoded as array of pairs"))?;
-    Ok(items.iter().map(|item| {
-        let pair = item
-            .as_array()
-            .ok_or_else(|| Error::custom("expected [key, value] pair"))?;
-        if pair.len() != 2 {
-            return Err(Error::custom("expected [key, value] pair of length 2"));
-        }
-        Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-    }))
-}
-
-/// Support code used by the derive macros; not public API.
-#[doc(hidden)]
-pub mod __private {
-    use super::{Deserialize, Error, Value};
-
-    /// Looks up a named field in object pairs and deserializes it.
-    pub fn get_field<T: Deserialize>(
-        pairs: &[(String, Value)],
-        name: &str,
-        type_name: &str,
-    ) -> Result<T, Error> {
-        let value = pairs
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, value)| value)
-            .ok_or_else(|| Error::custom(format!("missing field `{name}` in {type_name}")))?;
-        T::from_value(value)
-            .map_err(|e| Error::custom(format!("field `{name}` of {type_name}: {e}")))
     }
 }
 
@@ -494,36 +188,34 @@ mod tests {
 
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u32::from_value(&7u32.to_value()).unwrap(), 7);
-        assert_eq!(i64::from_value(&(-9i64).to_value()).unwrap(), -9);
-        assert_eq!(f32::from_value(&1.5f32.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&String::from("hi").to_value()).unwrap(),
-            "hi"
-        );
+        assert_eq!(7u32.to_value().as_u64(), Some(7));
+        assert_eq!((-9i64).to_value().as_i64(), Some(-9));
+        assert_eq!(4i64.to_value(), Value::Number(Number::PosInt(4)));
+        assert_eq!(1.5f32.to_value().as_f64(), Some(1.5));
+        assert_eq!(f64::NAN.to_value(), Value::Null);
+        assert_eq!(true.to_value(), Value::Bool(true));
+        assert_eq!(String::from("hi").to_value().as_str(), Some("hi"));
     }
 
     #[test]
     fn containers_roundtrip() {
         let v = vec![1u8, 2, 3];
-        assert_eq!(Vec::<u8>::from_value(&v.to_value()).unwrap(), v);
-        let o: Option<u8> = None;
-        assert_eq!(Option::<u8>::from_value(&o.to_value()).unwrap(), None);
-        let t = (1u8, -2i32, String::from("x"));
-        assert_eq!(<(u8, i32, String)>::from_value(&t.to_value()).unwrap(), t);
-        let mut m = HashMap::new();
-        m.insert((1u8, 2u64), 3.5f32);
-        assert_eq!(
-            HashMap::<(u8, u64), f32>::from_value(&m.to_value()).unwrap(),
-            m
-        );
+        let items: Vec<u64> = v
+            .to_value()
+            .as_array()
+            .expect("a vec is an array")
+            .iter()
+            .filter_map(Value::as_u64)
+            .collect();
+        assert_eq!(items, [1, 2, 3]);
     }
 
     #[test]
     fn wrong_shape_errors() {
-        assert!(u8::from_value(&Value::Bool(true)).is_err());
-        assert!(u8::from_value(&(-1i32).to_value()).is_err());
-        assert!(Vec::<u8>::from_value(&Value::Null).is_err());
+        assert_eq!(Value::Bool(true).as_u64(), None);
+        assert_eq!((-1i32).to_value().as_u64(), None);
+        assert_eq!(u64::MAX.to_value().as_i64(), None);
+        assert_eq!(Value::Null.as_array(), None);
+        assert_eq!(Value::String("7".into()).as_f64(), None);
     }
 }

@@ -1,9 +1,8 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
-//! workspace `serde` shim without `syn`/`quote` (unreachable registry): the
-//! derive input is parsed directly from the raw `TokenStream`, which is
-//! sufficient for the shapes this workspace uses — non-generic structs
+//! Implements `#[derive(Serialize)]` for the workspace `serde` shim without
+//! `syn`/`quote` (unreachable registry): the derive input is parsed directly
+//! from the raw `TokenStream`, which is sufficient for non-generic structs
 //! (named, tuple, unit) and enums whose variants are unit, newtype, tuple,
 //! or struct-like.
 
@@ -61,73 +60,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     code.parse()
         .expect("derive(Serialize): generated code must parse")
-}
-
-/// Derives `serde::Deserialize` (the workspace shim's JSON-tree flavor).
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let parsed = parse(input);
-    let code = match &parsed {
-        Parsed::Struct { name, fields } => {
-            let body = deserialize_fields_expr(name, name, fields, "__value");
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         ::std::result::Result::Ok({body})\n\
-                     }}\n\
-                 }}"
-            )
-        }
-        Parsed::Enum { name, variants } => {
-            let unit_arms: String = variants
-                .iter()
-                .filter(|v| matches!(v.fields, Fields::Unit))
-                .map(|v| {
-                    format!(
-                        "\"{v_name}\" => ::std::result::Result::Ok({name}::{v_name}),",
-                        v_name = v.name
-                    )
-                })
-                .collect();
-            let data_arms: String = variants
-                .iter()
-                .filter(|v| !matches!(v.fields, Fields::Unit))
-                .map(|v| {
-                    let ctor = format!("{name}::{v_name}", v_name = v.name);
-                    let body = deserialize_fields_expr(name, &ctor, &v.fields, "__inner");
-                    format!(
-                        "\"{v_name}\" => ::std::result::Result::Ok({body}),",
-                        v_name = v.name
-                    )
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         match __value {{\n\
-                             ::serde::Value::String(__s) => match __s.as_str() {{\n\
-                                 {unit_arms}\n\
-                                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                                     ::std::format!(\"unknown unit variant `{{__other}}` for {name}\"))),\n\
-                             }},\n\
-                             ::serde::Value::Object(__pairs) if __pairs.len() == 1 => {{\n\
-                                 let (__tag, __inner) = (&__pairs[0].0, &__pairs[0].1);\n\
-                                 match __tag.as_str() {{\n\
-                                     {data_arms}\n\
-                                     __other => ::std::result::Result::Err(::serde::Error::custom(\
-                                         ::std::format!(\"unknown variant `{{__other}}` for {name}\"))),\n\
-                                 }}\n\
-                             }}\n\
-                             _ => ::std::result::Result::Err(::serde::Error::custom(\
-                                 \"expected string or single-key object for enum {name}\")),\n\
-                         }}\n\
-                     }}\n\
-                 }}"
-            )
-        }
-    };
-    code.parse()
-        .expect("derive(Deserialize): generated code must parse")
 }
 
 /// Serialize expression for struct fields, where `access` is `self.` etc.
@@ -197,48 +129,6 @@ fn serialize_variant_arm(enum_name: &str, variant: &Variant) -> String {
                 pairs = pairs.join(", ")
             )
         }
-    }
-}
-
-/// Deserialize-and-construct expression reading from `&Value` binding `src`.
-fn deserialize_fields_expr(type_name: &str, ctor: &str, fields: &Fields, src: &str) -> String {
-    match fields {
-        Fields::Named(names) => {
-            let obj = format!(
-                "{src}.as_object().ok_or_else(|| ::serde::Error::custom(\
-                     \"expected object for {type_name}\"))?"
-            );
-            let inits: Vec<String> = names
-                .iter()
-                .map(|n| {
-                    format!("{n}: ::serde::__private::get_field(__obj, \"{n}\", \"{type_name}\")?")
-                })
-                .collect();
-            format!(
-                "{{ let __obj = {obj}; {ctor} {{ {inits} }} }}",
-                inits = inits.join(", ")
-            )
-        }
-        Fields::Tuple(1) => format!("{ctor}(::serde::Deserialize::from_value({src})?)"),
-        Fields::Tuple(n) => {
-            let arr = format!(
-                "{src}.as_array().ok_or_else(|| ::serde::Error::custom(\
-                     \"expected array for {type_name}\"))?"
-            );
-            let items: Vec<String> = (0..*n)
-                .map(|i| {
-                    format!(
-                        "::serde::Deserialize::from_value(__arr.get({i}).ok_or_else(|| \
-                             ::serde::Error::custom(\"missing tuple element {i} in {type_name}\"))?)?"
-                    )
-                })
-                .collect();
-            format!(
-                "{{ let __arr = {arr}; {ctor}({items}) }}",
-                items = items.join(", ")
-            )
-        }
-        Fields::Unit => ctor.to_string(),
     }
 }
 

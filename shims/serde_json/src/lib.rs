@@ -1,16 +1,17 @@
 //! Offline stand-in for `serde_json`: renders the workspace serde shim's
-//! [`Value`] tree to JSON text and parses it back.
+//! [`Value`] tree to compact JSON text and parses JSON text into a
+//! [`Value`].
 //!
 //! Numbers keep integers exact (`u64`/`i64`) and render floats with Rust's
-//! shortest round-trip formatting, so `f32`/`f64` fields survive
-//! `to_string` → `from_str` bit-for-bit.
+//! shortest round-trip formatting, so an `f64` read back from the text has
+//! the bits that were written.
 
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Number, Serialize, Value};
 use std::fmt;
 
-/// Error produced by JSON parsing or value conversion.
+/// Error produced by JSON parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     message: String,
@@ -32,12 +33,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Self::new(e.to_string())
-    }
-}
-
 /// Serializes a value to compact JSON text.
 ///
 /// # Errors
@@ -46,36 +41,36 @@ impl From<serde::Error> for Error {
 /// real `serde_json` signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    render(&value.to_value(), &mut out, None, 0);
+    render(&value.to_value(), &mut out);
     Ok(out)
 }
 
-/// Serializes a value to two-space-indented JSON text.
+/// Parses JSON text into a [`Value`] tree.
 ///
 /// # Errors
 ///
-/// Infallible for values producible by the shim (see [`to_string`]).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    render(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
-}
-
-/// Parses JSON text into any deserializable type.
-///
-/// # Errors
-///
-/// Returns an error on malformed JSON or a shape mismatch.
-pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value(text)?;
-    Ok(T::from_value(&value)?)
+/// Returns an error on malformed JSON.
+pub fn from_str(text: &str) -> Result<Value, Error> {
+    let mut parser = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    let value = parser.value()?;
+    parser.skip_whitespace();
+    if parser.pos != parser.bytes.len() {
+        return Err(Error::new(format!(
+            "trailing characters at byte {}",
+            parser.pos
+        )));
+    }
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
 
-fn render(value: &Value, out: &mut String, indent: Option<usize>, level: usize) {
+fn render(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -97,11 +92,7 @@ fn render(value: &Value, out: &mut String, indent: Option<usize>, level: usize) 
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, level + 1);
-                render(item, out, indent, level + 1);
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, level);
+                render(item, out);
             }
             out.push(']');
         }
@@ -111,26 +102,12 @@ fn render(value: &Value, out: &mut String, indent: Option<usize>, level: usize) 
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, level + 1);
                 render_string(key, out);
                 out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                render(item, out, indent, level + 1);
-            }
-            if !pairs.is_empty() {
-                newline_indent(out, indent, level);
+                render(item, out);
             }
             out.push('}');
         }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * level));
     }
 }
 
@@ -161,22 +138,6 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
-}
-
-fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::new(format!(
-            "trailing characters at byte {}",
-            parser.pos
-        )));
-    }
-    Ok(value)
 }
 
 impl<'a> Parser<'a> {
@@ -411,23 +372,24 @@ mod tests {
     #[test]
     fn scalars_roundtrip() {
         assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(from_str::<u64>("42").unwrap(), 42);
+        assert_eq!(from_str("42").unwrap().as_u64(), Some(42));
         assert_eq!(to_string(&-7i32).unwrap(), "-7");
-        assert_eq!(from_str::<i32>("-7").unwrap(), -7);
-        assert!(from_str::<bool>("true").unwrap());
-        assert_eq!(from_str::<Option<u8>>("null").unwrap(), None);
+        assert_eq!(from_str("-7").unwrap().as_i64(), Some(-7));
+        assert_eq!(from_str("true").unwrap(), Value::Bool(true));
+        assert_eq!(from_str("null").unwrap(), Value::Null);
+        assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
     }
 
     #[test]
     fn floats_roundtrip_exactly() {
         for v in [0.1f32, -3.75, 1.0e-12, 16_777_216.0, f32::MIN_POSITIVE] {
             let text = to_string(&v).unwrap();
-            let back: f32 = from_str(&text).unwrap();
+            let back = from_str(&text).unwrap().as_f64().unwrap() as f32;
             assert_eq!(v.to_bits(), back.to_bits(), "{v} -> {text} -> {back}");
         }
         for v in [0.1f64, 2.2250738585072014e-308, 9_007_199_254_740_993.0] {
             let text = to_string(&v).unwrap();
-            let back: f64 = from_str(&text).unwrap();
+            let back = from_str(&text).unwrap().as_f64().unwrap();
             assert_eq!(v.to_bits(), back.to_bits(), "{v} -> {text} -> {back}");
         }
     }
@@ -435,30 +397,31 @@ mod tests {
     #[test]
     fn strings_escape_and_parse() {
         let original = "line\nbreak \"quoted\" back\\slash \u{1F600} tab\t";
-        let text = to_string(original).unwrap();
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, original);
+        let text = to_string(&original.to_string()).unwrap();
+        assert_eq!(from_str(&text).unwrap().as_str(), Some(original));
         // Standard escapes parse too.
-        let parsed: String = from_str(r#""Aé😀""#).unwrap();
-        assert_eq!(parsed, "Aé😀");
+        let parsed = from_str(r#""\u0041\u00e9\ud83d\ude00""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("Aé😀"));
     }
 
     #[test]
     fn containers_roundtrip() {
         let v = vec![vec![1u32, 2], vec![3]];
         let text = to_string(&v).unwrap();
-        assert_eq!(from_str::<Vec<Vec<u32>>>(&text).unwrap(), v);
-        let pretty = to_string_pretty(&v).unwrap();
-        assert!(pretty.contains('\n'));
-        assert_eq!(from_str::<Vec<Vec<u32>>>(&pretty).unwrap(), v);
+        assert_eq!(text, "[[1,2],[3]]");
+        assert_eq!(from_str(&text).unwrap(), v.to_value());
+        let object = from_str(r#" { "a" : [ ] , "b" : {} } "#).unwrap();
+        let pairs = object.as_object().unwrap();
+        assert_eq!(pairs[0], ("a".to_string(), Value::Array(Vec::new())));
+        assert_eq!(pairs[1], ("b".to_string(), Value::Object(Vec::new())));
     }
 
     #[test]
     fn malformed_inputs_error() {
-        assert!(from_str::<u64>("").is_err());
-        assert!(from_str::<u64>("42 43").is_err());
-        assert!(from_str::<Vec<u8>>("[1,]").is_err());
-        assert!(from_str::<String>("\"unterminated").is_err());
-        assert!(from_str::<bool>("tru").is_err());
+        assert!(from_str("").is_err());
+        assert!(from_str("42 43").is_err());
+        assert!(from_str("[1,]").is_err());
+        assert!(from_str("\"unterminated").is_err());
+        assert!(from_str("tru").is_err());
     }
 }
